@@ -1,4 +1,4 @@
-"""Hot subset-enumeration kernels with a numba fast path and a numpy fallback.
+"""The subset-enumeration kernel: one batched numpy scan.
 
 A weaving of two block families is encoded by a bitmask: bit ``i`` set means
 block position ``i`` (0-based) is drawn from the first family.  Given
@@ -7,60 +7,135 @@ block position ``i`` (0-based) is drawn from the first family.  Given
     deltas = per-block difference of Gram contributions (first minus second),
 
 the mixed frame operator for mask ``s`` is ``base + sum(deltas[i] for i in s)``
-and the kernels report extreme eigenvalues across masks.
+and the kernel reports extreme eigenvalues across masks.
 
-Backend selection: numba is used when importable unless the environment
-variable ``GWEAVE_DISABLE_NUMBA`` is set to a truthy value, in which case the
-pure-numpy batched path runs instead.  Both backends apply identical
-reductions: argmin ties resolve to the smallest mask, argmax ties to the
-largest, so results do not depend on the backend for exactly tied spectra.
+Each chunk of masks becomes a stack of operators through one real matmul of
+the mask bits with the flattened deltas, and one stacked ``eigvalsh`` gives
+its extreme eigenvalues.  Before enumerating, :func:`weaving_scan` removes
+work that cannot change the answer:
+
+- a block whose delta is exactly zero gives the same operator with its bit
+  set or clear, so only the masks of the remaining blocks are enumerated;
+- coordinates split into the connected components of the nonzero pattern of
+  ``base`` and every delta, so each operator is block diagonal after a
+  permutation and its extreme eigenvalues are the extremes over components.
+  A 1 x 1 component is its real diagonal entry and needs no eigensolve.
+
+Ties: the argmin resolves to the smallest mask attaining the minimum and the
+argmax to the largest mask attaining the maximum.  Null bits are clear in the
+argmin and set in the argmax, which keeps both rules, because inserting fixed
+bits preserves the order of masks.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-ENV_DISABLE = "GWEAVE_DISABLE_NUMBA"
+from .errors import TooManyBlocks
+
 _CHUNK = 2048
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
-
-def _disabled_by_env() -> bool:
-    return os.environ.get(ENV_DISABLE, "").strip().lower() in {"1", "true", "yes", "on"}
+_MAX_BLOCKS = 62  # masks are int64
 
 
 def backend() -> str:
-    """Name of the backend the dispatchers will use right now."""
-    return "numba" if (HAVE_NUMBA and not _disabled_by_env()) else "numpy"
+    """Name of the scan implementation, for tools that record the machine."""
+    return "numpy"
 
 
 def _mask_bits(masks: np.ndarray, n_blocks: int) -> np.ndarray:
-    return (masks[:, np.newaxis] >> np.arange(n_blocks, dtype=np.int64)) & 1
+    bits = (masks[:, np.newaxis] >> np.arange(n_blocks, dtype=np.int64)) & 1
+    return bits.astype(np.float64)
 
 
-def weaving_scan_numpy(base: np.ndarray, deltas: np.ndarray):
-    """Full scan of all 2**n masks, batched over chunks of masks."""
+def _flat(deltas: np.ndarray) -> np.ndarray:
+    """Deltas as a real ``(k, entries)`` matrix, complex ones through their float64 view."""
+    deltas = np.ascontiguousarray(deltas)
+    if np.iscomplexobj(deltas):
+        deltas = deltas.view(np.float64)
+    return deltas.reshape(deltas.shape[0], int(np.prod(deltas.shape[1:])))
+
+
+def _extremes(base: np.ndarray, flat: np.ndarray, bits: np.ndarray):
+    """Smallest and largest eigenvalue of ``base + sum_i bits[:, i] deltas[i]`` per row of bits."""
+    stack = bits @ flat
+    if np.iscomplexobj(base):
+        stack = stack.view(np.complex128)
+    stack = stack.reshape(len(bits), *base.shape)
+    stack += base
+    w = np.linalg.eigvalsh(stack)
+    return w[:, 0], w[:, -1]
+
+
+def _components(pattern: np.ndarray) -> list:
+    """Connected components of a symmetric boolean adjacency, each as ascending indices."""
+    reach = pattern | np.eye(len(pattern), dtype=bool)
+    while True:
+        grown = (reach.astype(np.float64) @ reach) > 0
+        if (grown == reach).all():
+            break
+        reach = grown
+    roots = reach.argmax(axis=1)  # smallest index each coordinate reaches
+    # np.unique would import numpy.ma on first use, about 1 MB of resident memory
+    return [np.flatnonzero(roots == r) for r in np.flatnonzero(roots == np.arange(len(roots)))]
+
+
+class _SplitOperator:
+    """``base + sum_i bits[:, i] deltas[i]`` evaluated component by component."""
+
+    def __init__(self, base: np.ndarray, deltas: np.ndarray):
+        pattern = (base != 0) | (deltas != 0).any(axis=0)
+        comps = _components(pattern | pattern.T)
+        self.blocks = []
+        singles = []
+        for c in comps:
+            if len(c) == 1:
+                singles.append(c[0])
+            else:
+                sub = np.ix_(c, c)
+                self.blocks.append((base[sub], _flat(deltas[(slice(None), *sub)])))
+        self.diag_base = base.real[singles, singles]
+        self.diag_deltas = np.ascontiguousarray(deltas.real[:, singles, singles])
+
+    def extremes(self, bits: np.ndarray):
+        lo = np.full(len(bits), np.inf)
+        hi = np.full(len(bits), -np.inf)
+        if self.diag_base.size:
+            diag = bits @ self.diag_deltas
+            diag += self.diag_base
+            lo = diag.min(axis=1)
+            hi = diag.max(axis=1)
+        for base, flat in self.blocks:
+            block_lo, block_hi = _extremes(base, flat, bits)
+            np.minimum(lo, block_lo, out=lo)
+            np.maximum(hi, block_hi, out=hi)
+        return lo, hi
+
+
+def _spread(mask: int, live: np.ndarray) -> int:
+    """Place bit ``j`` of ``mask`` at block position ``live[j]``."""
+    return sum(1 << int(pos) for j, pos in enumerate(live) if (mask >> j) & 1)
+
+
+def weaving_scan(base: np.ndarray, deltas: np.ndarray):
+    """Extreme eigenvalues over all ``2**n`` masks, with their witness masks.
+
+    Returns ``(lower, argmin_mask, upper, argmax_mask)``.
+    """
     n = deltas.shape[0]
-    total = 1 << n
+    if n > _MAX_BLOCKS:
+        raise TooManyBlocks(f"{n} blocks: masks beyond {_MAX_BLOCKS} blocks do not fit in int64")
+    live = np.flatnonzero([delta.any() for delta in deltas])
+    deltas = deltas[live]
+    operator = _SplitOperator(base, deltas)
+    k = len(live)
+    total = 1 << k
     lower = np.inf
     upper = -np.inf
     argmin_mask = 0
     argmax_mask = 0
     for start in range(0, total, _CHUNK):
         masks = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        bits = _mask_bits(masks, n).astype(base.dtype)
-        stack = base[np.newaxis] + np.einsum("sm,mij->sij", bits, deltas)
-        w = np.linalg.eigvalsh(stack)
-        lo = w[:, 0]
-        hi = w[:, -1]
+        lo, hi = operator.extremes(_mask_bits(masks, k))
         i = int(np.argmin(lo))
         if lo[i] < lower:
             lower = float(lo[i])
@@ -69,106 +144,18 @@ def weaving_scan_numpy(base: np.ndarray, deltas: np.ndarray):
         if hi[j] >= upper:
             upper = float(hi[j])
             argmax_mask = int(masks[j])
-    return lower, argmin_mask, upper, argmax_mask
+    null_bits = ((1 << n) - 1) ^ _spread(total - 1, live)
+    return lower, _spread(argmin_mask, live), upper, _spread(argmax_mask, live) | null_bits
 
 
-def mask_spectra_numpy(base: np.ndarray, deltas: np.ndarray, masks: np.ndarray):
+def mask_spectra(base: np.ndarray, deltas: np.ndarray, masks):
     """Extreme eigenvalues of the mixed operator for each given mask."""
     n = deltas.shape[0]
+    flat = _flat(deltas)
     masks = np.asarray(masks, dtype=np.int64)
     lo = np.empty(len(masks))
     hi = np.empty(len(masks))
     for start in range(0, len(masks), _CHUNK):
-        part = masks[start : start + _CHUNK]
-        bits = _mask_bits(part, n).astype(base.dtype)
-        stack = base[np.newaxis] + np.einsum("sm,mij->sij", bits, deltas)
-        w = np.linalg.eigvalsh(stack)
-        lo[start : start + _CHUNK] = w[:, 0]
-        hi[start : start + _CHUNK] = w[:, -1]
+        part = slice(start, start + _CHUNK)
+        lo[part], hi[part] = _extremes(base, flat, _mask_bits(masks[part], n))
     return lo, hi
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _scan_jit(base, deltas, total, n):  # pragma: no cover - compiled
-        # Serial ascending scan; the mask loop is trivially parallelizable
-        # but thread-layer overhead beats the gain at desk scale.
-        lower = np.inf
-        upper = -np.inf
-        argmin_mask = 0
-        argmax_mask = 0
-        s = np.empty_like(base)
-        for mask in range(total):
-            s[:, :] = base
-            for i in range(n):
-                if (mask >> i) & 1:
-                    s += deltas[i]
-            w = np.linalg.eigvalsh(s)
-            lo = w[0]
-            hi = w[w.shape[0] - 1]
-            if lo < lower:
-                lower = lo
-                argmin_mask = mask
-            if hi >= upper:
-                upper = hi
-                argmax_mask = mask
-        return lower, argmin_mask, upper, argmax_mask
-
-    @njit(cache=True)
-    def _spectra_jit(base, deltas, masks, n):  # pragma: no cover - compiled
-        lo = np.empty(masks.shape[0])
-        hi = np.empty(masks.shape[0])
-        for k in range(masks.shape[0]):
-            mask = masks[k]
-            s = base.copy()
-            for i in range(n):
-                if (mask >> i) & 1:
-                    s += deltas[i]
-            w = np.linalg.eigvalsh(s)
-            lo[k] = w[0]
-            hi[k] = w[w.shape[0] - 1]
-        return lo, hi
-
-    def weaving_scan_numba(base, deltas):
-        n = deltas.shape[0]
-        lower, amin, upper, amax = _scan_jit(
-            np.ascontiguousarray(base), np.ascontiguousarray(deltas), 1 << n, n
-        )
-        return float(lower), int(amin), float(upper), int(amax)
-
-    def mask_spectra_numba(base, deltas, masks):
-        masks = np.ascontiguousarray(np.asarray(masks, dtype=np.int64))
-        return _spectra_jit(
-            np.ascontiguousarray(base),
-            np.ascontiguousarray(deltas),
-            masks,
-            deltas.shape[0],
-        )
-
-else:  # pragma: no cover - exercised only without numba installed
-
-    def weaving_scan_numba(base, deltas):
-        raise RuntimeError("numba is not available")
-
-    def mask_spectra_numba(base, deltas, masks):
-        raise RuntimeError("numba is not available")
-
-
-def weaving_scan(base: np.ndarray, deltas: np.ndarray):
-    """Dispatch the full 2**n scan to the active backend.
-
-    Returns ``(lower, argmin_mask, upper, argmax_mask)``.
-    """
-    if deltas.shape[0] > 62:
-        raise OverflowError("masks beyond 62 blocks do not fit in int64")
-    if backend() == "numba":
-        return weaving_scan_numba(base, deltas)
-    return weaving_scan_numpy(base, deltas)
-
-
-def mask_spectra(base: np.ndarray, deltas: np.ndarray, masks):
-    """Dispatch per-mask extreme eigenvalues to the active backend."""
-    if backend() == "numba":
-        return mask_spectra_numba(base, deltas, masks)
-    return mask_spectra_numpy(base, deltas, masks)

@@ -2,7 +2,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -54,18 +53,3 @@ def perturbed_woven_pair(rng, d=None, n=None, complex_mode=False, eps=0.15):
         if rep.woven:
             return first, second, rep
         eps *= 0.5
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    """Compile the jitted kernels once so individual tests stay fast."""
-    from gweave import _kernels
-
-    base = np.eye(2)
-    deltas = np.stack([0.1 * np.eye(2)] * 2)
-    _kernels.weaving_scan(base, deltas)
-    _kernels.mask_spectra(base, deltas, np.array([0, 3]))
-    cbase = base.astype(complex)
-    cdeltas = deltas.astype(complex)
-    _kernels.weaving_scan(cbase, cdeltas)
-    _kernels.mask_spectra(cbase, cdeltas, np.array([0, 3]))

@@ -112,18 +112,22 @@ def rayleigh_extremes_refined(
     return lo, hi
 
 
+def mixed_frame_operator(first, second, mask: int) -> np.ndarray:
+    """Frame operator of the mixed family that takes block ``i`` from ``first`` when bit ``i`` is set."""
+    blocks = [
+        first.blocks[i] if (mask >> i) & 1 else second.blocks[i]
+        for i in range(first.n_blocks)
+    ]
+    return sum(b.conj().T @ b for b in blocks)
+
+
 def brute_weaving_spectra(first, second):
     """Per-mask extreme eigenvalues by direct construction of every mixed family."""
     n = first.n_blocks
     lows = np.empty(1 << n)
     highs = np.empty(1 << n)
     for mask in range(1 << n):
-        blocks = [
-            first.blocks[i] if (mask >> i) & 1 else second.blocks[i]
-            for i in range(n)
-        ]
-        s = sum(b.conj().T @ b for b in blocks)
-        w = np.linalg.eigvalsh(s)
+        w = np.linalg.eigvalsh(mixed_frame_operator(first, second, mask))
         lows[mask] = w[0]
         highs[mask] = w[-1]
     return lows, highs

@@ -1,10 +1,15 @@
 """File format, commands, exit codes, and report determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gweave
 from gweave.cli import (
     document_to_gframe,
     dumps_document,
@@ -240,6 +245,24 @@ class TestExitCodes:
 
     def test_dual_of_non_frame_is_input_error(self, paths, capsys):
         assert main(["dual", paths["zero"]]) == 2
+
+    def test_more_blocks_than_a_mask_holds_is_input_error(self, tmp_path, capsys):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_gframe(new_gframe(1, [np.ones((1, 1))] * 63), str(first))
+        save_gframe(new_gframe(1, [2 * np.ones((1, 1))] * 63), str(second))
+        assert main(["woven", str(first), str(second), "--cap", "70"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 63 blocks") and err.count("\n") == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(gweave.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "gweave", "--help"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0
+    assert "paper-suite" in proc.stdout
 
 
 class TestDeterminism:
