@@ -10,9 +10,13 @@ the mixed frame operator for mask ``s`` is ``base + sum(deltas[i] for i in s)``
 and the kernel reports extreme eigenvalues across masks.
 
 Each chunk of masks becomes a stack of operators through one real matmul of
-the mask bits with the flattened deltas, and one stacked ``eigvalsh`` gives
-its extreme eigenvalues.  Before enumerating, :func:`weaving_scan` removes
-work that cannot change the answer:
+the mask bits with the flattened deltas (:func:`_stack`, the only place a
+stack is built), and one stacked ``eigvalsh`` gives its extreme eigenvalues.
+:func:`operator_stacks` hands the stacks of all masks, in ascending order, to
+callers that reduce them some other way.
+
+Before enumerating, :func:`weaving_scan` removes work that cannot change the
+answer:
 
 - a block whose delta is exactly zero gives the same operator with its bit
   set or clear, so only the masks of the remaining blocks are enumerated;
@@ -35,6 +39,9 @@ from .errors import TooManyBlocks
 
 _CHUNK = 2048
 _MAX_BLOCKS = 62  # masks are int64
+# float64 entries in one stack from operator_stacks (128 KiB), so that its
+# memory depends on the operator size and not on the number of masks
+_STACK_FLOATS = 1 << 14
 
 
 def backend() -> str:
@@ -55,15 +62,43 @@ def _flat(deltas: np.ndarray) -> np.ndarray:
     return deltas.reshape(deltas.shape[0], int(np.prod(deltas.shape[1:])))
 
 
-def _extremes(base: np.ndarray, flat: np.ndarray, bits: np.ndarray):
-    """Smallest and largest eigenvalue of ``base + sum_i bits[:, i] deltas[i]`` per row of bits."""
+def _check_blocks(n: int) -> None:
+    if n > _MAX_BLOCKS:
+        raise TooManyBlocks(f"{n} blocks: masks beyond {_MAX_BLOCKS} blocks do not fit in int64")
+
+
+def _stack(base: np.ndarray, flat: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """The operators ``base + sum_i bits[:, i] deltas[i]``, one per row of bits."""
     stack = bits @ flat
     if np.iscomplexobj(base):
         stack = stack.view(np.complex128)
     stack = stack.reshape(len(bits), *base.shape)
     stack += base
-    w = np.linalg.eigvalsh(stack)
+    return stack
+
+
+def _extremes(base: np.ndarray, flat: np.ndarray, bits: np.ndarray):
+    """Smallest and largest eigenvalue of the operator of each row of bits."""
+    w = np.linalg.eigvalsh(_stack(base, flat, bits))
     return w[:, 0], w[:, -1]
+
+
+def operator_stacks(base: np.ndarray, deltas: np.ndarray):
+    """Yield ``(masks, bits, stack)`` for all ``2**n`` masks in ascending order.
+
+    ``bits`` holds the masks' bits as float64 rows and ``stack`` their mixed
+    operators; the caller may overwrite both.  A stack holds at most
+    ``_STACK_FLOATS`` float64 entries (and at least one operator).
+    """
+    n = deltas.shape[0]
+    _check_blocks(n)
+    flat = _flat(deltas)
+    step = max(1, _STACK_FLOATS // flat.shape[1])
+    total = 1 << n
+    for start in range(0, total, step):
+        masks = np.arange(start, min(start + step, total), dtype=np.int64)
+        bits = _mask_bits(masks, n)
+        yield masks, bits, _stack(base, flat, bits)
 
 
 def _components(pattern: np.ndarray) -> list:
@@ -122,8 +157,7 @@ def weaving_scan(base: np.ndarray, deltas: np.ndarray):
     Returns ``(lower, argmin_mask, upper, argmax_mask)``.
     """
     n = deltas.shape[0]
-    if n > _MAX_BLOCKS:
-        raise TooManyBlocks(f"{n} blocks: masks beyond {_MAX_BLOCKS} blocks do not fit in int64")
+    _check_blocks(n)
     live = np.flatnonzero([delta.any() for delta in deltas])
     deltas = deltas[live]
     operator = _SplitOperator(base, deltas)

@@ -43,6 +43,22 @@ def _schema_require(condition: bool, message: str):
         raise SchemaError(message)
 
 
+# The types json gives a number.  ``true`` and ``false`` parse to bool, which
+# isinstance counts as int, so the checks below compare exact types.
+_NUMBER_TYPES = {int, float}
+
+
+def _entries(values: list, label: str, name: str) -> np.ndarray:
+    """Matrix entries as float64; each must be a JSON number."""
+    if not set(map(type, values)) <= _NUMBER_TYPES:
+        bad = next(x for x in values if type(x) not in _NUMBER_TYPES)
+        raise SchemaError(f"operator {label!r}: {name} holds {bad!r}, which is not a number")
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        raise SchemaError(f"operator {label!r}: {name} holds an integer beyond float64")
+
+
 def document_to_gframe(doc: dict) -> GFrame:
     """Validate a parsed JSON document and build the family it describes."""
     _schema_require(isinstance(doc, dict), "top level must be a JSON object")
@@ -53,7 +69,7 @@ def document_to_gframe(doc: dict) -> GFrame:
     mode = doc.get("scalar_mode")
     _schema_require(mode in ("real", "complex"), f"scalar_mode must be real or complex, got {mode!r}")
     d = doc.get("domain_dim")
-    _schema_require(isinstance(d, int) and d >= 1, f"domain_dim must be a positive integer, got {d!r}")
+    _schema_require(type(d) is int and d >= 1, f"domain_dim must be a positive integer, got {d!r}")
     ops = doc.get("operators")
     _schema_require(isinstance(ops, list) and ops, "operators must be a non-empty list")
     blocks = []
@@ -64,7 +80,7 @@ def document_to_gframe(doc: dict) -> GFrame:
         _schema_require(isinstance(label, str), f"operator {i + 1} label must be a string")
         rows = op.get("rows")
         _schema_require(
-            isinstance(rows, int) and rows >= 0,
+            type(rows) is int and rows >= 0,
             f"operator {label!r}: rows must be a non-negative integer",
         )
         re_part = op.get("entries_real")
@@ -89,15 +105,9 @@ def document_to_gframe(doc: dict) -> GFrame:
                 im_part is None,
                 f"operator {label!r}: entries_imag is only allowed in complex mode",
             )
-        try:
-            re_arr = np.array([float(x) for x in re_part], dtype=np.float64)
-            if mode == "complex":
-                im_arr = np.array([float(x) for x in im_part], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"operator {label!r}: non-numeric entry ({exc})")
-        block = re_arr.reshape(rows, d)
+        block = _entries(re_part, label, "entries_real").reshape(rows, d)
         if mode == "complex":
-            block = block + 1j * im_arr.reshape(rows, d)
+            block = block + 1j * _entries(im_part, label, "entries_imag").reshape(rows, d)
         blocks.append(block)
         labels.append(label)
     return new_gframe(d, blocks, labels=tuple(labels))
@@ -130,8 +140,12 @@ def load_gframe(path: str) -> GFrame:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"{path}: {exc}")
+
+    def reject_constant(literal: str):
+        raise SchemaError(f"{path}: {literal} is not a finite number")
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
     return document_to_gframe(doc)

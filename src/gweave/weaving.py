@@ -182,27 +182,27 @@ class UniversalReport:
 
 
 def _pair_kernel_inputs(first: GFrame, second: GFrame):
+    """``base`` and ``deltas`` for the kernel, and both Gram stacks as built, before any cast."""
     p = block_grams(first)
     q = block_grams(second)
     dtype = np.result_type(p.dtype, q.dtype)
-    p = p.astype(dtype, copy=False)
-    q = q.astype(dtype, copy=False)
-    base = np.ascontiguousarray(q.sum(axis=0))
-    deltas = np.ascontiguousarray(p - q)
-    return base, deltas
+    base = np.ascontiguousarray(q.astype(dtype, copy=False).sum(axis=0))
+    deltas = np.ascontiguousarray(p.astype(dtype, copy=False) - q.astype(dtype, copy=False))
+    return base, deltas, p, q
 
 
-def _woven_threshold(first: GFrame, second: GFrame, tol: float) -> float:
-    b1 = float(np.linalg.eigvalsh(block_grams(first).sum(axis=0))[-1])
-    b2 = float(np.linalg.eigvalsh(block_grams(second).sum(axis=0))[-1])
+def _woven_threshold(p: np.ndarray, q: np.ndarray, tol: float) -> float:
+    """``tol`` times the larger upper frame bound of the two families, from their Gram stacks."""
+    b1 = float(np.linalg.eigvalsh(p.sum(axis=0))[-1])
+    b2 = float(np.linalg.eigvalsh(q.sum(axis=0))[-1])
     return tol * max(b1, b2)
 
 
 def _scan_pair(first: GFrame, second: GFrame, tol: float) -> UniversalReport:
     n = first.n_blocks
-    base, deltas = _pair_kernel_inputs(first, second)
+    base, deltas, p, q = _pair_kernel_inputs(first, second)
     lower, amin, upper, amax = _kernels.weaving_scan(base, deltas)
-    threshold = _woven_threshold(first, second, tol)
+    threshold = _woven_threshold(p, q, tol)
     return UniversalReport(
         lower=lower,
         upper=upper,
@@ -263,7 +263,7 @@ def universal_bounds_search(
     if budget >= total:
         return _scan_pair(first, second, tol)
 
-    base, deltas = _pair_kernel_inputs(first, second)
+    base, deltas, p, q = _pair_kernel_inputs(first, second)
     cache: dict = {}
 
     def evaluate(masks):
@@ -305,7 +305,7 @@ def universal_bounds_search(
     hi = np.array([cache[int(m)][1] for m in masks])
     i = int(np.argmin(lo))  # first occurrence: smallest mask among ties
     j = len(hi) - 1 - int(np.argmax(hi[::-1]))  # last occurrence: largest mask
-    threshold = _woven_threshold(first, second, tol)
+    threshold = _woven_threshold(p, q, tol)
     return UniversalReport(
         lower=float(lo[i]),
         upper=float(hi[j]),
@@ -505,28 +505,84 @@ class WeavingBasisReport:
     upper: float
 
 
+def _basis_stacks(first: GFrame, second: GFrame, cap: Optional[int]):
+    """Mixed operator stacks of every selection in ascending mask order, within the cap."""
+    _check_pair(first, second)
+    n = first.n_blocks
+    limit = effective_cap(cap)
+    if n > limit:
+        raise TooManyBlocks(f"{n} blocks exceeds exhaustive cap {limit}")
+    base, deltas, _, _ = _pair_kernel_inputs(first, second)
+    return _kernels.operator_stacks(base, deltas)
+
+
+def _bit_sum(first_values, second_values, bits: np.ndarray) -> np.ndarray:
+    """Per selection, the sum of a per-block value over the chosen blocks; exact for counts."""
+    a = np.asarray(first_values, dtype=np.float64)
+    b = np.asarray(second_values, dtype=np.float64)
+    return b.sum() + bits @ (a - b)
+
+
+def _guard_band(first: GFrame, second: GFrame, tol: float) -> float:
+    """How far past its threshold a kernel test must land to fix the per-GFrame verdict.
+
+    Both paths compute functions of ``S = V*V`` for the stacked rows ``V`` of
+    a weaving.  With ``T = |first|_F^2 + |second|_F^2``, every entry sum
+    along the way, every ``lambda_max(S)`` and ``|V|_2^2`` are at most ``T``,
+    so a chain of ``k`` rounded additions is off by at most ``k eps T``:
+
+    - kernel: Gram entries (r rows), ``base`` (n), ``deltas`` (1),
+      ``bits @ deltas`` (n), ``+= base`` (1), then the eigensolve or the
+      residual ``|S - I|_F`` (d, the usual size factor of a Hermitian
+      solver's backward error): ``2n + r + d + 2``;
+    - per GFrame: the SVD of ``V`` gives squared singular values to
+      ``2d eps |V|_2^2``, and ``V V*`` or ``V*V`` takes d-term sums; one
+      more for the final norm: ``2d + 1``.
+
+    A test ``lambda_min - tol lambda_max`` moves by ``1 + |tol|`` times the
+    error of the eigenvalues.  ``eps`` is twice the unit roundoff, which
+    leaves room for the solvers' constant factors.
+    """
+    n, d = first.n_blocks, first.domain_dim
+    r = max(first.block_rows + second.block_rows)
+    scale = sum(float(np.vdot(b, b).real) for b in first.blocks + second.blocks)
+    return (1.0 + abs(tol)) * (2 * n + 3 * d + r + 3) * np.finfo(np.float64).eps * scale
+
+
 def is_weaving_g_riesz(
     first: GFrame,
     second: GFrame,
     tol: float = DEFAULT_TOL,
     cap: Optional[int] = None,
 ) -> WeavingBasisReport:
-    """Whether every weaving is a Riesz basis; returns the first failing selection."""
-    _check_pair(first, second)
-    n = first.n_blocks
-    limit = effective_cap(cap)
-    if n > limit:
-        raise TooManyBlocks(f"{n} blocks exceeds exhaustive cap {limit}")
+    """Whether every weaving is a Riesz basis; returns the first failing selection.
+
+    A weaving is a Riesz basis exactly when its row count is ``d`` and
+    ``lambda_min(S) > tol lambda_max(S)`` for its frame operator ``S``, since
+    ``V*V = S`` for its square synthesis matrix ``V``.  The kernel settles
+    each selection whose test clears zero by more than the rounding bound of
+    :func:`_guard_band`; every other one, in ascending mask order, goes to
+    :func:`is_g_riesz_basis` on its weaving until one fails.  So verdict,
+    witness and failing bounds are those of the per-weaving classifier.
+    """
+    chunks = _basis_stacks(first, second, cap)
+    n, d = first.n_blocks, first.domain_dim
+    band = _guard_band(first, second, tol)
     lower = np.inf
     upper = -np.inf
-    for mask in range(1 << n):
-        sel = WeavingSelection(n, mask)
-        rep = is_g_riesz_basis(weave(first, second, sel), tol)
-        if not rep.is_riesz:
-            return WeavingBasisReport(False, sel, rep.lower, rep.upper)
-        lower = min(lower, rep.lower)
-        upper = max(upper, rep.upper)
-    return WeavingBasisReport(True, None, float(lower), float(upper))
+    for masks, bits, stack in chunks:
+        w = np.linalg.eigvalsh(stack)
+        lo, hi = w[:, 0], w[:, -1]
+        counts = _bit_sum(first.block_rows, second.block_rows, bits)
+        settled = (counts == d) & (lo - tol * hi > band)
+        for mask in masks[~settled]:
+            sel = WeavingSelection(n, int(mask))
+            rep = is_g_riesz_basis(weave(first, second, sel), tol)
+            if not rep.is_riesz:
+                return WeavingBasisReport(False, sel, rep.lower, rep.upper)
+        lower = min(lower, float(lo.min()))
+        upper = max(upper, float(hi.max()))
+    return WeavingBasisReport(True, None, lower, upper)
 
 
 def is_weaving_g_onb(
@@ -535,17 +591,35 @@ def is_weaving_g_onb(
     tol: float = DEFAULT_TOL,
     cap: Optional[int] = None,
 ) -> WeavingBasisReport:
-    """Whether every weaving is an orthonormal basis family."""
-    _check_pair(first, second)
-    n = first.n_blocks
-    limit = effective_cap(cap)
-    if n > limit:
-        raise TooManyBlocks(f"{n} blocks exceeds exhaustive cap {limit}")
-    for mask in range(1 << n):
-        sel = WeavingSelection(n, mask)
-        rep = is_g_orthonormal_basis(weave(first, second, sel), tol)
-        if not rep.is_onb:
-            return WeavingBasisReport(False, sel, 0.0, 0.0)
+    """Whether every weaving is an orthonormal basis family; returns the first failing selection.
+
+    With row count ``d`` the synthesis matrix ``V`` is square, so both
+    residuals of :func:`is_g_orthonormal_basis` equal ``R = |S - I|_F``.
+    The kernel settles a weaving with no zero-row block, row count ``d`` and
+    ``R`` below ``tol`` by more than the rounding bound of
+    :func:`_guard_band`, with no eigensolve: the per-weaving test allows
+    ``tol max(1, lambda_max) >= tol``.  For ``tol < 1/3`` that also settles its
+    zero-row test, since each row norm squared is within ``R`` of 1, so above
+    ``2/3``, while ``lambda_max <= 1 + R`` keeps the allowance below ``4/9``.
+    Every other weaving, in ascending mask order, goes to
+    :func:`is_g_orthonormal_basis` until one fails.
+    """
+    chunks = _basis_stacks(first, second, cap)
+    n, d = first.n_blocks, first.domain_dim
+    cut = tol - _guard_band(first, second, tol) if tol < 1.0 / 3.0 else -np.inf
+    no_rows1 = [r == 0 for r in first.block_rows]
+    no_rows2 = [r == 0 for r in second.block_rows]
+    diagonal = np.arange(d) * (d + 1)
+    for masks, bits, stack in chunks:
+        residual = stack.reshape(len(masks), d * d)
+        residual[:, diagonal] -= 1.0
+        counts = _bit_sum(first.block_rows, second.block_rows, bits)
+        empty = _bit_sum(no_rows1, no_rows2, bits)
+        settled = (counts == d) & (empty == 0) & (np.linalg.norm(residual, axis=1) <= cut)
+        for mask in masks[~settled]:
+            sel = WeavingSelection(n, int(mask))
+            if not is_g_orthonormal_basis(weave(first, second, sel), tol).is_onb:
+                return WeavingBasisReport(False, sel, 0.0, 0.0)
     return WeavingBasisReport(True, None, 1.0, 1.0)
 
 

@@ -53,3 +53,32 @@ def perturbed_woven_pair(rng, d=None, n=None, complex_mode=False, eps=0.15):
         if rep.woven:
             return first, second, rep
         eps *= 0.5
+
+
+def _unitary(rng, d, complex_mode):
+    a = rng.standard_normal((d, d))
+    if complex_mode:
+        a = a + 1j * rng.standard_normal((d, d))
+    return np.linalg.qr(a)[0]
+
+
+def basis_pair(rng, rows, complex_mode=False, noise=0.0, fail_late=None):
+    """A pair whose every weaving is an orthonormal basis, or a Riesz basis when ``noise`` > 0.
+
+    The first family splits the rows of a random unitary into blocks with the
+    given row counts; the second turns each block inside its own span and
+    adds ``noise`` times Gaussian entries.  ``fail_late`` breaks only the
+    weavings that take the last block from the first family: "scale"
+    multiplies it by 1.1, "duplicate" replaces it with the block before it
+    (which needs the last two row counts equal).
+    """
+    d = sum(rows)
+    q = _unitary(rng, d, complex_mode)
+    first = np.split(q, np.cumsum(rows)[:-1])
+    second = [_unitary(rng, b.shape[0], complex_mode) @ b for b in first]
+    second = [b + noise * rng.standard_normal(b.shape) for b in second]
+    if fail_late == "scale":
+        first[-1] = 1.1 * first[-1]
+    elif fail_late == "duplicate":
+        first[-1] = first[-2].copy()
+    return new_gframe(d, first), new_gframe(d, second)

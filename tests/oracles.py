@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they check: eigenvalues come from
 characteristic-polynomial roots instead of a Hermitian solver, extreme
 Rayleigh quotients come from sampling plus matrix-vector power refinement,
-and universal weaving bounds come from plain enumeration over explicitly
-constructed mixed families.
+universal weaving bounds come from plain enumeration over explicitly
+constructed mixed families, and the "every weaving is a basis" verdicts come
+from the per-weaving classifiers run on every selection in turn.
 """
 
 from __future__ import annotations
@@ -137,6 +138,34 @@ def brute_universal(first, second):
     """Exact universal bounds by enumeration, independent of the kernels."""
     lows, highs = brute_weaving_spectra(first, second)
     return float(lows.min()), float(highs.max())
+
+
+def brute_weaving_basis(first, second, kind: str, tol: float):
+    """Whether every weaving is a Riesz basis (``kind`` "riesz") or orthonormal basis ("onb").
+
+    Runs the per-weaving classifier on each selection in ascending mask order
+    and stops at the first failure, reporting that weaving's bounds.
+    """
+    from gweave.gframe import is_g_orthonormal_basis, is_g_riesz_basis
+    from gweave.weaving import WeavingBasisReport, WeavingSelection, weave
+
+    n = first.n_blocks
+    lower = np.inf
+    upper = -np.inf
+    for mask in range(1 << n):
+        sel = WeavingSelection(n, mask)
+        woven = weave(first, second, sel)
+        if kind == "riesz":
+            rep = is_g_riesz_basis(woven, tol)
+            if not rep.is_riesz:
+                return WeavingBasisReport(False, sel, rep.lower, rep.upper)
+            lower = min(lower, rep.lower)
+            upper = max(upper, rep.upper)
+        elif not is_g_orthonormal_basis(woven, tol).is_onb:
+            return WeavingBasisReport(False, sel, 0.0, 0.0)
+    if kind == "riesz":
+        return WeavingBasisReport(True, None, float(lower), float(upper))
+    return WeavingBasisReport(True, None, 1.0, 1.0)
 
 
 def accumulated_frame_operator(vectors, d: int) -> np.ndarray:

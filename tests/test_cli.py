@@ -232,6 +232,31 @@ class TestExitCodes:
         p.write_text(json.dumps({"schema_version": "nope"}))
         assert main(["bounds", str(p)]) == 2
 
+    @pytest.mark.parametrize(
+        "dim, rows, entries",
+        [
+            ("2", "1", '["1.0", 0.0]'),
+            ("2", "1", "[1.0, true]"),
+            ("2", "true", "[1.0, 0.0]"),
+            ("true", "1", "[1.0]"),
+            ("2", "1", "[1.0, NaN]"),
+            ("2", "1", "[Infinity, 0.0]"),
+            ("1", "1", "[1" + "0" * 400 + "]"),
+        ],
+        ids=["string-entry", "bool-entry", "bool-rows", "bool-domain-dim", "nan", "infinity", "huge-int"],
+    )
+    def test_non_numbers_are_schema_errors(self, tmp_path, capsys, dim, rows, entries):
+        p = tmp_path / "bad.json"
+        p.write_text(
+            '{"schema_version": "gweave/1", "scalar_mode": "real", "domain_dim": ' + dim
+            + ', "operators": [{"label": "a", "rows": ' + rows
+            + ', "entries_real": ' + entries + "}]}"
+        )
+        with pytest.raises(SchemaError):
+            load_gframe(str(p))
+        assert main(["bounds", str(p)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_cap_exceeded_is_input_error(self, paths, capsys):
         assert (
             main(["woven", paths["sh_first"], paths["sh_second"], "--cap", "3"]) == 2

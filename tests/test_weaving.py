@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gweave import linalg
+from gweave import linalg, weaving
 from gweave.errors import LengthMismatch, NotUnitary, NotWoven, ShapeMismatch, TooManyBlocks
 from gweave.gframe import (
     compose_right,
@@ -41,8 +41,8 @@ from gweave.weaving import (
     weaving_bounds,
 )
 
-from conftest import perturbed_woven_pair, random_frame, random_gframe
-from oracles import brute_weaving_spectra
+from conftest import basis_pair, perturbed_woven_pair, random_frame, random_gframe
+from oracles import brute_weaving_basis, brute_weaving_spectra, mixed_frame_operator
 
 
 class TestSelection:
@@ -315,6 +315,144 @@ class TestWeavingBases:
         frame = build_projection_family(5, 1)
         with pytest.raises(TooManyBlocks):
             is_weaving_g_onb(frame, frame, cap=4)
+
+
+CLASSIFIERS = {"riesz": is_weaving_g_riesz, "onb": is_weaving_g_onb}
+
+
+def _tol_at(first, second, kind, mask):
+    """The tolerance at which the weaving of ``mask`` sits exactly on its threshold."""
+    s = mixed_frame_operator(first, second, mask)
+    if kind == "onb":
+        return linalg.frobenius(s - np.eye(first.domain_dim))
+    w = np.linalg.eigvalsh(s)
+    return float(w[0] / w[-1])
+
+
+def _assert_same_report(got, want, kind):
+    assert got.holds == want.holds
+    assert got.witness == want.witness
+    if want.holds and kind == "riesz":
+        assert got.lower == pytest.approx(want.lower, abs=1e-10)
+        assert got.upper == pytest.approx(want.upper, abs=1e-10)
+    else:
+        assert (got.lower, got.upper) == (want.lower, want.upper)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    rows=st.lists(st.integers(0, 2), min_size=2, max_size=6),
+    complex_mode=st.booleans(),
+    kind=st.sampled_from(["riesz", "onb"]),
+    fail_late=st.sampled_from([None, "scale", "duplicate"]),
+    drop=st.none() | st.integers(0, 5),
+    tol=st.sampled_from([1e-8, 1e-3, 0.5, "band"]),
+)
+def test_basis_classifiers_match_per_weaving_loop(
+    seed, rows, complex_mode, kind, fail_late, drop, tol
+):
+    """Verdict, witness and failing bounds equal the per-weaving loop's on every input.
+
+    ``drop`` empties one block of the second family, so row counts differ
+    between weavings; ``tol`` "band" puts one weaving exactly on its
+    threshold, inside the rounding band the kernel leaves to the loop.
+    """
+    rng = np.random.default_rng(seed)
+    rows = list(rows)
+    if fail_late == "duplicate":
+        rows[-1] = rows[-2]
+    assume(sum(rows) > 0)
+    noise = 0.02 if kind == "riesz" else 1e-6 if tol == "band" else 0.0
+    first, second = basis_pair(rng, rows, complex_mode, noise, fail_late)
+    if drop is not None:
+        blocks = list(second.blocks)
+        blocks[drop % len(blocks)] = blocks[drop % len(blocks)][:0]
+        second = new_gframe(second.domain_dim, blocks)
+    if tol == "band":
+        tol = _tol_at(first, second, kind, int(rng.integers(0, 1 << len(rows))))
+    got = CLASSIFIERS[kind](first, second, tol)
+    _assert_same_report(got, brute_weaving_basis(first, second, kind, tol), kind)
+
+
+@pytest.mark.parametrize("kind", ["riesz", "onb"])
+def test_weaving_on_its_threshold_goes_to_the_per_weaving_classifier(monkeypatch, kind):
+    rng = np.random.default_rng(12)
+    first, second = basis_pair(rng, [1, 2, 1, 1, 2], noise=0.02 if kind == "riesz" else 1e-6)
+    masks = range(1 << first.n_blocks)
+    ratios = [_tol_at(first, second, kind, m) for m in masks]
+    # the tightest weaving: below (riesz) or above (onb) the threshold every other one clears
+    mask = int(np.argmin(ratios) if kind == "riesz" else np.argmax(ratios))
+    tol = ratios[mask]
+    built = []
+    real_weave = weaving.weave
+    monkeypatch.setattr(weaving, "weave", lambda *a: built.append(a[2].mask) or real_weave(*a))
+    got = CLASSIFIERS[kind](first, second, tol)
+    assert mask in built
+    _assert_same_report(got, brute_weaving_basis(first, second, kind, tol), kind)
+
+
+@pytest.mark.parametrize("kind", ["riesz", "onb"])
+def test_classifiers_build_a_weaving_only_for_the_failure(monkeypatch, kind):
+    rng = np.random.default_rng(13)
+    noise = 0.02 if kind == "riesz" else 0.0
+    fail = "duplicate" if kind == "riesz" else "scale"
+    passing = basis_pair(rng, [1, 2, 1, 2, 2, 1, 1, 2, 1, 1], noise=noise)
+    failing = basis_pair(rng, [1, 2, 1, 2, 2, 1, 1, 2, 1, 1], noise=noise, fail_late=fail)
+    built = []
+    solves = []
+    real_weave = weaving.weave
+    real_eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(weaving, "weave", lambda *a: built.append(a[2].mask) or real_weave(*a))
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda *a, **k: solves.append(1) or real_eigvalsh(*a, **k)
+    )
+    assert CLASSIFIERS[kind](*passing).holds
+    assert built == []
+    rep = CLASSIFIERS[kind](*failing)
+    assert not rep.holds
+    assert built == [rep.witness.mask]
+    if kind == "onb":
+        assert solves == []
+
+
+@pytest.mark.parametrize("tol", [0.2, 0.9])
+def test_onb_verdict_at_large_tol_follows_the_per_weaving_classifier(tol):
+    # |S - I|_F = 0.75, yet at tol 0.9 the row of norm 0.5 counts as a zero row
+    frame = new_gframe(2, [[0.5, 0.0], [0.0, 1.0]])
+    got = is_weaving_g_onb(frame, frame, tol)
+    _assert_same_report(got, brute_weaving_basis(frame, frame, "onb", tol), "onb")
+    assert not got.holds
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    c=st.floats(0.1, 10.0),
+    complex_mode=st.booleans(),
+    fail_late=st.sampled_from([None, "duplicate"]),
+)
+def test_scaling_both_families_scales_bounds_by_c_squared(seed, c, complex_mode, fail_late):
+    """Riesz verdict, witness and universal witnesses stay; passing and universal bounds scale by c**2."""
+    rng = np.random.default_rng(seed)
+    first, second = basis_pair(rng, [1, 2, 1, 1, 1], complex_mode, 0.02, fail_late)
+    scaled = [new_gframe(f.domain_dim, [c * b for b in f.blocks]) for f in (first, second)]
+    k = c * c
+
+    rep = is_weaving_g_riesz(first, second)
+    rep_c = is_weaving_g_riesz(*scaled)
+    assert (rep_c.holds, rep_c.witness) == (rep.holds, rep.witness)
+    if rep.holds:
+        assert rep_c.lower == pytest.approx(k * rep.lower, rel=1e-10)
+        assert rep_c.upper == pytest.approx(k * rep.upper, rel=1e-10)
+
+    if fail_late is None:  # every weaving is a frame, so both extremes are strict
+        uni = universal_bounds_exhaustive(first, second)
+        uni_c = universal_bounds_exhaustive(*scaled)
+        assert uni_c.woven == uni.woven
+        assert (uni_c.argmin, uni_c.argmax) == (uni.argmin, uni.argmax)
+        assert uni_c.lower == pytest.approx(k * uni.lower, rel=1e-10)
+        assert uni_c.upper == pytest.approx(k * uni.upper, rel=1e-10)
 
 
 class TestUnitaryInvariance:
