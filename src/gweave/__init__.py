@@ -89,6 +89,18 @@ from .suite import (
     random_unitary,
     run_suite,
 )
-from .cli import load_gframe, save_gframe
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The CLI loads lazily: importing it here would run ``cli.py`` twice under
+# ``python -m gweave.cli`` (runpy warns about exactly that).
+_LAZY = ("cli", "load_gframe", "save_gframe")
+
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_LAZY)
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        import importlib
+
+        cli = importlib.import_module(".cli", __name__)
+        return cli if name == "cli" else getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,9 +9,11 @@ block position ``i`` (0-based) is drawn from the first family.  Given
 the mixed frame operator for mask ``s`` is ``base + sum(deltas[i] for i in s)``
 and the kernel reports extreme eigenvalues across masks.
 
-Each chunk of masks becomes a stack of operators through one real matmul of
+Each chunk of masks becomes a stack of operators through a real matmul of
 the mask bits with the flattened deltas (:func:`_stack`, the only place a
 stack is built), and one stacked ``eigvalsh`` gives its extreme eigenvalues.
+The matmul runs in tiles of a fixed number of rows, so a mask's operator, and
+with it its eigenvalues, is bitwise the same whatever batch it comes in.
 :func:`operator_stacks` hands the stacks of all masks, in ascending order, to
 callers that reduce them some other way.
 
@@ -38,6 +40,10 @@ import numpy as np
 from .errors import TooManyBlocks
 
 _CHUNK = 2048
+# Rows per matmul in _stack.  BLAS rounds a row of a product differently
+# depending on how many rows the product has and, in larger products, on
+# where the row sits; every tile of 8 rows goes through one code path.
+_TILE = 8
 _MAX_BLOCKS = 62  # masks are int64
 # float64 entries in one stack from operator_stacks (128 KiB), so that its
 # memory depends on the operator size and not on the number of masks
@@ -68,11 +74,19 @@ def _check_blocks(n: int) -> None:
 
 
 def _stack(base: np.ndarray, flat: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """The operators ``base + sum_i bits[:, i] deltas[i]``, one per row of bits."""
-    stack = bits @ flat
+    """The operators ``base + sum_i bits[:, i] deltas[i]``, one per row of bits.
+
+    The product runs on ``_TILE``-row tiles, the last one zero-padded, so each
+    row's operator does not depend on the other rows.
+    """
+    m, k = bits.shape
+    tiles = -(-m // _TILE)
+    if tiles * _TILE != m:
+        bits = np.concatenate([bits, np.zeros((tiles * _TILE - m, k))])
+    stack = (bits.reshape(tiles, _TILE, k) @ flat).reshape(tiles * _TILE, flat.shape[1])[:m]
     if np.iscomplexobj(base):
         stack = stack.view(np.complex128)
-    stack = stack.reshape(len(bits), *base.shape)
+    stack = stack.reshape(m, *base.shape)
     stack += base
     return stack
 
@@ -135,8 +149,7 @@ class _SplitOperator:
         lo = np.full(len(bits), np.inf)
         hi = np.full(len(bits), -np.inf)
         if self.diag_base.size:
-            diag = bits @ self.diag_deltas
-            diag += self.diag_base
+            diag = _stack(self.diag_base, self.diag_deltas, bits)
             lo = diag.min(axis=1)
             hi = diag.max(axis=1)
         for base, flat in self.blocks:

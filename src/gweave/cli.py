@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 
 import numpy as np
 
 from . import __version__
-from .errors import GWeaveError, ParseError, SchemaError
+from .errors import GWeaveError, ParseError, SchemaError, ShapeMismatch
 from .gframe import (
     GFrame,
     canonical_dual,
@@ -467,6 +468,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not (math.isfinite(args.tol) and args.tol >= 0):
+            raise ShapeMismatch(f"--tol must be a finite non-negative number, got {args.tol}")
         return args.func(args)
     except GWeaveError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,6 +37,7 @@ from .induced import (
 from .weaving import (
     CHECK_EPS,
     WeavingSelection,
+    _check_seed,
     check_dual_weaving,
     check_unitary_weaving_invariance,
     effective_cap,
@@ -433,6 +434,7 @@ def _bounds_inside(pair_value, expected, eps=CHECK_EPS) -> bool:
 def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
     """Run the whole verification battery and collect one record per statement."""
     cfg = config or SuiteConfig()
+    _check_seed(cfg.seed)
     scale = cfg.dim_scale
     tol = cfg.tol
     cap = effective_cap(cfg.cap)

@@ -38,6 +38,10 @@ from .gframe import (
 )
 
 DEFAULT_EXHAUSTIVE_CAP = 20
+# The descents of universal_bounds_search advance in groups of
+# _ROUND_MASKS // n, so one round looks up at most this many one-bit
+# neighbours, whatever the budget.
+_ROUND_MASKS = 1 << 12
 ENV_CAP = "GWEAVE_EXHAUSTIVE_CAP"
 
 # Margin used by the inequality checks below; the underlying statements are
@@ -237,6 +241,19 @@ def universal_bounds_exhaustive(
     return _scan_pair(first, second, tol)
 
 
+def _check_seed(seed) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ShapeMismatch(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def _sorted_unique(masks: np.ndarray) -> np.ndarray:
+    # np.unique would import numpy.ma on first use, about 1 MB of resident memory
+    masks = np.sort(masks)
+    keep = np.ones(len(masks), dtype=bool)
+    keep[1:] = masks[1:] != masks[:-1]
+    return masks[keep]
+
+
 def universal_bounds_search(
     first: GFrame,
     second: GFrame,
@@ -248,14 +265,25 @@ def universal_bounds_search(
 
     ``budget`` seeds are drawn uniformly; from each one a steepest single-bit
     descent runs on the smallest eigenvalue and an ascent on the largest.
+    A step moves to the first of the ``n`` one-bit neighbours with the best
+    value, and only when that value strictly improves on the current one.
+    ``subsets_examined`` counts the distinct masks whose spectrum was
+    computed: the seeds and every neighbour of every mask a descent visited.
     The reported lower value over-estimates the true universal lower bound
     and the upper value under-estimates the true upper bound.  When the
     budget covers the whole selection space the full enumeration runs
     instead and the result equals the exhaustive report.
+
+    All descents advance in lockstep, up to ``_ROUND_MASKS // n`` at a time,
+    and each round computes the spectra of every neighbour no descent has
+    seen yet in one kernel call.  A mask's spectrum does not depend on the
+    batch it is computed in, so the masks examined, and the report, are
+    those of running the descents one after another.
     """
     _check_pair(first, second)
     if budget < 1:
         raise ShapeMismatch(f"budget must be at least 1, got {budget}")
+    _check_seed(seed)
     n = first.n_blocks
     if n > 62:
         raise TooManyBlocks("masks beyond 62 blocks do not fit in int64")
@@ -264,56 +292,53 @@ def universal_bounds_search(
         return _scan_pair(first, second, tol)
 
     base, deltas, p, q = _pair_kernel_inputs(first, second)
-    cache: dict = {}
-
-    def evaluate(masks):
-        new = [m for m in dict.fromkeys(masks) if m not in cache]
-        if new:
-            lo, hi = _kernels.mask_spectra(base, deltas, np.array(new, dtype=np.int64))
-            for m, a, b in zip(new, lo, hi):
-                cache[m] = (float(a), float(b))
-        return [cache[m] for m in masks]
-
     rng = np.random.default_rng(seed)
-    samples = [int(m) for m in rng.integers(0, total, size=budget)]
-    evaluate(samples)
+    # examined masks, ascending, with their extreme eigenvalues; a repeated
+    # seed repeats its descents exactly, so each seed runs once
+    seen = _sorted_unique(rng.integers(0, total, size=budget))
+    lo, hi = _kernels.mask_spectra(base, deltas, seen)
+    flips = np.int64(1) << np.arange(n, dtype=np.int64)
+    # a descent and an ascent from each seed; ascents walk on -hi
+    starts = np.repeat(seen, 2)
+    descending = np.tile([True, False], len(seen))
+    group = max(1, _ROUND_MASKS // n)
+    for g in range(0, len(starts), group):
+        current = starts[g : g + group]
+        down = descending[g : g + group]
+        at = np.searchsorted(seen, current)
+        value = np.where(down, lo[at], -hi[at])
+        while len(current):
+            neighbours = (current[:, np.newaxis] ^ flips).ravel()
+            at = np.searchsorted(seen, neighbours)
+            known = seen[np.minimum(at, len(seen) - 1)] == neighbours
+            if not known.all():
+                new = _sorted_unique(neighbours[~known])
+                new_lo, new_hi = _kernels.mask_spectra(base, deltas, new)
+                where = np.searchsorted(seen, new)
+                seen = np.insert(seen, where, new)
+                lo = np.insert(lo, where, new_lo)
+                hi = np.insert(hi, where, new_hi)
+                at = np.searchsorted(seen, neighbours)
+            at = at.reshape(len(current), n)
+            scores = np.where(down[:, np.newaxis], lo[at], -hi[at])
+            best = scores.argmin(axis=1)  # first occurrence of the best value
+            best_value = scores.min(axis=1)
+            moves = best_value < value
+            current = (current ^ flips[best])[moves]
+            value = best_value[moves]
+            down = down[moves]
 
-    def descend(start: int, want_min: bool) -> None:
-        current = start
-        value = cache[current][0 if want_min else 1]
-        while True:
-            neighbors = [current ^ (1 << i) for i in range(n)]
-            scores = evaluate(neighbors)
-            best_value = value
-            best_mask = None
-            for m, (lo, hi) in zip(neighbors, scores):
-                v = lo if want_min else hi
-                improves = v < best_value if want_min else v > best_value
-                if improves:
-                    best_value = v
-                    best_mask = m
-            if best_mask is None:
-                return
-            current, value = best_mask, best_value
-
-    for s in samples:
-        descend(s, want_min=True)
-        descend(s, want_min=False)
-
-    masks = np.array(sorted(cache), dtype=np.int64)
-    lo = np.array([cache[int(m)][0] for m in masks])
-    hi = np.array([cache[int(m)][1] for m in masks])
     i = int(np.argmin(lo))  # first occurrence: smallest mask among ties
     j = len(hi) - 1 - int(np.argmax(hi[::-1]))  # last occurrence: largest mask
     threshold = _woven_threshold(p, q, tol)
     return UniversalReport(
         lower=float(lo[i]),
         upper=float(hi[j]),
-        argmin=WeavingSelection(n, int(masks[i])),
-        argmax=WeavingSelection(n, int(masks[j])),
+        argmin=WeavingSelection(n, int(seen[i])),
+        argmax=WeavingSelection(n, int(seen[j])),
         woven=float(lo[i]) > threshold,
         method="search",
-        subsets_examined=len(masks),
+        subsets_examined=len(seen),
         threshold=threshold,
     )
 

@@ -4,8 +4,9 @@ These deliberately avoid the code paths they check: eigenvalues come from
 characteristic-polynomial roots instead of a Hermitian solver, extreme
 Rayleigh quotients come from sampling plus matrix-vector power refinement,
 universal weaving bounds come from plain enumeration over explicitly
-constructed mixed families, and the "every weaving is a basis" verdicts come
-from the per-weaving classifiers run on every selection in turn.
+constructed mixed families, the "every weaving is a basis" verdicts come
+from the per-weaving classifiers run on every selection in turn, and the
+sampled search runs its descents one after another over a mask cache.
 """
 
 from __future__ import annotations
@@ -166,6 +167,89 @@ def brute_weaving_basis(first, second, kind: str, tol: float):
     if kind == "riesz":
         return WeavingBasisReport(True, None, float(lower), float(upper))
     return WeavingBasisReport(True, None, 1.0, 1.0)
+
+
+def sequential_bounds_search(first, second, budget: int, seed: int = 0, tol: float = 1e-8):
+    """``universal_bounds_search`` with one descent at a time and a dict of spectra.
+
+    Each step asks the kernel for the spectra of the current mask's
+    neighbours not seen yet, then scans them in bit order for the best strict
+    improvement.
+    """
+    from gweave import _kernels
+    from gweave.errors import ShapeMismatch, TooManyBlocks
+    from gweave.weaving import (
+        UniversalReport,
+        WeavingSelection,
+        _check_pair,
+        _pair_kernel_inputs,
+        _scan_pair,
+        _woven_threshold,
+    )
+
+    _check_pair(first, second)
+    if budget < 1:
+        raise ShapeMismatch(f"budget must be at least 1, got {budget}")
+    n = first.n_blocks
+    if n > 62:
+        raise TooManyBlocks("masks beyond 62 blocks do not fit in int64")
+    total = 1 << n
+    if budget >= total:
+        return _scan_pair(first, second, tol)
+
+    base, deltas, p, q = _pair_kernel_inputs(first, second)
+    cache: dict = {}
+
+    def evaluate(masks):
+        new = [m for m in dict.fromkeys(masks) if m not in cache]
+        if new:
+            lo, hi = _kernels.mask_spectra(base, deltas, np.array(new, dtype=np.int64))
+            for m, a, b in zip(new, lo, hi):
+                cache[m] = (float(a), float(b))
+        return [cache[m] for m in masks]
+
+    rng = np.random.default_rng(seed)
+    samples = [int(m) for m in rng.integers(0, total, size=budget)]
+    evaluate(samples)
+
+    def descend(start: int, want_min: bool) -> None:
+        current = start
+        value = cache[current][0 if want_min else 1]
+        while True:
+            neighbors = [current ^ (1 << i) for i in range(n)]
+            scores = evaluate(neighbors)
+            best_value = value
+            best_mask = None
+            for m, (lo, hi) in zip(neighbors, scores):
+                v = lo if want_min else hi
+                improves = v < best_value if want_min else v > best_value
+                if improves:
+                    best_value = v
+                    best_mask = m
+            if best_mask is None:
+                return
+            current, value = best_mask, best_value
+
+    for s in samples:
+        descend(s, want_min=True)
+        descend(s, want_min=False)
+
+    masks = np.array(sorted(cache), dtype=np.int64)
+    lo = np.array([cache[int(m)][0] for m in masks])
+    hi = np.array([cache[int(m)][1] for m in masks])
+    i = int(np.argmin(lo))  # first occurrence: smallest mask among ties
+    j = len(hi) - 1 - int(np.argmax(hi[::-1]))  # last occurrence: largest mask
+    threshold = _woven_threshold(p, q, tol)
+    return UniversalReport(
+        lower=float(lo[i]),
+        upper=float(hi[j]),
+        argmin=WeavingSelection(n, int(masks[i])),
+        argmax=WeavingSelection(n, int(masks[j])),
+        woven=float(lo[i]) > threshold,
+        method="search",
+        subsets_examined=len(masks),
+        threshold=threshold,
+    )
 
 
 def accumulated_frame_operator(vectors, d: int) -> np.ndarray:

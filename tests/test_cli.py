@@ -257,6 +257,39 @@ class TestExitCodes:
         assert main(["bounds", str(p)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "proj"],
+            ["woven", "proj", "proj"],
+            ["check", "proj", "onb"],
+            ["dual", "dup"],
+            ["transform-parseval", "dup"],
+            ["paper-suite"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_tol_must_be_finite_and_non_negative(self, paths, capsys, argv, tol):
+        argv = [paths.get(a, a) for a in argv]
+        assert main([*argv, f"--tol={tol}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tol must be a finite non-negative number")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["woven", "sc_first", "sc_second", "--search", "1"],
+            ["paper-suite", "--cap", "4"],
+            ["paper-suite"],
+        ],
+        ids=["woven-search", "paper-suite-above-cap", "paper-suite"],
+    )
+    def test_negative_seed_is_input_error(self, paths, capsys, argv):
+        argv = [paths.get(a, a) for a in argv]
+        assert main([*argv, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+
     def test_cap_exceeded_is_input_error(self, paths, capsys):
         assert (
             main(["woven", paths["sh_first"], paths["sh_second"], "--cap", "3"]) == 2
@@ -288,6 +321,33 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0
     assert "paper-suite" in proc.stdout
+
+
+def test_python_dash_m_gweave_cli_runs_without_runpy_warning():
+    # the package must not import gweave.cli itself, or runpy warns and runs cli.py twice
+    src = str(Path(gweave.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "gweave.cli", "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0
+    assert "paper-suite" in proc.stdout
+    assert proc.stderr == ""
+
+
+def test_package_loads_the_cli_lazily():
+    src = str(Path(gweave.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = (
+        "import sys, gweave; assert 'gweave.cli' not in sys.modules;"
+        " assert gweave.load_gframe is gweave.cli.load_gframe;"
+        " assert gweave.save_gframe is sys.modules['gweave.cli'].save_gframe"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestDeterminism:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gweave import _kernels
@@ -158,3 +158,41 @@ def test_numpy_path_full_pipeline():
     lows, highs = brute_weaving_spectra(first, second)
     assert rep.lower == pytest.approx(float(lows.min()), abs=1e-10)
     assert rep.upper == pytest.approx(float(highs.max()), abs=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 62),
+    d=st.integers(1, 16),
+    complex_mode=st.booleans(),
+    count=st.integers(1, 700),
+    cut=st.floats(0.0, 1.0),
+)
+# products big enough that BLAS leaves its small-matrix path, where a row's
+# rounding depends on its position among a few hundred rows
+@example(seed=1, n=40, d=10, complex_mode=True, count=600, cut=0.3)
+@example(seed=2, n=62, d=16, complex_mode=False, count=700, cut=0.6)
+@example(seed=3, n=50, d=12, complex_mode=True, count=300, cut=0.9)
+def test_mask_spectra_is_batch_invariant(seed, n, d, complex_mode, count, cut):
+    """A mask's spectrum is bitwise the same in one batch, a permutation, a split and alone."""
+    rng = np.random.default_rng(seed)
+    first = random_gframe(rng, d=d, n=n, complex_mode=complex_mode)
+    second = random_gframe(rng, d=d, n=n, complex_mode=complex_mode)
+    base, deltas = _pair_inputs(first, second)
+    masks = rng.integers(0, 1 << n, size=count)
+    lo, hi = _kernels.mask_spectra(base, deltas, masks)
+
+    perm = rng.permutation(count)
+    lo_p, hi_p = _kernels.mask_spectra(base, deltas, masks[perm])
+    assert np.array_equal(lo_p, lo[perm]) and np.array_equal(hi_p, hi[perm])
+
+    cut = int(cut * count)
+    head = _kernels.mask_spectra(base, deltas, masks[:cut])
+    tail = _kernels.mask_spectra(base, deltas, masks[cut:])
+    assert np.array_equal(np.concatenate([head[0], tail[0]]), lo)
+    assert np.array_equal(np.concatenate([head[1], tail[1]]), hi)
+
+    for i in rng.choice(count, size=min(count, 12), replace=False):
+        one_lo, one_hi = _kernels.mask_spectra(base, deltas, masks[i : i + 1])
+        assert (one_lo[0], one_hi[0]) == (lo[i], hi[i])

@@ -42,7 +42,12 @@ from gweave.weaving import (
 )
 
 from conftest import basis_pair, perturbed_woven_pair, random_frame, random_gframe
-from oracles import brute_weaving_basis, brute_weaving_spectra, mixed_frame_operator
+from oracles import (
+    brute_weaving_basis,
+    brute_weaving_spectra,
+    mixed_frame_operator,
+    sequential_bounds_search,
+)
 
 
 class TestSelection:
@@ -199,6 +204,68 @@ class TestSearch:
         a = universal_bounds_search(pair.first, pair.second, budget=20, seed=42)
         b = universal_bounds_search(pair.first, pair.second, budget=20, seed=42)
         assert a == b
+
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        pair = build_window_pair(8)
+        with pytest.raises(ShapeMismatch):
+            universal_bounds_search(pair.first, pair.second, budget=4, seed=seed)
+
+    def test_budget_spanning_several_descent_groups_equals_sequential_descents(self):
+        rng = np.random.default_rng(21)
+        first = random_gframe(rng, d=3, n=12)
+        second = random_gframe(rng, d=3, n=12)
+        budget = 3 * weaving._ROUND_MASKS // 12
+        got = universal_bounds_search(first, second, budget, seed=4)
+        assert got == sequential_bounds_search(first, second, budget, seed=4)
+
+
+TIED_SEARCH_PAIRS = {
+    "window": lambda: build_window_pair(10),
+    "scaled_split": lambda: build_scaled_split_pair(9),
+    "shifted": lambda: build_shifted_projection_pair(8),
+    "duplicate_vs_split": lambda: build_duplicate_vs_split_pair(4),
+}
+
+
+@st.composite
+def search_pairs(draw):
+    """Random real or complex pairs, some blocks shared by both (null), or a tied suite pair."""
+    kind = draw(st.sampled_from(["random", *TIED_SEARCH_PAIRS]))
+    if kind != "random":
+        pair = TIED_SEARCH_PAIRS[kind]()
+        return pair.first, pair.second
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 12))
+    d = draw(st.integers(1, 5))
+    complex_mode = draw(st.booleans())
+    first = random_gframe(rng, d, n, complex_mode)
+    second = list(random_gframe(rng, d, n, complex_mode).blocks)
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        second[i] = first.blocks[i]
+    return first, new_gframe(d, second)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pair=search_pairs(),
+    budget=st.integers(1, 48),
+    seed=st.integers(0, 2**32 - 1),
+    round_masks=st.sampled_from([None, 1, 16, 64]),
+)
+def test_lockstep_search_equals_sequential_descents(pair, budget, seed, round_masks):
+    """Report, witnesses and subsets_examined equal those of one descent at a time.
+
+    A small ``_ROUND_MASKS`` splits the descents into many groups (one
+    descent per group at 1).
+    """
+    first, second = pair
+    with pytest.MonkeyPatch.context() as mp:
+        if round_masks is not None:
+            mp.setattr(weaving, "_ROUND_MASKS", round_masks)
+        got = universal_bounds_search(first, second, budget, seed)
+    assert got == sequential_bounds_search(first, second, budget, seed)
 
 
 class TestIsWoven:
