@@ -27,6 +27,17 @@ answer:
   permutation and its extreme eigenvalues are the extremes over components.
   A 1 x 1 component is its real diagonal entry and needs no eigensolve.
 
+While enumerating, it solves only the masks that could be a witness.  It
+keeps the extremes ``lower`` and ``upper`` of the chunks already scanned.
+For the next chunk a batched Cholesky factors ``S - (lower + m) I`` and
+``(upper - m) I - S`` of every operator ``S``; where both succeed, every
+eigenvalue ``eigvalsh`` could return for ``S`` lies strictly between
+``lower`` and ``upper``, so the mask can neither be nor tie a witness and
+gets no eigensolve.  The margin ``m`` (:func:`_margin`) bounds the rounding
+of the shift, of Cholesky and of ``eigvalsh``.  Every other mask is solved
+as in a full scan, with the same bits, so the result is bitwise that of
+solving every mask.
+
 Ties: the argmin resolves to the smallest mask attaining the minimum and the
 argmax to the largest mask attaining the maximum.  Null bits are clear in the
 argmin and set in the argmax, which keeps both rules, because inserting fixed
@@ -36,6 +47,7 @@ bits preserves the order of masks.
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import TooManyBlocks
 
@@ -48,6 +60,8 @@ _MAX_BLOCKS = 62  # masks are int64
 # float64 entries in one stack from operator_stacks (128 KiB), so that its
 # memory depends on the operator size and not on the number of masks
 _STACK_FLOATS = 1 << 14
+# float64 entries in the stacks of one weaving_scan chunk (512 KiB)
+_SCAN_FLOATS = 1 << 16
 
 
 def backend() -> str:
@@ -144,19 +158,102 @@ class _SplitOperator:
                 self.blocks.append((base[sub], _flat(deltas[(slice(None), *sub)])))
         self.diag_base = base.real[singles, singles]
         self.diag_deltas = np.ascontiguousarray(deltas.real[:, singles, singles])
+        # float64 entries of one operator, diagonal and components together
+        self.floats = len(singles) + sum(flat.shape[1] for _, flat in self.blocks)
 
-    def extremes(self, bits: np.ndarray):
+    def extremes(self, bits: np.ndarray, floor: float = np.inf, ceiling: float = -np.inf):
+        """Smallest and largest eigenvalue of the operator of each row of bits.
+
+        When ``floor`` and ``ceiling`` are finite, a row whose operator is
+        proved to have every eigenvalue strictly between them (each component
+        passes :func:`_inside`) is not solved; it reads ``+inf`` and ``-inf``.
+        """
+        diag = _stack(self.diag_base, self.diag_deltas, bits)
+        stacks = [_stack(base, flat, bits) for base, flat in self.blocks]
+        solve = np.ones(len(bits), dtype=bool)
+        if np.isfinite(floor):
+            solve = (diag.min(axis=1, initial=np.inf) <= floor) | (
+                diag.max(axis=1, initial=-np.inf) >= ceiling
+            )
+            for stack in stacks:
+                undecided = ~solve
+                solve[undecided] = ~_inside(stack[undecided], floor, ceiling)
+        rows = np.flatnonzero(solve)
         lo = np.full(len(bits), np.inf)
         hi = np.full(len(bits), -np.inf)
-        if self.diag_base.size:
-            diag = _stack(self.diag_base, self.diag_deltas, bits)
-            lo = diag.min(axis=1)
-            hi = diag.max(axis=1)
-        for base, flat in self.blocks:
-            block_lo, block_hi = _extremes(base, flat, bits)
-            np.minimum(lo, block_lo, out=lo)
-            np.maximum(hi, block_hi, out=hi)
+        lo[rows], hi[rows] = _solve(diag[rows], [stack[rows] for stack in stacks])
         return lo, hi
+
+
+def _solve(diag: np.ndarray, stacks: list):
+    """Extreme eigenvalues per row from its diagonal part and its component stacks."""
+    lo = np.full(len(diag), np.inf)
+    hi = np.full(len(diag), -np.inf)
+    if diag.shape[1]:
+        lo = diag.min(axis=1)
+        hi = diag.max(axis=1)
+    for stack in stacks:
+        if len(stack):
+            w = np.linalg.eigvalsh(stack)
+            np.minimum(lo, w[:, 0], out=lo)
+            np.maximum(hi, w[:, -1], out=hi)
+    return lo, hi
+
+
+def _definite(stack: np.ndarray) -> np.ndarray:
+    """Whether Cholesky factors each matrix of a stack, reading its lower triangle as Hermitian.
+
+    This is the LAPACK gufunc behind ``np.linalg.cholesky``; where that
+    raises for the whole stack, the gufunc returns NaN for the matrices that
+    failed and factors the others.
+    """
+    with np.errstate(invalid="ignore"):
+        factor = _umath_linalg.cholesky_lo(stack)
+    return ~np.isnan(factor[:, -1, -1])
+
+
+def _inside(stack: np.ndarray, floor: float, ceiling: float) -> np.ndarray:
+    """Whether Cholesky factors both ``S - floor I`` and ``ceiling I - S`` for each operator ``S``."""
+    m, c = len(stack), stack.shape[-1]
+    shifted = stack.copy()
+    shifted.reshape(m, c * c)[:, :: c + 1] -= floor
+    inside = _definite(shifted)
+    shifted = -stack[inside]
+    shifted.reshape(len(shifted), c * c)[:, :: c + 1] += ceiling
+    inside[inside] = _definite(shifted)
+    return inside
+
+
+def _margin(base: np.ndarray, deltas: np.ndarray) -> float:
+    """How far inside the incumbents a Cholesky test must pass to rule a mask out.
+
+    Write ``N = |base|_F + sum_i |deltas[i]|_F`` and ``u`` for the unit
+    roundoff.  Every operator ``S`` of the scan has ``|S|_F <= N``, so its
+    entries and eigenvalues are at most ``N`` in size, and so are the
+    incumbents, which are eigenvalues of such operators; the computed
+    operators keep this up to a relative ``O(n u)``.  A shift ``t`` is an
+    incumbent moved by the margin, so ``|t| <= 2N``.  For a component of
+    order ``c <= d``:
+
+    - forming ``A = S - t I`` (or ``t I - S``) rounds each diagonal entry by
+      at most ``u |S_ii - t| <= 3 u N``;
+    - if Cholesky runs to completion on ``A``, its factor ``R`` has
+      ``R* R = A + E`` with ``|E| <= gamma_{c+1} |R*| |R|`` elementwise
+      (Higham, *Accuracy and Stability of Numerical Algorithms*, Thm 10.3).
+      So ``|E|_2 <= gamma_{c+1} |R|_F^2 <= gamma_{c+1} tr(A) / (1 - gamma_{c+1})``
+      with ``tr A <= c (N + |t|) <= 3 c N``, and ``lambda_min(A) >= -|E|_2``,
+      which is about ``-3 c (c + 1) u N``;
+    - ``eigvalsh`` returns the eigenvalues of ``S`` to within ``c u N``, the
+      usual size factor of a Hermitian solver's backward error.
+
+    These add up to at most ``3 (d + 1)^2 u N``.  The margin
+    ``8 (d + 2)^2 u N`` is more than twice that, which covers complex
+    arithmetic and the solvers' constant factors.  So when the test at
+    ``lower + margin`` passes, the smallest eigenvalue ``eigvalsh`` would
+    return is strictly above ``lower``; likewise at ``upper - margin``.
+    """
+    norm = np.linalg.norm(base) + np.linalg.norm(deltas, axis=(1, 2)).sum()
+    return 4 * (base.shape[0] + 2) ** 2 * np.finfo(np.float64).eps * float(norm)
 
 
 def _spread(mask: int, live: np.ndarray) -> int:
@@ -168,21 +265,37 @@ def weaving_scan(base: np.ndarray, deltas: np.ndarray):
     """Extreme eigenvalues over all ``2**n`` masks, with their witness masks.
 
     Returns ``(lower, argmin_mask, upper, argmax_mask)``.
+
+    Masks run in ascending chunks of at most about ``_SCAN_FLOATS`` stacked
+    entries.  When the masks fill more than one chunk, the first chunk is one
+    tile and each next one doubles; every mask of the first chunk is solved,
+    as there is nothing yet to test it against.  From the second chunk on, a mask is solved only when Cholesky fails to
+    prove ``lambda_min > lower`` and ``lambda_max < upper`` against the
+    extremes ``lower``/``upper`` of the earlier chunks, with the rounding
+    :func:`_margin` between each test and its incumbent.  A mask that is not
+    solved can neither be nor tie a witness, and each solved mask's values
+    are those of a full solve, so the result is that of solving every mask.
     """
     n = deltas.shape[0]
     _check_blocks(n)
     live = np.flatnonzero([delta.any() for delta in deltas])
     deltas = deltas[live]
     operator = _SplitOperator(base, deltas)
+    margin = _margin(base, deltas)
     k = len(live)
     total = 1 << k
+    step = max(1, _SCAN_FLOATS // operator.floats)
     lower = np.inf
     upper = -np.inf
     argmin_mask = 0
     argmax_mask = 0
-    for start in range(0, total, _CHUNK):
-        masks = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        lo, hi = operator.extremes(_mask_bits(masks, k))
+    # A scan that fits in one chunk is solved in one.  A longer one starts with
+    # one tile and doubles, so that few masks are solved with no incumbents.
+    start, size = 0, min(step, _TILE) if total > step else step
+    while start < total:
+        masks = np.arange(start, min(start + size, total), dtype=np.int64)
+        start, size = start + size, min(2 * size, step)
+        lo, hi = operator.extremes(_mask_bits(masks, k), lower + margin, upper - margin)
         i = int(np.argmin(lo))
         if lo[i] < lower:
             lower = float(lo[i])

@@ -436,6 +436,8 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
     cfg = config or SuiteConfig()
     _check_seed(cfg.seed)
     scale = cfg.dim_scale
+    if not (math.isfinite(scale) and scale > 0):
+        raise ShapeMismatch(f"dim_scale must be a finite positive number, got {scale!r}")
     tol = cfg.tol
     cap = effective_cap(cfg.cap)
     records = []

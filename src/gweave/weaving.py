@@ -285,8 +285,7 @@ def universal_bounds_search(
         raise ShapeMismatch(f"budget must be at least 1, got {budget}")
     _check_seed(seed)
     n = first.n_blocks
-    if n > 62:
-        raise TooManyBlocks("masks beyond 62 blocks do not fit in int64")
+    _kernels._check_blocks(n)
     total = 1 << n
     if budget >= total:
         return _scan_pair(first, second, tol)

@@ -2,6 +2,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -81,4 +82,65 @@ def basis_pair(rng, rows, complex_mode=False, noise=0.0, fail_late=None):
         first[-1] = 1.1 * first[-1]
     elif fail_late == "duplicate":
         first[-1] = first[-2].copy()
+    return new_gframe(d, first), new_gframe(d, second)
+
+
+@st.composite
+def dense_pairs(draw, max_blocks=14):
+    """Dense real or complex pairs, some built to be singular or to tie.
+
+    - ``random``: Gaussian blocks of 1-3 rows;
+    - ``low_rank``: every row in one subspace of dimension below ``d``, so
+      every operator is singular and its smallest eigenvalue is rounding
+      noise around 0;
+    - ``few_rows``: each family has fewer than ``d`` rows in all, one row or
+      none per block, so again every operator is singular;
+    - ``duplicated``: blocks that repeat an earlier block in both families,
+      so masks that swap them tie up to rounding;
+    - ``scaled``: second-family blocks that are the first family's times
+      0.5, 1 (a null block), 2 or 3;
+    - ``integer``: blocks drawn from a pool of three small integer blocks, so
+      every sum is exact and masks with the same counts tie bitwise.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # sizes come from the seed, uniformly: drawn by Hypothesis they would
+    # cluster at the small end, where a scan has one chunk
+    n = int(rng.integers(1, max_blocks + 1))
+    d = int(rng.integers(1, 7))
+    complex_mode = draw(st.booleans())
+    kind = draw(
+        st.sampled_from(["random", "low_rank", "few_rows", "duplicated", "scaled", "integer"])
+    )
+
+    def gaussian(shape):
+        g = rng.standard_normal(shape)
+        return g + 1j * rng.standard_normal(shape) if complex_mode else g
+
+    basis = gaussian((int(rng.integers(0, d)), d))
+    pool = [rng.integers(-2, 3, size=(int(r), d)) for r in rng.integers(1, 3, size=3)]
+    if complex_mode:
+        pool = [b + 1j * rng.integers(-2, 3, size=b.shape) for b in pool]
+
+    def block(rows):
+        if kind == "low_rank":
+            return gaussian((rows, len(basis))) @ basis
+        if kind == "integer":
+            return pool[int(rng.integers(len(pool)))].astype(complex if complex_mode else float)
+        return gaussian((rows, d))
+
+    def family():
+        if kind == "few_rows":
+            rows = np.zeros(n, dtype=int)
+            rows[rng.permutation(n)[: int(rng.integers(0, d))]] = 1
+        else:
+            rows = rng.integers(1, 4, size=n)
+        return [block(int(r)) for r in rows]
+
+    first, second = family(), family()
+    for i in range(1, n):
+        if kind == "duplicated" and rng.integers(2):
+            j = int(rng.integers(i))
+            first[i], second[i] = first[j], second[j]
+        if kind == "scaled" and rng.integers(2):
+            second[i] = rng.choice([0.5, 1.0, 2.0, 3.0]) * first[i]
     return new_gframe(d, first), new_gframe(d, second)

@@ -5,8 +5,9 @@ characteristic-polynomial roots instead of a Hermitian solver, extreme
 Rayleigh quotients come from sampling plus matrix-vector power refinement,
 universal weaving bounds come from plain enumeration over explicitly
 constructed mixed families, the "every weaving is a basis" verdicts come
-from the per-weaving classifiers run on every selection in turn, and the
-sampled search runs its descents one after another over a mask cache.
+from the per-weaving classifiers run on every selection in turn, the
+sampled search runs its descents one after another over a mask cache, and
+the exhaustive scan solves every mask.
 """
 
 from __future__ import annotations
@@ -250,6 +251,36 @@ def sequential_bounds_search(first, second, budget: int, seed: int = 0, tol: flo
         subsets_examined=len(masks),
         threshold=threshold,
     )
+
+
+def full_weaving_scan(base: np.ndarray, deltas: np.ndarray):
+    """``_kernels.weaving_scan`` with an eigensolve for every mask, in chunks of ``_CHUNK``."""
+    from gweave._kernels import _CHUNK, _SplitOperator, _check_blocks, _mask_bits, _spread
+
+    n = deltas.shape[0]
+    _check_blocks(n)
+    live = np.flatnonzero([delta.any() for delta in deltas])
+    deltas = deltas[live]
+    operator = _SplitOperator(base, deltas)
+    k = len(live)
+    total = 1 << k
+    lower = np.inf
+    upper = -np.inf
+    argmin_mask = 0
+    argmax_mask = 0
+    for start in range(0, total, _CHUNK):
+        masks = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        lo, hi = operator.extremes(_mask_bits(masks, k))
+        i = int(np.argmin(lo))
+        if lo[i] < lower:
+            lower = float(lo[i])
+            argmin_mask = int(masks[i])
+        j = len(hi) - 1 - int(np.argmax(hi[::-1]))
+        if hi[j] >= upper:
+            upper = float(hi[j])
+            argmax_mask = int(masks[j])
+    null_bits = ((1 << n) - 1) ^ _spread(total - 1, live)
+    return lower, _spread(argmin_mask, live), upper, _spread(argmax_mask, live) | null_bits
 
 
 def accumulated_frame_operator(vectors, d: int) -> np.ndarray:

@@ -18,14 +18,16 @@ from gweave.cli import (
     main,
     save_gframe,
 )
-from gweave.errors import ParseError, SchemaError
+from gweave.errors import ParseError, SchemaError, ShapeMismatch
 from gweave.gframe import new_gframe
 from gweave.suite import (
+    SuiteConfig,
     build_duplicate_vs_split_pair,
     build_overlapping_coordinate_pair,
     build_projection_family,
     build_scaled_split_pair,
     build_shifted_projection_pair,
+    run_suite,
 )
 from gweave.weaving import WeavingSelection, weave
 
@@ -289,6 +291,14 @@ class TestExitCodes:
         argv = [paths.get(a, a) for a in argv]
         assert main([*argv, "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "-1", "0"])
+    def test_dim_scale_must_be_finite_and_positive(self, capsys, scale):
+        assert main(["paper-suite", f"--dim-scale={scale}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dim_scale must be a finite positive number")
+        with pytest.raises(ShapeMismatch):
+            run_suite(SuiteConfig(dim_scale=float(scale)))
 
     def test_cap_exceeded_is_input_error(self, paths, capsys):
         assert (

@@ -1,4 +1,6 @@
-"""The enumeration kernel: brute-force agreement, tie-breaking and the exact reductions."""
+"""The enumeration kernel: brute-force agreement, tie-breaking, the exact reductions and certification."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from gweave import _kernels
 from gweave.gframe import block_grams, new_gframe
 from gweave.weaving import universal_bounds_exhaustive
 
-from conftest import random_gframe
-from oracles import brute_weaving_spectra, mixed_frame_operator
+from conftest import dense_pairs, random_gframe
+from oracles import brute_weaving_spectra, full_weaving_scan, mixed_frame_operator
 
 
 def _pair_inputs(first, second):
@@ -196,3 +198,100 @@ def test_mask_spectra_is_batch_invariant(seed, n, d, complex_mode, count, cut):
     for i in rng.choice(count, size=min(count, 12), replace=False):
         one_lo, one_hi = _kernels.mask_spectra(base, deltas, masks[i : i + 1])
         assert (one_lo[0], one_hi[0]) == (lo[i], hi[i])
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=dense_pairs(), scan_floats=st.sampled_from([None, 256, 4096]))
+def test_certified_scan_equals_full_scan(pair, scan_floats):
+    """Skipping the certified masks changes nothing: bounds, witnesses and tie rules are ``==``.
+
+    A small ``_SCAN_FLOATS`` caps chunks at a few dozen masks.
+    """
+    base, deltas = _pair_inputs(*pair)
+    with pytest.MonkeyPatch.context() as mp:
+        if scan_floats is not None:
+            mp.setattr(_kernels, "_SCAN_FLOATS", scan_floats)
+        scanned = _kernels.weaving_scan(base, deltas)
+    assert scanned == full_weaving_scan(base, deltas)
+
+
+@st.composite
+def direct_sums(draw):
+    """Pairs whose every block is a direct sum over two or three coordinate groups.
+
+    Each block stacks up to two Gaussian rows per group, supported on that
+    group, so each group is one component of every operator, and a group of
+    size 1 lies on the diagonal.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(2, 9))
+    sizes = rng.integers(1, 4, size=int(rng.integers(2, 4)))
+    complex_mode = draw(st.booleans())
+    d = int(sizes.sum())
+    groups = np.split(rng.permutation(d), np.cumsum(sizes)[:-1])
+
+    def family():
+        return [np.vstack([_block(rng, d, g, complex_mode) for g in groups]) for _ in range(n)]
+
+    return new_gframe(d, family()), new_gframe(d, family())
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=st.one_of(structured_pairs(), direct_sums()), scan_floats=st.sampled_from([1, 16]))
+def test_certified_scan_of_direct_sums_equals_full_scan(pair, scan_floats):
+    """Certification on the diagonal and per component, with chunks of one mask or a few."""
+    base, deltas = _pair_inputs(*pair)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_SCAN_FLOATS", scan_floats)
+        scanned = _kernels.weaving_scan(base, deltas)
+    assert scanned == full_weaving_scan(base, deltas)
+
+
+def test_scan_that_fits_in_one_chunk_is_solved_whole(monkeypatch):
+    rng = np.random.default_rng(6)
+    first = random_gframe(rng, d=4, n=8)
+    second = random_gframe(rng, d=4, n=8)
+    base, deltas = _pair_inputs(first, second)
+    expected = full_weaving_scan(base, deltas)
+    monkeypatch.setattr(_kernels, "_definite", lambda stack: pytest.fail("Cholesky test ran"))
+    assert _kernels.weaving_scan(base, deltas) == expected
+
+
+@pytest.mark.parametrize("complex_mode", [False, True])
+def test_scan_solves_few_selections(monkeypatch, complex_mode):
+    """On a dense pair Cholesky certifies most selections, so at most a quarter get an eigensolve."""
+    rng = np.random.default_rng(14)
+    first = random_gframe(rng, d=6, n=14, complex_mode=complex_mode)
+    second = random_gframe(rng, d=6, n=14, complex_mode=complex_mode)
+    base, deltas = _pair_inputs(first, second)
+    expected = full_weaving_scan(base, deltas)
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or eigvalsh(a))
+    assert _kernels.weaving_scan(base, deltas) == expected
+    assert 0 < sum(solved) <= (1 << 14) // 4
+
+
+@pytest.mark.parametrize("complex_mode", [False, True])
+def test_cholesky_gufunc_returns_nan_for_exactly_the_failures(complex_mode):
+    """The private LAPACK gufunc behind ``np.linalg.cholesky`` keeps the contract the scan relies on."""
+    rng = np.random.default_rng(8)
+    g = rng.standard_normal((60, 5, 10))
+    if complex_mode:
+        g = g + 1j * rng.standard_normal((60, 5, 10))
+    shift = rng.uniform(0, 8 if complex_mode else 4, size=(60, 1, 1))
+    stack = g @ g.conj().transpose(0, 2, 1) - shift * np.eye(5)
+    with np.errstate(invalid="ignore"):
+        factor = _kernels._umath_linalg.cholesky_lo(stack)
+    failed = np.isnan(factor).any(axis=(1, 2))
+    assert 0 < failed.sum() < len(stack)
+    for a, f, bad in zip(stack, factor, failed):
+        if bad:
+            assert np.isnan(f).all()
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(a)
+        else:
+            assert np.array_equal(f, np.linalg.cholesky(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(_kernels._definite(stack), ~failed)

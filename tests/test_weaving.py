@@ -41,7 +41,7 @@ from gweave.weaving import (
     weaving_bounds,
 )
 
-from conftest import basis_pair, perturbed_woven_pair, random_frame, random_gframe
+from conftest import basis_pair, dense_pairs, perturbed_woven_pair, random_frame, random_gframe
 from oracles import (
     brute_weaving_basis,
     brute_weaving_spectra,
@@ -211,6 +211,12 @@ class TestSearch:
         pair = build_window_pair(8)
         with pytest.raises(ShapeMismatch):
             universal_bounds_search(pair.first, pair.second, budget=4, seed=seed)
+
+    def test_more_than_62_blocks_gets_the_kernel_check(self):
+        first = new_gframe(1, [np.ones((1, 1))] * 63)
+        second = new_gframe(1, [2 * np.ones((1, 1))] * 63)
+        with pytest.raises(TooManyBlocks, match="^63 blocks: masks beyond 62 blocks"):
+            universal_bounds_search(first, second, budget=4)
 
     def test_budget_spanning_several_descent_groups_equals_sequential_descents(self):
         rng = np.random.default_rng(21)
@@ -520,6 +526,33 @@ def test_scaling_both_families_scales_bounds_by_c_squared(seed, c, complex_mode,
         assert (uni_c.argmin, uni_c.argmax) == (uni.argmin, uni.argmax)
         assert uni_c.lower == pytest.approx(k * uni.lower, rel=1e-10)
         assert uni_c.upper == pytest.approx(k * uni.upper, rel=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=dense_pairs(max_blocks=12))
+def test_swapping_the_families_complements_the_witnesses(pair):
+    """Selection ``s`` of (first, second) is selection ``~s`` of (second, first)."""
+    first, second = pair
+    rep = universal_bounds_exhaustive(first, second)
+    swapped = universal_bounds_exhaustive(second, first)
+    assert swapped.lower == pytest.approx(rep.lower, abs=1e-10)
+    assert swapped.upper == pytest.approx(rep.upper, abs=1e-10)
+    low = mixed_frame_operator(first, second, swapped.argmin.complement.mask)
+    high = mixed_frame_operator(first, second, swapped.argmax.complement.mask)
+    assert np.linalg.eigvalsh(low)[0] == pytest.approx(rep.lower, abs=1e-10)
+    assert np.linalg.eigvalsh(high)[-1] == pytest.approx(rep.upper, abs=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=dense_pairs(max_blocks=12), seed=st.integers(0, 2**32 - 1))
+def test_permuting_both_families_keeps_the_bounds(pair, seed):
+    first, second = pair
+    perm = np.random.default_rng(seed).permutation(first.n_blocks)
+    permuted = [new_gframe(f.domain_dim, [f.blocks[i] for i in perm]) for f in pair]
+    rep = universal_bounds_exhaustive(first, second)
+    rep_p = universal_bounds_exhaustive(*permuted)
+    assert rep_p.lower == pytest.approx(rep.lower, abs=1e-10)
+    assert rep_p.upper == pytest.approx(rep.upper, abs=1e-10)
 
 
 class TestUnitaryInvariance:
