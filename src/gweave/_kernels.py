@@ -1,4 +1,4 @@
-"""The subset-enumeration kernel: one batched numpy scan.
+"""The subset-enumeration kernel: a batched numpy scan and a branch-and-bound over subcubes.
 
 A weaving of two block families is encoded by a bitmask: bit ``i`` set means
 block position ``i`` (0-based) is drawn from the first family.  Given
@@ -9,7 +9,7 @@ block position ``i`` (0-based) is drawn from the first family.  Given
 the mixed frame operator for mask ``s`` is ``base + sum(deltas[i] for i in s)``
 and the kernel reports extreme eigenvalues across masks.
 
-Each chunk of masks becomes a stack of operators through a real matmul of
+Each batch of masks becomes a stack of operators through a real matmul of
 the mask bits with the flattened deltas (:func:`_stack`, the only place a
 stack is built), and one stacked ``eigvalsh`` gives its extreme eigenvalues.
 The matmul runs in tiles of a fixed number of rows, so a mask's operator, and
@@ -27,16 +27,46 @@ answer:
   permutation and its extreme eigenvalues are the extremes over components.
   A 1 x 1 component is its real diagonal entry and needs no eigensolve.
 
-While enumerating, it solves only the masks that could be a witness.  It
-keeps the extremes ``lower`` and ``upper`` of the chunks already scanned.
-For the next chunk a batched Cholesky factors ``S - (lower + m) I`` and
-``(upper - m) I - S`` of every operator ``S``; where both succeed, every
-eigenvalue ``eigvalsh`` could return for ``S`` lies strictly between
-``lower`` and ``upper``, so the mask can neither be nor tie a witness and
-gets no eigensolve.  The margin ``m`` (:func:`_margin`) bounds the rounding
-of the shift, of Cholesky and of ``eigvalsh``.  Every other mask is solved
-as in a full scan, with the same bits, so the result is bitwise that of
-solving every mask.
+Then it picks one of three ways through the masks, by the size of the input:
+
+- **Solve every mask**, in ascending batches of at most ``_SCAN_FLOATS``
+  stacked entries, when every component is 1 x 1 (a diagonal costs no more
+  to solve than to test), or when the masks fit in one batch and the tree
+  below does not apply.
+- **Certified scan**, when the masks fill more than one batch but there are
+  too few blocks for the tree.  Batches run in ascending order, the first
+  one tile and each next one doubling.  A batched Cholesky factors
+  ``S - (lower + m) I`` and ``(upper - m) I - S`` of every operator ``S``
+  of a batch, against the extremes ``lower``/``upper`` of the batches
+  before it; where both succeed, every eigenvalue ``eigvalsh`` could return
+  for ``S`` lies strictly between them, so the mask can neither be nor tie a
+  witness and gets no eigensolve.
+- **Branch-and-bound**, when some component is not 1 x 1, the masks fill a
+  batch and there are at least ``_TREE_BLOCKS`` non-null blocks (more for
+  large components).  Each extreme comes from an exact best-first search
+  over subcubes of masks (:func:`_branch_and_bound`, after Land and Doig):
+
+  - a node fixes the bits of the blocks with the largest ``|delta_i|_F``
+    first and leaves the others free.  With ``P`` the operator of its fixed
+    bits, every completion ``S`` has ``P + sum_free neg(delta_i) <= S`` in
+    the Loewner order, where ``neg`` is the negative part, so by Weyl
+    monotonicity (Horn and Johnson, *Matrix Analysis*, 4.3) the smallest
+    eigenvalue of that envelope bounds the subcube from below;
+  - open nodes are expanded smallest bound first, and the operator of each
+    new node's own mask (its free bits clear) is solved for the incumbent;
+  - a node with at most ``_LEAF_FREE`` free blocks is a leaf subcube: the
+    Cholesky test of ``S - (incumbent + m) I`` alone rules out its
+    completions that cannot reach the incumbent, and the rest are solved;
+  - a node is pruned only when its bound exceeds ``incumbent + m``.
+
+  The largest eigenvalue is the same search on ``-S``, whose envelopes use
+  the positive parts.
+
+The margin ``m`` (:func:`_margin`) bounds the rounding of the shifts, of
+Cholesky, of ``eigvalsh`` and of the envelopes, so no mask that could be or
+tie a witness is ruled out or pruned.  Every solved mask gets the same bits
+as in a full scan, so every way gives bitwise the result of solving every
+mask.
 
 Ties: the argmin resolves to the smallest mask attaining the minimum and the
 argmax to the largest mask attaining the maximum.  Null bits are clear in the
@@ -60,8 +90,16 @@ _MAX_BLOCKS = 62  # masks are int64
 # float64 entries in one stack from operator_stacks (128 KiB), so that its
 # memory depends on the operator size and not on the number of masks
 _STACK_FLOATS = 1 << 14
-# float64 entries in the stacks of one weaving_scan chunk (512 KiB)
+# float64 entries in the stacks of any one batch of weaving_scan (512 KiB)
 _SCAN_FLOATS = 1 << 16
+# Non-null blocks from which weaving_scan runs the branch-and-bound, plus one
+# for every 4 coordinates by which the largest component exceeds 8.  The tree
+# pays an eigensolve per node, the certified scan a stack row and a Cholesky
+# test per mask; on random pairs the tree is the faster one from there on.
+_TREE_BLOCKS = 12
+# open nodes one branch-and-bound round expands, and the free blocks of a leaf
+_ROUND = 16
+_LEAF_FREE = 4
 
 
 def backend() -> str:
@@ -148,36 +186,38 @@ class _SplitOperator:
     def __init__(self, base: np.ndarray, deltas: np.ndarray):
         pattern = (base != 0) | (deltas != 0).any(axis=0)
         comps = _components(pattern | pattern.T)
-        self.blocks = []
-        singles = []
-        for c in comps:
-            if len(c) == 1:
-                singles.append(c[0])
-            else:
-                sub = np.ix_(c, c)
-                self.blocks.append((base[sub], _flat(deltas[(slice(None), *sub)])))
+        singles = [c[0] for c in comps if len(c) == 1]
+        # index grids of the components of order >= 2
+        self.grids = [np.ix_(c, c) for c in comps if len(c) > 1]
+        self.blocks = [(base[sub], _flat(deltas[(slice(None), *sub)])) for sub in self.grids]
         self.diag_base = base.real[singles, singles]
         self.diag_deltas = np.ascontiguousarray(deltas.real[:, singles, singles])
         # float64 entries of one operator, diagonal and components together
         self.floats = len(singles) + sum(flat.shape[1] for _, flat in self.blocks)
 
+    def pieces(self, bits: np.ndarray):
+        """The diagonal entries and the component stacks of the operator of each row of bits."""
+        diag = _stack(self.diag_base, self.diag_deltas, bits)
+        return diag, [_stack(base, flat, bits) for base, flat in self.blocks]
+
     def extremes(self, bits: np.ndarray, floor: float = np.inf, ceiling: float = -np.inf):
         """Smallest and largest eigenvalue of the operator of each row of bits.
 
-        When ``floor`` and ``ceiling`` are finite, a row whose operator is
-        proved to have every eigenvalue strictly between them (each component
-        passes :func:`_inside`) is not solved; it reads ``+inf`` and ``-inf``.
+        A row whose operator is proved to have every eigenvalue strictly
+        between ``floor`` and ``ceiling`` (the diagonal directly, each
+        component by :func:`_inside`) is not solved; it reads ``+inf`` and
+        ``-inf``.  A floor of ``-inf`` or a ceiling of ``+inf`` needs no test;
+        with the defaults every row is solved.
         """
-        diag = _stack(self.diag_base, self.diag_deltas, bits)
-        stacks = [_stack(base, flat, bits) for base, flat in self.blocks]
-        solve = np.ones(len(bits), dtype=bool)
-        if np.isfinite(floor):
-            solve = (diag.min(axis=1, initial=np.inf) <= floor) | (
-                diag.max(axis=1, initial=-np.inf) >= ceiling
-            )
-            for stack in stacks:
-                undecided = ~solve
-                solve[undecided] = ~_inside(stack[undecided], floor, ceiling)
+        diag, stacks = self.pieces(bits)
+        if floor == np.inf or ceiling == -np.inf:
+            return _solve(diag, stacks)
+        solve = (diag.min(axis=1, initial=np.inf) <= floor) | (
+            diag.max(axis=1, initial=-np.inf) >= ceiling
+        )
+        for stack in stacks:
+            undecided = ~solve
+            solve[undecided] = ~_inside(stack[undecided], floor, ceiling)
         rows = np.flatnonzero(solve)
         lo = np.full(len(bits), np.inf)
         hi = np.full(len(bits), -np.inf)
@@ -213,47 +253,76 @@ def _definite(stack: np.ndarray) -> np.ndarray:
 
 
 def _inside(stack: np.ndarray, floor: float, ceiling: float) -> np.ndarray:
-    """Whether Cholesky factors both ``S - floor I`` and ``ceiling I - S`` for each operator ``S``."""
-    m, c = len(stack), stack.shape[-1]
-    shifted = stack.copy()
-    shifted.reshape(m, c * c)[:, :: c + 1] -= floor
-    inside = _definite(shifted)
-    shifted = -stack[inside]
-    shifted.reshape(len(shifted), c * c)[:, :: c + 1] += ceiling
-    inside[inside] = _definite(shifted)
+    """Whether Cholesky factors ``S - floor I`` and ``ceiling I - S`` for each operator ``S``.
+
+    A floor of ``-inf`` or a ceiling of ``+inf`` is not tested.
+    """
+    c = stack.shape[-1]
+    inside = np.ones(len(stack), dtype=bool)
+    for sign, shift in ((1, floor), (-1, -ceiling)):
+        if shift != -np.inf:
+            shifted = stack[inside]
+            shifted *= sign
+            shifted.reshape(len(shifted), c * c)[:, :: c + 1] -= shift
+            inside[inside] = _definite(shifted)
     return inside
 
 
 def _margin(base: np.ndarray, deltas: np.ndarray) -> float:
-    """How far inside the incumbents a Cholesky test must pass to rule a mask out.
+    """How far past the incumbent a test must pass to rule a mask or a subcube out.
 
-    Write ``N = |base|_F + sum_i |deltas[i]|_F`` and ``u`` for the unit
-    roundoff.  Every operator ``S`` of the scan has ``|S|_F <= N``, so its
+    Write ``N = |base|_F + sum_i |deltas[i]|_F``, ``u`` for the unit
+    roundoff, ``d`` for the order of ``base`` and ``k`` for the number of
+    deltas.  Every operator ``S`` of the scan has ``|S|_F <= N``, so its
     entries and eigenvalues are at most ``N`` in size, and so are the
-    incumbents, which are eigenvalues of such operators; the computed
-    operators keep this up to a relative ``O(n u)``.  A shift ``t`` is an
-    incumbent moved by the margin, so ``|t| <= 2N``.  For a component of
-    order ``c <= d``:
+    incumbents, which are eigenvalues of such operators.  A shift ``t`` is an
+    incumbent moved by the margin, so ``|t| <= 2N``.  Below, ``S^`` is the
+    computed stack row of ``S`` and ``c <= d`` the order of a component;
+    ``eigvalsh`` returns the eigenvalues of a matrix ``X`` to within
+    ``c u |X|_F``, the usual size factor of a Hermitian solver's backward
+    error.
 
-    - forming ``A = S - t I`` (or ``t I - S``) rounds each diagonal entry by
-      at most ``u |S_ii - t| <= 3 u N``;
+    Cholesky test of a mask (its value is ``eigvalsh`` of the same ``S^``):
+
+    - forming ``A = S^ - t I`` (or ``-S^ - t I``) rounds each diagonal entry
+      by at most ``u |S_ii - t| <= 3 u N``;
     - if Cholesky runs to completion on ``A``, its factor ``R`` has
       ``R* R = A + E`` with ``|E| <= gamma_{c+1} |R*| |R|`` elementwise
       (Higham, *Accuracy and Stability of Numerical Algorithms*, Thm 10.3).
       So ``|E|_2 <= gamma_{c+1} |R|_F^2 <= gamma_{c+1} tr(A) / (1 - gamma_{c+1})``
       with ``tr A <= c (N + |t|) <= 3 c N``, and ``lambda_min(A) >= -|E|_2``,
       which is about ``-3 c (c + 1) u N``;
-    - ``eigvalsh`` returns the eigenvalues of ``S`` to within ``c u N``, the
-      usual size factor of a Hermitian solver's backward error.
+    - ``eigvalsh`` adds ``c u N``.
 
-    These add up to at most ``3 (d + 1)^2 u N``.  The margin
-    ``8 (d + 2)^2 u N`` is more than twice that, which covers complex
-    arithmetic and the solvers' constant factors.  So when the test at
-    ``lower + margin`` passes, the smallest eigenvalue ``eigvalsh`` would
-    return is strictly above ``lower``; likewise at ``upper - margin``.
+    These add up to at most ``3 (d + 1)^2 u N``.
+
+    Envelope bound of a subcube (its masks' values are ``eigvalsh`` of their
+    ``S^``; the exact envelope ``L`` lies below every exact ``S``):
+
+    - a stack row sums ``k`` terms and ``base``, so ``|S^ - S|_F <= (k + 1) u N``
+      for the mask and likewise for the fixed part ``P`` of the envelope;
+    - ``eigh`` gives each delta's parts exactly for a matrix within
+      ``c u |delta|_F`` of it, and ``x -> min(x, 0)`` moves them by no more in
+      Frobenius norm (its Lipschitz constant is 1, Bhatia, *Matrix
+      Analysis*, VII.4); the computed eigenvectors are unitary to ``c u``,
+      which adds ``2 c u |delta|_F``, and the product that rebuilds a part
+      rounds by ``gamma_c |V| |D| |V*|``, at most ``c^2 u |delta|_F``.
+      Summed over the deltas, ``(d^2 + 3 d) u N``;
+    - the suffix sums of at most ``k`` parts round by ``(k - 1) u N`` and
+      the envelope sum ``P^ + suffix`` by ``2 u N``;
+    - ``eigvalsh`` adds ``2 d u N`` on the envelope (``|L|_F <= 2N``) and
+      ``d u N`` on the mask.
+
+    These add up to at most ``(d^2 + 6 d + 3 k + 3) u N``.  The margin
+    ``8 ((d + 2)^2 + k) u N`` is more than twice either sum, which covers
+    complex arithmetic and the solvers' constant factors.  So when a
+    Cholesky test or an envelope bound clears ``incumbent + margin``, every
+    value ``eigvalsh`` would return for the masks it covers is strictly
+    beyond the incumbent.
     """
     norm = np.linalg.norm(base) + np.linalg.norm(deltas, axis=(1, 2)).sum()
-    return 4 * (base.shape[0] + 2) ** 2 * np.finfo(np.float64).eps * float(norm)
+    size = (base.shape[0] + 2) ** 2 + len(deltas)
+    return 4 * size * np.finfo(np.float64).eps * float(norm)
 
 
 def _spread(mask: int, live: np.ndarray) -> int:
@@ -261,51 +330,142 @@ def _spread(mask: int, live: np.ndarray) -> int:
     return sum(1 << int(pos) for j, pos in enumerate(live) if (mask >> j) & 1)
 
 
+def _least(values: np.ndarray, masks: np.ndarray, sign: int, best: tuple) -> tuple:
+    """The least of ``best`` and a batch's ``(value, mask)``, ties to the least ``sign * mask``."""
+    value = values.min()
+    tied = masks[values == value]
+    mask = int(tied.min() if sign > 0 else tied.max())
+    return (float(value), mask) if (value, sign * mask) < (best[0], sign * best[1]) else best
+
+
+def _batches(total: int, step: int):
+    return (slice(start, start + step) for start in range(0, total, step))
+
+
+def _branch_and_bound(
+    operator: _SplitOperator, deltas: np.ndarray, sign: int, margin: float, step: int
+):
+    """The least ``sign * lambda`` over all masks of ``operator``, with its mask.
+
+    ``lambda`` is the smallest eigenvalue for ``sign = 1`` and the largest for
+    ``sign = -1``; ties go to the smallest and the largest mask.  Returns
+    ``(value, mask)``.  Each batch of masks holds at most ``step`` of them.
+    """
+    k = len(deltas)
+    order = np.argsort(-np.linalg.norm(deltas, axis=(1, 2)), kind="stable")
+    position = np.left_shift(1, order)  # the bit fixed at each depth
+    # The parts with sign * part <= sign * delta, diagonal first, then their
+    # sums over the blocks from each depth on
+    clip = np.minimum if sign > 0 else np.maximum
+    parts = [clip(operator.diag_deltas, 0.0)]
+    for sub in operator.grids:
+        w, v = np.linalg.eigh(deltas[(slice(None), *sub)])
+        parts.append((v * clip(w, 0.0)[:, np.newaxis, :]) @ v.conj().transpose(0, 2, 1))
+    suffixes = []
+    for part in parts:
+        suffix = np.zeros((k + 1, *part.shape[1:]), dtype=part.dtype)
+        suffix[:k] = np.cumsum(part[order][::-1], axis=0)[::-1]
+        suffixes.append(suffix)
+
+    def bounds(masks, depths):
+        out = np.empty(len(masks))
+        for part in _batches(len(masks), step):
+            diag, stacks = operator.pieces(_mask_bits(masks[part], k))
+            for piece, suffix in zip([diag, *stacks], suffixes):
+                piece += suffix[depths[part]]
+            lo, hi = _solve(diag, stacks)
+            out[part] = lo if sign > 0 else -hi
+        return out
+
+    def offer(masks, best, test):
+        for part in _batches(len(masks), step):
+            shift = best[0] + margin if test else np.inf
+            floor, ceiling = (shift, np.inf) if sign > 0 else (-np.inf, -shift)
+            lo, hi = operator.extremes(_mask_bits(masks[part], k), floor, ceiling)
+            best = _least(lo if sign > 0 else -hi, masks[part], sign, best)
+        return best
+
+    # the completions of a leaf at each depth: every subset of its free bits
+    subsets = {
+        depth: ((np.arange(1 << (k - depth))[:, np.newaxis] >> np.arange(k - depth)) & 1)
+        @ position[depth:]
+        for depth in range(max(0, k - _LEAF_FREE), k + 1)
+    }
+    root = np.zeros(1, dtype=np.int64)
+    best = offer(root, (np.inf, 0), False)
+    # the open nodes: the bound, depth and mask of each
+    bound, depth, mask = bounds(root, root), root, root
+    while True:
+        live = bound <= best[0] + margin
+        bound, depth, mask = bound[live], depth[live], mask[live]
+        if not len(bound):
+            break
+        pick = np.zeros(len(bound), dtype=bool)
+        pick[np.argpartition(bound, min(_ROUND, len(bound)) - 1)[:_ROUND]] = True
+        level, fixed = depth[pick], mask[pick]
+        bound, depth, mask = bound[~pick], depth[~pick], mask[~pick]
+        leaf = level >= k - _LEAF_FREE
+        inner = ~leaf
+        if inner.any():
+            taken = fixed[inner] | position[level[inner]]
+            best = offer(taken, best, False)
+            masks = np.concatenate([fixed[inner], taken])
+            depths = np.concatenate([level[inner], level[inner]]) + 1
+            bound = np.concatenate([bound, bounds(masks, depths)])
+            depth = np.concatenate([depth, depths])
+            mask = np.concatenate([mask, masks])
+        if leaf.any():
+            leaves = zip(level[leaf].tolist(), fixed[leaf].tolist())
+            best = offer(np.concatenate([m | subsets[d] for d, m in leaves]), best, True)
+    return best
+
+
 def weaving_scan(base: np.ndarray, deltas: np.ndarray):
     """Extreme eigenvalues over all ``2**n`` masks, with their witness masks.
 
     Returns ``(lower, argmin_mask, upper, argmax_mask)``.
 
-    Masks run in ascending chunks of at most about ``_SCAN_FLOATS`` stacked
-    entries.  When the masks fill more than one chunk, the first chunk is one
-    tile and each next one doubles; every mask of the first chunk is solved,
-    as there is nothing yet to test it against.  From the second chunk on, a mask is solved only when Cholesky fails to
-    prove ``lambda_min > lower`` and ``lambda_max < upper`` against the
-    extremes ``lower``/``upper`` of the earlier chunks, with the rounding
-    :func:`_margin` between each test and its incumbent.  A mask that is not
-    solved can neither be nor tie a witness, and each solved mask's values
-    are those of a full solve, so the result is that of solving every mask.
+    Masks of the non-null blocks are solved in ascending batches of about
+    ``_SCAN_FLOATS`` stacked entries when they fit in one batch, or when
+    every coordinate component is 1 x 1.  Otherwise, with at least
+    ``_TREE_BLOCKS`` non-null blocks plus one for every 4 coordinates by which
+    the largest component exceeds 8, each extreme comes from
+    :func:`_branch_and_bound`; with fewer, batches after the first are
+    certified against the extremes of the earlier ones.  Either way a mask
+    is left unsolved only when a test clears its incumbent by the rounding
+    :func:`_margin`, so it can neither be nor tie a witness, and each solved
+    mask's values are those of a full solve: the result is that of solving
+    every mask.
     """
     n = deltas.shape[0]
     _check_blocks(n)
     live = np.flatnonzero([delta.any() for delta in deltas])
     deltas = deltas[live]
     operator = _SplitOperator(base, deltas)
-    margin = _margin(base, deltas)
     k = len(live)
     total = 1 << k
     step = max(1, _SCAN_FLOATS // operator.floats)
-    lower = np.inf
-    upper = -np.inf
-    argmin_mask = 0
-    argmax_mask = 0
-    # A scan that fits in one chunk is solved in one.  A longer one starts with
-    # one tile and doubles, so that few masks are solved with no incumbents.
-    start, size = 0, min(step, _TILE) if total > step else step
-    while start < total:
-        masks = np.arange(start, min(start + size, total), dtype=np.int64)
-        start, size = start + size, min(2 * size, step)
-        lo, hi = operator.extremes(_mask_bits(masks, k), lower + margin, upper - margin)
-        i = int(np.argmin(lo))
-        if lo[i] < lower:
-            lower = float(lo[i])
-            argmin_mask = int(masks[i])
-        j = len(hi) - 1 - int(np.argmax(hi[::-1]))
-        if hi[j] >= upper:
-            upper = float(hi[j])
-            argmax_mask = int(masks[j])
+    largest = max((len(block) for block, _ in operator.blocks), default=1)
+    margin = _margin(base, deltas)
+    if operator.blocks and total >= step and k >= _TREE_BLOCKS + max(0, largest - 8) // 4:
+        low = _branch_and_bound(operator, deltas, 1, margin, step)
+        high = _branch_and_bound(operator, deltas, -1, margin, step)
+    else:
+        low = high = (np.inf, 0)
+        # More than one batch with a component to solve: start with one tile
+        # and double, so that few masks are solved with no incumbents.  Other
+        # scans solve every mask; a diagonal costs no more to solve than to test.
+        certify = bool(operator.blocks) and total > step
+        start, size = 0, min(step, _TILE) if certify else step
+        while start < total:
+            masks = np.arange(start, min(start + size, total), dtype=np.int64)
+            start, size = start + size, min(2 * size, step)
+            bounds = (low[0] + margin, -high[0] - margin) if certify else ()
+            lo, hi = operator.extremes(_mask_bits(masks, k), *bounds)
+            low = _least(lo, masks, 1, low)
+            high = _least(-hi, masks, -1, high)
     null_bits = ((1 << n) - 1) ^ _spread(total - 1, live)
-    return lower, _spread(argmin_mask, live), upper, _spread(argmax_mask, live) | null_bits
+    return low[0], _spread(low[1], live), -high[0], _spread(high[1], live) | null_bits
 
 
 def mask_spectra(base: np.ndarray, deltas: np.ndarray, masks):

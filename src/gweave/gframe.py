@@ -182,7 +182,12 @@ def canonical_dual(frame: GFrame, tol: float = DEFAULT_TOL) -> GFrame:
 
 
 def is_dual_pair(first: GFrame, second: GFrame, tol: float = DEFAULT_TOL) -> bool:
-    """Whether the mixed synthesis sums reproduce the identity both ways."""
+    """Whether the mixed synthesis sums reproduce the identity both ways.
+
+    ``M = sum_i first_i* second_i`` must satisfy ``|M - I|_F <= tol``, with
+    ``tol`` an absolute tolerance.  The other way round the sum is ``M*``,
+    and ``|M* - I|_F = |M - I|_F``, so one residual decides both.
+    """
     if first.n_blocks != second.n_blocks:
         raise LengthMismatch(
             f"{first.n_blocks} blocks versus {second.n_blocks}"
@@ -191,12 +196,8 @@ def is_dual_pair(first: GFrame, second: GFrame, tol: float = DEFAULT_TOL) -> boo
         raise ShapeMismatch("domain dimensions differ")
     if first.block_rows != second.block_rows:
         raise ShapeMismatch("per-block row counts differ")
-    d = first.domain_dim
-    eye = np.eye(d)
     mixed = sum(f.conj().T @ g for f, g in zip(first.blocks, second.blocks))
-    r1 = linalg.frobenius(mixed - eye)
-    r2 = linalg.frobenius(mixed.conj().T - eye)
-    return r1 <= tol and r2 <= tol
+    return linalg.frobenius(mixed - np.eye(first.domain_dim)) <= tol
 
 
 @dataclass(frozen=True)

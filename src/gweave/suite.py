@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from ._kernels import _MAX_BLOCKS
+from .errors import ShapeMismatch, TooManyBlocks
 from .gframe import (
     DEFAULT_TOL,
     GFrame,
@@ -410,6 +411,23 @@ def _scaled_size(base: int, scale: float, minimum: int) -> int:
     return max(minimum, int(round(base * scale)))
 
 
+# The largest dim_scale: the 9-block scaled-split pair, the largest pair
+# run_suite scales, then gets round(9 * scale) <= _MAX_BLOCKS blocks, and
+# every other scaled block count (about 8 * scale at most, the 2 * dup_k
+# blocks of the duplicate-vs-split pair included) is smaller still.
+_MAX_DIM_SCALE = (_MAX_BLOCKS + 0.5) / 9
+
+
+def _check_scale(scale: float) -> None:
+    if not (math.isfinite(scale) and scale > 0):
+        raise ShapeMismatch(f"dim_scale must be a finite positive number, got {scale!r}")
+    if scale > _MAX_DIM_SCALE:
+        raise TooManyBlocks(
+            f"dim_scale {scale!r} builds pairs of more than {_MAX_BLOCKS} blocks,"
+            f" the most a selection mask holds; the largest dim_scale is {_MAX_DIM_SCALE:.4g}"
+        )
+
+
 def _universal(pair: ExampleInstance, config: SuiteConfig):
     """Exhaustive bounds when the cap allows, sampled bounds otherwise."""
     cap = effective_cap(config.cap)
@@ -436,8 +454,7 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
     cfg = config or SuiteConfig()
     _check_seed(cfg.seed)
     scale = cfg.dim_scale
-    if not (math.isfinite(scale) and scale > 0):
-        raise ShapeMismatch(f"dim_scale must be a finite positive number, got {scale!r}")
+    _check_scale(scale)
     tol = cfg.tol
     cap = effective_cap(cfg.cap)
     records = []

@@ -18,7 +18,8 @@ from gweave.cli import (
     main,
     save_gframe,
 )
-from gweave.errors import ParseError, SchemaError, ShapeMismatch
+from gweave import suite
+from gweave.errors import ParseError, SchemaError, ShapeMismatch, TooManyBlocks
 from gweave.gframe import new_gframe
 from gweave.suite import (
     SuiteConfig,
@@ -298,6 +299,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: dim_scale must be a finite positive number")
         with pytest.raises(ShapeMismatch):
+            run_suite(SuiteConfig(dim_scale=float(scale)))
+
+    @pytest.mark.parametrize("scale", ["1e308", "8"])
+    def test_dim_scale_beyond_a_mask_is_input_error(self, capsys, monkeypatch, scale):
+        # refused before any family is built
+        monkeypatch.setattr(suite, "build_projection_family", lambda *a: pytest.fail("built"))
+        assert main(["paper-suite", f"--dim-scale={scale}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: dim_scale {float(scale)!r} builds pairs of more than 62 blocks")
+        assert err.endswith("the largest dim_scale is 6.944\n")
+        with pytest.raises(TooManyBlocks):
             run_suite(SuiteConfig(dim_scale=float(scale)))
 
     def test_cap_exceeded_is_input_error(self, paths, capsys):

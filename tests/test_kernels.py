@@ -1,4 +1,4 @@
-"""The enumeration kernel: brute-force agreement, tie-breaking, the exact reductions and certification."""
+"""The enumeration kernel: brute-force agreement, tie rules, the exact reductions and the tree."""
 
 import warnings
 
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gweave import _kernels
 from gweave.gframe import block_grams, new_gframe
+from gweave.suite import build_scaled_split_pair, build_shifted_projection_pair, build_window_pair
 from gweave.weaving import universal_bounds_exhaustive
 
 from conftest import dense_pairs, random_gframe
@@ -295,3 +296,122 @@ def test_cholesky_gufunc_returns_nan_for_exactly_the_failures(complex_mode):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.array_equal(_kernels._definite(stack), ~failed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pair=st.one_of(dense_pairs(), structured_pairs(), direct_sums()),
+    scan_floats=st.sampled_from([1, 16, 64]),
+)
+def test_branch_and_bound_equals_full_scan(pair, scan_floats):
+    """Small batches and no block minimum send most pairs to the tree; the result is ``==``.
+
+    Bounds, witnesses and ties all match.  The ``integer`` kind of
+    ``dense_pairs`` ties bitwise inside a dense component, so a subcube
+    pruned or a leaf mask ruled out without a strict margin changes a witness.
+    """
+    base, deltas = _pair_inputs(*pair)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_SCAN_FLOATS", scan_floats)
+        mp.setattr(_kernels, "_TREE_BLOCKS", 1)
+        scanned = _kernels.weaving_scan(base, deltas)
+    assert scanned == full_weaving_scan(base, deltas)
+
+
+def _tree_calls(monkeypatch):
+    calls = []
+    tree = _kernels._branch_and_bound
+    monkeypatch.setattr(
+        _kernels, "_branch_and_bound", lambda *args: calls.append(args[2]) or tree(*args)
+    )
+    return calls
+
+
+def test_diagonal_pairs_and_one_chunk_scans_take_no_tree(monkeypatch):
+    """The tree needs a full batch of masks, a component that is not 1 x 1 and enough blocks."""
+    calls = _tree_calls(monkeypatch)
+    for build, size in [
+        (build_window_pair, 16),
+        (build_scaled_split_pair, 14),
+        (build_shifted_projection_pair, 14),
+    ]:
+        ex = build(size)
+        base, deltas = _pair_inputs(ex.first, ex.second)
+        assert 1 << size > _kernels._SCAN_FLOATS // size  # more than one batch of diagonals
+        assert _kernels.weaving_scan(base, deltas) == full_weaving_scan(base, deltas)
+    rng = np.random.default_rng(6)
+    one_chunk = _pair_inputs(random_gframe(rng, d=4, n=8), random_gframe(rng, d=4, n=8))
+    assert _kernels.weaving_scan(*one_chunk) == full_weaving_scan(*one_chunk)
+    assert calls == []
+
+    # 2**12 masks of order 16 fill 16 batches, but a component of order 16
+    # needs 14 blocks: the certified scan runs
+    wide = _pair_inputs(random_gframe(rng, d=16, n=12), random_gframe(rng, d=16, n=12))
+    assert _kernels.weaving_scan(*wide) == full_weaving_scan(*wide)
+    assert calls == []
+
+    dense = _pair_inputs(random_gframe(rng, d=4, n=12), random_gframe(rng, d=4, n=12))
+    assert _kernels.weaving_scan(*dense) == full_weaving_scan(*dense)
+    assert calls == [1, -1]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("complex_mode", [False, True])
+def test_tree_prunes_most_of_the_cube(monkeypatch, seed, complex_mode):
+    """At n=18, d=4 eigensolves and Cholesky tests together stay under one per 32 selections."""
+    rng = np.random.default_rng(seed)
+    first = random_gframe(rng, d=4, n=18, complex_mode=complex_mode)
+    second = random_gframe(rng, d=4, n=18, complex_mode=complex_mode)
+    base, deltas = _pair_inputs(first, second)
+    matrices = []
+    eigvalsh = np.linalg.eigvalsh
+    definite = _kernels._definite
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: matrices.append(len(a)) or eigvalsh(a))
+    monkeypatch.setattr(_kernels, "_definite", lambda a: matrices.append(len(a)) or definite(a))
+    scanned = _kernels.weaving_scan(base, deltas)
+    assert 0 < sum(matrices) <= (1 << 18) // 32
+    monkeypatch.undo()
+    assert scanned == full_weaving_scan(base, deltas)
+
+
+@pytest.mark.parametrize("scan_floats", [1, 40, 200, 1000])
+def test_every_tree_batch_fits_the_batch_size(monkeypatch, scan_floats):
+    """Node envelopes, own masks and leaf completions: no batch exceeds ``_SCAN_FLOATS`` floats."""
+    rng = np.random.default_rng(3)
+    base, deltas = _pair_inputs(random_gframe(rng, d=4, n=14), random_gframe(rng, d=4, n=14))
+    expected = full_weaving_scan(base, deltas)
+    monkeypatch.setattr(_kernels, "_SCAN_FLOATS", scan_floats)
+    calls = _tree_calls(monkeypatch)
+    batches = []
+    mask_bits = _kernels._mask_bits
+    monkeypatch.setattr(
+        _kernels, "_mask_bits", lambda masks, k: batches.append(len(masks)) or mask_bits(masks, k)
+    )
+    assert _kernels.weaving_scan(base, deltas) == expected
+    assert calls == [1, -1]
+    assert max(batches) == max(1, scan_floats // 16)
+
+
+def test_a_subcube_whose_bound_meets_the_incumbent_is_searched(monkeypatch):
+    """Pruning is strict: with the margin at 0, a bound equal to the incumbent keeps its subcube.
+
+    Coordinates 2 and 3 are fixed diagonal entries 0 and 100, below and above
+    every eigenvalue of the 2 x 2 component, so every mask ties on both sides
+    and so does every envelope.  Only by expanding every subcube does the
+    argmax reach the largest mask.
+    """
+    rng = np.random.default_rng(2)
+    base = np.diag([10.0, 10.0, 0.0, 100.0])
+    base[0, 1] = base[1, 0] = 1.0
+    deltas = np.zeros((6, 4, 4))
+    for delta in deltas:
+        delta[:2, :2] = rng.uniform(-0.5, 0.5, size=(2, 2))
+        delta[:2, :2] += delta[:2, :2].T
+        delta[:2, :2] /= 2
+    monkeypatch.setattr(_kernels, "_SCAN_FLOATS", 24)
+    monkeypatch.setattr(_kernels, "_TREE_BLOCKS", 1)
+    monkeypatch.setattr(_kernels, "_margin", lambda base, deltas: 0.0)
+    calls = _tree_calls(monkeypatch)
+    expected = full_weaving_scan(base, deltas)
+    assert _kernels.weaving_scan(base, deltas) == expected == (0.0, 0, 100.0, 63)
+    assert calls == [1, -1]

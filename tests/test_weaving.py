@@ -555,6 +555,28 @@ def test_permuting_both_families_keeps_the_bounds(pair, seed):
     assert rep_p.upper == pytest.approx(rep.upper, abs=1e-10)
 
 
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(3, 5), complex_mode=st.booleans())
+def test_composing_both_families_with_a_unitary_keeps_the_bounds(seed, d, complex_mode):
+    """``S_s`` becomes ``U* S_s U`` for every selection, so the universal bounds stay put.
+
+    At 14 blocks the masks fill more than one batch, so the scan takes its
+    branch-and-bound path; conjugation changes the rounding of every envelope
+    but not the answer.
+    """
+    rng = np.random.default_rng(seed)
+    first = random_gframe(rng, d=d, n=14, complex_mode=complex_mode)
+    second = random_gframe(rng, d=d, n=14, complex_mode=complex_mode)
+    a = rng.standard_normal((d, d))
+    if complex_mode:
+        a = a + 1j * rng.standard_normal((d, d))
+    u = np.linalg.qr(a)[0]
+    rep = universal_bounds_exhaustive(first, second)
+    rep_u = universal_bounds_exhaustive(compose_right(first, u), compose_right(second, u))
+    assert rep_u.lower == pytest.approx(rep.lower, abs=1e-10)
+    assert rep_u.upper == pytest.approx(rep.upper, abs=1e-10)
+
+
 class TestUnitaryInvariance:
     def test_identity_operator(self):
         frame = build_projection_family(5, 1)
