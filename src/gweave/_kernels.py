@@ -62,11 +62,21 @@ Then it picks one of three ways through the masks, by the size of the input:
   The largest eigenvalue is the same search on ``-S``, whose envelopes use
   the positive parts.
 
+The sampled search of ``weaving.universal_bounds_search`` looks up one-bit
+neighbours through :func:`mask_spectra`.  The search gives each neighbour a
+floor and a ceiling: it must be solved if its smallest eigenvalue could reach
+the floor or its largest the ceiling.  Floors come from the descents'
+values, tightened by the Rayleigh quotients of :func:`neighbour_quotients`.
+A side that the Weyl bound from the current mask already clears gets no
+test; otherwise :func:`mask_spectra` runs the Cholesky test of
+:func:`_inside` on the mask's stack row and solves only the masks that fail
+it.
+
 The margin ``m`` (:func:`_margin`) bounds the rounding of the shifts, of
-Cholesky, of ``eigvalsh`` and of the envelopes, so no mask that could be or
-tie a witness is ruled out or pruned.  Every solved mask gets the same bits
-as in a full scan, so every way gives bitwise the result of solving every
-mask.
+Cholesky, of ``eigvalsh``, of the envelopes and of the Weyl and Rayleigh
+bounds, so no mask that could be or tie a witness or a descent's step is
+ruled out or pruned.  Every solved mask gets the same bits as in a full scan, so every
+way gives bitwise the result of solving every mask.
 
 Ties: the argmin resolves to the smallest mask attaining the minimum and the
 argmax to the largest mask attaining the maximum.  Null bits are clear in the
@@ -81,14 +91,13 @@ from numpy.linalg import _umath_linalg
 
 from .errors import TooManyBlocks
 
-_CHUNK = 2048
 # Rows per matmul in _stack.  BLAS rounds a row of a product differently
 # depending on how many rows the product has and, in larger products, on
 # where the row sits; every tile of 8 rows goes through one code path.
 _TILE = 8
 _MAX_BLOCKS = 62  # masks are int64
-# float64 entries in one stack from operator_stacks (128 KiB), so that its
-# memory depends on the operator size and not on the number of masks
+# float64 entries in one stack from operator_stacks or mask_spectra (128 KiB),
+# so that its memory depends on the operator size and not on the number of masks
 _STACK_FLOATS = 1 << 14
 # float64 entries in the stacks of any one batch of weaving_scan (512 KiB)
 _SCAN_FLOATS = 1 << 16
@@ -141,12 +150,6 @@ def _stack(base: np.ndarray, flat: np.ndarray, bits: np.ndarray) -> np.ndarray:
     stack = stack.reshape(m, *base.shape)
     stack += base
     return stack
-
-
-def _extremes(base: np.ndarray, flat: np.ndarray, bits: np.ndarray):
-    """Smallest and largest eigenvalue of the operator of each row of bits."""
-    w = np.linalg.eigvalsh(_stack(base, flat, bits))
-    return w[:, 0], w[:, -1]
 
 
 def operator_stacks(base: np.ndarray, deltas: np.ndarray):
@@ -252,19 +255,26 @@ def _definite(stack: np.ndarray) -> np.ndarray:
     return ~np.isnan(factor[:, -1, -1])
 
 
-def _inside(stack: np.ndarray, floor: float, ceiling: float) -> np.ndarray:
+def _inside(stack: np.ndarray, floor, ceiling) -> np.ndarray:
     """Whether Cholesky factors ``S - floor I`` and ``ceiling I - S`` for each operator ``S``.
 
-    A floor of ``-inf`` or a ceiling of ``+inf`` is not tested.
+    ``floor`` and ``ceiling`` are scalars or hold one value per operator.  A
+    floor of ``-inf`` or a ceiling of ``+inf`` is not tested.
     """
     c = stack.shape[-1]
     inside = np.ones(len(stack), dtype=bool)
     for sign, shift in ((1, floor), (-1, -ceiling)):
-        if shift != -np.inf:
-            shifted = stack[inside]
-            shifted *= sign
-            shifted.reshape(len(shifted), c * c)[:, :: c + 1] -= shift
-            inside[inside] = _definite(shifted)
+        if np.ndim(shift):
+            test = inside & (shift != -np.inf)
+            shift = shift[test, np.newaxis]
+        elif shift != -np.inf:
+            test = inside
+        else:
+            continue
+        shifted = stack[test]
+        shifted *= sign
+        shifted.reshape(len(shifted), c * c)[:, :: c + 1] -= shift
+        inside[test] = _definite(shifted)
     return inside
 
 
@@ -313,12 +323,43 @@ def _margin(base: np.ndarray, deltas: np.ndarray) -> float:
     - ``eigvalsh`` adds ``2 d u N`` on the envelope (``|L|_F <= 2N``) and
       ``d u N`` on the mask.
 
-    These add up to at most ``(d^2 + 6 d + 3 k + 3) u N``.  The margin
-    ``8 ((d + 2)^2 + k) u N`` is more than twice either sum, which covers
-    complex arithmetic and the solvers' constant factors.  So when a
-    Cholesky test or an envelope bound clears ``incumbent + margin``, every
+    These add up to at most ``(d^2 + 6 d + 3 k + 3) u N``.
+
+    Weyl bound of a one-bit neighbour (the sampled search of
+    ``weaving.universal_bounds_search``: ``S_x = S_c +- delta_i`` for a
+    solved mask ``c``, bounded by ``lo(c) + lambda_min(+-delta_i)`` with both
+    terms from ``eigvalsh``; the exact ``S_x`` has
+    ``lambda_min(S_x) >= lambda_min(S_c) + lambda_min(+-delta_i)`` by Weyl's
+    inequality, Horn and Johnson 4.3.1, and likewise for ``lambda_max``):
+
+    - the stack rows of ``c`` and of ``x`` each round by ``(k + 1) u N``;
+    - ``eigvalsh`` adds ``d u N`` on ``S^_c``, ``d u N`` on ``S^_x`` and
+      ``d u |delta_i|_F <= d u N`` on the delta;
+    - the sum ``lo(c) + lambda`` rounds by ``2 u N``.
+
+    These add up to at most ``(2 k + 3 d + 4) u N``.
+
+    Rayleigh bound of a one-bit neighbour (:func:`neighbour_quotients`: for
+    any vector ``u`` of the current mask, ``lambda_min(S_x) <= u* S_x u / u* u``,
+    and ``S_x = S_c +- delta_i``, so ``u* S_c u +- u* delta_i u`` bounds the
+    value of ``x`` from above, and of ``lambda_max`` from below):
+
+    - ``u* S^_c u`` rounds by ``2 d u N`` and ``S^_c`` is ``(k + 1) u N``
+      from ``S_c``; ``u* delta_i u`` rounds by ``2 d u N`` and the sum by
+      ``2 u N``;
+    - ``eigh`` returns ``u`` unit to within ``d u``, which moves the quotient
+      by ``d u N``;
+    - the neighbour's value is ``eigvalsh`` of ``S^_x``: ``(k + 1 + d) u N``.
+
+    These add up to at most ``(2 k + 6 d + 4) u N``.  The margin
+    ``8 ((d + 2)^2 + k) u N`` is more than twice each of the four sums, and
+    more than the Rayleigh sum plus any other, which covers complex
+    arithmetic and the solvers' constant factors.  So when a Cholesky test,
+    an envelope bound or a Weyl bound clears ``incumbent + margin``, every
     value ``eigvalsh`` would return for the masks it covers is strictly
-    beyond the incumbent.
+    beyond the incumbent.  When the incumbent is a Rayleigh bound, those
+    values are also beyond the value ``eigvalsh`` returns for the neighbour
+    whose quotient it is, so that neighbour is never certified against it.
     """
     norm = np.linalg.norm(base) + np.linalg.norm(deltas, axis=(1, 2)).sum()
     size = (base.shape[0] + 2) ** 2 + len(deltas)
@@ -468,14 +509,54 @@ def weaving_scan(base: np.ndarray, deltas: np.ndarray):
     return low[0], _spread(low[1], live), -high[0], _spread(high[1], live) | null_bits
 
 
-def mask_spectra(base: np.ndarray, deltas: np.ndarray, masks):
-    """Extreme eigenvalues of the mixed operator for each given mask."""
+def mask_spectra(base: np.ndarray, deltas: np.ndarray, masks, floor=None, ceiling=None):
+    """Extreme eigenvalues of the mixed operator for each given mask.
+
+    Returns ``(lo, hi)``.  Masks run in batches of at most ``_STACK_FLOATS``
+    stacked entries, and each mask's values are those of solving it alone.
+    With ``floor`` and ``ceiling``, one value of each per mask, a mask whose
+    operator passes the Cholesky test of :func:`_inside` against its own
+    floor and ceiling is not solved; it reads ``+inf`` and ``-inf``.
+    """
     n = deltas.shape[0]
     flat = _flat(deltas)
     masks = np.asarray(masks, dtype=np.int64)
-    lo = np.empty(len(masks))
-    hi = np.empty(len(masks))
-    for start in range(0, len(masks), _CHUNK):
-        part = slice(start, start + _CHUNK)
-        lo[part], hi[part] = _extremes(base, flat, _mask_bits(masks[part], n))
+    lo = np.full(len(masks), np.inf)
+    hi = np.full(len(masks), -np.inf)
+    for part in _batches(len(masks), max(1, _STACK_FLOATS // flat.shape[1])):
+        stack = _stack(base, flat, _mask_bits(masks[part], n))
+        rows = np.arange(len(masks))[part]
+        if floor is not None:
+            solve = ~_inside(stack, floor[part], ceiling[part])
+            stack, rows = stack[solve], rows[solve]
+        if len(rows):
+            w = np.linalg.eigvalsh(stack)
+            lo[rows], hi[rows] = w[:, 0], w[:, -1]
     return lo, hi
+
+
+def neighbour_quotients(base: np.ndarray, deltas: np.ndarray, masks, lowest):
+    """Rayleigh quotients of the one-bit neighbours of each mask at one of its eigenvectors.
+
+    For each mask with operator ``S``, ``u`` is a unit eigenvector of ``S``
+    for its smallest eigenvalue where ``lowest`` holds and for its largest
+    elsewhere.  Entry ``[r, i]`` is ``u* (S +- delta_i) u``, with ``+`` when
+    bit ``i`` of the mask is clear.  Up to the rounding that :func:`_margin`
+    bounds, it lies between the smallest and the largest eigenvalue of that
+    neighbour's operator.  Masks run in batches of at most ``_STACK_FLOATS``
+    stacked entries.
+    """
+    n = deltas.shape[0]
+    flat = _flat(deltas)
+    masks = np.asarray(masks, dtype=np.int64)
+    lowest = np.asarray(lowest)[:, np.newaxis]
+    out = np.empty((len(masks), n))
+    for part in _batches(len(masks), max(1, _STACK_FLOATS // flat.shape[1])):
+        bits = _mask_bits(masks[part], n)
+        stack = _stack(base, flat, bits)
+        vectors = np.linalg.eigh(stack)[1]
+        u = np.where(lowest[part], vectors[:, :, 0], vectors[:, :, -1])
+        own = np.einsum("rj,rjk,rk->r", u.conj(), stack, u).real
+        step = ((u.conj() @ deltas) * u).sum(axis=-1).real.T  # [r, i] = u_r* delta_i u_r
+        out[part] = own[:, np.newaxis] + (1 - 2 * bits) * step
+    return out

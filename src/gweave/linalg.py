@@ -1,9 +1,13 @@
 """Dense spectral primitives used by every other module.
 
 Matrices are plain numpy arrays, float64 in real mode and complex128
-otherwise.  All residual tolerances are relative to the Frobenius norm of
-the input with an absolute floor of 1e-12, so rescaling a problem does not
-change which inputs are accepted.
+otherwise.  The tolerances of this module are relative: a symmetry residual
+is compared with ``HERMITIAN_RTOL`` times ``max(1, |A|_F)``, and the smallest
+eigenvalue in a rank test with ``RANK_RTOL`` times the largest, each with an
+absolute floor of 1e-12.  So rescaling a problem whose norm is at least 1
+does not change which inputs are accepted.  Tolerances that callers pass to
+other modules are as their docstrings say; ``gframe.is_dual_pair`` compares
+its residual with an absolute one.
 """
 
 from __future__ import annotations

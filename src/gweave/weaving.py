@@ -42,6 +42,10 @@ DEFAULT_EXHAUSTIVE_CAP = 20
 # _ROUND_MASKS // n, so one round looks up at most this many one-bit
 # neighbours, whatever the budget.
 _ROUND_MASKS = 1 << 12
+# The most seeds universal_bounds_search draws when the budget is below 2**n.
+# Each seed starts two descents that examine at least n masks each, so a
+# larger budget would run for hours; it is refused before anything is drawn.
+MAX_SEARCH_BUDGET = 1 << 20
 ENV_CAP = "GWEAVE_EXHAUSTIVE_CAP"
 
 # Margin used by the inequality checks below; the underlying statements are
@@ -267,18 +271,36 @@ def universal_bounds_search(
     descent runs on the smallest eigenvalue and an ascent on the largest.
     A step moves to the first of the ``n`` one-bit neighbours with the best
     value, and only when that value strictly improves on the current one.
-    ``subsets_examined`` counts the distinct masks whose spectrum was
-    computed: the seeds and every neighbour of every mask a descent visited.
+    ``subsets_examined`` counts the distinct masks examined, each solved or
+    certified: the seeds and every neighbour of every mask a descent visited.
     The reported lower value over-estimates the true universal lower bound
     and the upper value under-estimates the true upper bound.  When the
     budget covers the whole selection space the full enumeration runs
-    instead and the result equals the exhaustive report.
+    instead and the result equals the exhaustive report.  A smaller budget
+    above ``MAX_SEARCH_BUDGET`` is refused.
 
     All descents advance in lockstep, up to ``_ROUND_MASKS // n`` at a time,
-    and each round computes the spectra of every neighbour no descent has
-    seen yet in one kernel call.  A mask's spectrum does not depend on the
-    batch it is computed in, so the masks examined, and the report, are
-    those of running the descents one after another.
+    and each round looks up every neighbour no descent has examined yet in
+    one kernel call.  A neighbour's spectrum matters only if it could be a
+    step or a witness:
+
+    - a descent at value ``v`` looks at it, and its ``lo`` is at most ``v``
+      and at most the least Rayleigh quotient ``u* (S +- delta_i) u`` of the
+      neighbours, where ``u`` is the eigenvector of ``lo(S)`` for the current
+      operator ``S`` (the best neighbour's ``lo`` is at most that quotient,
+      so a neighbour above it is not the step); an ascent likewise on ``hi``;
+    - its ``lo`` or ``hi`` reaches the best value solved so far.
+
+    Every other neighbour is certified and not solved: first by Weyl's
+    inequality from the current mask, ``lo(S +- delta_i) >= lo(S) +
+    lo(+-delta_i)`` and likewise for ``hi``, then by the kernel's Cholesky
+    test.  Each test clears its threshold by the rounding margin of
+    ``_kernels._margin``, which also covers the rounding of the quotients.
+    A certified mask keeps the floor and ceiling it was certified against,
+    and is solved when a later look needs more.  A mask's spectrum does not
+    depend on the batch it is computed in, so the masks examined, and the
+    report, are those of running the descents one after another and solving
+    every neighbour.
     """
     _check_pair(first, second)
     if budget < 1:
@@ -289,13 +311,28 @@ def universal_bounds_search(
     total = 1 << n
     if budget >= total:
         return _scan_pair(first, second, tol)
+    if budget > MAX_SEARCH_BUDGET:
+        raise ShapeMismatch(
+            f"budget {budget} is below the {total} selections and above the"
+            f" {MAX_SEARCH_BUDGET} seeds a search draws"
+        )
 
     base, deltas, p, q = _pair_kernel_inputs(first, second)
+    margin = _kernels._margin(base, deltas)
+    # Weyl steps: the extreme eigenvalues of +delta_i, which sets bit i, in
+    # row 0 and of -delta_i, which clears it, in row 1
+    w = np.linalg.eigvalsh(deltas)
+    step_lo = np.stack([w[:, 0], -w[:, -1]])
+    step_hi = np.stack([w[:, -1], -w[:, 0]])
     rng = np.random.default_rng(seed)
-    # examined masks, ascending, with their extreme eigenvalues; a repeated
-    # seed repeats its descents exactly, so each seed runs once
+    # Examined masks, ascending.  lo and hi hold the extreme eigenvalues of a
+    # solved mask; a certified one has lo > floor and hi < ceiling for the
+    # floor and ceiling it was certified against, and lo and hi hold those.
+    # A repeated seed repeats its descents exactly, so each seed runs once.
     seen = _sorted_unique(rng.integers(0, total, size=budget))
     lo, hi = _kernels.mask_spectra(base, deltas, seen)
+    solved = np.ones(len(seen), dtype=bool)
+    low, high = lo.min(), hi.max()  # the extremes solved so far
     flips = np.int64(1) << np.arange(n, dtype=np.int64)
     # a descent and an ascent from each seed; ascents walk on -hi
     starts = np.repeat(seen, 2)
@@ -304,29 +341,67 @@ def universal_bounds_search(
     for g in range(0, len(starts), group):
         current = starts[g : g + group]
         down = descending[g : g + group]
-        at = np.searchsorted(seen, current)
-        value = np.where(down, lo[at], -hi[at])
         while len(current):
+            at = np.searchsorted(seen, current)
+            cur_lo, cur_hi = lo[at], hi[at]
+            # A look needs a neighbour solved unless lo > need_lo and
+            # hi < need_hi.  A descent steps to its best neighbour if that
+            # beats its value.  The Rayleigh quotients at the current mask's
+            # eigenvector bound each neighbour's lo from above, so the least
+            # one bounds the best neighbour's, and a neighbour above the value
+            # or that bound is not the step.  The neighbour with the least
+            # quotient cannot be certified above it, so it is solved, and no
+            # neighbour above the bound is a witness either.  Ascents mirror
+            # this on hi; a look from the other side needs the neighbour
+            # beyond the extremes solved so far.
+            quotients = _kernels.neighbour_quotients(base, deltas, current, down)
+            need_lo = np.where(down, np.minimum(cur_lo, quotients.min(axis=1)), low)
+            need_hi = np.where(down, high, np.maximum(cur_hi, quotients.max(axis=1)))
             neighbours = (current[:, np.newaxis] ^ flips).ravel()
             at = np.searchsorted(seen, neighbours)
             known = seen[np.minimum(at, len(seen) - 1)] == neighbours
             if not known.all():
-                new = _sorted_unique(neighbours[~known])
-                new_lo, new_hi = _kernels.mask_spectra(base, deltas, new)
+                looks = np.flatnonzero(~known)
+                looks = looks[np.argsort(neighbours[looks], kind="stable")]
+                heads = np.flatnonzero(np.diff(neighbours[looks], prepend=-1))
+                new = neighbours[looks[heads]]
+                row, bit = np.divmod(looks, n)
+                floor = np.maximum.reduceat(need_lo[row], heads)
+                ceiling = np.minimum.reduceat(need_hi[row], heads)
+                # Weyl: lo(S +- delta_i) >= lo(S) + lo(+-delta_i), and likewise
+                # hi; Cholesky tests each side this leaves open
+                cleared = (current[row] >> bit) & 1
+                weyl_lo = np.maximum.reduceat(cur_lo[row] + step_lo[cleared, bit], heads)
+                weyl_hi = np.minimum.reduceat(cur_hi[row] + step_hi[cleared, bit], heads)
+                test_lo = np.where(weyl_lo > floor + margin, -np.inf, floor + margin)
+                test_hi = np.where(weyl_hi < ceiling - margin, np.inf, ceiling - margin)
+                new_lo, new_hi = _kernels.mask_spectra(base, deltas, new, test_lo, test_hi)
+                new_solved = new_lo != np.inf
+                low, high = min(low, new_lo.min()), max(high, new_hi.max())
                 where = np.searchsorted(seen, new)
                 seen = np.insert(seen, where, new)
-                lo = np.insert(lo, where, new_lo)
-                hi = np.insert(hi, where, new_hi)
+                lo = np.insert(lo, where, np.where(new_solved, new_lo, floor))
+                hi = np.insert(hi, where, np.where(new_solved, new_hi, ceiling))
+                solved = np.insert(solved, where, new_solved)
                 at = np.searchsorted(seen, neighbours)
             at = at.reshape(len(current), n)
+            # a certified neighbour whose certificate does not cover this look
+            # is solved now
+            short = (lo[at] < need_lo[:, np.newaxis]) | (hi[at] > need_hi[:, np.newaxis])
+            stale = short & ~solved[at]
+            if stale.any():
+                redo = _sorted_unique(at[stale])
+                lo[redo], hi[redo] = _kernels.mask_spectra(base, deltas, seen[redo])
+                solved[redo] = True
             scores = np.where(down[:, np.newaxis], lo[at], -hi[at])
+            scores[~solved[at]] = np.inf  # a certified neighbour is not the step
             best = scores.argmin(axis=1)  # first occurrence of the best value
-            best_value = scores.min(axis=1)
-            moves = best_value < value
+            moves = scores.min(axis=1) < np.where(down, cur_lo, -cur_hi)
             current = (current ^ flips[best])[moves]
-            value = best_value[moves]
             down = down[moves]
 
+    lo = np.where(solved, lo, np.inf)
+    hi = np.where(solved, hi, -np.inf)
     i = int(np.argmin(lo))  # first occurrence: smallest mask among ties
     j = len(hi) - 1 - int(np.argmax(hi[::-1]))  # last occurrence: largest mask
     threshold = _woven_threshold(p, q, tol)

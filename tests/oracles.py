@@ -254,8 +254,8 @@ def sequential_bounds_search(first, second, budget: int, seed: int = 0, tol: flo
 
 
 def full_weaving_scan(base: np.ndarray, deltas: np.ndarray):
-    """``_kernels.weaving_scan`` with an eigensolve for every mask, in chunks of ``_CHUNK``."""
-    from gweave._kernels import _CHUNK, _SplitOperator, _check_blocks, _mask_bits, _spread
+    """``_kernels.weaving_scan`` with an eigensolve for every mask, in chunks of 2048 masks."""
+    from gweave._kernels import _SplitOperator, _check_blocks, _mask_bits, _spread
 
     n = deltas.shape[0]
     _check_blocks(n)
@@ -268,8 +268,8 @@ def full_weaving_scan(base: np.ndarray, deltas: np.ndarray):
     upper = -np.inf
     argmin_mask = 0
     argmax_mask = 0
-    for start in range(0, total, _CHUNK):
-        masks = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+    for start in range(0, total, 2048):
+        masks = np.arange(start, min(start + 2048, total), dtype=np.int64)
         lo, hi = operator.extremes(_mask_bits(masks, k))
         i = int(np.argmin(lo))
         if lo[i] < lower:

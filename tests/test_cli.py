@@ -18,7 +18,7 @@ from gweave.cli import (
     main,
     save_gframe,
 )
-from gweave import suite
+from gweave import suite, weaving
 from gweave.errors import ParseError, SchemaError, ShapeMismatch, TooManyBlocks
 from gweave.gframe import new_gframe
 from gweave.suite import (
@@ -333,6 +333,26 @@ class TestExitCodes:
         assert main(["woven", str(first), str(second), "--cap", "70"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: 63 blocks") and err.count("\n") == 1
+
+    def test_search_budget_beyond_the_seed_limit_is_input_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        path = str(tmp_path / "f62.json")
+        save_gframe(new_gframe(1, [np.ones((1, 1))] * 62), path)
+        # refused before any seed is drawn
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew seeds"))
+        assert main(["woven", path, path, "--search", "1000000000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: budget 1000000000000000 is below the {1 << 62} selections and"
+            f" above the {weaving.MAX_SEARCH_BUDGET} seeds a search draws\n"
+        )
+        # a budget that covers every selection still runs the full scan
+        small = str(tmp_path / "f4.json")
+        save_gframe(new_gframe(1, [np.ones((1, 1))] * 4), small)
+        monkeypatch.undo()
+        assert main(["woven", small, small, "--search", "1000000000000000", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["method"] == "exhaustive"
 
 
 def test_python_dash_m_runs_the_cli():

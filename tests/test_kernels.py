@@ -178,7 +178,7 @@ def test_numpy_path_full_pipeline():
 @example(seed=2, n=62, d=16, complex_mode=False, count=700, cut=0.6)
 @example(seed=3, n=50, d=12, complex_mode=True, count=300, cut=0.9)
 def test_mask_spectra_is_batch_invariant(seed, n, d, complex_mode, count, cut):
-    """A mask's spectrum is bitwise the same in one batch, a permutation, a split and alone."""
+    """A mask's spectrum is bitwise the same in one batch, a permutation, a split, alone and tested."""
     rng = np.random.default_rng(seed)
     first = random_gframe(rng, d=d, n=n, complex_mode=complex_mode)
     second = random_gframe(rng, d=d, n=n, complex_mode=complex_mode)
@@ -199,6 +199,14 @@ def test_mask_spectra_is_batch_invariant(seed, n, d, complex_mode, count, cut):
     for i in rng.choice(count, size=min(count, 12), replace=False):
         one_lo, one_hi = _kernels.mask_spectra(base, deltas, masks[i : i + 1])
         assert (one_lo[0], one_hi[0]) == (lo[i], hi[i])
+
+    # With a floor and a ceiling per mask, a mask is solved, with the same
+    # bits, exactly when its spectrum is not well inside them.
+    gap = rng.choice([-0.5, 0.5], size=(2, count)) * (hi - lo + 1)
+    got_lo, got_hi = _kernels.mask_spectra(base, deltas, masks, lo - gap[0], hi + gap[1])
+    solved = (gap < 0).any(axis=0)
+    assert np.array_equal(got_lo[solved], lo[solved]) and np.array_equal(got_hi[solved], hi[solved])
+    assert (got_lo[~solved] == np.inf).all() and (got_hi[~solved] == -np.inf).all()
 
 
 @settings(max_examples=100, deadline=None)
@@ -296,6 +304,31 @@ def test_cholesky_gufunc_returns_nan_for_exactly_the_failures(complex_mode):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.array_equal(_kernels._definite(stack), ~failed)
+
+
+@pytest.mark.parametrize("complex_mode", [False, True])
+def test_inside_with_a_shift_per_row_matches_scalar_shifts(complex_mode):
+    """Row by row, per-row floors and ceilings give the verdict of the same values as scalars.
+
+    The shifts include the untested ``-inf``/``+inf`` and, on diagonal rows,
+    the exact extreme eigenvalues, where the test must fail.
+    """
+    rng = np.random.default_rng(9)
+    g = rng.standard_normal((48, 4, 4))
+    if complex_mode:
+        g = g + 1j * rng.standard_normal((48, 4, 4))
+    stack = g @ g.conj().transpose(0, 2, 1)
+    stack[::4] = np.diag([1.0, 2.0, 3.0, 5.0])
+    w = np.linalg.eigvalsh(stack)
+    floor = w[:, 0] - rng.choice([-1.0, 0.0, 0.5, 2.0], size=48)
+    ceiling = w[:, -1] + rng.choice([-1.0, 0.0, 0.5, 2.0], size=48)
+    floor[1::7] = -np.inf
+    ceiling[2::5] = np.inf
+    got = _kernels._inside(stack, floor, ceiling)
+    assert 0 < got.sum() < len(stack)
+    assert not got[::4][(floor[::4] == 1.0) | (ceiling[::4] == 5.0)].any()
+    for j in range(len(stack)):
+        assert got[j] == _kernels._inside(stack[j : j + 1], floor[j], ceiling[j])[0]
 
 
 @settings(max_examples=200, deadline=None)
