@@ -68,9 +68,9 @@ floor and a ceiling: it must be solved if its smallest eigenvalue could reach
 the floor or its largest the ceiling.  Floors come from the descents'
 values, tightened by the Rayleigh quotients of :func:`neighbour_quotients`.
 A side that the Weyl bound from the current mask already clears gets no
-test; otherwise :func:`mask_spectra` runs the Cholesky test of
-:func:`_inside` on the mask's stack row and solves only the masks that fail
-it.
+test, and a neighbour with both sides cleared is not sent to the kernel;
+otherwise :func:`mask_spectra` runs the Cholesky test of :func:`_inside` on
+the mask's stack row and solves only the masks that fail it.
 
 The margin ``m`` (:func:`_margin`) bounds the rounding of the shifts, of
 Cholesky, of ``eigvalsh``, of the envelopes and of the Weyl and Rayleigh
@@ -85,6 +85,8 @@ bits preserves the order of masks.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -117,16 +119,22 @@ def backend() -> str:
 
 
 def _mask_bits(masks: np.ndarray, n_blocks: int) -> np.ndarray:
-    bits = (masks[:, np.newaxis] >> np.arange(n_blocks, dtype=np.int64)) & 1
+    """Bit ``i`` of each mask in column ``i``, as float64 rows, unpacked from its little-endian bytes."""
+    octets = masks.astype("<i8").view(np.uint8).reshape(len(masks), 8)
+    bits = np.unpackbits(octets, axis=1, count=n_blocks, bitorder="little")
     return bits.astype(np.float64)
 
 
-def _flat(deltas: np.ndarray) -> np.ndarray:
-    """Deltas as a real ``(k, entries)`` matrix, complex ones through their float64 view."""
-    deltas = np.ascontiguousarray(deltas)
-    if np.iscomplexobj(deltas):
-        deltas = deltas.view(np.float64)
-    return deltas.reshape(deltas.shape[0], int(np.prod(deltas.shape[1:])))
+def _flat(stack: np.ndarray) -> np.ndarray:
+    """A stack as a real matrix with one row per item, complex entries through their float64 view.
+
+    Flat deltas are a real matrix already and stay as they are, so a caller
+    may flatten its deltas once and pass the result in their place.
+    """
+    stack = np.ascontiguousarray(stack)
+    if np.iscomplexobj(stack):
+        stack = stack.view(np.float64)
+    return stack.reshape(stack.shape[0], math.prod(stack.shape[1:]))
 
 
 def _check_blocks(n: int) -> None:
@@ -340,18 +348,24 @@ def _margin(base: np.ndarray, deltas: np.ndarray) -> float:
     These add up to at most ``(2 k + 3 d + 4) u N``.
 
     Rayleigh bound of a one-bit neighbour (:func:`neighbour_quotients`: for
-    any vector ``u`` of the current mask, ``lambda_min(S_x) <= u* S_x u / u* u``,
-    and ``S_x = S_c +- delta_i``, so ``u* S_c u +- u* delta_i u`` bounds the
-    value of ``x`` from above, and of ``lambda_max`` from below):
+    any nonzero vector ``u``, ``lambda_min(S_x) <= u* S_x u / u* u``, and
+    ``S_x = S_c +- delta_i``, so ``u* S_c u +- u* delta_i u`` bounds the
+    value of ``x`` from above, and of ``lambda_max`` from below, once
+    ``u* u`` is close to 1):
 
-    - ``u* S^_c u`` rounds by ``2 d u N`` and ``S^_c`` is ``(k + 1) u N``
-      from ``S_c``; ``u* delta_i u`` rounds by ``2 d u N`` and the sum by
-      ``2 u N``;
-    - ``eigh`` returns ``u`` unit to within ``d u``, which moves the quotient
-      by ``d u N``;
+    - ``u* S^_c u`` is a dot product of the at most ``2 d^2`` real entries
+      of ``u u*`` and ``S^_c``, so it rounds by ``(2 d^2 + 1) u N``, and
+      ``S^_c`` is ``(k + 1) u N`` from ``S_c``; ``u* delta_i u`` rounds by
+      ``(2 d^2 + 1) u N`` likewise, and the sum by ``2 u N``;
+    - ``u`` is the normalised solution of one inverse-iteration step, kept
+      only when its computed squared norm, a sum of at most ``2 d``
+      squares that rounds by ``2 d u``, is within ``(2 d + 4) u`` (that is
+      ``(d + 2) eps``) of 1; so ``|u* u - 1| <= (4 d + 4) u``, which moves
+      the quotient by ``(4 d + 4) u N``.  A row that fails takes the
+      eigenvector of ``eigh``, unit to within ``d u``;
     - the neighbour's value is ``eigvalsh`` of ``S^_x``: ``(k + 1 + d) u N``.
 
-    These add up to at most ``(2 k + 6 d + 4) u N``.  The margin
+    These add up to at most ``(4 d^2 + 5 d + 2 k + 10) u N``.  The margin
     ``8 ((d + 2)^2 + k) u N`` is more than twice each of the four sums, and
     more than the Rayleigh sum plus any other, which covers complex
     arithmetic and the solvers' constant factors.  So when a Cholesky test,
@@ -512,11 +526,13 @@ def weaving_scan(base: np.ndarray, deltas: np.ndarray):
 def mask_spectra(base: np.ndarray, deltas: np.ndarray, masks, floor=None, ceiling=None):
     """Extreme eigenvalues of the mixed operator for each given mask.
 
-    Returns ``(lo, hi)``.  Masks run in batches of at most ``_STACK_FLOATS``
-    stacked entries, and each mask's values are those of solving it alone.
-    With ``floor`` and ``ceiling``, one value of each per mask, a mask whose
-    operator passes the Cholesky test of :func:`_inside` against its own
-    floor and ceiling is not solved; it reads ``+inf`` and ``-inf``.
+    Returns ``(lo, hi)``.  ``deltas`` may also be given as its :func:`_flat`
+    matrix, which saves flattening it on every call.  Masks run in batches of
+    at most ``_STACK_FLOATS`` stacked entries, and each mask's values are
+    those of solving it alone.  With ``floor`` and ``ceiling``, one value of
+    each per mask, a mask whose operator passes the Cholesky test of
+    :func:`_inside` against its own floor and ceiling is not solved; it reads
+    ``+inf`` and ``-inf``.
     """
     n = deltas.shape[0]
     flat = _flat(deltas)
@@ -535,28 +551,54 @@ def mask_spectra(base: np.ndarray, deltas: np.ndarray, masks, floor=None, ceilin
     return lo, hi
 
 
-def neighbour_quotients(base: np.ndarray, deltas: np.ndarray, masks, lowest):
-    """Rayleigh quotients of the one-bit neighbours of each mask at one of its eigenvectors.
+def neighbour_quotients(base: np.ndarray, deltas: np.ndarray, masks, lowest, shift):
+    """Rayleigh quotients of the one-bit neighbours of each mask at an approximate eigenvector.
 
-    For each mask with operator ``S``, ``u`` is a unit eigenvector of ``S``
-    for its smallest eigenvalue where ``lowest`` holds and for its largest
-    elsewhere.  Entry ``[r, i]`` is ``u* (S +- delta_i) u``, with ``+`` when
-    bit ``i`` of the mask is clear.  Up to the rounding that :func:`_margin`
-    bounds, it lies between the smallest and the largest eigenvalue of that
-    neighbour's operator.  Masks run in batches of at most ``_STACK_FLOATS``
-    stacked entries.
+    For each mask with operator ``S``, ``u`` is one step of shifted inverse
+    iteration (Parlett, *The Symmetric Eigenvalue Problem*, ch. 4): the
+    solution ``x`` of ``(S - shift I) x = 1``, normalised.  The caller puts
+    the mask's ``shift`` just below the smallest eigenvalue of ``S`` where
+    ``lowest`` holds and just above the largest elsewhere, so ``x`` leans
+    towards an eigenvector of that eigenvalue.  A row whose ``u`` comes out
+    non-finite, zero, or with a computed squared norm not within
+    ``(d + 2) eps`` of 1 (from an exactly singular ``S - shift I``, say)
+    takes the eigenvector of ``eigh`` instead.
+
+    Any unit ``u`` serves: entry ``[r, i]`` is ``u* (S +- delta_i) u``, with
+    ``+`` when bit ``i`` of the mask is clear, and up to the rounding that
+    :func:`_margin` bounds it lies between the smallest and the largest
+    eigenvalue of that neighbour's operator.  ``deltas`` may also be given as
+    its :func:`_flat` matrix.  Masks run in batches of at most
+    ``_STACK_FLOATS`` stacked entries.
     """
     n = deltas.shape[0]
     flat = _flat(deltas)
+    d = base.shape[0]
     masks = np.asarray(masks, dtype=np.int64)
-    lowest = np.asarray(lowest)[:, np.newaxis]
+    lowest = np.asarray(lowest)
+    shift = np.asarray(shift, dtype=np.float64)
+    ones = np.ones(d, dtype=base.dtype)
+    unit = (d + 2) * np.finfo(np.float64).eps
     out = np.empty((len(masks), n))
     for part in _batches(len(masks), max(1, _STACK_FLOATS // flat.shape[1])):
         bits = _mask_bits(masks[part], n)
         stack = _stack(base, flat, bits)
-        vectors = np.linalg.eigh(stack)[1]
-        u = np.where(lowest[part], vectors[:, :, 0], vectors[:, :, -1])
-        own = np.einsum("rj,rjk,rk->r", u.conj(), stack, u).real
-        step = ((u.conj() @ deltas) * u).sum(axis=-1).real.T  # [r, i] = u_r* delta_i u_r
+        shifted = stack.copy()
+        shifted.reshape(len(stack), d * d)[:, :: d + 1] -= shift[part, np.newaxis]
+        # the LAPACK gufunc behind np.linalg.solve, which returns NaN for a
+        # singular matrix where np.linalg.solve raises for the whole stack
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            x = _umath_linalg.solve1(shifted, ones)
+            u = x / np.sqrt(np.square(_flat(x)).sum(axis=1))[:, np.newaxis]
+            fallback = ~(np.abs(np.square(_flat(u)).sum(axis=1) - 1) <= unit)
+        if fallback.any():
+            vectors = np.linalg.eigh(stack[fallback])[1]
+            u[fallback] = np.where(
+                lowest[part][fallback, np.newaxis], vectors[:, :, 0], vectors[:, :, -1]
+            )
+        # u* X u is the real dot product of u u* with X, entry by entry
+        outer = _flat(u[:, :, np.newaxis] * u.conj()[:, np.newaxis, :])
+        own = (outer * _flat(stack)).sum(axis=1)
+        step = outer @ flat.T  # [r, i] = u_r* delta_i u_r
         out[part] = own[:, np.newaxis] + (1 - 2 * bits) * step
     return out

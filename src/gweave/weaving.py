@@ -258,6 +258,14 @@ def _sorted_unique(masks: np.ndarray) -> np.ndarray:
     return masks[keep]
 
 
+def _merge(old: np.ndarray, new: np.ndarray, kept: np.ndarray, place: np.ndarray) -> np.ndarray:
+    """``old`` at the ``kept`` positions and ``new`` at ``place``, in one new array."""
+    out = np.empty(len(kept), dtype=old.dtype)
+    out[kept] = old
+    out[place] = new
+    return out
+
+
 def universal_bounds_search(
     first: GFrame,
     second: GFrame,
@@ -286,18 +294,24 @@ def universal_bounds_search(
 
     - a descent at value ``v`` looks at it, and its ``lo`` is at most ``v``
       and at most the least Rayleigh quotient ``u* (S +- delta_i) u`` of the
-      neighbours, where ``u`` is the eigenvector of ``lo(S)`` for the current
-      operator ``S`` (the best neighbour's ``lo`` is at most that quotient,
-      so a neighbour above it is not the step); an ascent likewise on ``hi``;
+      neighbours, where ``u`` is a unit vector close to the eigenvector of
+      ``lo(S)`` for the current operator ``S`` (the best neighbour's ``lo``
+      is at most that quotient, so a neighbour above it is not the step);
+      an ascent likewise on ``hi``.  ``u`` comes from one linear solve, a
+      step of inverse iteration shifted by the rounding margin below the
+      solved ``lo(S)`` (above ``hi(S)`` for an ascent), as
+      ``_kernels.neighbour_quotients`` describes;
     - its ``lo`` or ``hi`` reaches the best value solved so far.
 
     Every other neighbour is certified and not solved: first by Weyl's
     inequality from the current mask, ``lo(S +- delta_i) >= lo(S) +
     lo(+-delta_i)`` and likewise for ``hi``, then by the kernel's Cholesky
-    test.  Each test clears its threshold by the rounding margin of
-    ``_kernels._margin``, which also covers the rounding of the quotients.
-    A certified mask keeps the floor and ceiling it was certified against,
-    and is solved when a later look needs more.  A mask's spectrum does not
+    test, which only the neighbours with a side left open reach.  Each test
+    clears its threshold by the rounding margin of ``_kernels._margin``,
+    which also covers the rounding of the quotients.  A certified mask
+    keeps the floor and ceiling it was certified against, and is solved
+    when a later look needs more.  The new masks of a round are merged into
+    the sorted examined arrays in one pass.  A mask's spectrum does not
     depend on the batch it is computed in, so the masks examined, and the
     report, are those of running the descents one after another and solving
     every neighbour.
@@ -324,13 +338,14 @@ def universal_bounds_search(
     w = np.linalg.eigvalsh(deltas)
     step_lo = np.stack([w[:, 0], -w[:, -1]])
     step_hi = np.stack([w[:, -1], -w[:, 0]])
+    flat = _kernels._flat(deltas)  # flattened once for every kernel call below
     rng = np.random.default_rng(seed)
     # Examined masks, ascending.  lo and hi hold the extreme eigenvalues of a
     # solved mask; a certified one has lo > floor and hi < ceiling for the
     # floor and ceiling it was certified against, and lo and hi hold those.
     # A repeated seed repeats its descents exactly, so each seed runs once.
     seen = _sorted_unique(rng.integers(0, total, size=budget))
-    lo, hi = _kernels.mask_spectra(base, deltas, seen)
+    lo, hi = _kernels.mask_spectra(base, flat, seen)
     solved = np.ones(len(seen), dtype=bool)
     low, high = lo.min(), hi.max()  # the extremes solved so far
     flips = np.int64(1) << np.arange(n, dtype=np.int64)
@@ -341,20 +356,23 @@ def universal_bounds_search(
     for g in range(0, len(starts), group):
         current = starts[g : g + group]
         down = descending[g : g + group]
+        here = np.searchsorted(seen, current)  # where each current mask sits in seen
         while len(current):
-            at = np.searchsorted(seen, current)
-            cur_lo, cur_hi = lo[at], hi[at]
+            cur_lo, cur_hi = lo[here], hi[here]
             # A look needs a neighbour solved unless lo > need_lo and
             # hi < need_hi.  A descent steps to its best neighbour if that
-            # beats its value.  The Rayleigh quotients at the current mask's
-            # eigenvector bound each neighbour's lo from above, so the least
-            # one bounds the best neighbour's, and a neighbour above the value
-            # or that bound is not the step.  The neighbour with the least
-            # quotient cannot be certified above it, so it is solved, and no
-            # neighbour above the bound is a witness either.  Ascents mirror
-            # this on hi; a look from the other side needs the neighbour
-            # beyond the extremes solved so far.
-            quotients = _kernels.neighbour_quotients(base, deltas, current, down)
+            # beats its value.  The Rayleigh quotients at a unit vector near
+            # the current mask's eigenvector, found by one inverse-iteration
+            # step from just below its lo, bound each neighbour's lo from
+            # above, so the least one bounds the best neighbour's, and a
+            # neighbour above the value or that bound is not the step.  The
+            # neighbour with the least quotient cannot be certified above it,
+            # so it is solved, and no neighbour above the bound is a witness
+            # either.  Ascents mirror this on hi, shifting from just above
+            # it; a look from the other side needs the neighbour beyond the
+            # extremes solved so far.
+            shift = np.where(down, cur_lo - margin, cur_hi + margin)
+            quotients = _kernels.neighbour_quotients(base, flat, current, down, shift)
             need_lo = np.where(down, np.minimum(cur_lo, quotients.min(axis=1)), low)
             need_hi = np.where(down, high, np.maximum(cur_hi, quotients.max(axis=1)))
             neighbours = (current[:, np.newaxis] ^ flips).ravel()
@@ -363,27 +381,43 @@ def universal_bounds_search(
             if not known.all():
                 looks = np.flatnonzero(~known)
                 looks = looks[np.argsort(neighbours[looks], kind="stable")]
-                heads = np.flatnonzero(np.diff(neighbours[looks], prepend=-1))
-                new = neighbours[looks[heads]]
+                looked = neighbours[looks]
+                heads = np.flatnonzero(np.concatenate([[True], looked[1:] != looked[:-1]]))
+                new = looked[heads]
                 row, bit = np.divmod(looks, n)
-                floor = np.maximum.reduceat(need_lo[row], heads)
-                ceiling = np.minimum.reduceat(need_hi[row], heads)
+                floor, ceiling = need_lo[row], need_hi[row]
                 # Weyl: lo(S +- delta_i) >= lo(S) + lo(+-delta_i), and likewise
                 # hi; Cholesky tests each side this leaves open
                 cleared = (current[row] >> bit) & 1
-                weyl_lo = np.maximum.reduceat(cur_lo[row] + step_lo[cleared, bit], heads)
-                weyl_hi = np.minimum.reduceat(cur_hi[row] + step_hi[cleared, bit], heads)
+                weyl_lo = cur_lo[row] + step_lo[cleared, bit]
+                weyl_hi = cur_hi[row] + step_hi[cleared, bit]
+                if len(heads) < len(looks):  # a new mask looked at from several rows
+                    floor = np.maximum.reduceat(floor, heads)
+                    ceiling = np.minimum.reduceat(ceiling, heads)
+                    weyl_lo = np.maximum.reduceat(weyl_lo, heads)
+                    weyl_hi = np.minimum.reduceat(weyl_hi, heads)
                 test_lo = np.where(weyl_lo > floor + margin, -np.inf, floor + margin)
                 test_hi = np.where(weyl_hi < ceiling - margin, np.inf, ceiling - margin)
-                new_lo, new_hi = _kernels.mask_spectra(base, deltas, new, test_lo, test_hi)
+                # only masks with a side left open get a stack row
+                tested = np.flatnonzero((test_lo != -np.inf) | (test_hi != np.inf))
+                new_lo = np.full(len(new), np.inf)
+                new_hi = np.full(len(new), -np.inf)
+                new_lo[tested], new_hi[tested] = _kernels.mask_spectra(
+                    base, flat, new[tested], test_lo[tested], test_hi[tested]
+                )
                 new_solved = new_lo != np.inf
                 low, high = min(low, new_lo.min()), max(high, new_hi.max())
-                where = np.searchsorted(seen, new)
-                seen = np.insert(seen, where, new)
-                lo = np.insert(lo, where, np.where(new_solved, new_lo, floor))
-                hi = np.insert(hi, where, np.where(new_solved, new_hi, ceiling))
-                solved = np.insert(solved, where, new_solved)
-                at = np.searchsorted(seen, neighbours)
+                # One merge: the new masks go to their places in the merged
+                # arrays, and the examined ones fill the rest in order.
+                place = at[looks[heads]] + np.arange(len(new))
+                kept = np.ones(len(seen) + len(new), dtype=bool)
+                kept[place] = False
+                seen = _merge(seen, new, kept, place)
+                lo = _merge(lo, np.where(new_solved, new_lo, floor), kept, place)
+                hi = _merge(hi, np.where(new_solved, new_hi, ceiling), kept, place)
+                solved = _merge(solved, new_solved, kept, place)
+                # a neighbour moves up by the new masks below it
+                at += np.searchsorted(new, neighbours)
             at = at.reshape(len(current), n)
             # a certified neighbour whose certificate does not cover this look
             # is solved now
@@ -391,7 +425,7 @@ def universal_bounds_search(
             stale = short & ~solved[at]
             if stale.any():
                 redo = _sorted_unique(at[stale])
-                lo[redo], hi[redo] = _kernels.mask_spectra(base, deltas, seen[redo])
+                lo[redo], hi[redo] = _kernels.mask_spectra(base, flat, seen[redo])
                 solved[redo] = True
             scores = np.where(down[:, np.newaxis], lo[at], -hi[at])
             scores[~solved[at]] = np.inf  # a certified neighbour is not the step
@@ -399,6 +433,7 @@ def universal_bounds_search(
             moves = scores.min(axis=1) < np.where(down, cur_lo, -cur_hi)
             current = (current ^ flips[best])[moves]
             down = down[moves]
+            here = at[np.arange(len(at)), best][moves]
 
     lo = np.where(solved, lo, np.inf)
     hi = np.where(solved, hi, -np.inf)

@@ -448,3 +448,136 @@ def test_a_subcube_whose_bound_meets_the_incumbent_is_searched(monkeypatch):
     expected = full_weaving_scan(base, deltas)
     assert _kernels.weaving_scan(base, deltas) == expected == (0.0, 0, 100.0, 63)
     assert calls == [1, -1]
+
+
+def test_a_pair_where_every_selection_ties_both_extremes_scans_exactly(monkeypatch):
+    """16 blocks on a 3 x 3 component between fixed diagonal entries 0 and 100.
+
+    Every selection ties the minimum 0 and the maximum 100, so the tree can
+    prune nothing, and the witnesses must still be the smallest and the
+    largest mask.
+    """
+    rng = np.random.default_rng(16)
+    base = np.diag([10.0, 10.0, 10.0, 0.0, 100.0])
+    base[:3, :3] += 1.0
+    deltas = np.zeros((16, 5, 5))
+    for delta in deltas:
+        part = rng.uniform(-0.5, 0.5, size=(3, 3))
+        delta[:3, :3] = (part + part.T) / 2
+    calls = _tree_calls(monkeypatch)
+    expected = full_weaving_scan(base, deltas)
+    assert _kernels.weaving_scan(base, deltas) == expected == (0.0, 0, 100.0, (1 << 16) - 1)
+    assert calls == [1, -1]
+
+
+def _neighbour_spectra(base, deltas, masks):
+    n = len(deltas)
+    neighbours = (masks[:, np.newaxis] ^ (np.int64(1) << np.arange(n))).ravel()
+    lo, hi = _kernels.mask_spectra(base, deltas, neighbours)
+    return lo.reshape(len(masks), n), hi.reshape(len(masks), n)
+
+
+def _quotients_in_range(base, deltas, masks, lowest, shift):
+    """``neighbour_quotients`` with each entry checked against its neighbour's spectrum."""
+    got = _kernels.neighbour_quotients(base, deltas, masks, lowest, shift)
+    lo, hi = _neighbour_spectra(base, deltas, masks)
+    margin = _kernels._margin(base, deltas)
+    assert (got >= lo - margin).all() and (got <= hi + margin).all()
+    return got
+
+
+def _eigh_quotients(base, deltas, masks, lowest):
+    """The same quotients at the eigenvectors of ``np.linalg.eigh``."""
+    out = []
+    for mask, low in zip(masks, lowest):
+        bits = (int(mask) >> np.arange(len(deltas))) & 1
+        s = base + np.tensordot(bits, deltas, axes=1)
+        u = np.linalg.eigh(s)[1][:, 0 if low else -1]
+        own = (u.conj() @ s @ u).real
+        out.append([own + (1 - 2 * b) * (u.conj() @ delta @ u).real for b, delta in zip(bits, deltas)])
+    return np.array(out)
+
+
+def _count_eigh(monkeypatch):
+    rows = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: rows.append(len(a)) or eigh(a))
+    return rows
+
+
+@pytest.mark.parametrize("complex_mode", [False, True])
+def test_neighbour_quotients_lie_in_their_neighbours_spectra(monkeypatch, complex_mode):
+    """On random pairs one inverse-iteration step gives eigh's quotients, without calling eigh."""
+    rng = np.random.default_rng(40)
+    first = random_gframe(rng, d=6, n=20, complex_mode=complex_mode)
+    second = random_gframe(rng, d=6, n=20, complex_mode=complex_mode)
+    base, deltas = _pair_inputs(first, second)
+    masks = rng.integers(0, 1 << 20, size=300)
+    lowest = rng.random(300) < 0.5
+    lo, hi = _kernels.mask_spectra(base, deltas, masks)
+    margin = _kernels._margin(base, deltas)
+    eigh_rows = _count_eigh(monkeypatch)
+    got = _quotients_in_range(base, deltas, masks, lowest, np.where(lowest, lo - margin, hi + margin))
+    assert eigh_rows == []
+    monkeypatch.undo()
+    scale = np.abs(got).max()
+    np.testing.assert_allclose(got, _eigh_quotients(base, deltas, masks, lowest), atol=1e-9 * scale)
+
+
+def test_neighbour_quotients_of_the_zero_operator_and_a_repeated_extreme(monkeypatch):
+    """Deltas of rank 2 in 5 dimensions, with ``base = 0`` and ``base = 2 I``.
+
+    Mask 0 is then ``0`` or ``2 I``, and the masks of one or two blocks repeat
+    their smallest eigenvalue.  Every unit vector of ``c I`` is an
+    eigenvector, and the step from just below or above ``c`` gives
+    ``1 / sqrt(5)`` in every coordinate.
+    """
+    rng = np.random.default_rng(41)
+    g = rng.standard_normal((8, 2, 5))
+    deltas = g.transpose(0, 2, 1) @ g / 4
+    masks = np.array([0, 0, 1, 6, 255])
+    lowest = np.array([True, False, True, False, True])
+    eigh_rows = _count_eigh(monkeypatch)
+    for c in (0.0, 2.0):
+        base = c * np.eye(5)
+        lo, hi = _kernels.mask_spectra(base, deltas, masks)
+        margin = _kernels._margin(base, deltas)
+        shift = np.where(lowest, lo - margin, hi + margin)
+        got = _quotients_in_range(base, deltas, masks, lowest, shift)
+        at_ones = c + deltas.sum(axis=(1, 2)) / 5
+        np.testing.assert_allclose(got[:2], [at_ones, at_ones], rtol=0, atol=1e-13)
+    assert eigh_rows == []
+
+
+@pytest.mark.parametrize("complex_mode", [False, True])
+def test_neighbour_quotients_fall_back_to_eigh_on_a_singular_shift(monkeypatch, complex_mode):
+    """A shift exactly at a diagonal operator's eigenvalue makes the solve singular: eigh runs.
+
+    So does the all-zero pair, whose margin, and so shift, is 0.
+    """
+    dtype = complex if complex_mode else float
+    base = np.diag([1.0, 2.0, 4.0]).astype(dtype)
+    deltas = np.array([np.diag(v) for v in ([1.0, 0, 0], [0, -1.0, 0], [0, 0, 2.0])], dtype=dtype)
+    masks = np.arange(8)
+    lowest = masks % 2 == 0
+    lo, hi = _kernels.mask_spectra(base, deltas, masks)
+    eigh_rows = _count_eigh(monkeypatch)
+    got = _quotients_in_range(base, deltas, masks, lowest, np.where(lowest, lo, hi))
+    assert sum(eigh_rows) == len(masks)
+    # eigh's eigenvectors of a diagonal operator are coordinate vectors, so the
+    # quotients are the neighbours' own diagonal entries at that coordinate
+    np.testing.assert_array_equal(got, _eigh_quotients(base, deltas, masks, lowest))
+
+    del eigh_rows[:]
+    zero = np.zeros((3, 3, 3), dtype=dtype)
+    got = _quotients_in_range(zero[0], zero, masks, lowest, np.zeros(8))
+    assert sum(eigh_rows) == len(masks) and (got == 0).all()
+
+    # A shift 1e-300 below the eigenvalue 0 of mask 0 (diag(0, 2, 4)) gives
+    # a finite x whose squared norm overflows, so x / |x| is the zero
+    # vector, whose quotients of 0 bound nothing: eigh runs for that row.
+    del eigh_rows[:]
+    base = np.diag([0.0, 2.0, 4.0]).astype(dtype)
+    got = _quotients_in_range(base, deltas, masks[:1], [True], [-1e-300])
+    assert eigh_rows == [1]
+    np.testing.assert_array_equal(got, _eigh_quotients(base, deltas, masks[:1], [True]))
