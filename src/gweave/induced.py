@@ -3,6 +3,12 @@
 Pulling a frame of each coefficient space back through the block adjoints
 produces a family of vectors in the domain; frame, Riesz, and orthonormality
 questions can then be answered on either side and must agree.
+
+Vector questions run on the family's GFrame view: each group is one block
+whose rows are its conjugated vectors ``v*``, so the block analysis answers
+them.  Only :func:`vector_frame_operator` is an independent rank-one sum,
+which keeps :func:`check_operator_identity` from comparing an operator with
+itself.
 """
 
 from __future__ import annotations
@@ -12,8 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _kernels, linalg
-from .errors import EnvelopeViolation, LengthMismatch, ShapeMismatch, TooManyBlocks
+from .errors import EnvelopeViolation, LengthMismatch, ShapeMismatch
 from .gframe import (
     DEFAULT_TOL,
     BoundsReport,
@@ -23,13 +28,13 @@ from .gframe import (
     frame_operator,
     is_g_orthonormal_basis,
     is_g_riesz_basis,
+    new_gframe,
+    optimal_bounds,
 )
 from .weaving import (
     CHECK_EPS,
     UniversalReport,
     VerificationRecord,
-    WeavingSelection,
-    effective_cap,
     universal_bounds_exhaustive,
 )
 
@@ -176,71 +181,35 @@ def vector_frame_operator(family: VectorFamily) -> np.ndarray:
     return op
 
 
-def frame_bounds_vectors(family: VectorFamily, tol: float = DEFAULT_TOL) -> BoundsReport:
-    """Optimal ordinary-frame bounds of the vector family."""
-    eig = linalg.hermitian_eig(vector_frame_operator(family))
-    lower = float(eig.eigenvalues[0])
-    upper = float(eig.eigenvalues[-1])
-    threshold = tol * upper
-    return BoundsReport(
-        lower=lower,
-        upper=upper,
-        witness_low=eig.eigenvectors[:, 0],
-        witness_high=eig.eigenvectors[:, -1],
-        is_frame=lower > threshold,
-        threshold=threshold,
+def _as_gframe(family: VectorFamily) -> GFrame:
+    """The family as a block family: group ``m`` is the block whose rows are its ``v*``."""
+    return new_gframe(
+        family.domain_dim,
+        [
+            np.array([v.conj() for v in group]) if group else np.zeros((0, family.domain_dim))
+            for group in family.groups
+        ],
     )
 
 
-def _synthesis(family: VectorFamily) -> np.ndarray:
-    vecs = family.flat
-    if not vecs:
-        return np.zeros((family.domain_dim, 0))
-    return np.column_stack(vecs)
+def frame_bounds_vectors(family: VectorFamily, tol: float = DEFAULT_TOL) -> BoundsReport:
+    """Optimal ordinary-frame bounds of the vector family."""
+    return optimal_bounds(_as_gframe(family), tol)
 
 
 def is_riesz_basis_vectors(family: VectorFamily, tol: float = DEFAULT_TOL) -> RieszReport:
     """Riesz test on the synthesis matrix of the flattened family."""
-    t = _synthesis(family)
-    count = t.shape[1]
-    if count == 0:
-        return RieszReport(False, 0.0, 0.0, 0, 0.0)
-    s, _, _ = linalg.svd(t)
-    upper = float(s[0] ** 2)
-    lower = 0.0 if count > family.domain_dim else float(s[-1] ** 2)
-    min_sv = float(s[-1]) if count <= family.domain_dim else 0.0
-    ok = count == family.domain_dim and lower > tol * upper
-    return RieszReport(ok, lower, upper, count, min_sv)
+    return is_g_riesz_basis(_as_gframe(family), tol)
 
 
 def is_onb_vectors(family: VectorFamily, tol: float = DEFAULT_TOL) -> OnbReport:
-    """Orthonormal-basis test: Gram and frame operator both equal the identity."""
-    t = _synthesis(family)
-    count = t.shape[1]
-    gram = linalg.frobenius(t.conj().T @ t - np.eye(count))
-    parseval = linalg.frobenius(t @ t.conj().T - np.eye(family.domain_dim))
-    upper = float(np.linalg.norm(t, 2) ** 2) if t.size else 0.0
-    abs_tol = tol * max(1.0, upper)
-    zero = None
-    for gi, group in enumerate(family.groups):
-        for vi, v in enumerate(group):
-            if float(np.linalg.norm(v)) <= abs_tol:
-                zero = (gi + 1, vi + 1)
-                break
-        if zero:
-            break
-    ok = gram <= abs_tol and parseval <= abs_tol and zero is None
-    return OnbReport(ok, gram, parseval, zero)
+    """Orthonormal-basis test: Gram and frame operator both equal the identity.
 
-
-def _group_grams(family: VectorFamily) -> np.ndarray:
-    d = family.domain_dim
-    dtype = np.result_type(np.float64, *(v.dtype for v in family.flat)) if family.flat else np.float64
-    out = np.zeros((family.n_groups, d, d), dtype=dtype)
-    for gi, group in enumerate(family.groups):
-        for v in group:
-            out[gi] += np.outer(v, v.conj())
-    return out
+    An empty group counts as a zero-row block and fails the test.  The
+    witness follows :func:`is_g_orthonormal_basis`: the smallest-norm vector
+    of the first group that has a near-zero vector, as (group, position).
+    """
+    return is_g_orthonormal_basis(_as_gframe(family), tol)
 
 
 def universal_bounds_vectors(
@@ -254,35 +223,7 @@ def universal_bounds_vectors(
     All vectors coming from one block index travel together, matching the
     double-sum structure of the block-level weaving.
     """
-    if first.n_groups != second.n_groups:
-        raise LengthMismatch(
-            f"{first.n_groups} groups versus {second.n_groups}"
-        )
-    if first.domain_dim != second.domain_dim:
-        raise ShapeMismatch("domain dimensions differ")
-    n = first.n_groups
-    limit = effective_cap(cap)
-    if n > limit:
-        raise TooManyBlocks(f"{n} groups exceeds exhaustive cap {limit}")
-    p = _group_grams(first)
-    q = _group_grams(second)
-    dtype = np.result_type(p.dtype, q.dtype)
-    base = np.ascontiguousarray(q.sum(axis=0).astype(dtype))
-    deltas = np.ascontiguousarray((p - q).astype(dtype))
-    lower, amin, upper, amax = _kernels.weaving_scan(base, deltas)
-    b1 = float(np.linalg.eigvalsh(p.sum(axis=0))[-1])
-    b2 = float(np.linalg.eigvalsh(q.sum(axis=0))[-1])
-    threshold = tol * max(b1, b2)
-    return UniversalReport(
-        lower=lower,
-        upper=upper,
-        argmin=WeavingSelection(n, amin),
-        argmax=WeavingSelection(n, amax),
-        woven=lower > threshold,
-        method="exhaustive",
-        subsets_examined=1 << n,
-        threshold=threshold,
-    )
+    return universal_bounds_exhaustive(_as_gframe(first), _as_gframe(second), tol, cap)
 
 
 def check_operator_identity(frame: GFrame, tol: float = 1e-12) -> VerificationRecord:

@@ -33,13 +33,14 @@ from .induced import (
     check_weaving_transfer,
     induced_vectors,
     onb_families,
-    universal_bounds_vectors,
 )
 from .weaving import (
     CHECK_EPS,
     WeavingSelection,
     _check_seed,
+    check_additive_upper_bound,
     check_dual_weaving,
+    check_parseval_transform_weaving,
     check_unitary_weaving_invariance,
     effective_cap,
     is_weaving_g_onb,
@@ -550,21 +551,17 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
     if window.first.n_blocks <= cap:
         spec2_f = onb_families(window.first.block_rows, scale=2.0)
         spec2_g = onb_families(window.second.block_rows, scale=2.0)
-        vf = induced_vectors(window.first, spec2_f)
-        vg = induced_vectors(window.second, spec2_g)
-        v_rep = universal_bounds_vectors(vf, vg, tol, cap)
         transfer = check_weaving_transfer(
             window.first, window.second, spec2_f, spec2_g, tol, cap
         )
+        vector_bounds = transfer.computed["vector_bounds"]
         add(
             "window-pair-vector-transfer",
-            _bounds_close(
-                (v_rep.lower, v_rep.upper), window.expected["vector_universal_scaled2"]
-            )
+            _bounds_close(vector_bounds, window.expected["vector_universal_scaled2"])
             and transfer.passed,
             "exhaustive",
             {
-                "vector_universal": (v_rep.lower, v_rep.upper),
+                "vector_universal": vector_bounds,
                 "transfer_passed": transfer.passed,
             },
             {
@@ -666,8 +663,6 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
     )
 
     if scaled_pair.first.n_blocks <= cap:
-        from .weaving import check_parseval_transform_weaving
-
         pt = check_parseval_transform_weaving(
             scaled_pair.first, scaled_pair.second, tol, cap
         )
@@ -684,8 +679,6 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
 
     # Additive upper bound on two woven pairs.
     if window.first.n_blocks <= cap and scaled_pair.first.n_blocks <= cap:
-        from .weaving import check_additive_upper_bound
-
         a1 = check_additive_upper_bound(window.first, window.second, tol, cap)
         a2 = check_additive_upper_bound(scaled_pair.first, scaled_pair.second, tol, cap)
         add(
@@ -868,14 +861,7 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
             {"identity_pair_holds": True, **unitary_rec.expected},
         )
     else:
-        add(
-            "unitary-composition-preserves-onb-weaving",
-            True,
-            "search",
-            {},
-            {},
-            detail="skipped: block count above the exhaustive cap",
-        )
+        add_skipped("unitary-composition-preserves-onb-weaving")
 
     scaled_family = compose_right(proj1, scale2)
     scaled_class = classify(scaled_family, tol)

@@ -30,6 +30,7 @@ from .gframe import (
     GFrame,
     block_grams,
     canonical_dual,
+    compose_right,
     frame_operator,
     is_g_orthonormal_basis,
     is_g_riesz_basis,
@@ -786,8 +787,6 @@ def check_unitary_weaving_invariance(
         if sur > abs_tol:
             failing.append(f"surjectivity residual {sur:.3e}")
         raise NotUnitary("; ".join(failing))
-    from .gframe import compose_right
-
     base = is_weaving_g_onb(first, second, tol, cap)
     composed = is_weaving_g_onb(
         compose_right(first, mat), compose_right(second, mat), tol, cap

@@ -418,3 +418,7 @@ class TestDeterminism:
     def test_bounds_results_byte_identical(self, paths, capsys):
         argv = ["bounds", paths["dup"], "--json"]
         assert self._results(argv, capsys) == self._results(argv, capsys)
+
+    def test_paper_suite_results_byte_identical(self, capsys):
+        argv = ["paper-suite", "--json"]
+        assert self._results(argv, capsys) == self._results(argv, capsys)

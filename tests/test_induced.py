@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gweave import linalg
-from gweave.errors import EnvelopeViolation, LengthMismatch
-from gweave.gframe import frame_operator
+from gweave.errors import Empty, EnvelopeViolation, GWeaveError, LengthMismatch
+from gweave.gframe import frame_operator, new_gframe
 from gweave.induced import (
     check_operator_identity,
     check_weaving_transfer,
@@ -29,6 +29,21 @@ from gweave.weaving import universal_bounds_exhaustive
 
 from conftest import random_gframe
 from oracles import accumulated_frame_operator, rayleigh_sample_range
+
+
+def random_spec(rng, frame):
+    """Random frames of each block's coefficient space, not orthonormal in general."""
+    groups = []
+    for dm in frame.block_rows:
+        count = dm + int(rng.integers(0, 3))
+        groups.append([rng.standard_normal(dm) for _ in range(count)])
+    # resample any group that is not a frame of its block space
+    for gi, group in enumerate(groups):
+        dm = frame.block_rows[gi]
+        while dm and np.linalg.matrix_rank(np.stack(group)) < dm:
+            groups[gi] = [rng.standard_normal(dm) for _ in range(len(group))]
+            group = groups[gi]
+    return make_subspace_spec(groups)
 
 
 class TestSpecs:
@@ -111,6 +126,15 @@ class TestVectorPredicates:
         lo, hi, _ = rayleigh_sample_range(vector_frame_operator(fam), 1000, 2)
         assert rep.lower - 1e-9 <= lo and hi <= rep.upper + 1e-9
 
+    def test_family_without_groups_is_refused(self):
+        fam = make_vector_family(3, [])
+        for analyse in (frame_bounds_vectors, is_riesz_basis_vectors, is_onb_vectors):
+            with pytest.raises(Empty):
+                analyse(fam)
+        with pytest.raises(Empty) as info:
+            universal_bounds_vectors(fam, fam)
+        assert isinstance(info.value, GWeaveError)
+
     def test_gram_and_operator_share_nonzero_spectrum(self):
         rng = np.random.default_rng(3)
         vecs = [rng.standard_normal(4) for _ in range(3)]
@@ -159,6 +183,31 @@ class TestVectorWeaving:
         assert v_rep.lower == pytest.approx(g_rep.lower, abs=1e-10)
         assert v_rep.upper == pytest.approx(g_rep.upper, abs=1e-10)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_complex_pairs_with_random_specs_match_a_brute_scan(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        first = random_gframe(rng, n=int(rng.integers(2, 7)), complex_mode=True)
+        second = random_gframe(rng, d=first.domain_dim, n=first.n_blocks, complex_mode=True)
+        vf = induced_vectors(first, random_spec(rng, first))
+        vg = induced_vectors(second, random_spec(rng, second))
+        rep = universal_bounds_vectors(vf, vg)
+        spectra = []
+        for mask in range(1 << vf.n_groups):
+            chosen = [
+                v
+                for m in range(vf.n_groups)
+                for v in (vf.groups[m] if (mask >> m) & 1 else vg.groups[m])
+            ]
+            spectra.append(
+                np.linalg.eigvalsh(accumulated_frame_operator(chosen, vf.domain_dim))
+            )
+        lows = np.array([w[0] for w in spectra])
+        highs = np.array([w[-1] for w in spectra])
+        assert rep.lower == pytest.approx(lows.min(), abs=1e-10)
+        assert rep.upper == pytest.approx(highs.max(), abs=1e-10)
+        assert lows[rep.argmin.mask] == pytest.approx(rep.lower, abs=1e-10)
+        assert highs[rep.argmax.mask] == pytest.approx(rep.upper, abs=1e-10)
+
 
 class TestOperatorIdentity:
     def test_projection_family(self):
@@ -179,6 +228,13 @@ class TestOperatorIdentity:
         frame = random_gframe(rng, complex_mode=seed % 2 == 1)
         rec = check_operator_identity(frame)
         assert rec.passed, rec.computed
+
+    def test_orthonormal_basis_with_a_zero_row_block(self):
+        frame = new_gframe(2, [[1.0, 0.0], [0.0, 1.0], np.zeros((0, 2))])
+        rec = check_operator_identity(frame)
+        assert rec.passed, rec.computed
+        assert rec.computed["max_entry_difference"] == 0.0
+        assert not rec.computed["onb_blocks"] and not rec.computed["onb_vectors"]
 
     def test_identity_against_accumulation_oracle(self):
         rng = np.random.default_rng(11)
@@ -212,19 +268,7 @@ class TestWeavingTransfer:
         rng = np.random.default_rng(seed)
         first = random_gframe(rng, d=3, n=3)
         second = random_gframe(rng, d=3, n=3)
-
-        def random_spec(frame):
-            groups = []
-            for dm in frame.block_rows:
-                count = dm + int(rng.integers(0, 3))
-                groups.append([rng.standard_normal(dm) for _ in range(count)])
-            # resample any group that is not a frame of its block space
-            for gi, group in enumerate(groups):
-                dm = frame.block_rows[gi]
-                while dm and np.linalg.matrix_rank(np.stack(group)) < dm:
-                    groups[gi] = [rng.standard_normal(dm) for _ in range(len(group))]
-                    group = groups[gi]
-            return make_subspace_spec(groups)
-
-        rec = check_weaving_transfer(first, second, random_spec(first), random_spec(second))
+        rec = check_weaving_transfer(
+            first, second, random_spec(rng, first), random_spec(rng, second)
+        )
         assert rec.passed, rec.computed
