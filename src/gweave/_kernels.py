@@ -29,7 +29,7 @@ answer:
 
 Then it picks one of three ways through the masks, by the size of the input:
 
-- **Solve every mask**, in ascending batches of at most ``_SCAN_FLOATS``
+- **Solve every mask**, in ascending batches of at most ``_BATCH_FLOATS``
   stacked entries, when every component is 1 x 1 (a diagonal costs no more
   to solve than to test), or when the masks fit in one batch and the tree
   below does not apply.
@@ -98,11 +98,9 @@ from .errors import TooManyBlocks
 # where the row sits; every tile of 8 rows goes through one code path.
 _TILE = 8
 _MAX_BLOCKS = 62  # masks are int64
-# float64 entries in one stack from operator_stacks or mask_spectra (128 KiB),
-# so that its memory depends on the operator size and not on the number of masks
-_STACK_FLOATS = 1 << 14
-# float64 entries in the stacks of any one batch of weaving_scan (512 KiB)
-_SCAN_FLOATS = 1 << 16
+# float64 entries in the stacks of any one batch of masks (128 KiB), so that
+# a batch's memory depends on the operator size and not on the number of masks
+_BATCH_FLOATS = 1 << 14
 # Non-null blocks from which weaving_scan runs the branch-and-bound, plus one
 # for every 4 coordinates by which the largest component exceeds 8.  The tree
 # pays an eigensolve per node, the certified scan a stack row and a Cholesky
@@ -165,12 +163,12 @@ def operator_stacks(base: np.ndarray, deltas: np.ndarray):
 
     ``bits`` holds the masks' bits as float64 rows and ``stack`` their mixed
     operators; the caller may overwrite both.  A stack holds at most
-    ``_STACK_FLOATS`` float64 entries (and at least one operator).
+    ``_BATCH_FLOATS`` float64 entries (and at least one operator).
     """
     n = deltas.shape[0]
     _check_blocks(n)
     flat = _flat(deltas)
-    step = max(1, _STACK_FLOATS // flat.shape[1])
+    step = max(1, _BATCH_FLOATS // flat.shape[1])
     total = 1 << n
     for start in range(0, total, step):
         masks = np.arange(start, min(start + step, total), dtype=np.int64)
@@ -481,7 +479,7 @@ def weaving_scan(base: np.ndarray, deltas: np.ndarray):
     Returns ``(lower, argmin_mask, upper, argmax_mask)``.
 
     Masks of the non-null blocks are solved in ascending batches of about
-    ``_SCAN_FLOATS`` stacked entries when they fit in one batch, or when
+    ``_BATCH_FLOATS`` stacked entries when they fit in one batch, or when
     every coordinate component is 1 x 1.  Otherwise, with at least
     ``_TREE_BLOCKS`` non-null blocks plus one for every 4 coordinates by which
     the largest component exceeds 8, each extreme comes from
@@ -499,7 +497,7 @@ def weaving_scan(base: np.ndarray, deltas: np.ndarray):
     operator = _SplitOperator(base, deltas)
     k = len(live)
     total = 1 << k
-    step = max(1, _SCAN_FLOATS // operator.floats)
+    step = max(1, _BATCH_FLOATS // operator.floats)
     largest = max((len(block) for block, _ in operator.blocks), default=1)
     margin = _margin(base, deltas)
     if operator.blocks and total >= step and k >= _TREE_BLOCKS + max(0, largest - 8) // 4:
@@ -528,7 +526,7 @@ def mask_spectra(base: np.ndarray, deltas: np.ndarray, masks, floor=None, ceilin
 
     Returns ``(lo, hi)``.  ``deltas`` may also be given as its :func:`_flat`
     matrix, which saves flattening it on every call.  Masks run in batches of
-    at most ``_STACK_FLOATS`` stacked entries, and each mask's values are
+    at most ``_BATCH_FLOATS`` stacked entries, and each mask's values are
     those of solving it alone.  With ``floor`` and ``ceiling``, one value of
     each per mask, a mask whose operator passes the Cholesky test of
     :func:`_inside` against its own floor and ceiling is not solved; it reads
@@ -539,7 +537,7 @@ def mask_spectra(base: np.ndarray, deltas: np.ndarray, masks, floor=None, ceilin
     masks = np.asarray(masks, dtype=np.int64)
     lo = np.full(len(masks), np.inf)
     hi = np.full(len(masks), -np.inf)
-    for part in _batches(len(masks), max(1, _STACK_FLOATS // flat.shape[1])):
+    for part in _batches(len(masks), max(1, _BATCH_FLOATS // flat.shape[1])):
         stack = _stack(base, flat, _mask_bits(masks[part], n))
         rows = np.arange(len(masks))[part]
         if floor is not None:
@@ -569,7 +567,7 @@ def neighbour_quotients(base: np.ndarray, deltas: np.ndarray, masks, lowest, shi
     :func:`_margin` bounds it lies between the smallest and the largest
     eigenvalue of that neighbour's operator.  ``deltas`` may also be given as
     its :func:`_flat` matrix.  Masks run in batches of at most
-    ``_STACK_FLOATS`` stacked entries.
+    ``_BATCH_FLOATS`` stacked entries.
     """
     n = deltas.shape[0]
     flat = _flat(deltas)
@@ -580,7 +578,7 @@ def neighbour_quotients(base: np.ndarray, deltas: np.ndarray, masks, lowest, shi
     ones = np.ones(d, dtype=base.dtype)
     unit = (d + 2) * np.finfo(np.float64).eps
     out = np.empty((len(masks), n))
-    for part in _batches(len(masks), max(1, _STACK_FLOATS // flat.shape[1])):
+    for part in _batches(len(masks), max(1, _BATCH_FLOATS // flat.shape[1])):
         bits = _mask_bits(masks[part], n)
         stack = _stack(base, flat, bits)
         shifted = stack.copy()

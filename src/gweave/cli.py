@@ -361,28 +361,18 @@ def _cmd_paper_suite(args) -> int:
         search_budget=args.budget,
     )
     report = run_suite(config)
-    if args.json:
-        doc = {
-            "command": "paper-suite",
-            "version": __version__,
-            "inputs": [],
-            "results": report.to_dict(),
-            "tolerances": {"tol": args.tol},
-            "timing_seconds": time.perf_counter() - started,
-        }
-        print(dumps_document(doc))
-    else:
-        width = max(len(r.name) for r in report.records)
-        for r in report.records:
-            status = "PASS" if r.passed else "FAIL"
-            flag = "" if r.method == "exhaustive" else f"  [{r.method}]"
-            print(f"{status}  {r.name.ljust(width)}{flag}")
-            if not r.passed:
-                print(f"      computed: {r.computed}")
-                print(f"      expected: {r.expected}")
-        total = len(report.records)
-        good = sum(1 for r in report.records if r.passed)
-        print(f"{good}/{total} records passed")
+    doc = _report_document("paper-suite", [], report.to_dict(), {"tol": args.tol}, started)
+    width = max(len(r.name) for r in report.records)
+    lines = []
+    for r in report.records:
+        status = "PASS" if r.passed else "FAIL"
+        flag = "" if r.method == "exhaustive" else f"  [{r.method}]"
+        lines.append(f"{status}  {r.name.ljust(width)}{flag}")
+        if not r.passed:
+            lines += [f"      computed: {r.computed}", f"      expected: {r.expected}"]
+    good = sum(1 for r in report.records if r.passed)
+    lines.append(f"{good}/{len(report.records)} records passed")
+    _emit(args, doc, lines)
     return 0 if report.passed else 1
 
 

@@ -220,18 +220,13 @@ def is_g_exact(frame: GFrame, tol: float = DEFAULT_TOL) -> ExactnessReport:
     threshold = tol * fo.upper
     if not fo.lower > threshold:
         raise NotAFrame("exactness is only defined for frames")
-    grams = block_grams(frame)
-    lows = []
-    witness = None
-    for i in range(frame.n_blocks):
-        w = np.linalg.eigvalsh(fo.s - grams[i])
-        lows.append(float(w[0]))
-        if witness is None and lows[-1] > threshold:
-            witness = i + 1
+    lows = np.linalg.eigvalsh(fo.s - block_grams(frame))[:, 0]
+    kept = np.flatnonzero(lows > threshold)
+    witness = int(kept[0]) + 1 if len(kept) else None
     return ExactnessReport(
         is_exact=witness is None,
         witness=witness,
-        removal_lower_bounds=tuple(lows),
+        removal_lower_bounds=tuple(lows.tolist()),
         threshold=threshold,
     )
 

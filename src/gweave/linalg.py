@@ -47,12 +47,11 @@ def hermitian_defect(a) -> float:
     return float(np.linalg.norm(a - a.conj().T))
 
 
-def _require_hermitian(m, rtol: float) -> np.ndarray:
+def _require_hermitian(m) -> np.ndarray:
     a = as_matrix(m, square=True)
-    if hermitian_defect(a) > max(rtol * max(1.0, frobenius(a)), ABS_FLOOR):
-        raise NonHermitian(
-            f"symmetry residual {hermitian_defect(a):.3e} exceeds tolerance"
-        )
+    defect = hermitian_defect(a)
+    if defect > max(HERMITIAN_RTOL * max(1.0, frobenius(a)), ABS_FLOOR):
+        raise NonHermitian(f"symmetry residual {defect:.3e} exceeds tolerance")
     return (a + a.conj().T) / 2.0
 
 
@@ -86,16 +85,14 @@ class HermitianEig:
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(m, sym_rtol: float = HERMITIAN_RTOL) -> HermitianEig:
+def hermitian_eig(m) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix.
 
     Parameters
     ----------
     m : array_like
-        Square matrix with symmetry residual below ``sym_rtol`` relative to
-        its Frobenius norm.
-    sym_rtol : float, optional
-        Relative symmetry tolerance; violation raises :class:`NonHermitian`.
+        Square matrix with symmetry residual below ``HERMITIAN_RTOL`` relative
+        to its Frobenius norm; a larger residual raises :class:`NonHermitian`.
 
     Returns
     -------
@@ -103,16 +100,9 @@ def hermitian_eig(m, sym_rtol: float = HERMITIAN_RTOL) -> HermitianEig:
         Ascending eigenvalues and unitary eigenvectors with a deterministic
         phase convention (first significant component real positive).
     """
-    a = _require_hermitian(m, sym_rtol)
+    a = _require_hermitian(m)
     w, v = np.linalg.eigh(a)
     return HermitianEig(eigenvalues=w, eigenvectors=_fix_phases(v))
-
-
-def eigvalsh_range(m, sym_rtol: float = HERMITIAN_RTOL) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of a Hermitian matrix."""
-    a = _require_hermitian(m, sym_rtol)
-    w = np.linalg.eigvalsh(a)
-    return float(w[0]), float(w[-1])
 
 
 def rayleigh(m, x) -> float:
@@ -133,16 +123,16 @@ def svd(m):
     return s, u, vh.conj().T
 
 
-def solve_spd(m, rhs, rank_rtol: float = RANK_RTOL):
+def solve_spd(m, rhs):
     """Solve ``m @ x = rhs`` for Hermitian positive definite ``m``.
 
     Raises :class:`Singular` when the smallest eigenvalue falls below
-    ``rank_rtol`` times the largest.
+    ``RANK_RTOL`` times the largest.
     """
-    a = _require_hermitian(m, HERMITIAN_RTOL)
+    a = _require_hermitian(m)
     w = np.linalg.eigvalsh(a)
     lo, hi = float(w[0]), float(w[-1])
-    if lo <= max(rank_rtol * hi, ABS_FLOOR):
+    if lo <= max(RANK_RTOL * hi, ABS_FLOOR):
         raise Singular(f"smallest eigenvalue {lo:.3e} below rank tolerance")
     b = np.asarray(rhs)
     vector = b.ndim == 1
@@ -156,16 +146,16 @@ def solve_spd(m, rhs, rank_rtol: float = RANK_RTOL):
     return x[:, 0] if vector else x
 
 
-def inv_sqrt_psd(m, rank_rtol: float = RANK_RTOL) -> np.ndarray:
+def inv_sqrt_psd(m) -> np.ndarray:
     """Inverse square root of a Hermitian positive definite matrix.
 
     The result ``r`` is Hermitian, commutes with ``m`` and satisfies
     ``r @ m @ r = I`` up to the documented residuals.
     """
-    a = _require_hermitian(m, HERMITIAN_RTOL)
+    a = _require_hermitian(m)
     w, v = np.linalg.eigh(a)
     lo, hi = float(w[0]), float(w[-1])
-    if lo <= max(rank_rtol * hi, ABS_FLOOR):
+    if lo <= max(RANK_RTOL * hi, ABS_FLOOR):
         raise Singular(f"smallest eigenvalue {lo:.3e} below rank tolerance")
     r = (v * (1.0 / np.sqrt(w))) @ v.conj().T
     return (r + r.conj().T) / 2.0

@@ -41,9 +41,9 @@ from .weaving import (
     check_additive_upper_bound,
     check_dual_weaving,
     check_parseval_transform_weaving,
+    check_strict_sum_gap,
     check_unitary_weaving_invariance,
     effective_cap,
-    is_weaving_g_onb,
     universal_bounds_exhaustive,
     universal_bounds_search,
     weave,
@@ -650,21 +650,18 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
         detail="strictness illustration: the envelope inequalities are strict here",
     )
 
+    gap = check_strict_sum_gap(scaled_pair.first, scaled_pair.second, sc_rep)
     add(
         "scaled-split-sum-gap",
-        sc_rep.lower < sc_first.lower + sc_second.lower - CHECK_EPS
-        and sc_rep.upper < sc_first.upper + sc_second.upper - CHECK_EPS,
+        gap.passed,
         sc_method,
         {"universal": (sc_rep.lower, sc_rep.upper)},
-        {
-            "lower_strictly_below": sc_first.lower + sc_second.lower,
-            "upper_strictly_below": sc_first.upper + sc_second.upper,
-        },
+        gap.expected,
     )
 
     if scaled_pair.first.n_blocks <= cap:
         pt = check_parseval_transform_weaving(
-            scaled_pair.first, scaled_pair.second, tol, cap
+            scaled_pair.first, scaled_pair.second, sc_rep, tol, cap
         )
         add(
             "parseval-transform-weaving",
@@ -679,8 +676,8 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
 
     # Additive upper bound on two woven pairs.
     if window.first.n_blocks <= cap and scaled_pair.first.n_blocks <= cap:
-        a1 = check_additive_upper_bound(window.first, window.second, tol, cap)
-        a2 = check_additive_upper_bound(scaled_pair.first, scaled_pair.second, tol, cap)
+        a1 = check_additive_upper_bound(window.first, window.second, wi_rep)
+        a2 = check_additive_upper_bound(scaled_pair.first, scaled_pair.second, sc_rep)
         add(
             "additive-upper-bound",
             a1.passed and a2.passed,
@@ -850,9 +847,9 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
     # Orthonormal weaving survives unitary composition and fails for the two
     # non-unitary counterexamples.
     if proj1.n_blocks <= cap:
-        onb_pair_ok = is_weaving_g_onb(proj1, proj1, tol, cap).holds
         u = random_unitary(proj_d, cfg.seed)
         unitary_rec = check_unitary_weaving_invariance(proj1, proj1, u, tol, cap)
+        onb_pair_ok = unitary_rec.computed["input_pair_holds"]
         add(
             "unitary-composition-preserves-onb-weaving",
             onb_pair_ok and unitary_rec.passed,

@@ -494,45 +494,54 @@ class VerificationRecord:
     detail: str = ""
 
 
+def _check_report(first: GFrame, second: GFrame, report, woven: bool) -> None:
+    """Refuse a report that is no UniversalReport of the pair's blocks, or unwoven if ``woven``."""
+    _check_pair(first, second)
+    if not isinstance(report, UniversalReport):
+        raise ShapeMismatch(f"report must be a UniversalReport, got {type(report).__name__}")
+    if report.argmin.n_blocks != first.n_blocks:
+        raise LengthMismatch(f"report covers {report.argmin.n_blocks} blocks, not {first.n_blocks}")
+    if woven and not report.woven:
+        raise NotWoven(f"universal lower bound {report.lower:.3e} below threshold")
+
+
 def check_additive_upper_bound(
-    first: GFrame,
-    second: GFrame,
-    tol: float = DEFAULT_TOL,
-    cap: Optional[int] = None,
+    first: GFrame, second: GFrame, report: UniversalReport
 ) -> VerificationRecord:
-    """The sum of the two upper bounds dominates every weaving's upper bound."""
-    b1 = optimal_bounds(first, tol)
-    b2 = optimal_bounds(second, tol)
-    rep = universal_bounds_exhaustive(first, second, tol, cap)
+    """The sum of the two upper bounds dominates every weaving's upper bound.
+
+    ``report`` is the pair's :class:`UniversalReport`; a search report checks the interval it found.
+    """
+    _check_report(first, second, report, woven=False)
+    b1 = optimal_bounds(first)
+    b2 = optimal_bounds(second)
     allowed = b1.upper + b2.upper + CHECK_EPS
     return VerificationRecord(
         name="additive-upper-bound",
-        passed=rep.upper <= allowed,
-        computed={"universal_upper": rep.upper},
+        passed=report.upper <= allowed,
+        computed={"universal_upper": report.upper},
         expected={"at_most": allowed, "upper_1": b1.upper, "upper_2": b2.upper},
     )
 
 
 def check_universal_envelope(
-    first: GFrame,
-    second: GFrame,
-    tol: float = DEFAULT_TOL,
-    cap: Optional[int] = None,
+    first: GFrame, second: GFrame, report: UniversalReport
 ) -> VerificationRecord:
-    """Universal bounds always envelop each family's own optimal bounds."""
-    rep = universal_bounds_exhaustive(first, second, tol, cap)
-    if not rep.woven:
-        raise NotWoven(f"universal lower bound {rep.lower:.3e} below threshold")
-    b1 = optimal_bounds(first, tol)
-    b2 = optimal_bounds(second, tol)
+    """Universal bounds always envelop each family's own optimal bounds.
+
+    ``report`` is the pair's woven :class:`UniversalReport`; a search report checks its interval.
+    """
+    _check_report(first, second, report, woven=True)
+    b1 = optimal_bounds(first)
+    b2 = optimal_bounds(second)
     ok = (
-        rep.lower <= min(b1.lower, b2.lower) + CHECK_EPS
-        and rep.upper >= max(b1.upper, b2.upper) - CHECK_EPS
+        report.lower <= min(b1.lower, b2.lower) + CHECK_EPS
+        and report.upper >= max(b1.upper, b2.upper) - CHECK_EPS
     )
     return VerificationRecord(
         name="universal-envelope",
         passed=ok,
-        computed={"universal_lower": rep.lower, "universal_upper": rep.upper},
+        computed={"universal_lower": report.lower, "universal_upper": report.upper},
         expected={
             "lower_at_most": min(b1.lower, b2.lower),
             "upper_at_least": max(b1.upper, b2.upper),
@@ -541,25 +550,23 @@ def check_universal_envelope(
 
 
 def check_strict_sum_gap(
-    first: GFrame,
-    second: GFrame,
-    tol: float = DEFAULT_TOL,
-    cap: Optional[int] = None,
+    first: GFrame, second: GFrame, report: UniversalReport
 ) -> VerificationRecord:
-    """Sums of per-family optimal bounds are never the optimal universal bounds."""
-    rep = universal_bounds_exhaustive(first, second, tol, cap)
-    if not rep.woven:
-        raise NotWoven(f"universal lower bound {rep.lower:.3e} below threshold")
-    b1 = optimal_bounds(first, tol)
-    b2 = optimal_bounds(second, tol)
+    """Sums of per-family optimal bounds are never the optimal universal bounds.
+
+    ``report`` is the pair's woven :class:`UniversalReport`; a search report checks its interval.
+    """
+    _check_report(first, second, report, woven=True)
+    b1 = optimal_bounds(first)
+    b2 = optimal_bounds(second)
     ok = (
-        rep.lower < b1.lower + b2.lower - CHECK_EPS
-        and rep.upper < b1.upper + b2.upper - CHECK_EPS
+        report.lower < b1.lower + b2.lower - CHECK_EPS
+        and report.upper < b1.upper + b2.upper - CHECK_EPS
     )
     return VerificationRecord(
         name="strict-sum-gap",
         passed=ok,
-        computed={"universal_lower": rep.lower, "universal_upper": rep.upper},
+        computed={"universal_lower": report.lower, "universal_upper": report.upper},
         expected={
             "lower_strictly_below": b1.lower + b2.lower,
             "upper_strictly_below": b1.upper + b2.upper,
@@ -598,37 +605,37 @@ def check_dual_weaving(
 def check_parseval_transform_weaving(
     first: GFrame,
     second: GFrame,
+    report: UniversalReport,
     tol: float = DEFAULT_TOL,
     cap: Optional[int] = None,
 ) -> VerificationRecord:
     """Composing both families with the first one's inverse-root operator keeps them woven.
 
-    If the original pair has universal bounds (A, B), the transformed pair
-    has universal bounds inside [A/B, B/A].
+    If ``report``, the pair's woven :class:`UniversalReport`, has bounds (A, B),
+    the transformed pair has universal bounds inside [A/B, B/A]; a search
+    report checks its interval.  ``tol`` and ``cap`` apply to the transformed pair.
     """
-    rep = universal_bounds_exhaustive(first, second, tol, cap)
-    if not rep.woven:
-        raise NotWoven(f"universal lower bound {rep.lower:.3e} below threshold")
+    _check_report(first, second, report, woven=True)
     root = linalg.inv_sqrt_psd(frame_operator(first).s)
-    t_first = new_gframe(first.domain_dim, [b @ root for b in first.blocks])
-    t_second = new_gframe(second.domain_dim, [b @ root for b in second.blocks])
-    rep2 = universal_bounds_exhaustive(t_first, t_second, tol, cap)
-    floor = rep.lower / rep.upper
-    ceil = rep.upper / rep.lower
+    transformed = universal_bounds_exhaustive(
+        compose_right(first, root), compose_right(second, root), tol, cap
+    )
+    floor = report.lower / report.upper
+    ceil = report.upper / report.lower
     ok = (
-        rep2.woven
-        and rep2.lower >= floor - CHECK_EPS
-        and rep2.upper <= ceil + CHECK_EPS
+        transformed.woven
+        and transformed.lower >= floor - CHECK_EPS
+        and transformed.upper <= ceil + CHECK_EPS
     )
     return VerificationRecord(
         name="parseval-transform-weaving",
         passed=ok,
         computed={
-            "transformed_lower": rep2.lower,
-            "transformed_upper": rep2.upper,
+            "transformed_lower": transformed.lower,
+            "transformed_upper": transformed.upper,
         },
         expected={"lower_at_least": floor, "upper_at_most": ceil},
-        detail=f"original universal bounds ({rep.lower:.6g}, {rep.upper:.6g})",
+        detail=f"original universal bounds ({report.lower:.6g}, {report.upper:.6g})",
     )
 
 

@@ -210,16 +210,16 @@ def test_mask_spectra_is_batch_invariant(seed, n, d, complex_mode, count, cut):
 
 
 @settings(max_examples=100, deadline=None)
-@given(pair=dense_pairs(), scan_floats=st.sampled_from([None, 256, 4096]))
-def test_certified_scan_equals_full_scan(pair, scan_floats):
+@given(pair=dense_pairs(), batch_floats=st.sampled_from([None, 256, 4096]))
+def test_certified_scan_equals_full_scan(pair, batch_floats):
     """Skipping the certified masks changes nothing: bounds, witnesses and tie rules are ``==``.
 
-    A small ``_SCAN_FLOATS`` caps chunks at a few dozen masks.
+    A small ``_BATCH_FLOATS`` caps chunks at a few dozen masks.
     """
     base, deltas = _pair_inputs(*pair)
     with pytest.MonkeyPatch.context() as mp:
-        if scan_floats is not None:
-            mp.setattr(_kernels, "_SCAN_FLOATS", scan_floats)
+        if batch_floats is not None:
+            mp.setattr(_kernels, "_BATCH_FLOATS", batch_floats)
         scanned = _kernels.weaving_scan(base, deltas)
     assert scanned == full_weaving_scan(base, deltas)
 
@@ -246,12 +246,12 @@ def direct_sums(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(pair=st.one_of(structured_pairs(), direct_sums()), scan_floats=st.sampled_from([1, 16]))
-def test_certified_scan_of_direct_sums_equals_full_scan(pair, scan_floats):
+@given(pair=st.one_of(structured_pairs(), direct_sums()), batch_floats=st.sampled_from([1, 16]))
+def test_certified_scan_of_direct_sums_equals_full_scan(pair, batch_floats):
     """Certification on the diagonal and per component, with chunks of one mask or a few."""
     base, deltas = _pair_inputs(*pair)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernels, "_SCAN_FLOATS", scan_floats)
+        mp.setattr(_kernels, "_BATCH_FLOATS", batch_floats)
         scanned = _kernels.weaving_scan(base, deltas)
     assert scanned == full_weaving_scan(base, deltas)
 
@@ -334,9 +334,9 @@ def test_inside_with_a_shift_per_row_matches_scalar_shifts(complex_mode):
 @settings(max_examples=200, deadline=None)
 @given(
     pair=st.one_of(dense_pairs(), structured_pairs(), direct_sums()),
-    scan_floats=st.sampled_from([1, 16, 64]),
+    batch_floats=st.sampled_from([1, 16, 64]),
 )
-def test_branch_and_bound_equals_full_scan(pair, scan_floats):
+def test_branch_and_bound_equals_full_scan(pair, batch_floats):
     """Small batches and no block minimum send most pairs to the tree; the result is ``==``.
 
     Bounds, witnesses and ties all match.  The ``integer`` kind of
@@ -345,7 +345,7 @@ def test_branch_and_bound_equals_full_scan(pair, scan_floats):
     """
     base, deltas = _pair_inputs(*pair)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernels, "_SCAN_FLOATS", scan_floats)
+        mp.setattr(_kernels, "_BATCH_FLOATS", batch_floats)
         mp.setattr(_kernels, "_TREE_BLOCKS", 1)
         scanned = _kernels.weaving_scan(base, deltas)
     assert scanned == full_weaving_scan(base, deltas)
@@ -370,14 +370,14 @@ def test_diagonal_pairs_and_one_chunk_scans_take_no_tree(monkeypatch):
     ]:
         ex = build(size)
         base, deltas = _pair_inputs(ex.first, ex.second)
-        assert 1 << size > _kernels._SCAN_FLOATS // size  # more than one batch of diagonals
+        assert 1 << size > _kernels._BATCH_FLOATS // size  # more than one batch of diagonals
         assert _kernels.weaving_scan(base, deltas) == full_weaving_scan(base, deltas)
     rng = np.random.default_rng(6)
     one_chunk = _pair_inputs(random_gframe(rng, d=4, n=8), random_gframe(rng, d=4, n=8))
     assert _kernels.weaving_scan(*one_chunk) == full_weaving_scan(*one_chunk)
     assert calls == []
 
-    # 2**12 masks of order 16 fill 16 batches, but a component of order 16
+    # 2**12 masks of order 16 fill 64 batches, but a component of order 16
     # needs 14 blocks: the certified scan runs
     wide = _pair_inputs(random_gframe(rng, d=16, n=12), random_gframe(rng, d=16, n=12))
     assert _kernels.weaving_scan(*wide) == full_weaving_scan(*wide)
@@ -407,13 +407,23 @@ def test_tree_prunes_most_of_the_cube(monkeypatch, seed, complex_mode):
     assert scanned == full_weaving_scan(base, deltas)
 
 
-@pytest.mark.parametrize("scan_floats", [1, 40, 200, 1000])
-def test_every_tree_batch_fits_the_batch_size(monkeypatch, scan_floats):
-    """Node envelopes, own masks and leaf completions: no batch exceeds ``_SCAN_FLOATS`` floats."""
+@pytest.mark.parametrize("batch_floats", [1, 40, 200, 1000])
+def test_every_tree_batch_fits_the_batch_size(monkeypatch, batch_floats):
+    """No batch exceeds ``_BATCH_FLOATS`` floats, in the tree or in any other kernel entry.
+
+    The tree's node envelopes, own masks and leaf completions run in batches
+    of the bound, and so do the stacks of ``operator_stacks``,
+    ``mask_spectra`` and ``neighbour_quotients``; a stack holds at least one
+    operator of 16 floats.
+    """
     rng = np.random.default_rng(3)
     base, deltas = _pair_inputs(random_gframe(rng, d=4, n=14), random_gframe(rng, d=4, n=14))
     expected = full_weaving_scan(base, deltas)
-    monkeypatch.setattr(_kernels, "_SCAN_FLOATS", scan_floats)
+    masks = rng.integers(0, 1 << 14, size=300)
+    lo, hi = _kernels.mask_spectra(base, deltas, masks)
+    lowest = masks % 2 == 0
+    shift = np.where(lowest, lo - 1.0, hi + 1.0)
+    monkeypatch.setattr(_kernels, "_BATCH_FLOATS", batch_floats)
     calls = _tree_calls(monkeypatch)
     batches = []
     mask_bits = _kernels._mask_bits
@@ -422,7 +432,27 @@ def test_every_tree_batch_fits_the_batch_size(monkeypatch, scan_floats):
     )
     assert _kernels.weaving_scan(base, deltas) == expected
     assert calls == [1, -1]
-    assert max(batches) == max(1, scan_floats // 16)
+    step = max(1, batch_floats // 16)
+    assert max(batches) == step
+
+    floats = []  # float64 entries of each stack built
+    stack = _kernels._stack
+    monkeypatch.setattr(
+        _kernels,
+        "_stack",
+        lambda base, flat, bits: floats.append(bits.shape[0] * flat.shape[1])
+        or stack(base, flat, bits),
+    )
+    spectra = []
+    for run in (
+        lambda: list(_kernels.operator_stacks(base, deltas[:10])),
+        lambda: spectra.extend(_kernels.mask_spectra(base, deltas, masks)),
+        lambda: _kernels.neighbour_quotients(base, deltas, masks, lowest, shift),
+    ):
+        floats.clear()
+        run()
+        assert max(floats) == 16 * step <= max(batch_floats, 16)
+    assert np.array_equal(spectra[0], lo) and np.array_equal(spectra[1], hi)
 
 
 def test_a_subcube_whose_bound_meets_the_incumbent_is_searched(monkeypatch):
@@ -441,7 +471,7 @@ def test_a_subcube_whose_bound_meets_the_incumbent_is_searched(monkeypatch):
         delta[:2, :2] = rng.uniform(-0.5, 0.5, size=(2, 2))
         delta[:2, :2] += delta[:2, :2].T
         delta[:2, :2] /= 2
-    monkeypatch.setattr(_kernels, "_SCAN_FLOATS", 24)
+    monkeypatch.setattr(_kernels, "_BATCH_FLOATS", 24)
     monkeypatch.setattr(_kernels, "_TREE_BLOCKS", 1)
     monkeypatch.setattr(_kernels, "_margin", lambda base, deltas: 0.0)
     calls = _tree_calls(monkeypatch)

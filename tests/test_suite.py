@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gweave import _kernels
 from gweave.gframe import (
     is_g_exact,
     is_g_orthonormal_basis,
@@ -173,6 +174,28 @@ class TestRunSuite:
         report = run_suite(SuiteConfig(cap=4, search_budget=64))
         assert any(r.method == "search" for r in report.records)
         assert report.passed
+
+    @pytest.mark.parametrize("dim_scale", [1.0, 1.5])
+    def test_statements_reuse_the_suite_reports(self, monkeypatch, dim_scale):
+        """12 scans of 10 distinct pairs, and 2 ONB classifications.
+
+        The bound statements take the reports the suite already holds; only
+        ``check_weaving_transfer`` scans the window and shifted pairs again.
+        The ONB weavings of the one-row projections and of their unitary
+        image are the only per-selection classifications, each one pass over
+        the stacks.
+        """
+        calls = {"weaving_scan": 0, "operator_stacks": 0}
+        for name in calls:
+            kernel = getattr(_kernels, name)
+
+            def counted(*args, name=name, kernel=kernel):
+                calls[name] += 1
+                return kernel(*args)
+
+            monkeypatch.setattr(_kernels, name, counted)
+        assert run_suite(SuiteConfig(dim_scale=dim_scale)).passed
+        assert calls == {"weaving_scan": 12, "operator_stacks": 2}
 
     def test_report_serializable(self):
         import json

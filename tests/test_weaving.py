@@ -366,24 +366,27 @@ class TestChecks:
         for _ in range(10):
             first = random_gframe(rng, d=3, n=4)
             second = random_gframe(rng, d=3, n=4)
-            assert check_additive_upper_bound(first, second).passed
+            report = universal_bounds_exhaustive(first, second)
+            assert check_additive_upper_bound(first, second, report).passed
 
     def test_envelope_and_gap_on_woven_pairs(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             first, second, _ = perturbed_woven_pair(rng, d=3, n=4)
-            assert check_universal_envelope(first, second).passed
-            assert check_strict_sum_gap(first, second).passed
+            report = universal_bounds_exhaustive(first, second)
+            assert check_universal_envelope(first, second, report).passed
+            assert check_strict_sum_gap(first, second, report).passed
 
     def test_envelope_requires_woven(self):
         pair = build_shifted_projection_pair(8)
+        report = universal_bounds_exhaustive(pair.first, pair.second)
         with pytest.raises(NotWoven):
-            check_universal_envelope(pair.first, pair.second)
+            check_universal_envelope(pair.first, pair.second, report)
 
     def test_identical_pair_attains_equality(self):
         rng = np.random.default_rng(9)
         frame = random_frame(rng, d=3, n=4)
-        rec = check_universal_envelope(frame, frame)
+        rec = check_universal_envelope(frame, frame, universal_bounds_exhaustive(frame, frame))
         assert rec.passed
         assert rec.computed["universal_lower"] == pytest.approx(
             rec.expected["lower_at_most"], abs=1e-10
@@ -405,15 +408,36 @@ class TestChecks:
 
     def test_parseval_transform_weaving(self):
         pair = build_scaled_split_pair(9)
-        rec = check_parseval_transform_weaving(pair.first, pair.second)
+        report = universal_bounds_exhaustive(pair.first, pair.second)
+        rec = check_parseval_transform_weaving(pair.first, pair.second, report)
         assert rec.passed
         assert rec.expected["lower_at_least"] == pytest.approx(1.0 / 3.0)
         assert rec.expected["upper_at_most"] == pytest.approx(3.0)
 
     def test_parseval_transform_requires_woven(self):
         pair = build_shifted_projection_pair(8)
+        report = universal_bounds_exhaustive(pair.first, pair.second)
         with pytest.raises(NotWoven):
-            check_parseval_transform_weaving(pair.first, pair.second)
+            check_parseval_transform_weaving(pair.first, pair.second, report)
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            check_additive_upper_bound,
+            check_universal_envelope,
+            check_strict_sum_gap,
+            check_parseval_transform_weaving,
+        ],
+    )
+    def test_statements_refuse_a_bad_report(self, statement):
+        """A report that is not a UniversalReport, or is one of another pair, is an input error."""
+        pair = build_scaled_split_pair(9)
+        window = build_window_pair(8)
+        with pytest.raises(ShapeMismatch):
+            statement(pair.first, pair.second, 1e-8)
+        other = universal_bounds_exhaustive(window.first, window.second)
+        with pytest.raises(LengthMismatch):
+            statement(pair.first, pair.second, other)
 
 
 class TestWeavingBases:
