@@ -1,4 +1,4 @@
-"""The subset-enumeration kernel: a batched numpy scan and a branch-and-bound over subcubes.
+"""The subset-enumeration kernel: a two-sided branch-and-bound over subcubes of masks.
 
 A weaving of two block families is encoded by a bitmask: bit ``i`` set means
 block position ``i`` (0-based) is drawn from the first family.  Given
@@ -27,40 +27,37 @@ answer:
   permutation and its extreme eigenvalues are the extremes over components.
   A 1 x 1 component is its real diagonal entry and needs no eigensolve.
 
-Then it picks one of three ways through the masks, by the size of the input:
+Then one search over subcubes of masks (:func:`_subcube_search`, a
+best-first branch-and-bound after Land and Doig) gives both extremes:
 
-- **Solve every mask**, in ascending batches of at most ``_BATCH_FLOATS``
-  stacked entries, when every component is 1 x 1 (a diagonal costs no more
-  to solve than to test), or when the masks fit in one batch and the tree
-  below does not apply.
-- **Certified scan**, when the masks fill more than one batch but there are
-  too few blocks for the tree.  Batches run in ascending order, the first
-  one tile and each next one doubling.  A batched Cholesky factors
-  ``S - (lower + m) I`` and ``(upper - m) I - S`` of every operator ``S``
-  of a batch, against the extremes ``lower``/``upper`` of the batches
-  before it; where both succeed, every eigenvalue ``eigvalsh`` could return
-  for ``S`` lies strictly between them, so the mask can neither be nor tie a
-  witness and gets no eigensolve.
-- **Branch-and-bound**, when some component is not 1 x 1, the masks fill a
-  batch and there are at least ``_TREE_BLOCKS`` non-null blocks (more for
-  large components).  Each extreme comes from an exact best-first search
-  over subcubes of masks (:func:`_branch_and_bound`, after Land and Doig):
+- a node fixes the bits of the blocks with the largest ``|delta_i|_F`` first
+  and leaves the others free.  With ``P`` the operator of its fixed bits,
+  every completion ``S`` has ``P + sum_free neg(delta_i) <= S`` in the
+  Loewner order, where ``neg`` is the negative part, so by Weyl monotonicity
+  (Horn and Johnson, *Matrix Analysis*, 4.3) the smallest eigenvalue of that
+  envelope bounds the subcube's ``lambda_min`` from below; the envelope of
+  the positive parts bounds its ``lambda_max`` from above;
+- every mask the search solves, a new node's own mask (its free bits clear)
+  or a leaf completion, updates both incumbents;
+- a side of a node closes once its bound clears that side's incumbent by the
+  margin ``m``, and stays closed in the node's children, whose envelopes for
+  that side are never computed; a node is dropped when both sides are closed;
+- each round expands the ``_ROUND`` open nodes of least bound on each side;
+- a node with at most ``_LEAF_FREE`` free blocks is a leaf subcube.  A batched
+  Cholesky factors ``S - (lower + m) I`` and ``(upper - m) I - S`` of each
+  completion ``S``, for the sides open at the leaf, against the incumbents
+  ``lower``/``upper``; where both succeed, every eigenvalue ``eigvalsh``
+  could return for ``S`` lies strictly between them, so the mask can neither
+  be nor tie a witness and gets no eigensolve.
 
-  - a node fixes the bits of the blocks with the largest ``|delta_i|_F``
-    first and leaves the others free.  With ``P`` the operator of its fixed
-    bits, every completion ``S`` has ``P + sum_free neg(delta_i) <= S`` in
-    the Loewner order, where ``neg`` is the negative part, so by Weyl
-    monotonicity (Horn and Johnson, *Matrix Analysis*, 4.3) the smallest
-    eigenvalue of that envelope bounds the subcube from below;
-  - open nodes are expanded smallest bound first, and the operator of each
-    new node's own mask (its free bits clear) is solved for the incumbent;
-  - a node with at most ``_LEAF_FREE`` free blocks is a leaf subcube: the
-    Cholesky test of ``S - (incumbent + m) I`` alone rules out its
-    completions that cannot reach the incumbent, and the rest are solved;
-  - a node is pruned only when its bound exceeds ``incumbent + m``.
-
-  The largest eigenvalue is the same search on ``-S``, whose envelopes use
-  the positive parts.
+The whole cube is one leaf when every component is 1 x 1, when the masks fit
+in one batch of at most ``_BATCH_FLOATS`` stacked entries, or when there are
+fewer than ``_TREE_BLOCKS`` non-null blocks (more for large components).
+Its masks run in ascending batches.  When some component is not 1 x 1 and
+the masks fill more than one batch, the first batch is one tile, each next
+one doubles, and the masks after the first batch take the Cholesky test; a
+diagonal costs no more to solve than to test, and one batch has no
+incumbents to test against.
 
 The sampled search of ``weaving.universal_bounds_search`` looks up one-bit
 neighbours through :func:`mask_spectra`.  The search gives each neighbour a
@@ -75,8 +72,8 @@ the mask's stack row and solves only the masks that fail it.
 The margin ``m`` (:func:`_margin`) bounds the rounding of the shifts, of
 Cholesky, of ``eigvalsh``, of the envelopes and of the Weyl and Rayleigh
 bounds, so no mask that could be or tie a witness or a descent's step is
-ruled out or pruned.  Every solved mask gets the same bits as in a full scan, so every
-way gives bitwise the result of solving every mask.
+ruled out or pruned.  Every solved mask gets the same bits as in a full scan, so the
+search gives bitwise the result of solving every mask.
 
 Ties: the argmin resolves to the smallest mask attaining the minimum and the
 argmax to the largest mask attaining the maximum.  Null bits are clear in the
@@ -101,12 +98,13 @@ _MAX_BLOCKS = 62  # masks are int64
 # float64 entries in the stacks of any one batch of masks (128 KiB), so that
 # a batch's memory depends on the operator size and not on the number of masks
 _BATCH_FLOATS = 1 << 14
-# Non-null blocks from which weaving_scan runs the branch-and-bound, plus one
-# for every 4 coordinates by which the largest component exceeds 8.  The tree
-# pays an eigensolve per node, the certified scan a stack row and a Cholesky
-# test per mask; on random pairs the tree is the faster one from there on.
+# Non-null blocks from which the search splits the cube into subcubes, plus
+# one for every 4 coordinates by which the largest component exceeds 8.  A
+# node pays an eigensolve for its envelope, a mask of the cube as one leaf a
+# stack row and a Cholesky test; on random pairs the subcubes are the faster
+# from there on.
 _TREE_BLOCKS = 12
-# open nodes one branch-and-bound round expands, and the free blocks of a leaf
+# open nodes one search round expands on each side, and the free blocks of a leaf
 _ROUND = 16
 _LEAF_FREE = 4
 
@@ -212,21 +210,23 @@ class _SplitOperator:
     def extremes(self, bits: np.ndarray, floor: float = np.inf, ceiling: float = -np.inf):
         """Smallest and largest eigenvalue of the operator of each row of bits.
 
-        A row whose operator is proved to have every eigenvalue strictly
-        between ``floor`` and ``ceiling`` (the diagonal directly, each
+        ``floor`` and ``ceiling`` are both scalars or both hold one value per
+        row.  A row whose operator is proved to have every eigenvalue
+        strictly between its floor and ceiling (the diagonal directly, each
         component by :func:`_inside`) is not solved; it reads ``+inf`` and
         ``-inf``.  A floor of ``-inf`` or a ceiling of ``+inf`` needs no test;
-        with the defaults every row is solved.
+        a floor of ``+inf`` or a ceiling of ``-inf``, as with the defaults,
+        solves the row.
         """
         diag, stacks = self.pieces(bits)
-        if floor == np.inf or ceiling == -np.inf:
-            return _solve(diag, stacks)
         solve = (diag.min(axis=1, initial=np.inf) <= floor) | (
             diag.max(axis=1, initial=-np.inf) >= ceiling
         )
         for stack in stacks:
-            undecided = ~solve
-            solve[undecided] = ~_inside(stack[undecided], floor, ceiling)
+            rows = ~solve
+            if rows.any():
+                shifts = (floor[rows], ceiling[rows]) if np.ndim(floor) else (floor, ceiling)
+                solve[rows] = ~_inside(stack[rows], *shifts)
         rows = np.flatnonzero(solve)
         lo = np.full(len(bits), np.inf)
         hi = np.full(len(bits), -np.inf)
@@ -391,85 +391,123 @@ def _least(values: np.ndarray, masks: np.ndarray, sign: int, best: tuple) -> tup
     return (float(value), mask) if (value, sign * mask) < (best[0], sign * best[1]) else best
 
 
-def _batches(total: int, step: int):
-    return (slice(start, start + step) for start in range(0, total, step))
+def _batches(total: int, step: int, first: int = 0):
+    """Slices of ``range(total)`` in order.
+
+    Each is ``step`` long, or with ``first`` the first is that long and each
+    next one doubles up to ``step``.
+    """
+    start, size = 0, first or step
+    while start < total:
+        yield slice(start, start + size)
+        start, size = start + size, min(2 * size, step)
 
 
-def _branch_and_bound(
-    operator: _SplitOperator, deltas: np.ndarray, sign: int, margin: float, step: int
+def _subcube_search(
+    operator: _SplitOperator, deltas: np.ndarray, margin: float, step: int, cube: bool
 ):
-    """The least ``sign * lambda`` over all masks of ``operator``, with its mask.
+    """Both extremes over all masks of ``operator``, each with its mask.
 
-    ``lambda`` is the smallest eigenvalue for ``sign = 1`` and the largest for
-    ``sign = -1``; ties go to the smallest and the largest mask.  Returns
-    ``(value, mask)``.  Each batch of masks holds at most ``step`` of them.
+    Returns ``(low, high)``, ``low = (lambda_min, argmin)`` and
+    ``high = (-lambda_max, argmax)``, ties to the smallest and the largest
+    mask.  With ``cube`` the whole cube is one leaf; otherwise the search
+    runs over subcubes.  Each batch of masks holds at most ``step`` of them.
     """
     k = len(deltas)
+    best = [(np.inf, 0), (np.inf, 0)]  # the incumbents of lambda_min and of -lambda_max
+
+    def offer(masks, test=False, sides=None):
+        """Solve ``masks`` for both incumbents.
+
+        With ``test`` a mask is first tested against the incumbents, or only
+        against those of its open sides: the rows of ``sides`` flag for each
+        mask whether the side of ``lambda_min`` and of ``lambda_max`` is open.
+        """
+        for part in _batches(len(masks), step):
+            bits = _mask_bits(masks[part], k)
+            if not test:
+                lo, hi = _solve(*operator.pieces(bits))
+            else:
+                floor, ceiling = best[0][0] + margin, -best[1][0] - margin
+                if sides is not None:  # a floor of -inf and a ceiling of +inf test nothing
+                    floor = np.where(sides[0, part], floor, -np.inf)
+                    ceiling = np.where(sides[1, part], ceiling, np.inf)
+                lo, hi = operator.extremes(bits, floor, ceiling)
+            best[0] = _least(lo, masks[part], 1, best[0])
+            best[1] = _least(-hi, masks[part], -1, best[1])
+
+    if cube:
+        # More than one batch with a component to solve: start with one tile
+        # and double, so that few masks are solved with no incumbents, and
+        # test the rest.  Other cubes solve every mask; a diagonal costs no
+        # more to solve than to test.
+        test = bool(operator.blocks) and (1 << k) > step
+        for part in _batches(1 << k, step, min(step, _TILE) if test else step):
+            offer(np.arange(part.start, min(part.stop, 1 << k), dtype=np.int64), test)
+        return best
+
     order = np.argsort(-np.linalg.norm(deltas, axis=(1, 2)), kind="stable")
     position = np.left_shift(1, order)  # the bit fixed at each depth
-    # The parts with sign * part <= sign * delta, diagonal first, then their
-    # sums over the blocks from each depth on
-    clip = np.minimum if sign > 0 else np.maximum
-    parts = [clip(operator.diag_deltas, 0.0)]
-    for sub in operator.grids:
-        w, v = np.linalg.eigh(deltas[(slice(None), *sub)])
-        parts.append((v * clip(w, 0.0)[:, np.newaxis, :]) @ v.conj().transpose(0, 2, 1))
+    # For each side the parts below (lambda_min) or above (lambda_max) each
+    # delta, diagonal first, then their sums over the blocks from each depth
+    # on.  Every node keeps a free block, so no node has depth k.
+    eigen = [np.linalg.eigh(deltas[(slice(None), *sub)]) for sub in operator.grids]
     suffixes = []
-    for part in parts:
-        suffix = np.zeros((k + 1, *part.shape[1:]), dtype=part.dtype)
-        suffix[:k] = np.cumsum(part[order][::-1], axis=0)[::-1]
-        suffixes.append(suffix)
+    for clip in (np.minimum, np.maximum):
+        parts = [clip(operator.diag_deltas, 0.0)]
+        parts += [(v * clip(w, 0.0)[:, np.newaxis]) @ v.conj().transpose(0, 2, 1) for w, v in eigen]
+        suffixes.append([np.cumsum(part[order][::-1], axis=0)[::-1] for part in parts])
 
-    def bounds(masks, depths):
+    def bounds(masks, depths, side):
+        """Each node's envelope bound on ``lambda_min`` (side 0) or ``-lambda_max`` (side 1)."""
         out = np.empty(len(masks))
         for part in _batches(len(masks), step):
             diag, stacks = operator.pieces(_mask_bits(masks[part], k))
-            for piece, suffix in zip([diag, *stacks], suffixes):
+            for piece, suffix in zip([diag, *stacks], suffixes[side]):
                 piece += suffix[depths[part]]
             lo, hi = _solve(diag, stacks)
-            out[part] = lo if sign > 0 else -hi
+            out[part] = -hi if side else lo
         return out
 
-    def offer(masks, best, test):
-        for part in _batches(len(masks), step):
-            shift = best[0] + margin if test else np.inf
-            floor, ceiling = (shift, np.inf) if sign > 0 else (-np.inf, -shift)
-            lo, hi = operator.extremes(_mask_bits(masks[part], k), floor, ceiling)
-            best = _least(lo if sign > 0 else -hi, masks[part], sign, best)
-        return best
-
-    # the completions of a leaf at each depth: every subset of its free bits
-    subsets = {
-        depth: ((np.arange(1 << (k - depth))[:, np.newaxis] >> np.arange(k - depth)) & 1)
-        @ position[depth:]
-        for depth in range(max(0, k - _LEAF_FREE), k + 1)
-    }
+    # Nodes stop at _LEAF_FREE free blocks, so every leaf sits at one depth;
+    # its completions set every subset of its free bits
+    leaf_depth = max(0, k - _LEAF_FREE)
+    free = k - leaf_depth
+    subsets = ((np.arange(1 << free)[:, np.newaxis] >> np.arange(free)) & 1) @ position[leaf_depth:]
     root = np.zeros(1, dtype=np.int64)
-    best = offer(root, (np.inf, 0), False)
-    # the open nodes: the bound, depth and mask of each
-    bound, depth, mask = bounds(root, root), root, root
+    offer(root)
+    # the open nodes: the bound of each side, +inf once the side is closed,
+    # and the depth and mask of each
+    bound, depth, mask = np.array([bounds(root, root, 0), bounds(root, root, 1)]), root, root
     while True:
-        live = bound <= best[0] + margin
-        bound, depth, mask = bound[live], depth[live], mask[live]
-        if not len(bound):
+        bound[bound > np.array([[best[0][0]], [best[1][0]]]) + margin] = np.inf
+        live = (bound < np.inf).any(axis=0)
+        bound, depth, mask = bound[:, live], depth[live], mask[live]
+        if not len(depth):
             break
-        pick = np.zeros(len(bound), dtype=bool)
-        pick[np.argpartition(bound, min(_ROUND, len(bound)) - 1)[:_ROUND]] = True
-        level, fixed = depth[pick], mask[pick]
-        bound, depth, mask = bound[~pick], depth[~pick], mask[~pick]
-        leaf = level >= k - _LEAF_FREE
+        pick = np.zeros(len(depth), dtype=bool)
+        for side in bound:
+            first = np.argpartition(side, min(_ROUND, len(side)) - 1)[:_ROUND]
+            pick[first[side[first] < np.inf]] = True
+        level, fixed, sides = depth[pick], mask[pick], bound[:, pick] < np.inf
+        bound, depth, mask = bound[:, ~pick], depth[~pick], mask[~pick]
+        leaf = level == leaf_depth
+        # An inner node's children fix the next bit clear, with the node's own
+        # mask, and set, with a new mask; each side is open in the children
+        # where it is open in the node.
         inner = ~leaf
-        if inner.any():
-            taken = fixed[inner] | position[level[inner]]
-            best = offer(taken, best, False)
-            masks = np.concatenate([fixed[inner], taken])
-            depths = np.concatenate([level[inner], level[inner]]) + 1
-            bound = np.concatenate([bound, bounds(masks, depths)])
-            depth = np.concatenate([depth, depths])
-            mask = np.concatenate([mask, masks])
-        if leaf.any():
-            leaves = zip(level[leaf].tolist(), fixed[leaf].tolist())
-            best = offer(np.concatenate([m | subsets[d] for d, m in leaves]), best, True)
+        taken = fixed[inner] | position[level[inner]]
+        offer(taken)
+        masks = np.concatenate([fixed[inner], taken])
+        depths = np.concatenate([level[inner], level[inner]]) + 1
+        child = np.full((2, len(masks)), np.inf)
+        for side, opened in enumerate(np.tile(sides[:, inner], 2)):
+            child[side, opened] = bounds(masks[opened], depths[opened], side)
+        bound = np.concatenate([bound, child], axis=1)
+        depth = np.concatenate([depth, depths])
+        mask = np.concatenate([mask, masks])
+        completions = (fixed[leaf, np.newaxis] | subsets).ravel()
+        offer(completions, True, np.repeat(sides[:, leaf], len(subsets), axis=1))
     return best
 
 
@@ -478,17 +516,15 @@ def weaving_scan(base: np.ndarray, deltas: np.ndarray):
 
     Returns ``(lower, argmin_mask, upper, argmax_mask)``.
 
-    Masks of the non-null blocks are solved in ascending batches of about
-    ``_BATCH_FLOATS`` stacked entries when they fit in one batch, or when
-    every coordinate component is 1 x 1.  Otherwise, with at least
-    ``_TREE_BLOCKS`` non-null blocks plus one for every 4 coordinates by which
-    the largest component exceeds 8, each extreme comes from
-    :func:`_branch_and_bound`; with fewer, batches after the first are
-    certified against the extremes of the earlier ones.  Either way a mask
-    is left unsolved only when a test clears its incumbent by the rounding
-    :func:`_margin`, so it can neither be nor tie a witness, and each solved
-    mask's values are those of a full solve: the result is that of solving
-    every mask.
+    One :func:`_subcube_search` over the masks of the non-null blocks gives
+    both extremes.  The whole cube is one leaf when every coordinate
+    component is 1 x 1, when the masks fit in one batch of about
+    ``_BATCH_FLOATS`` stacked entries, or when there are fewer than
+    ``_TREE_BLOCKS`` non-null blocks plus one for every 4 coordinates by
+    which the largest component exceeds 8.  A mask is left unsolved only
+    when a test clears its incumbent by the rounding :func:`_margin`, so it
+    can neither be nor tie a witness, and each solved mask's values are
+    those of a full solve: the result is that of solving every mask.
     """
     n = deltas.shape[0]
     _check_blocks(n)
@@ -496,28 +532,11 @@ def weaving_scan(base: np.ndarray, deltas: np.ndarray):
     deltas = deltas[live]
     operator = _SplitOperator(base, deltas)
     k = len(live)
-    total = 1 << k
     step = max(1, _BATCH_FLOATS // operator.floats)
     largest = max((len(block) for block, _ in operator.blocks), default=1)
-    margin = _margin(base, deltas)
-    if operator.blocks and total >= step and k >= _TREE_BLOCKS + max(0, largest - 8) // 4:
-        low = _branch_and_bound(operator, deltas, 1, margin, step)
-        high = _branch_and_bound(operator, deltas, -1, margin, step)
-    else:
-        low = high = (np.inf, 0)
-        # More than one batch with a component to solve: start with one tile
-        # and double, so that few masks are solved with no incumbents.  Other
-        # scans solve every mask; a diagonal costs no more to solve than to test.
-        certify = bool(operator.blocks) and total > step
-        start, size = 0, min(step, _TILE) if certify else step
-        while start < total:
-            masks = np.arange(start, min(start + size, total), dtype=np.int64)
-            start, size = start + size, min(2 * size, step)
-            bounds = (low[0] + margin, -high[0] - margin) if certify else ()
-            lo, hi = operator.extremes(_mask_bits(masks, k), *bounds)
-            low = _least(lo, masks, 1, low)
-            high = _least(-hi, masks, -1, high)
-    null_bits = ((1 << n) - 1) ^ _spread(total - 1, live)
+    cube = not operator.blocks or 1 << k <= step or k < _TREE_BLOCKS + max(0, largest - 8) // 4
+    low, high = _subcube_search(operator, deltas, _margin(base, deltas), step, cube)
+    null_bits = ((1 << n) - 1) ^ _spread((1 << k) - 1, live)
     return low[0], _spread(low[1], live), -high[0], _spread(high[1], live) | null_bits
 
 

@@ -370,6 +370,7 @@ def _cmd_paper_suite(args) -> int:
         lines.append(f"{status}  {r.name.ljust(width)}{flag}")
         if not r.passed:
             lines += [f"      computed: {r.computed}", f"      expected: {r.expected}"]
+            lines += [f"      detail: {r.detail}"] if r.detail else []
     good = sum(1 for r in report.records if r.passed)
     lines.append(f"{good}/{len(report.records)} records passed")
     _emit(args, doc, lines)

@@ -35,6 +35,7 @@ from .weaving import (
     CHECK_EPS,
     UniversalReport,
     VerificationRecord,
+    _check_report,
     universal_bounds_exhaustive,
 )
 
@@ -264,31 +265,36 @@ def check_weaving_transfer(
     spec_second: SubspaceFrameSpec,
     tol: float = DEFAULT_TOL,
     cap: Optional[int] = None,
+    report: Optional[UniversalReport] = None,
 ) -> VerificationRecord:
     """Woven-ness transfers between block level and induced-vector level.
 
     The verdicts must agree, and when both sides are woven the optimal
     universal bounds satisfy the four envelope-scaled inequalities coming
-    from the per-block frame bounds.
+    from the per-block frame bounds.  ``report`` is the block pair's
+    exhaustive :class:`UniversalReport` when the caller already holds it;
+    without it the pair is scanned here.
     """
     a1, b1 = spec_first.envelope
     a2, b2 = spec_second.envelope
     vf = induced_vectors(first, spec_first)
     vg = induced_vectors(second, spec_second)
-    g_rep = universal_bounds_exhaustive(first, second, tol, cap)
+    if report is None:
+        report = universal_bounds_exhaustive(first, second, tol, cap)
+    _check_report(first, second, report, woven=False)
     v_rep = universal_bounds_vectors(vf, vg, tol, cap)
     computed = {
-        "block_woven": g_rep.woven,
+        "block_woven": report.woven,
         "vector_woven": v_rep.woven,
-        "block_bounds": (g_rep.lower, g_rep.upper),
+        "block_bounds": (report.lower, report.upper),
         "vector_bounds": (v_rep.lower, v_rep.upper),
     }
-    ok = g_rep.woven == v_rep.woven
+    ok = report.woven == v_rep.woven
     detail = ""
     if not spec_first.strict_envelope or not spec_second.strict_envelope:
         detail = "tight envelope (equal lower and upper) accepted but flagged"
-    if ok and g_rep.woven:
-        a_g, b_g = g_rep.lower, g_rep.upper
+    if ok and report.woven:
+        a_g, b_g = report.lower, report.upper
         a_v, b_v = v_rep.lower, v_rep.upper
         ok = (
             a_v >= a_g * min(a1, a2) - CHECK_EPS

@@ -10,13 +10,15 @@ operators whose image collapses entirely.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache, partial
 from typing import Optional
 
 import numpy as np
 
 from ._kernels import _MAX_BLOCKS
-from .errors import ShapeMismatch, TooManyBlocks
+from .errors import GWeaveError, ShapeMismatch, TooManyBlocks
 from .gframe import (
     DEFAULT_TOL,
     GFrame,
@@ -485,6 +487,16 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
             detail="skipped: block count above the exhaustive cap",
         )
 
+    @contextmanager
+    def statement(name):
+        # Yields the add of the statement's record.  A GWeaveError raised
+        # while checking the statement fails that record alone, with its
+        # message, and the battery goes on.
+        try:
+            yield partial(add, name)
+        except GWeaveError as exc:
+            add(name, False, "error", {}, {}, detail=f"{type(exc).__name__}: {exc}")
+
     proj_d = _scaled_size(6, scale, 3)
     proj3 = build_projection_family(proj_d, 3)
     proj1 = build_projection_family(proj_d, 1)
@@ -496,399 +508,437 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
     overlap = build_overlapping_coordinate_pair(_scaled_size(8, scale, 4))
     scale2, shift = build_nonunitary_operators(proj_d)
 
-    # Tight coordinate projections; the one-row variant is an orthonormal family.
-    b3 = optimal_bounds(proj3, tol)
-    onb1 = is_g_orthonormal_basis(proj1, tol)
-    add(
-        "coordinate-projections-tight",
-        _bounds_close((b3.lower, b3.upper), (1.0, 1.0)) and onb1.is_onb,
-        "exhaustive",
-        {"bounds": (b3.lower, b3.upper), "one_row_variant_is_onb": onb1.is_onb},
-        {"bounds": (1.0, 1.0), "one_row_variant_is_onb": True},
-        {"bounds": "declared", "one_row_variant_is_onb": "declared"},
+    # Results that several statements read, each computed once on first use.
+    # One that raises is computed again, and raises again, for each statement
+    # that needs it.
+    shifted_universal = cache(lambda: _universal(shifted, cfg))
+    window_universal = cache(lambda: _universal(window, cfg))
+    scaled_universal = cache(lambda: _universal(scaled_pair, cfg))
+    scaled_families = cache(
+        lambda: (optimal_bounds(scaled_pair.first, tol), optimal_bounds(scaled_pair.second, tol))
     )
+    duplicate_riesz = cache(lambda: is_g_riesz_basis(dupsplit.first, tol))
+    split_riesz = cache(lambda: is_g_riesz_basis(dupsplit.second, tol))
+
+    # Tight coordinate projections; the one-row variant is an orthonormal family.
+    with statement("coordinate-projections-tight") as record:
+        b3 = optimal_bounds(proj3, tol)
+        onb1 = is_g_orthonormal_basis(proj1, tol)
+        record(
+            _bounds_close((b3.lower, b3.upper), (1.0, 1.0)) and onb1.is_onb,
+            "exhaustive",
+            {"bounds": (b3.lower, b3.upper), "one_row_variant_is_onb": onb1.is_onb},
+            {"bounds": (1.0, 1.0), "one_row_variant_is_onb": True},
+            {"bounds": "declared", "one_row_variant_is_onb": "declared"},
+        )
 
     # Shifted pair: not woven, and the certificate is the singleton {1}.
-    sh_rep, sh_method = _universal(shifted, cfg)
-    sh_first = optimal_bounds(shifted.first, tol)
-    sh_second = optimal_bounds(shifted.second, tol)
-    sh_ok = (
-        not sh_rep.woven
-        and sh_rep.lower <= 1e-12
-        and _bounds_close((sh_first.lower, sh_first.upper), (1.0, 1.0))
-        and _bounds_close((sh_second.lower, sh_second.upper), (1.0, 1.0))
-    )
-    if sh_method == "exhaustive":
-        sh_ok = sh_ok and sh_rep.argmin.indices == shifted.expected["certificate_indices"]
-    add(
-        "shifted-projections-not-woven",
-        sh_ok,
-        sh_method,
-        {
-            "woven": sh_rep.woven,
-            "universal_lower": sh_rep.lower,
-            "certificate": list(sh_rep.argmin.indices),
-        },
-        {"woven": False, "certificate": [1], "universal_lower_at_most": 1e-12},
-        shifted.provenance,
-    )
+    with statement("shifted-projections-not-woven") as record:
+        sh_rep, sh_method = shifted_universal()
+        sh_first = optimal_bounds(shifted.first, tol)
+        sh_second = optimal_bounds(shifted.second, tol)
+        sh_ok = (
+            not sh_rep.woven
+            and sh_rep.lower <= 1e-12
+            and _bounds_close((sh_first.lower, sh_first.upper), (1.0, 1.0))
+            and _bounds_close((sh_second.lower, sh_second.upper), (1.0, 1.0))
+        )
+        if sh_method == "exhaustive":
+            sh_ok = sh_ok and sh_rep.argmin.indices == shifted.expected["certificate_indices"]
+        record(
+            sh_ok,
+            sh_method,
+            {
+                "woven": sh_rep.woven,
+                "universal_lower": sh_rep.lower,
+                "certificate": list(sh_rep.argmin.indices),
+            },
+            {"woven": False, "certificate": [1], "universal_lower_at_most": 1e-12},
+            shifted.provenance,
+        )
 
     # Window pair: woven with universal bounds (1, 2).
-    wi_rep, wi_method = _universal(window, cfg)
-    check = _bounds_close if wi_method == "exhaustive" else _bounds_inside
-    add(
-        "window-pair-universal",
-        wi_rep.woven and check((wi_rep.lower, wi_rep.upper), window.expected["universal"]),
-        wi_method,
-        {"universal": (wi_rep.lower, wi_rep.upper), "woven": wi_rep.woven},
-        {"universal": window.expected["universal"], "woven": True},
-        window.provenance,
-    )
+    with statement("window-pair-universal") as record:
+        wi_rep, wi_method = window_universal()
+        check = _bounds_close if wi_method == "exhaustive" else _bounds_inside
+        record(
+            wi_rep.woven and check((wi_rep.lower, wi_rep.upper), window.expected["universal"]),
+            wi_method,
+            {"universal": (wi_rep.lower, wi_rep.upper), "woven": wi_rep.woven},
+            {"universal": window.expected["universal"], "woven": True},
+            window.provenance,
+        )
 
     # Window pair through doubled per-block bases: the group-level weaving
     # bounds scale by 4, and the declared conservative envelope is recorded
     # next to the computed optimum without judging between them.
     if window.first.n_blocks <= cap:
-        spec2_f = onb_families(window.first.block_rows, scale=2.0)
-        spec2_g = onb_families(window.second.block_rows, scale=2.0)
-        transfer = check_weaving_transfer(
-            window.first, window.second, spec2_f, spec2_g, tol, cap
-        )
-        vector_bounds = transfer.computed["vector_bounds"]
-        add(
-            "window-pair-vector-transfer",
-            _bounds_close(vector_bounds, window.expected["vector_universal_scaled2"])
-            and transfer.passed,
-            "exhaustive",
-            {
-                "vector_universal": vector_bounds,
-                "transfer_passed": transfer.passed,
-            },
-            {
-                "vector_universal": window.expected["vector_universal_scaled2"],
-                "stated_envelope": window.expected["stated_vector_envelope"],
-            },
-            window.provenance,
-            detail=(
-                "computed optimal lower bound 4 recorded alongside the stated"
-                " conservative envelope lower bound 1"
-            ),
-        )
+        with statement("window-pair-vector-transfer") as record:
+            spec2_f = onb_families(window.first.block_rows, scale=2.0)
+            spec2_g = onb_families(window.second.block_rows, scale=2.0)
+            transfer = check_weaving_transfer(
+                window.first,
+                window.second,
+                spec2_f,
+                spec2_g,
+                tol,
+                cap,
+                report=window_universal()[0],
+            )
+            vector_bounds = transfer.computed["vector_bounds"]
+            record(
+                _bounds_close(vector_bounds, window.expected["vector_universal_scaled2"])
+                and transfer.passed,
+                "exhaustive",
+                {
+                    "vector_universal": vector_bounds,
+                    "transfer_passed": transfer.passed,
+                },
+                {
+                    "vector_universal": window.expected["vector_universal_scaled2"],
+                    "stated_envelope": window.expected["stated_vector_envelope"],
+                },
+                window.provenance,
+                detail=(
+                    "computed optimal lower bound 4 recorded alongside the stated"
+                    " conservative envelope lower bound 1"
+                ),
+            )
     else:
         add_skipped("window-pair-vector-transfer")
 
     # Shifted pair transfers its negative verdict to the vector level.
     if shifted.first.n_blocks <= cap:
-        spec_f = onb_families(shifted.first.block_rows, scale=2.0)
-        spec_g = onb_families(shifted.second.block_rows, scale=2.0)
-        transfer = check_weaving_transfer(
-            shifted.first, shifted.second, spec_f, spec_g, tol, cap
-        )
-        add(
-            "shifted-pair-vector-transfer",
-            transfer.passed and not transfer.computed["vector_woven"],
-            "exhaustive",
-            transfer.computed,
-            {"verdicts_match": True, "vector_woven": False},
-            shifted.provenance,
-        )
+        with statement("shifted-pair-vector-transfer") as record:
+            spec_f = onb_families(shifted.first.block_rows, scale=2.0)
+            spec_g = onb_families(shifted.second.block_rows, scale=2.0)
+            transfer = check_weaving_transfer(
+                shifted.first,
+                shifted.second,
+                spec_f,
+                spec_g,
+                tol,
+                cap,
+                report=shifted_universal()[0],
+            )
+            record(
+                transfer.passed and not transfer.computed["vector_woven"],
+                "exhaustive",
+                transfer.computed,
+                {"verdicts_match": True, "vector_woven": False},
+                shifted.provenance,
+            )
     else:
         add_skipped("shifted-pair-vector-transfer")
 
     # Scaled-split pair: each family tight, universal bounds strictly wider.
-    sc_first = optimal_bounds(scaled_pair.first, tol)
-    sc_second = optimal_bounds(scaled_pair.second, tol)
-    add(
-        "scaled-split-families-tight",
-        _bounds_close((sc_first.lower, sc_first.upper), (1.0, 1.0))
-        and _bounds_close((sc_second.lower, sc_second.upper), (1.0, 1.0)),
-        "exhaustive",
-        {
-            "first_bounds": (sc_first.lower, sc_first.upper),
-            "second_bounds": (sc_second.lower, sc_second.upper),
-        },
-        {"first_bounds": (1.0, 1.0), "second_bounds": (1.0, 1.0)},
-        scaled_pair.provenance,
-    )
-
-    sc_rep, sc_method = _universal(scaled_pair, cfg)
-    check = _bounds_close if sc_method == "exhaustive" else _bounds_inside
-    sc_ok = sc_rep.woven and check(
-        (sc_rep.lower, sc_rep.upper), scaled_pair.expected["universal"]
-    )
-    if sc_method == "exhaustive":
-        sc_ok = (
-            sc_ok
-            and sc_rep.argmin.contains(scaled_pair.expected["argmin_contains"])
-            and sc_rep.argmax.contains(scaled_pair.expected["argmax_contains"])
+    with statement("scaled-split-families-tight") as record:
+        sc_first, sc_second = scaled_families()
+        record(
+            _bounds_close((sc_first.lower, sc_first.upper), (1.0, 1.0))
+            and _bounds_close((sc_second.lower, sc_second.upper), (1.0, 1.0)),
+            "exhaustive",
+            {
+                "first_bounds": (sc_first.lower, sc_first.upper),
+                "second_bounds": (sc_second.lower, sc_second.upper),
+            },
+            {"first_bounds": (1.0, 1.0), "second_bounds": (1.0, 1.0)},
+            scaled_pair.provenance,
         )
-    add(
-        "scaled-split-universal",
-        sc_ok,
-        sc_method,
-        {
-            "universal": (sc_rep.lower, sc_rep.upper),
-            "argmin": list(sc_rep.argmin.indices),
-            "argmax": list(sc_rep.argmax.indices),
-        },
-        scaled_pair.expected,
-        scaled_pair.provenance,
-    )
 
-    add(
-        "scaled-split-envelope",
-        sc_rep.lower <= min(sc_first.lower, sc_second.lower) + CHECK_EPS
-        and sc_rep.upper >= max(sc_first.upper, sc_second.upper) - CHECK_EPS
-        and sc_rep.lower < min(sc_first.lower, sc_second.lower) - CHECK_EPS
-        and sc_rep.upper > max(sc_first.upper, sc_second.upper) + CHECK_EPS,
-        sc_method,
-        {"universal": (sc_rep.lower, sc_rep.upper)},
-        {
-            "lower_strictly_below": min(sc_first.lower, sc_second.lower),
-            "upper_strictly_above": max(sc_first.upper, sc_second.upper),
-        },
-        detail="strictness illustration: the envelope inequalities are strict here",
-    )
+    with statement("scaled-split-universal") as record:
+        sc_rep, sc_method = scaled_universal()
+        check = _bounds_close if sc_method == "exhaustive" else _bounds_inside
+        sc_ok = sc_rep.woven and check(
+            (sc_rep.lower, sc_rep.upper), scaled_pair.expected["universal"]
+        )
+        if sc_method == "exhaustive":
+            sc_ok = (
+                sc_ok
+                and sc_rep.argmin.contains(scaled_pair.expected["argmin_contains"])
+                and sc_rep.argmax.contains(scaled_pair.expected["argmax_contains"])
+            )
+        record(
+            sc_ok,
+            sc_method,
+            {
+                "universal": (sc_rep.lower, sc_rep.upper),
+                "argmin": list(sc_rep.argmin.indices),
+                "argmax": list(sc_rep.argmax.indices),
+            },
+            scaled_pair.expected,
+            scaled_pair.provenance,
+        )
 
-    gap = check_strict_sum_gap(scaled_pair.first, scaled_pair.second, sc_rep)
-    add(
-        "scaled-split-sum-gap",
-        gap.passed,
-        sc_method,
-        {"universal": (sc_rep.lower, sc_rep.upper)},
-        gap.expected,
-    )
+    with statement("scaled-split-envelope") as record:
+        sc_rep, sc_method = scaled_universal()
+        sc_first, sc_second = scaled_families()
+        record(
+            sc_rep.lower <= min(sc_first.lower, sc_second.lower) + CHECK_EPS
+            and sc_rep.upper >= max(sc_first.upper, sc_second.upper) - CHECK_EPS
+            and sc_rep.lower < min(sc_first.lower, sc_second.lower) - CHECK_EPS
+            and sc_rep.upper > max(sc_first.upper, sc_second.upper) + CHECK_EPS,
+            sc_method,
+            {"universal": (sc_rep.lower, sc_rep.upper)},
+            {
+                "lower_strictly_below": min(sc_first.lower, sc_second.lower),
+                "upper_strictly_above": max(sc_first.upper, sc_second.upper),
+            },
+            detail="strictness illustration: the envelope inequalities are strict here",
+        )
+
+    with statement("scaled-split-sum-gap") as record:
+        sc_rep, sc_method = scaled_universal()
+        gap = check_strict_sum_gap(scaled_pair.first, scaled_pair.second, sc_rep)
+        record(
+            gap.passed,
+            sc_method,
+            {"universal": (sc_rep.lower, sc_rep.upper)},
+            gap.expected,
+        )
 
     if scaled_pair.first.n_blocks <= cap:
-        pt = check_parseval_transform_weaving(
-            scaled_pair.first, scaled_pair.second, sc_rep, tol, cap
-        )
-        add(
-            "parseval-transform-weaving",
-            pt.passed,
-            "exhaustive",
-            pt.computed,
-            pt.expected,
-            detail=pt.detail,
-        )
+        with statement("parseval-transform-weaving") as record:
+            pt = check_parseval_transform_weaving(
+                scaled_pair.first, scaled_pair.second, scaled_universal()[0], tol, cap
+            )
+            record(
+                pt.passed,
+                "exhaustive",
+                pt.computed,
+                pt.expected,
+                detail=pt.detail,
+            )
     else:
         add_skipped("parseval-transform-weaving")
 
     # Additive upper bound on two woven pairs.
     if window.first.n_blocks <= cap and scaled_pair.first.n_blocks <= cap:
-        a1 = check_additive_upper_bound(window.first, window.second, wi_rep)
-        a2 = check_additive_upper_bound(scaled_pair.first, scaled_pair.second, sc_rep)
-        add(
-            "additive-upper-bound",
-            a1.passed and a2.passed,
-            "exhaustive",
-            {"window": a1.computed, "scaled_split": a2.computed},
-            {"window": a1.expected, "scaled_split": a2.expected},
-        )
+        with statement("additive-upper-bound") as record:
+            a1 = check_additive_upper_bound(window.first, window.second, window_universal()[0])
+            a2 = check_additive_upper_bound(
+                scaled_pair.first, scaled_pair.second, scaled_universal()[0]
+            )
+            record(
+                a1.passed and a2.passed,
+                "exhaustive",
+                {"window": a1.computed, "scaled_split": a2.computed},
+                {"window": a1.expected, "scaled_split": a2.expected},
+            )
     else:
         add_skipped("additive-upper-bound")
 
     # A family weaves with its canonical dual: scalar case plus the window family.
     scalar = new_gframe(1, [np.array([[1.0]]), np.array([[1.0]])])
-    dr1 = check_dual_weaving(scalar, tol, cap)
-    dr1_ok = dr1.passed and _bounds_close(
-        (dr1.computed["universal_lower"], dr1.computed["universal_upper"]),
-        (0.5, 2.0),
-    )
-    dr2 = check_dual_weaving(window.second, tol, cap) if window.second.n_blocks <= cap else None
-    add(
-        "dual-pair-weaving-guarantee",
-        dr1_ok and (dr2 is None or dr2.passed),
-        "exhaustive",
-        {"scalar": dr1.computed, "window_second": None if dr2 is None else dr2.computed},
-        {"scalar_universal": (0.5, 2.0), "guarantees": dr1.expected},
-        {"scalar_universal": "derived"},
-    )
+    if scalar.n_blocks <= cap:
+        with statement("dual-pair-weaving-guarantee") as record:
+            dr1 = check_dual_weaving(scalar, tol, cap)
+            dr1_ok = dr1.passed and _bounds_close(
+                (dr1.computed["universal_lower"], dr1.computed["universal_upper"]),
+                (0.5, 2.0),
+            )
+            dr2 = (
+                check_dual_weaving(window.second, tol, cap)
+                if window.second.n_blocks <= cap
+                else None
+            )
+            record(
+                dr1_ok and (dr2 is None or dr2.passed),
+                "exhaustive",
+                {"scalar": dr1.computed, "window_second": None if dr2 is None else dr2.computed},
+                {"scalar_universal": (0.5, 2.0), "guarantees": dr1.expected},
+                {"scalar_universal": "derived"},
+            )
+    else:
+        add_skipped("dual-pair-weaving-guarantee")
 
     # Duplicate rows: a frame with bounds (2, 2) that is neither exact nor Riesz.
-    du_first = optimal_bounds(dupsplit.first, tol)
-    du_exact = is_g_exact(dupsplit.first, tol)
-    du_riesz_first = is_g_riesz_basis(dupsplit.first, tol)
-    add(
-        "duplicate-rows-family",
-        _bounds_close((du_first.lower, du_first.upper), (2.0, 2.0))
-        and not du_exact.is_exact
-        and du_exact.witness is not None
-        and du_exact.removal_lower_bounds[1] > du_exact.threshold
-        and not du_riesz_first.is_riesz,
-        "exhaustive",
-        {
-            "bounds": (du_first.lower, du_first.upper),
-            "is_exact": du_exact.is_exact,
-            "witness": du_exact.witness,
-            "lower_bound_after_removing_block_2": du_exact.removal_lower_bounds[1],
-            "is_riesz": du_riesz_first.is_riesz,
-            "induced_vector_count": du_riesz_first.vector_count,
-        },
-        {
-            "bounds": (2.0, 2.0),
-            "is_exact": False,
-            "removal_of_block_2_keeps_frame": True,
-            "is_riesz": False,
-        },
-        dupsplit.provenance,
-    )
+    with statement("duplicate-rows-family") as record:
+        du_first = optimal_bounds(dupsplit.first, tol)
+        du_exact = is_g_exact(dupsplit.first, tol)
+        du_riesz_first = duplicate_riesz()
+        record(
+            _bounds_close((du_first.lower, du_first.upper), (2.0, 2.0))
+            and not du_exact.is_exact
+            and du_exact.witness is not None
+            and du_exact.removal_lower_bounds[1] > du_exact.threshold
+            and not du_riesz_first.is_riesz,
+            "exhaustive",
+            {
+                "bounds": (du_first.lower, du_first.upper),
+                "is_exact": du_exact.is_exact,
+                "witness": du_exact.witness,
+                "lower_bound_after_removing_block_2": du_exact.removal_lower_bounds[1],
+                "is_riesz": du_riesz_first.is_riesz,
+                "induced_vector_count": du_riesz_first.vector_count,
+            },
+            {
+                "bounds": (2.0, 2.0),
+                "is_exact": False,
+                "removal_of_block_2_keeps_frame": True,
+                "is_riesz": False,
+            },
+            dupsplit.provenance,
+        )
 
     # Parity split: a Riesz (indeed orthonormal) family with bounds (1, 1).
-    du_riesz_second = is_g_riesz_basis(dupsplit.second, tol)
-    du_onb_second = is_g_orthonormal_basis(dupsplit.second, tol)
-    add(
-        "parity-split-family",
-        du_riesz_second.is_riesz
-        and _bounds_close((du_riesz_second.lower, du_riesz_second.upper), (1.0, 1.0)),
-        "exhaustive",
-        {
-            "is_riesz": du_riesz_second.is_riesz,
-            "riesz_bounds": (du_riesz_second.lower, du_riesz_second.upper),
-            "is_onb": du_onb_second.is_onb,
-        },
-        {"is_riesz": True, "riesz_bounds": (1.0, 1.0)},
-        dupsplit.provenance,
-    )
+    with statement("parity-split-family") as record:
+        du_riesz_second = split_riesz()
+        du_onb_second = is_g_orthonormal_basis(dupsplit.second, tol)
+        record(
+            du_riesz_second.is_riesz
+            and _bounds_close((du_riesz_second.lower, du_riesz_second.upper), (1.0, 1.0)),
+            "exhaustive",
+            {
+                "is_riesz": du_riesz_second.is_riesz,
+                "riesz_bounds": (du_riesz_second.lower, du_riesz_second.upper),
+                "is_onb": du_onb_second.is_onb,
+            },
+            {"is_riesz": True, "riesz_bounds": (1.0, 1.0)},
+            dupsplit.provenance,
+        )
 
     # The pair weaves although exactly one member is a Riesz family; this is
     # the asymmetry that cannot happen for ordinary vector frames.
-    du_rep, du_method = _universal(dupsplit, cfg)
-    check = _bounds_close if du_method == "exhaustive" else _bounds_inside
-    add(
-        "duplicate-vs-split-weaving",
-        du_rep.woven
-        and check((du_rep.lower, du_rep.upper), dupsplit.expected["universal"])
-        and du_riesz_second.is_riesz
-        and not du_riesz_first.is_riesz,
-        du_method,
-        {
-            "universal": (du_rep.lower, du_rep.upper),
-            "woven": du_rep.woven,
-            "exactly_one_riesz": du_riesz_second.is_riesz and not du_riesz_first.is_riesz,
-        },
-        {"universal": dupsplit.expected["universal"], "exactly_one_riesz": True},
-        dupsplit.provenance,
-    )
+    with statement("duplicate-vs-split-weaving") as record:
+        du_rep, du_method = _universal(dupsplit, cfg)
+        exactly_one = split_riesz().is_riesz and not duplicate_riesz().is_riesz
+        check = _bounds_close if du_method == "exhaustive" else _bounds_inside
+        record(
+            du_rep.woven
+            and check((du_rep.lower, du_rep.upper), dupsplit.expected["universal"])
+            and exactly_one,
+            du_method,
+            {
+                "universal": (du_rep.lower, du_rep.upper),
+                "woven": du_rep.woven,
+                "exactly_one_riesz": exactly_one,
+            },
+            {"universal": dupsplit.expected["universal"], "exactly_one_riesz": True},
+            dupsplit.provenance,
+        )
 
     # Overlapping coordinates: both families exact.
-    ov_first = is_g_exact(overlap.first, tol)
-    ov_second = is_g_exact(overlap.second, tol)
-    add(
-        "overlapping-coordinates-exact",
-        ov_first.is_exact and ov_second.is_exact,
-        "exhaustive",
-        {"first_exact": ov_first.is_exact, "second_exact": ov_second.is_exact},
-        {"first_exact": True, "second_exact": True},
-        overlap.provenance,
-    )
+    with statement("overlapping-coordinates-exact") as record:
+        ov_first = is_g_exact(overlap.first, tol)
+        ov_second = is_g_exact(overlap.second, tol)
+        record(
+            ov_first.is_exact and ov_second.is_exact,
+            "exhaustive",
+            {"first_exact": ov_first.is_exact, "second_exact": ov_second.is_exact},
+            {"first_exact": True, "second_exact": True},
+            overlap.provenance,
+        )
 
-    ov_rep, ov_method = _universal(overlap, cfg)
-    check = _bounds_close if ov_method == "exhaustive" else _bounds_inside
-    add(
-        "overlapping-coordinates-weaving",
-        ov_rep.woven and check((ov_rep.lower, ov_rep.upper), overlap.expected["universal"]),
-        ov_method,
-        {"universal": (ov_rep.lower, ov_rep.upper), "woven": ov_rep.woven},
-        {"universal": overlap.expected["universal"], "woven": True},
-        overlap.provenance,
-    )
+    with statement("overlapping-coordinates-weaving") as record:
+        ov_rep, ov_method = _universal(overlap, cfg)
+        check = _bounds_close if ov_method == "exhaustive" else _bounds_inside
+        record(
+            ov_rep.woven and check((ov_rep.lower, ov_rep.upper), overlap.expected["universal"]),
+            ov_method,
+            {"universal": (ov_rep.lower, ov_rep.upper), "woven": ov_rep.woven},
+            {"universal": overlap.expected["universal"], "woven": True},
+            overlap.provenance,
+        )
 
     # The weaving taking blocks 1 and 2 from the first family is a frame but
     # no longer exact, hence not Riesz; exactness is lost under weaving even
     # though both ingredients are exact.
-    sel = WeavingSelection.from_indices(
-        overlap.first.n_blocks, overlap.expected["mixed_selection_indices"]
-    )
-    mixed = weave(overlap.first, overlap.second, sel)
-    mixed_bounds = optimal_bounds(mixed, tol)
-    mixed_exact = is_g_exact(mixed, tol)
-    mixed_riesz = is_g_riesz_basis(mixed, tol)
-    add(
-        "overlapping-coordinates-nonexact-weaving",
-        mixed_bounds.is_frame
-        and not mixed_exact.is_exact
-        and mixed_exact.removal_lower_bounds[1] > mixed_exact.threshold
-        and not mixed_riesz.is_riesz,
-        "exhaustive",
-        {
-            "is_frame": mixed_bounds.is_frame,
-            "is_exact": mixed_exact.is_exact,
-            "witness": mixed_exact.witness,
-            "lower_bound_after_removing_block_2": mixed_exact.removal_lower_bounds[1],
-            "is_riesz": mixed_riesz.is_riesz,
-        },
-        {
-            "is_frame": True,
-            "is_exact": False,
-            "removal_of_block_2_keeps_frame": True,
-            "is_riesz": False,
-        },
-        overlap.provenance,
-    )
+    with statement("overlapping-coordinates-nonexact-weaving") as record:
+        sel = WeavingSelection.from_indices(
+            overlap.first.n_blocks, overlap.expected["mixed_selection_indices"]
+        )
+        mixed = weave(overlap.first, overlap.second, sel)
+        mixed_bounds = optimal_bounds(mixed, tol)
+        mixed_exact = is_g_exact(mixed, tol)
+        mixed_riesz = is_g_riesz_basis(mixed, tol)
+        record(
+            mixed_bounds.is_frame
+            and not mixed_exact.is_exact
+            and mixed_exact.removal_lower_bounds[1] > mixed_exact.threshold
+            and not mixed_riesz.is_riesz,
+            "exhaustive",
+            {
+                "is_frame": mixed_bounds.is_frame,
+                "is_exact": mixed_exact.is_exact,
+                "witness": mixed_exact.witness,
+                "lower_bound_after_removing_block_2": mixed_exact.removal_lower_bounds[1],
+                "is_riesz": mixed_riesz.is_riesz,
+            },
+            {
+                "is_frame": True,
+                "is_exact": False,
+                "removal_of_block_2_keeps_frame": True,
+                "is_riesz": False,
+            },
+            overlap.provenance,
+        )
 
     # Block and induced-vector frame operators are the same sum.
-    identity_targets = [
-        ("projections", proj3),
-        ("duplicate-rows", dupsplit.first),
-        ("parity-split", dupsplit.second),
-        ("overlap-first", overlap.first),
-        ("scaled-split-first", scaled_pair.first),
-    ]
-    id_results = {name: check_operator_identity(f) for name, f in identity_targets}
-    add(
-        "operator-identity",
-        all(r.passed for r in id_results.values()),
-        "exhaustive",
-        {name: r.computed["max_entry_difference"] for name, r in id_results.items()},
-        {"max_entry_difference_at_most": 1e-12},
-    )
+    with statement("operator-identity") as record:
+        identity_targets = [
+            ("projections", proj3),
+            ("duplicate-rows", dupsplit.first),
+            ("parity-split", dupsplit.second),
+            ("overlap-first", overlap.first),
+            ("scaled-split-first", scaled_pair.first),
+        ]
+        id_results = {name: check_operator_identity(f) for name, f in identity_targets}
+        record(
+            all(r.passed for r in id_results.values()),
+            "exhaustive",
+            {name: r.computed["max_entry_difference"] for name, r in id_results.items()},
+            {"max_entry_difference_at_most": 1e-12},
+        )
 
     # Orthonormal weaving survives unitary composition and fails for the two
     # non-unitary counterexamples.
     if proj1.n_blocks <= cap:
-        u = random_unitary(proj_d, cfg.seed)
-        unitary_rec = check_unitary_weaving_invariance(proj1, proj1, u, tol, cap)
-        onb_pair_ok = unitary_rec.computed["input_pair_holds"]
-        add(
-            "unitary-composition-preserves-onb-weaving",
-            onb_pair_ok and unitary_rec.passed,
-            "exhaustive",
-            {"identity_pair_holds": onb_pair_ok, **unitary_rec.computed},
-            {"identity_pair_holds": True, **unitary_rec.expected},
-        )
+        with statement("unitary-composition-preserves-onb-weaving") as record:
+            u = random_unitary(proj_d, cfg.seed)
+            unitary_rec = check_unitary_weaving_invariance(proj1, proj1, u, tol, cap)
+            onb_pair_ok = unitary_rec.computed["input_pair_holds"]
+            record(
+                onb_pair_ok and unitary_rec.passed,
+                "exhaustive",
+                {"identity_pair_holds": onb_pair_ok, **unitary_rec.computed},
+                {"identity_pair_holds": True, **unitary_rec.expected},
+            )
     else:
         add_skipped("unitary-composition-preserves-onb-weaving")
 
-    scaled_family = compose_right(proj1, scale2)
-    scaled_class = classify(scaled_family, tol)
-    scaled_bounds = optimal_bounds(scaled_family, tol)
-    add(
-        "scaling-breaks-onb",
-        not scaled_class.is_g_onb
-        and _bounds_close((scaled_bounds.lower, scaled_bounds.upper), (4.0, 4.0)),
-        "exhaustive",
-        {"is_onb": scaled_class.is_g_onb, "bounds": (scaled_bounds.lower, scaled_bounds.upper)},
-        {"is_onb": False, "bounds": (4.0, 4.0)},
-    )
+    with statement("scaling-breaks-onb") as record:
+        scaled_family = compose_right(proj1, scale2)
+        scaled_class = classify(scaled_family, tol)
+        scaled_bounds = optimal_bounds(scaled_family, tol)
+        record(
+            not scaled_class.is_g_onb
+            and _bounds_close((scaled_bounds.lower, scaled_bounds.upper), (4.0, 4.0)),
+            "exhaustive",
+            {
+                "is_onb": scaled_class.is_g_onb,
+                "bounds": (scaled_bounds.lower, scaled_bounds.upper),
+            },
+            {"is_onb": False, "bounds": (4.0, 4.0)},
+        )
 
-    shifted_family = compose_right(proj1, shift)
-    shifted_class = is_g_orthonormal_basis(shifted_family, tol)
-    shifted_vectors = induced_vectors(shifted_family, onb_families(shifted_family.block_rows))
-    first_norm = float(np.linalg.norm(shifted_vectors.groups[0][0]))
-    add(
-        "shift-breaks-onb",
-        not shifted_class.is_onb
-        and shifted_class.first_zero_row == (1, 1)
-        and first_norm <= 1e-12,
-        "exhaustive",
-        {
-            "is_onb": shifted_class.is_onb,
-            "zero_induced_vector": shifted_class.first_zero_row,
-            "first_induced_vector_norm": first_norm,
-        },
-        {"is_onb": False, "zero_induced_vector": (1, 1)},
-    )
+    with statement("shift-breaks-onb") as record:
+        shifted_family = compose_right(proj1, shift)
+        shifted_class = is_g_orthonormal_basis(shifted_family, tol)
+        shifted_vectors = induced_vectors(shifted_family, onb_families(shifted_family.block_rows))
+        first_norm = float(np.linalg.norm(shifted_vectors.groups[0][0]))
+        record(
+            not shifted_class.is_onb
+            and shifted_class.first_zero_row == (1, 1)
+            and first_norm <= 1e-12,
+            "exhaustive",
+            {
+                "is_onb": shifted_class.is_onb,
+                "zero_induced_vector": shifted_class.first_zero_row,
+                "first_induced_vector_norm": first_norm,
+            },
+            {"is_onb": False, "zero_induced_vector": (1, 1)},
+        )
 
     records.sort(key=lambda r: r.name)
     return SuiteReport(records=tuple(records), config=cfg)

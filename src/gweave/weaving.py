@@ -55,16 +55,22 @@ CHECK_EPS = 1e-9
 
 
 def effective_cap(cap: Optional[int] = None) -> int:
-    """Exhaustive enumeration cap: explicit argument, else env override, else 20."""
-    if cap is not None:
-        return int(cap)
-    raw = os.environ.get(ENV_CAP, "").strip()
-    if not raw:
-        return DEFAULT_EXHAUSTIVE_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise TooManyBlocks(f"{ENV_CAP} must be an integer, got {raw!r}")
+    """Exhaustive enumeration cap: explicit argument, else env override, else 20.
+
+    A negative cap is refused.
+    """
+    if cap is None:
+        raw = os.environ.get(ENV_CAP, "").strip()
+        if not raw:
+            return DEFAULT_EXHAUSTIVE_CAP
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise TooManyBlocks(f"{ENV_CAP} must be an integer, got {raw!r}")
+    cap = int(cap)
+    if cap < 0:
+        raise TooManyBlocks(f"the exhaustive cap must be at least 0, got {cap}")
+    return cap
 
 
 @dataclass(frozen=True)

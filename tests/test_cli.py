@@ -225,6 +225,34 @@ class TestCommands:
     def test_paper_suite_dim_scale(self, capsys):
         assert main(["paper-suite", "--dim-scale", "1.5"]) == 0
 
+    @pytest.mark.parametrize(
+        "tol, error",
+        [
+            ("0.4", "NotAFrame: exactness is only defined for frames"),
+            ("0.6", "NotWoven: universal lower bound 5.000e-01 below threshold"),
+        ],
+    )
+    def test_paper_suite_error_in_a_statement_fails_its_record(self, capsys, tol, error):
+        """A statement that raises fails its own record; every other record is still written."""
+        assert main(["paper-suite", "--tol", tol]) == 1
+        assert capsys.readouterr().out.endswith(" records passed\n")
+        assert main(["paper-suite", "--tol", tol, "--json"]) == 1
+        records = json.loads(capsys.readouterr().out)["results"]["records"]
+        assert len(records) == 22
+        errors = [r for r in records if r["method"] == "error"]
+        assert errors and not any(r["passed"] for r in errors)
+        assert error in [r["detail"] for r in errors]
+
+    @pytest.mark.parametrize("cap", ["0", "1"])
+    def test_paper_suite_with_a_cap_below_every_pair_skips_the_exhaustive_records(
+        self, capsys, cap
+    ):
+        assert main(["paper-suite", "--cap", cap, "--json"]) == 0
+        records = json.loads(capsys.readouterr().out)["results"]["records"]
+        assert len(records) == 22
+        skipped = {r["name"] for r in records if r["detail"].startswith("skipped")}
+        assert "dual-pair-weaving-guarantee" in skipped
+
 
 class TestExitCodes:
     def test_missing_file_is_input_error(self, capsys):
@@ -311,6 +339,17 @@ class TestExitCodes:
         assert err.endswith("the largest dim_scale is 6.944\n")
         with pytest.raises(TooManyBlocks):
             run_suite(SuiteConfig(dim_scale=float(scale)))
+
+    @pytest.mark.parametrize(
+        "argv", [["paper-suite"], ["woven", "proj", "proj"]], ids=lambda argv: argv[0]
+    )
+    def test_negative_cap_is_input_error(self, paths, capsys, monkeypatch, argv):
+        argv = [paths.get(a, a) for a in argv]
+        assert main([*argv, "--cap", "-1"]) == 2
+        assert capsys.readouterr().err == "error: the exhaustive cap must be at least 0, got -1\n"
+        monkeypatch.setenv("GWEAVE_EXHAUSTIVE_CAP", "-3")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: the exhaustive cap must be at least 0, got -3\n"
 
     def test_cap_exceeded_is_input_error(self, paths, capsys):
         assert (

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from gweave import linalg
-from gweave.errors import Empty, EnvelopeViolation, GWeaveError, LengthMismatch
+from gweave import _kernels, linalg
+from gweave.errors import Empty, EnvelopeViolation, GWeaveError, LengthMismatch, ShapeMismatch
 from gweave.gframe import frame_operator, new_gframe
 from gweave.induced import (
     check_operator_identity,
@@ -262,6 +262,31 @@ class TestWeavingTransfer:
         assert rec.passed
         assert rec.computed["block_woven"] and rec.computed["vector_woven"]
         assert "tight envelope" in rec.detail
+
+    def test_a_given_report_replaces_the_block_scan(self, monkeypatch):
+        """With the pair's report the record is the same, and only the vector pair is scanned."""
+        pair = build_window_pair(8)
+        spec_f = onb_families(pair.first.block_rows, scale=2.0)
+        spec_g = onb_families(pair.second.block_rows, scale=2.0)
+        expected = check_weaving_transfer(pair.first, pair.second, spec_f, spec_g)
+        report = universal_bounds_exhaustive(pair.first, pair.second)
+        scans = []
+        scan = _kernels.weaving_scan
+        monkeypatch.setattr(_kernels, "weaving_scan", lambda *a: scans.append(1) or scan(*a))
+        got = check_weaving_transfer(pair.first, pair.second, spec_f, spec_g, report=report)
+        assert got == expected and scans == [1]
+
+        other = build_window_pair(9)
+        with pytest.raises(LengthMismatch):
+            check_weaving_transfer(
+                pair.first,
+                pair.second,
+                spec_f,
+                spec_g,
+                report=universal_bounds_exhaustive(other.first, other.second),
+            )
+        with pytest.raises(ShapeMismatch):
+            check_weaving_transfer(pair.first, pair.second, spec_f, spec_g, report=expected)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_pairs_with_random_block_frames(self, seed):

@@ -352,16 +352,24 @@ def test_branch_and_bound_equals_full_scan(pair, batch_floats):
 
 
 def _tree_calls(monkeypatch):
+    """The live blocks of each scan whose search runs over subcubes, not the cube as one leaf."""
     calls = []
-    tree = _kernels._branch_and_bound
-    monkeypatch.setattr(
-        _kernels, "_branch_and_bound", lambda *args: calls.append(args[2]) or tree(*args)
-    )
+    search = _kernels._subcube_search
+
+    def counted(operator, deltas, margin, step, cube):
+        if not cube:
+            calls.append(len(deltas))
+        return search(operator, deltas, margin, step, cube)
+
+    monkeypatch.setattr(_kernels, "_subcube_search", counted)
     return calls
 
 
 def test_diagonal_pairs_and_one_chunk_scans_take_no_tree(monkeypatch):
-    """The tree needs a full batch of masks, a component that is not 1 x 1 and enough blocks."""
+    """Subcubes need more than one batch of masks, a component that is not 1 x 1 and enough blocks.
+
+    Otherwise the whole cube is one leaf.
+    """
     calls = _tree_calls(monkeypatch)
     for build, size in [
         (build_window_pair, 16),
@@ -378,14 +386,14 @@ def test_diagonal_pairs_and_one_chunk_scans_take_no_tree(monkeypatch):
     assert calls == []
 
     # 2**12 masks of order 16 fill 64 batches, but a component of order 16
-    # needs 14 blocks: the certified scan runs
+    # needs 14 blocks: the cube is one leaf, with the Cholesky test
     wide = _pair_inputs(random_gframe(rng, d=16, n=12), random_gframe(rng, d=16, n=12))
     assert _kernels.weaving_scan(*wide) == full_weaving_scan(*wide)
     assert calls == []
 
     dense = _pair_inputs(random_gframe(rng, d=4, n=12), random_gframe(rng, d=4, n=12))
     assert _kernels.weaving_scan(*dense) == full_weaving_scan(*dense)
-    assert calls == [1, -1]
+    assert calls == [12]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -431,7 +439,7 @@ def test_every_tree_batch_fits_the_batch_size(monkeypatch, batch_floats):
         _kernels, "_mask_bits", lambda masks, k: batches.append(len(masks)) or mask_bits(masks, k)
     )
     assert _kernels.weaving_scan(base, deltas) == expected
-    assert calls == [1, -1]
+    assert calls == [14]
     step = max(1, batch_floats // 16)
     assert max(batches) == step
 
@@ -477,7 +485,7 @@ def test_a_subcube_whose_bound_meets_the_incumbent_is_searched(monkeypatch):
     calls = _tree_calls(monkeypatch)
     expected = full_weaving_scan(base, deltas)
     assert _kernels.weaving_scan(base, deltas) == expected == (0.0, 0, 100.0, 63)
-    assert calls == [1, -1]
+    assert calls == [6]
 
 
 def test_a_pair_where_every_selection_ties_both_extremes_scans_exactly(monkeypatch):
@@ -485,7 +493,9 @@ def test_a_pair_where_every_selection_ties_both_extremes_scans_exactly(monkeypat
 
     Every selection ties the minimum 0 and the maximum 100, so the tree can
     prune nothing, and the witnesses must still be the smallest and the
-    largest mask.
+    largest mask.  One search serves both sides, so each node's own mask and
+    each leaf completion is solved once: with the envelopes, at most
+    ``3 * 2**15`` matrices go to ``eigvalsh``.
     """
     rng = np.random.default_rng(16)
     base = np.diag([10.0, 10.0, 10.0, 0.0, 100.0])
@@ -494,10 +504,14 @@ def test_a_pair_where_every_selection_ties_both_extremes_scans_exactly(monkeypat
     for delta in deltas:
         part = rng.uniform(-0.5, 0.5, size=(3, 3))
         delta[:3, :3] = (part + part.T) / 2
-    calls = _tree_calls(monkeypatch)
     expected = full_weaving_scan(base, deltas)
+    calls = _tree_calls(monkeypatch)
+    matrices = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: matrices.append(len(a)) or eigvalsh(a))
     assert _kernels.weaving_scan(base, deltas) == expected == (0.0, 0, 100.0, (1 << 16) - 1)
-    assert calls == [1, -1]
+    assert calls == [16]
+    assert sum(matrices) <= 3 * (1 << 15)
 
 
 def _neighbour_spectra(base, deltas, masks):

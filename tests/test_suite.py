@@ -177,13 +177,12 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("dim_scale", [1.0, 1.5])
     def test_statements_reuse_the_suite_reports(self, monkeypatch, dim_scale):
-        """12 scans of 10 distinct pairs, and 2 ONB classifications.
+        """10 scans of 10 distinct pairs, and 2 ONB classifications.
 
-        The bound statements take the reports the suite already holds; only
-        ``check_weaving_transfer`` scans the window and shifted pairs again.
-        The ONB weavings of the one-row projections and of their unitary
-        image are the only per-selection classifications, each one pass over
-        the stacks.
+        The bound statements and ``check_weaving_transfer`` take the reports
+        the suite already holds.  The ONB weavings of the one-row projections
+        and of their unitary image are the only per-selection
+        classifications, each one pass over the stacks.
         """
         calls = {"weaving_scan": 0, "operator_stacks": 0}
         for name in calls:
@@ -195,7 +194,7 @@ class TestRunSuite:
 
             monkeypatch.setattr(_kernels, name, counted)
         assert run_suite(SuiteConfig(dim_scale=dim_scale)).passed
-        assert calls == {"weaving_scan": 12, "operator_stacks": 2}
+        assert calls == {"weaving_scan": 10, "operator_stacks": 2}
 
     def test_report_serializable(self):
         import json
