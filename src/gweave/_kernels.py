@@ -9,23 +9,22 @@ block position ``i`` (0-based) is drawn from the first family.  Given
 the mixed frame operator for mask ``s`` is ``base + sum(deltas[i] for i in s)``
 and the kernel reports extreme eigenvalues across masks.
 
-Each batch of masks becomes a stack of operators through a real matmul of
-the mask bits with the flattened deltas (:func:`_stack`, the only place a
-stack is built), and one stacked ``eigvalsh`` gives its extreme eigenvalues.
-The matmul runs in tiles of a fixed number of rows, so a mask's operator, and
-with it its eigenvalues, is bitwise the same whatever batch it comes in.
-:func:`operator_stacks` hands the stacks of all masks, in ascending order, to
-callers that reduce them some other way.
+Every spectrum goes through one representation, :class:`_SplitOperator`:
+coordinates split into the connected components of the nonzero pattern of
+``base`` and every delta, so each operator is block diagonal after a
+permutation and its extreme eigenvalues are the extremes over components.
+A 1 x 1 component is its real diagonal entry and needs no eigensolve.  Each
+batch of masks becomes one stack per component through a real matmul of the
+mask bits with that component's flattened deltas (:func:`_stack`), and one
+stacked ``eigvalsh`` per component gives its extreme eigenvalues.  The
+matmul runs in tiles of a fixed number of rows, so a mask's operator, and
+with it its eigenvalues, is bitwise the same whatever batch it comes in, and
+the scan, the sampled search and the basis classifiers of ``weaving`` read
+the same values for the same mask.
 
-Before enumerating, :func:`weaving_scan` removes work that cannot change the
-answer:
-
-- a block whose delta is exactly zero gives the same operator with its bit
-  set or clear, so only the masks of the remaining blocks are enumerated;
-- coordinates split into the connected components of the nonzero pattern of
-  ``base`` and every delta, so each operator is block diagonal after a
-  permutation and its extreme eigenvalues are the extremes over components.
-  A 1 x 1 component is its real diagonal entry and needs no eigensolve.
+Before enumerating, :func:`weaving_scan` also drops every block whose delta
+is exactly zero: it gives the same operator with its bit set or clear, so
+only the masks of the remaining blocks are enumerated.
 
 Then one search over subcubes of masks (:func:`_subcube_search`, a
 best-first branch-and-bound after Land and Doig) gives both extremes:
@@ -67,7 +66,8 @@ values, tightened by the Rayleigh quotients of :func:`neighbour_quotients`.
 A side that the Weyl bound from the current mask already clears gets no
 test, and a neighbour with both sides cleared is not sent to the kernel;
 otherwise :func:`mask_spectra` runs the Cholesky test of :func:`_inside` on
-the mask's stack row and solves only the masks that fail it.
+each component of the mask's operator and solves only the masks that fail
+it.
 
 The margin ``m`` (:func:`_margin`) bounds the rounding of the shifts, of
 Cholesky, of ``eigvalsh``, of the envelopes and of the Weyl and Rayleigh
@@ -156,24 +156,6 @@ def _stack(base: np.ndarray, flat: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return stack
 
 
-def operator_stacks(base: np.ndarray, deltas: np.ndarray):
-    """Yield ``(masks, bits, stack)`` for all ``2**n`` masks in ascending order.
-
-    ``bits`` holds the masks' bits as float64 rows and ``stack`` their mixed
-    operators; the caller may overwrite both.  A stack holds at most
-    ``_BATCH_FLOATS`` float64 entries (and at least one operator).
-    """
-    n = deltas.shape[0]
-    _check_blocks(n)
-    flat = _flat(deltas)
-    step = max(1, _BATCH_FLOATS // flat.shape[1])
-    total = 1 << n
-    for start in range(0, total, step):
-        masks = np.arange(start, min(start + step, total), dtype=np.int64)
-        bits = _mask_bits(masks, n)
-        yield masks, bits, _stack(base, flat, bits)
-
-
 def _components(pattern: np.ndarray) -> list:
     """Connected components of a symmetric boolean adjacency, each as ascending indices."""
     reach = pattern | np.eye(len(pattern), dtype=bool)
@@ -204,48 +186,53 @@ class _SplitOperator:
 
     def pieces(self, bits: np.ndarray):
         """The diagonal entries and the component stacks of the operator of each row of bits."""
-        diag = _stack(self.diag_base, self.diag_deltas, bits)
+        if len(self.diag_base):
+            diag = _stack(self.diag_base, self.diag_deltas, bits)
+        else:
+            diag = np.empty((len(bits), 0))
         return diag, [_stack(base, flat, bits) for base, flat in self.blocks]
 
-    def extremes(self, bits: np.ndarray, floor: float = np.inf, ceiling: float = -np.inf):
+    def extremes(self, bits: np.ndarray, floor=None, ceiling=None):
         """Smallest and largest eigenvalue of the operator of each row of bits.
 
-        ``floor`` and ``ceiling`` are both scalars or both hold one value per
-        row.  A row whose operator is proved to have every eigenvalue
-        strictly between its floor and ceiling (the diagonal directly, each
-        component by :func:`_inside`) is not solved; it reads ``+inf`` and
-        ``-inf``.  A floor of ``-inf`` or a ceiling of ``+inf`` needs no test;
-        a floor of ``+inf`` or a ceiling of ``-inf``, as with the defaults,
-        solves the row.
+        With no ``floor`` and ``ceiling`` every row is solved.  Otherwise
+        they are both scalars or both hold one value per row, and a row whose
+        operator is proved to have every eigenvalue strictly between its
+        floor and ceiling (the diagonal directly, each component by
+        :func:`_inside`) is not solved; it reads ``+inf`` and ``-inf``.  A
+        floor of ``-inf`` or a ceiling of ``+inf`` needs no test.
         """
         diag, stacks = self.pieces(bits)
-        solve = (diag.min(axis=1, initial=np.inf) <= floor) | (
-            diag.max(axis=1, initial=-np.inf) >= ceiling
-        )
+        if floor is None:
+            return _solve(diag, stacks)
+        solve = np.zeros(len(bits), dtype=bool)
+        if diag.shape[1]:
+            solve = (diag.min(axis=1) <= floor) | (diag.max(axis=1) >= ceiling)
         for stack in stacks:
             rows = ~solve
-            if rows.any():
+            if rows.all():  # every row: test the stack itself, not a copy
+                solve = ~_inside(stack, floor, ceiling)
+            elif rows.any():
                 shifts = (floor[rows], ceiling[rows]) if np.ndim(floor) else (floor, ceiling)
                 solve[rows] = ~_inside(stack[rows], *shifts)
-        rows = np.flatnonzero(solve)
+        if solve.all():
+            return _solve(diag, stacks)
         lo = np.full(len(bits), np.inf)
         hi = np.full(len(bits), -np.inf)
-        lo[rows], hi[rows] = _solve(diag[rows], [stack[rows] for stack in stacks])
+        rows = np.flatnonzero(solve)
+        if len(rows):
+            lo[rows], hi[rows] = _solve(diag[rows], [stack[rows] for stack in stacks])
         return lo, hi
 
 
 def _solve(diag: np.ndarray, stacks: list):
     """Extreme eigenvalues per row from its diagonal part and its component stacks."""
-    lo = np.full(len(diag), np.inf)
-    hi = np.full(len(diag), -np.inf)
-    if diag.shape[1]:
-        lo = diag.min(axis=1)
-        hi = diag.max(axis=1)
+    lo = diag.min(axis=1, initial=np.inf)
+    hi = diag.max(axis=1, initial=-np.inf)
     for stack in stacks:
-        if len(stack):
-            w = np.linalg.eigvalsh(stack)
-            np.minimum(lo, w[:, 0], out=lo)
-            np.maximum(hi, w[:, -1], out=hi)
+        w = np.linalg.eigvalsh(stack)
+        np.minimum(lo, w[:, 0], out=lo)
+        np.maximum(hi, w[:, -1], out=hi)
     return lo, hi
 
 
@@ -540,31 +527,23 @@ def weaving_scan(base: np.ndarray, deltas: np.ndarray):
     return low[0], _spread(low[1], live), -high[0], _spread(high[1], live) | null_bits
 
 
-def mask_spectra(base: np.ndarray, deltas: np.ndarray, masks, floor=None, ceiling=None):
-    """Extreme eigenvalues of the mixed operator for each given mask.
+def mask_spectra(operator: _SplitOperator, n_blocks: int, masks, floor=None, ceiling=None):
+    """Extreme eigenvalues of ``operator`` for each given mask of ``n_blocks`` bits.
 
-    Returns ``(lo, hi)``.  ``deltas`` may also be given as its :func:`_flat`
-    matrix, which saves flattening it on every call.  Masks run in batches of
-    at most ``_BATCH_FLOATS`` stacked entries, and each mask's values are
-    those of solving it alone.  With ``floor`` and ``ceiling``, one value of
-    each per mask, a mask whose operator passes the Cholesky test of
-    :func:`_inside` against its own floor and ceiling is not solved; it reads
-    ``+inf`` and ``-inf``.
+    Returns ``(lo, hi)``.  Masks run through :meth:`_SplitOperator.extremes`
+    in batches of at most ``_BATCH_FLOATS`` stacked entries, and each mask's
+    values are those of solving it alone, bitwise those :func:`weaving_scan`
+    reads for it.  With ``floor`` and ``ceiling``, one value of each per
+    mask, a mask whose operator lies strictly between its own floor and
+    ceiling by the Cholesky test of :func:`_inside`, component by component,
+    is not solved; it reads ``+inf`` and ``-inf``.
     """
-    n = deltas.shape[0]
-    flat = _flat(deltas)
     masks = np.asarray(masks, dtype=np.int64)
-    lo = np.full(len(masks), np.inf)
-    hi = np.full(len(masks), -np.inf)
-    for part in _batches(len(masks), max(1, _BATCH_FLOATS // flat.shape[1])):
-        stack = _stack(base, flat, _mask_bits(masks[part], n))
-        rows = np.arange(len(masks))[part]
-        if floor is not None:
-            solve = ~_inside(stack, floor[part], ceiling[part])
-            stack, rows = stack[solve], rows[solve]
-        if len(rows):
-            w = np.linalg.eigvalsh(stack)
-            lo[rows], hi[rows] = w[:, 0], w[:, -1]
+    lo = np.empty(len(masks))
+    hi = np.empty(len(masks))
+    for part in _batches(len(masks), max(1, _BATCH_FLOATS // operator.floats)):
+        bounds = () if floor is None else (floor[part], ceiling[part])
+        lo[part], hi[part] = operator.extremes(_mask_bits(masks[part], n_blocks), *bounds)
     return lo, hi
 
 

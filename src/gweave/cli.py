@@ -364,15 +364,19 @@ def _cmd_paper_suite(args) -> int:
     doc = _report_document("paper-suite", [], report.to_dict(), {"tol": args.tol}, started)
     width = max(len(r.name) for r in report.records)
     lines = []
+    counts = {"PASS": 0, "SKIP": 0, "FAIL": 0}
     for r in report.records:
-        status = "PASS" if r.passed else "FAIL"
-        flag = "" if r.method == "exhaustive" else f"  [{r.method}]"
+        status = "FAIL" if not r.passed else "SKIP" if r.method == "skipped" else "PASS"
+        counts[status] += 1
+        flag = "" if r.method in ("exhaustive", "skipped") else f"  [{r.method}]"
         lines.append(f"{status}  {r.name.ljust(width)}{flag}")
         if not r.passed:
             lines += [f"      computed: {r.computed}", f"      expected: {r.expected}"]
             lines += [f"      detail: {r.detail}"] if r.detail else []
-    good = sum(1 for r in report.records if r.passed)
-    lines.append(f"{good}/{len(report.records)} records passed")
+    lines.append(
+        f"{counts['FAIL']} failed, {counts['SKIP']} skipped,"
+        f" {counts['PASS']}/{len(report.records)} records passed"
+    )
     _emit(args, doc, lines)
     return 0 if report.passed else 1
 

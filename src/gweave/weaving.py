@@ -345,14 +345,17 @@ def universal_bounds_search(
     w = np.linalg.eigvalsh(deltas)
     step_lo = np.stack([w[:, 0], -w[:, -1]])
     step_hi = np.stack([w[:, -1], -w[:, 0]])
-    flat = _kernels._flat(deltas)  # flattened once for every kernel call below
+    # built once per request: the split operator for every spectrum below,
+    # the flattened deltas for every Rayleigh quotient
+    operator = _kernels._SplitOperator(base, deltas)
+    flat = _kernels._flat(deltas)
     rng = np.random.default_rng(seed)
     # Examined masks, ascending.  lo and hi hold the extreme eigenvalues of a
     # solved mask; a certified one has lo > floor and hi < ceiling for the
     # floor and ceiling it was certified against, and lo and hi hold those.
     # A repeated seed repeats its descents exactly, so each seed runs once.
     seen = _sorted_unique(rng.integers(0, total, size=budget))
-    lo, hi = _kernels.mask_spectra(base, flat, seen)
+    lo, hi = _kernels.mask_spectra(operator, n, seen)
     solved = np.ones(len(seen), dtype=bool)
     low, high = lo.min(), hi.max()  # the extremes solved so far
     flips = np.int64(1) << np.arange(n, dtype=np.int64)
@@ -410,7 +413,7 @@ def universal_bounds_search(
                 new_lo = np.full(len(new), np.inf)
                 new_hi = np.full(len(new), -np.inf)
                 new_lo[tested], new_hi[tested] = _kernels.mask_spectra(
-                    base, flat, new[tested], test_lo[tested], test_hi[tested]
+                    operator, n, new[tested], test_lo[tested], test_hi[tested]
                 )
                 new_solved = new_lo != np.inf
                 low, high = min(low, new_lo.min()), max(high, new_hi.max())
@@ -432,7 +435,7 @@ def universal_bounds_search(
             stale = short & ~solved[at]
             if stale.any():
                 redo = _sorted_unique(at[stale])
-                lo[redo], hi[redo] = _kernels.mask_spectra(base, flat, seen[redo])
+                lo[redo], hi[redo] = _kernels.mask_spectra(operator, n, seen[redo])
                 solved[redo] = True
             scores = np.where(down[:, np.newaxis], lo[at], -hi[at])
             scores[~solved[at]] = np.inf  # a certified neighbour is not the step
@@ -653,15 +656,26 @@ class WeavingBasisReport:
     upper: float
 
 
-def _basis_stacks(first: GFrame, second: GFrame, cap: Optional[int]):
-    """Mixed operator stacks of every selection in ascending mask order, within the cap."""
+def _basis_batches(first: GFrame, second: GFrame, cap: Optional[int]):
+    """The pair's split operator, and ``(masks, bits)`` of every selection in ascending batches.
+
+    Refuses a pair with more blocks than the cap.
+    """
     _check_pair(first, second)
     n = first.n_blocks
     limit = effective_cap(cap)
     if n > limit:
         raise TooManyBlocks(f"{n} blocks exceeds exhaustive cap {limit}")
     base, deltas, _, _ = _pair_kernel_inputs(first, second)
-    return _kernels.operator_stacks(base, deltas)
+    operator = _kernels._SplitOperator(base, deltas)
+    step = max(1, _kernels._BATCH_FLOATS // operator.floats)
+
+    def batches():
+        for part in _kernels._batches(1 << n, step):
+            masks = np.arange(part.start, min(part.stop, 1 << n), dtype=np.int64)
+            yield masks, _kernels._mask_bits(masks, n)
+
+    return operator, batches()
 
 
 def _bit_sum(first_values, second_values, bits: np.ndarray) -> np.ndarray:
@@ -681,8 +695,17 @@ def _guard_band(first: GFrame, second: GFrame, tol: float) -> float:
 
     - kernel: Gram entries (r rows), ``base`` (n), ``deltas`` (1),
       ``bits @ deltas`` (n), ``+= base`` (1), then the eigensolve or the
-      residual ``|S - I|_F`` (d, the usual size factor of a Hermitian
-      solver's backward error): ``2n + r + d + 2``;
+      residual ``R = |S - I|_F`` (d): ``2n + r + d + 2``.  The kernel works
+      on the components of ``_kernels._SplitOperator``: each entry of a
+      component's stack takes the same sums as in the whole ``S``, and the
+      entries off the components are exact zeros.  The eigensolve of a
+      component of order ``c <= d`` is off by ``c eps |S|_F``, the usual
+      size factor of a Hermitian solver's backward error.  The residual sums
+      the squares of the diagonal part and of each component apart, then
+      adds the pieces: a sum of at most ``d^2`` squares in some order, off
+      by ``d^2 eps R^2``.  The residual test settles a weaving only when
+      ``R < tol < 1/3``; then ``T >= tr S >= d - sqrt(d) R >= 2d/3``, so
+      ``R`` is off by at most ``d^2 eps R / 2 <= d eps T``;
     - per GFrame: the SVD of ``V`` gives squared singular values to
       ``2d eps |V|_2^2``, and ``V V*`` or ``V*V`` takes d-term sums; one
       more for the final norm: ``2d + 1``.
@@ -707,20 +730,21 @@ def is_weaving_g_riesz(
 
     A weaving is a Riesz basis exactly when its row count is ``d`` and
     ``lambda_min(S) > tol lambda_max(S)`` for its frame operator ``S``, since
-    ``V*V = S`` for its square synthesis matrix ``V``.  The kernel settles
-    each selection whose test clears zero by more than the rounding bound of
-    :func:`_guard_band`; every other one, in ascending mask order, goes to
-    :func:`is_g_riesz_basis` on its weaving until one fails.  So verdict,
-    witness and failing bounds are those of the per-weaving classifier.
+    ``V*V = S`` for its square synthesis matrix ``V``.  The kernel's split
+    operator gives ``lambda_min`` and ``lambda_max`` of every selection, in
+    ascending batches, and settles each selection whose test clears zero by
+    more than the rounding bound of :func:`_guard_band`; every other one, in
+    ascending mask order, goes to :func:`is_g_riesz_basis` on its weaving
+    until one fails.  So verdict, witness and failing bounds are those of
+    the per-weaving classifier.
     """
-    chunks = _basis_stacks(first, second, cap)
+    operator, batches = _basis_batches(first, second, cap)
     n, d = first.n_blocks, first.domain_dim
     band = _guard_band(first, second, tol)
     lower = np.inf
     upper = -np.inf
-    for masks, bits, stack in chunks:
-        w = np.linalg.eigvalsh(stack)
-        lo, hi = w[:, 0], w[:, -1]
+    for masks, bits in batches:
+        lo, hi = operator.extremes(bits)
         counts = _bit_sum(first.block_rows, second.block_rows, bits)
         settled = (counts == d) & (lo - tol * hi > band)
         for mask in masks[~settled]:
@@ -742,28 +766,33 @@ def is_weaving_g_onb(
     """Whether every weaving is an orthonormal basis family; returns the first failing selection.
 
     With row count ``d`` the synthesis matrix ``V`` is square, so both
-    residuals of :func:`is_g_orthonormal_basis` equal ``R = |S - I|_F``.
-    The kernel settles a weaving with no zero-row block, row count ``d`` and
-    ``R`` below ``tol`` by more than the rounding bound of
-    :func:`_guard_band`, with no eigensolve: the per-weaving test allows
+    residuals of :func:`is_g_orthonormal_basis` equal ``R = |S - I|_F``,
+    which the kernel's split operator gives piece by piece, ``R^2`` the sum
+    of ``(s_jj - 1)^2`` over its diagonal part and of ``|S_c - I|_F^2`` over
+    its components.  The kernel settles a weaving with no zero-row block,
+    row count ``d`` and ``R`` below ``tol`` by more than the rounding bound
+    of :func:`_guard_band`, with no eigensolve: the per-weaving test allows
     ``tol max(1, lambda_max) >= tol``.  For ``tol < 1/3`` that also settles its
     zero-row test, since each row norm squared is within ``R`` of 1, so above
     ``2/3``, while ``lambda_max <= 1 + R`` keeps the allowance below ``4/9``.
     Every other weaving, in ascending mask order, goes to
     :func:`is_g_orthonormal_basis` until one fails.
     """
-    chunks = _basis_stacks(first, second, cap)
+    operator, batches = _basis_batches(first, second, cap)
     n, d = first.n_blocks, first.domain_dim
     cut = tol - _guard_band(first, second, tol) if tol < 1.0 / 3.0 else -np.inf
     no_rows1 = [r == 0 for r in first.block_rows]
     no_rows2 = [r == 0 for r in second.block_rows]
-    diagonal = np.arange(d) * (d + 1)
-    for masks, bits, stack in chunks:
-        residual = stack.reshape(len(masks), d * d)
-        residual[:, diagonal] -= 1.0
+    for masks, bits in batches:
+        # |S - I|_F^2 piece by piece: the entries off the components are exact zeros
+        diag, stacks = operator.pieces(bits)
+        squares = np.square(diag - 1.0).sum(axis=1)
+        for stack in stacks:
+            stack -= np.eye(stack.shape[-1])
+            squares += np.square(_kernels._flat(stack)).sum(axis=1)
         counts = _bit_sum(first.block_rows, second.block_rows, bits)
         empty = _bit_sum(no_rows1, no_rows2, bits)
-        settled = (counts == d) & (empty == 0) & (np.linalg.norm(residual, axis=1) <= cut)
+        settled = (counts == d) & (empty == 0) & (np.sqrt(squares) <= cut)
         for mask in masks[~settled]:
             sel = WeavingSelection(n, int(mask))
             if not is_g_orthonormal_basis(weave(first, second, sel), tol).is_onb:

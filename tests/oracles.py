@@ -199,12 +199,13 @@ def sequential_bounds_search(first, second, budget: int, seed: int = 0, tol: flo
         return _scan_pair(first, second, tol)
 
     base, deltas, p, q = _pair_kernel_inputs(first, second)
+    operator = _kernels._SplitOperator(base, deltas)
     cache: dict = {}
 
     def evaluate(masks):
         new = [m for m in dict.fromkeys(masks) if m not in cache]
         if new:
-            lo, hi = _kernels.mask_spectra(base, deltas, np.array(new, dtype=np.int64))
+            lo, hi = _kernels.mask_spectra(operator, n, np.array(new, dtype=np.int64))
             for m, a, b in zip(new, lo, hi):
                 cache[m] = (float(a), float(b))
         return [cache[m] for m in masks]

@@ -252,6 +252,12 @@ class TestCommands:
         assert len(records) == 22
         skipped = {r["name"] for r in records if r["detail"].startswith("skipped")}
         assert "dual-pair-weaving-guarantee" in skipped
+        assert {r["method"] for r in records if r["name"] in skipped} == {"skipped"}
+        assert main(["paper-suite", "--cap", cap]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("SKIP  ") for line in lines) == len(skipped)
+        passed = 22 - len(skipped)
+        assert lines[-1] == f"0 failed, {len(skipped)} skipped, {passed}/22 records passed"
 
 
 class TestExitCodes:

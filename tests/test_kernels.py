@@ -9,10 +9,22 @@ from hypothesis import strategies as st
 
 from gweave import _kernels
 from gweave.gframe import block_grams, new_gframe
-from gweave.suite import build_scaled_split_pair, build_shifted_projection_pair, build_window_pair
-from gweave.weaving import universal_bounds_exhaustive
+from gweave.suite import (
+    build_duplicate_vs_split_pair,
+    build_scaled_split_pair,
+    build_shifted_projection_pair,
+    build_window_pair,
+)
+from gweave.weaving import (
+    DEFAULT_EXHAUSTIVE_CAP,
+    _pair_kernel_inputs,
+    is_weaving_g_onb,
+    is_weaving_g_riesz,
+    universal_bounds_exhaustive,
+    universal_bounds_search,
+)
 
-from conftest import dense_pairs, random_gframe
+from conftest import basis_pair, dense_pairs, random_gframe
 from oracles import brute_weaving_spectra, full_weaving_scan, mixed_frame_operator
 
 
@@ -23,6 +35,12 @@ def _pair_inputs(first, second):
     base = np.ascontiguousarray(q.sum(axis=0).astype(dtype))
     deltas = np.ascontiguousarray((p - q).astype(dtype))
     return base, deltas
+
+
+def _spectra(base, deltas, masks, *bounds):
+    """``mask_spectra`` on the split operator of ``base`` and ``deltas``."""
+    operator = _kernels._SplitOperator(base, deltas)
+    return _kernels.mask_spectra(operator, len(deltas), masks, *bounds)
 
 
 def test_tie_breaking_conventions():
@@ -50,7 +68,7 @@ def test_matches_brute_enumeration(seed):
     assert lows[amin] == pytest.approx(lower, abs=1e-10)
     assert highs[amax] == pytest.approx(upper, abs=1e-10)
 
-    lo, hi = _kernels.mask_spectra(base, deltas, np.arange(len(lows)))
+    lo, hi = _spectra(base, deltas, np.arange(len(lows)))
     np.testing.assert_allclose(lo, lows, atol=1e-10)
     np.testing.assert_allclose(hi, highs, atol=1e-10)
 
@@ -123,7 +141,7 @@ def test_reductions_match_brute_enumeration(pair):
     assert amin == min(_tie_class(first, second, amin))
     assert amax == max(_tie_class(first, second, amax))
 
-    lo, hi = _kernels.mask_spectra(base, deltas, np.arange(len(lows)))
+    lo, hi = _spectra(base, deltas, np.arange(len(lows)))
     np.testing.assert_allclose(lo, lows, atol=1e-10)
     np.testing.assert_allclose(hi, highs, atol=1e-10)
 
@@ -184,26 +202,26 @@ def test_mask_spectra_is_batch_invariant(seed, n, d, complex_mode, count, cut):
     second = random_gframe(rng, d=d, n=n, complex_mode=complex_mode)
     base, deltas = _pair_inputs(first, second)
     masks = rng.integers(0, 1 << n, size=count)
-    lo, hi = _kernels.mask_spectra(base, deltas, masks)
+    lo, hi = _spectra(base, deltas, masks)
 
     perm = rng.permutation(count)
-    lo_p, hi_p = _kernels.mask_spectra(base, deltas, masks[perm])
+    lo_p, hi_p = _spectra(base, deltas, masks[perm])
     assert np.array_equal(lo_p, lo[perm]) and np.array_equal(hi_p, hi[perm])
 
     cut = int(cut * count)
-    head = _kernels.mask_spectra(base, deltas, masks[:cut])
-    tail = _kernels.mask_spectra(base, deltas, masks[cut:])
+    head = _spectra(base, deltas, masks[:cut])
+    tail = _spectra(base, deltas, masks[cut:])
     assert np.array_equal(np.concatenate([head[0], tail[0]]), lo)
     assert np.array_equal(np.concatenate([head[1], tail[1]]), hi)
 
     for i in rng.choice(count, size=min(count, 12), replace=False):
-        one_lo, one_hi = _kernels.mask_spectra(base, deltas, masks[i : i + 1])
+        one_lo, one_hi = _spectra(base, deltas, masks[i : i + 1])
         assert (one_lo[0], one_hi[0]) == (lo[i], hi[i])
 
     # With a floor and a ceiling per mask, a mask is solved, with the same
     # bits, exactly when its spectrum is not well inside them.
     gap = rng.choice([-0.5, 0.5], size=(2, count)) * (hi - lo + 1)
-    got_lo, got_hi = _kernels.mask_spectra(base, deltas, masks, lo - gap[0], hi + gap[1])
+    got_lo, got_hi = _spectra(base, deltas, masks, lo - gap[0], hi + gap[1])
     solved = (gap < 0).any(axis=0)
     assert np.array_equal(got_lo[solved], lo[solved]) and np.array_equal(got_hi[solved], hi[solved])
     assert (got_lo[~solved] == np.inf).all() and (got_hi[~solved] == -np.inf).all()
@@ -420,15 +438,16 @@ def test_every_tree_batch_fits_the_batch_size(monkeypatch, batch_floats):
     """No batch exceeds ``_BATCH_FLOATS`` floats, in the tree or in any other kernel entry.
 
     The tree's node envelopes, own masks and leaf completions run in batches
-    of the bound, and so do the stacks of ``operator_stacks``,
-    ``mask_spectra`` and ``neighbour_quotients``; a stack holds at least one
-    operator of 16 floats.
+    of the bound, and so do the stacks of ``mask_spectra``,
+    ``neighbour_quotients`` and the basis classifiers; a stack holds at
+    least one operator of 16 floats.  Every weaving of the classifiers'
+    pair is a Riesz basis, so the Riesz classifier walks all of its masks.
     """
     rng = np.random.default_rng(3)
     base, deltas = _pair_inputs(random_gframe(rng, d=4, n=14), random_gframe(rng, d=4, n=14))
     expected = full_weaving_scan(base, deltas)
     masks = rng.integers(0, 1 << 14, size=300)
-    lo, hi = _kernels.mask_spectra(base, deltas, masks)
+    lo, hi = _spectra(base, deltas, masks)
     lowest = masks % 2 == 0
     shift = np.where(lowest, lo - 1.0, hi + 1.0)
     monkeypatch.setattr(_kernels, "_BATCH_FLOATS", batch_floats)
@@ -452,9 +471,11 @@ def test_every_tree_batch_fits_the_batch_size(monkeypatch, batch_floats):
         or stack(base, flat, bits),
     )
     spectra = []
+    riesz = basis_pair(rng, [1, 1, 1, 1, 0, 0, 0, 0, 0, 0], noise=0.02)
     for run in (
-        lambda: list(_kernels.operator_stacks(base, deltas[:10])),
-        lambda: spectra.extend(_kernels.mask_spectra(base, deltas, masks)),
+        lambda: is_weaving_g_riesz(*riesz).holds or pytest.fail("not every weaving is Riesz"),
+        lambda: is_weaving_g_onb(*riesz),
+        lambda: spectra.extend(_spectra(base, deltas, masks)),
         lambda: _kernels.neighbour_quotients(base, deltas, masks, lowest, shift),
     ):
         floats.clear()
@@ -514,10 +535,80 @@ def test_a_pair_where_every_selection_ties_both_extremes_scans_exactly(monkeypat
     assert sum(matrices) <= 3 * (1 << 15)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 7),
+    d=st.integers(1, 3),
+    complex_mode=st.booleans(),
+)
+# a dense solve of these operators moves an extreme by an ulp
+@example(seed=0, n=7, d=1, complex_mode=True)
+@example(seed=11, n=7, d=3, complex_mode=False)
+def test_mask_spectra_at_the_scans_witnesses_reads_its_extremes(seed, n, d, complex_mode):
+    """``mask_spectra`` of the scan's argmin and argmax gives the scan's ``lower`` and ``upper``, ``==``.
+
+    The coordinates split into random groups, and each block is one Gaussian
+    row on one group, so the operators split into components, 1 x 1 ones
+    included, and no block is null.
+    """
+    rng = np.random.default_rng(seed)
+    groups = np.split(rng.permutation(d), np.flatnonzero(rng.integers(0, 2, size=d - 1)) + 1)
+
+    def block():
+        cols = groups[rng.integers(len(groups))]
+        b = np.zeros((1, d), dtype=complex if complex_mode else float)
+        b[0, cols] = rng.standard_normal(len(cols))
+        if complex_mode:
+            b[0, cols] += 1j * rng.standard_normal(len(cols))
+        return b
+
+    first = new_gframe(d, [block() for _ in range(n)])
+    second = new_gframe(d, [block() for _ in range(n)])
+    base, deltas = _pair_inputs(first, second)
+    lower, amin, upper, amax = _kernels.weaving_scan(base, deltas)
+    lo, hi = _spectra(base, deltas, [amin, amax])
+    assert (lo[0], hi[1]) == (lower, upper)
+
+
+@pytest.mark.parametrize("build, size", [(build_window_pair, 24), (build_duplicate_vs_split_pair, 12)])
+def test_search_solves_structured_pairs_by_component(monkeypatch, build, size):
+    """Above the cap the search meets the declared bounds (1, 2), and solves no matrix larger than a component.
+
+    Both pairs are coordinate-diagonal, of order 24 and 144: every component
+    is 1 x 1, so ``mask_spectra`` makes no eigensolve at all.
+    """
+    ex = build(size)
+    base, deltas, _, _ = _pair_kernel_inputs(ex.first, ex.second)
+    largest = max((len(b) for b, _ in _kernels._SplitOperator(base, deltas).blocks), default=1)
+    orders = []
+    inside = []
+    eigvalsh = np.linalg.eigvalsh
+    spectra = _kernels.mask_spectra
+
+    def counted_eigvalsh(a):
+        if inside:
+            orders.extend([a.shape[-1]] * (a.size // a.shape[-1] ** 2))
+        return eigvalsh(a)
+
+    def counted_spectra(*args):
+        inside.append(1)
+        out = spectra(*args)
+        inside.pop()
+        return out
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(_kernels, "mask_spectra", counted_spectra)
+    assert ex.first.n_blocks > DEFAULT_EXHAUSTIVE_CAP
+    rep = universal_bounds_search(ex.first, ex.second, 16, seed=0)
+    assert (rep.lower, rep.upper) == ex.expected["universal"] == (1.0, 2.0)
+    assert all(order <= largest for order in orders)
+
+
 def _neighbour_spectra(base, deltas, masks):
     n = len(deltas)
     neighbours = (masks[:, np.newaxis] ^ (np.int64(1) << np.arange(n))).ravel()
-    lo, hi = _kernels.mask_spectra(base, deltas, neighbours)
+    lo, hi = _spectra(base, deltas, neighbours)
     return lo.reshape(len(masks), n), hi.reshape(len(masks), n)
 
 
@@ -558,7 +649,7 @@ def test_neighbour_quotients_lie_in_their_neighbours_spectra(monkeypatch, comple
     base, deltas = _pair_inputs(first, second)
     masks = rng.integers(0, 1 << 20, size=300)
     lowest = rng.random(300) < 0.5
-    lo, hi = _kernels.mask_spectra(base, deltas, masks)
+    lo, hi = _spectra(base, deltas, masks)
     margin = _kernels._margin(base, deltas)
     eigh_rows = _count_eigh(monkeypatch)
     got = _quotients_in_range(base, deltas, masks, lowest, np.where(lowest, lo - margin, hi + margin))
@@ -584,7 +675,7 @@ def test_neighbour_quotients_of_the_zero_operator_and_a_repeated_extreme(monkeyp
     eigh_rows = _count_eigh(monkeypatch)
     for c in (0.0, 2.0):
         base = c * np.eye(5)
-        lo, hi = _kernels.mask_spectra(base, deltas, masks)
+        lo, hi = _spectra(base, deltas, masks)
         margin = _kernels._margin(base, deltas)
         shift = np.where(lowest, lo - margin, hi + margin)
         got = _quotients_in_range(base, deltas, masks, lowest, shift)
@@ -604,7 +695,7 @@ def test_neighbour_quotients_fall_back_to_eigh_on_a_singular_shift(monkeypatch, 
     deltas = np.array([np.diag(v) for v in ([1.0, 0, 0], [0, -1.0, 0], [0, 0, 2.0])], dtype=dtype)
     masks = np.arange(8)
     lowest = masks % 2 == 0
-    lo, hi = _kernels.mask_spectra(base, deltas, masks)
+    lo, hi = _spectra(base, deltas, masks)
     eigh_rows = _count_eigh(monkeypatch)
     got = _quotients_in_range(base, deltas, masks, lowest, np.where(lowest, lo, hi))
     assert sum(eigh_rows) == len(masks)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gweave import _kernels
+from gweave import _kernels, weaving
 from gweave.gframe import (
     is_g_exact,
     is_g_orthonormal_basis,
@@ -182,19 +182,20 @@ class TestRunSuite:
         The bound statements and ``check_weaving_transfer`` take the reports
         the suite already holds.  The ONB weavings of the one-row projections
         and of their unitary image are the only per-selection
-        classifications, each one pass over the stacks.
+        classifications, each one pass over the masks.
         """
-        calls = {"weaving_scan": 0, "operator_stacks": 0}
+        calls = {"weaving_scan": 0, "is_weaving_g_riesz": 0, "is_weaving_g_onb": 0}
         for name in calls:
-            kernel = getattr(_kernels, name)
+            module = _kernels if name == "weaving_scan" else weaving
+            kernel = getattr(module, name)
 
             def counted(*args, name=name, kernel=kernel):
                 calls[name] += 1
                 return kernel(*args)
 
-            monkeypatch.setattr(_kernels, name, counted)
+            monkeypatch.setattr(module, name, counted)
         assert run_suite(SuiteConfig(dim_scale=dim_scale)).passed
-        assert calls == {"weaving_scan": 10, "operator_stacks": 2}
+        assert calls == {"weaving_scan": 10, "is_weaving_g_riesz": 0, "is_weaving_g_onb": 2}
 
     def test_report_serializable(self):
         import json
