@@ -16,11 +16,13 @@ permutation and its extreme eigenvalues are the extremes over components.
 A 1 x 1 component is its real diagonal entry and needs no eigensolve.  Each
 batch of masks becomes one stack per component through a real matmul of the
 mask bits with that component's flattened deltas (:func:`_stack`), and one
-stacked ``eigvalsh`` per component gives its extreme eigenvalues.  The
-matmul runs in tiles of a fixed number of rows, so a mask's operator, and
-with it its eigenvalues, is bitwise the same whatever batch it comes in, and
-the scan, the sampled search and the basis classifiers of ``weaving`` read
-the same values for the same mask.
+stacked ``eigvalsh`` per component gives its extreme eigenvalues.  Each
+operator fixes its batch size once, ``step`` masks whose stacks hold at most
+``_BATCH_FLOATS`` entries, and every kernel entry reads it.  The matmul runs
+in tiles of a fixed number of rows, so a mask's operator, and with it its
+eigenvalues, is bitwise the same whatever batch it comes in, and the scan,
+the sampled search and the basis classifiers of ``weaving`` read the same
+values for the same mask.
 
 Before enumerating, :func:`weaving_scan` also drops every block whose delta
 is exactly zero: it gives the same operator with its bit set or clear, so
@@ -67,7 +69,8 @@ A side that the Weyl bound from the current mask already clears gets no
 test, and a neighbour with both sides cleared is not sent to the kernel;
 otherwise :func:`mask_spectra` runs the Cholesky test of :func:`_inside` on
 each component of the mask's operator and solves only the masks that fail
-it.
+it.  Its quotients and Weyl steps are taken piece by piece too, so no step
+of the search forms or solves a matrix larger than a component.
 
 The margin ``m`` (:func:`_margin`) bounds the rounding of the shifts, of
 Cholesky, of ``eigvalsh``, of the envelopes and of the Weyl and Rayleigh
@@ -122,11 +125,7 @@ def _mask_bits(masks: np.ndarray, n_blocks: int) -> np.ndarray:
 
 
 def _flat(stack: np.ndarray) -> np.ndarray:
-    """A stack as a real matrix with one row per item, complex entries through their float64 view.
-
-    Flat deltas are a real matrix already and stay as they are, so a caller
-    may flatten its deltas once and pass the result in their place.
-    """
+    """A stack as a real matrix with one row per item, complex entries through their float64 view."""
     stack = np.ascontiguousarray(stack)
     if np.iscomplexobj(stack):
         stack = stack.view(np.float64)
@@ -181,8 +180,9 @@ class _SplitOperator:
         self.blocks = [(base[sub], _flat(deltas[(slice(None), *sub)])) for sub in self.grids]
         self.diag_base = base.real[singles, singles]
         self.diag_deltas = np.ascontiguousarray(deltas.real[:, singles, singles])
-        # float64 entries of one operator, diagonal and components together
-        self.floats = len(singles) + sum(flat.shape[1] for _, flat in self.blocks)
+        # masks per batch, whose stacks hold at most _BATCH_FLOATS float64 entries
+        floats = len(singles) + sum(flat.shape[1] for _, flat in self.blocks)
+        self.step = max(1, _BATCH_FLOATS // floats)
 
     def pieces(self, bits: np.ndarray):
         """The diagonal entries and the component stacks of the operator of each row of bits."""
@@ -320,14 +320,15 @@ def _margin(base: np.ndarray, deltas: np.ndarray) -> float:
 
     Weyl bound of a one-bit neighbour (the sampled search of
     ``weaving.universal_bounds_search``: ``S_x = S_c +- delta_i`` for a
-    solved mask ``c``, bounded by ``lo(c) + lambda_min(+-delta_i)`` with both
-    terms from ``eigvalsh``; the exact ``S_x`` has
+    solved mask ``c``, bounded by ``lo(c) + lambda_min(+-delta_i)`` with
+    ``lo(c)`` from ``eigvalsh`` and the delta's term from its diagonal part,
+    exact, and ``eigvalsh`` of each of its components; the exact ``S_x`` has
     ``lambda_min(S_x) >= lambda_min(S_c) + lambda_min(+-delta_i)`` by Weyl's
     inequality, Horn and Johnson 4.3.1, and likewise for ``lambda_max``):
 
     - the stack rows of ``c`` and of ``x`` each round by ``(k + 1) u N``;
     - ``eigvalsh`` adds ``d u N`` on ``S^_c``, ``d u N`` on ``S^_x`` and
-      ``d u |delta_i|_F <= d u N`` on the delta;
+      ``c u |delta_i|_F <= d u N`` on a component of the delta;
     - the sum ``lo(c) + lambda`` rounds by ``2 u N``.
 
     These add up to at most ``(2 k + 3 d + 4) u N``.
@@ -336,18 +337,20 @@ def _margin(base: np.ndarray, deltas: np.ndarray) -> float:
     any nonzero vector ``u``, ``lambda_min(S_x) <= u* S_x u / u* u``, and
     ``S_x = S_c +- delta_i``, so ``u* S_c u +- u* delta_i u`` bounds the
     value of ``x`` from above, and of ``lambda_max`` from below, once
-    ``u* u`` is close to 1):
+    ``u* u`` is close to 1; ``u`` lies in one component, of order
+    ``c <= d``, or is a coordinate vector of the diagonal part):
 
-    - ``u* S^_c u`` is a dot product of the at most ``2 d^2`` real entries
+    - ``u* S^_c u`` is a dot product of the at most ``2 c^2`` real entries
       of ``u u*`` and ``S^_c``, so it rounds by ``(2 d^2 + 1) u N``, and
       ``S^_c`` is ``(k + 1) u N`` from ``S_c``; ``u* delta_i u`` rounds by
       ``(2 d^2 + 1) u N`` likewise, and the sum by ``2 u N``;
-    - ``u`` is the normalised solution of one inverse-iteration step, kept
-      only when its computed squared norm, a sum of at most ``2 d``
-      squares that rounds by ``2 d u``, is within ``(2 d + 4) u`` (that is
-      ``(d + 2) eps``) of 1; so ``|u* u - 1| <= (4 d + 4) u``, which moves
-      the quotient by ``(4 d + 4) u N``.  A row that fails takes the
-      eigenvector of ``eigh``, unit to within ``d u``;
+    - on a component ``u`` is the normalised solution of one
+      inverse-iteration step, kept only when its computed squared norm, a
+      sum of at most ``2 c`` squares that rounds by ``2 c u``, is within
+      ``(2 c + 4) u`` (that is ``(c + 2) eps``) of 1; so
+      ``|u* u - 1| <= (4 c + 4) u <= (4 d + 4) u``, which moves the quotient
+      by ``(4 d + 4) u N``.  A row that fails takes the eigenvector of
+      ``eigh``, unit to within ``c u``;
     - the neighbour's value is ``eigvalsh`` of ``S^_x``: ``(k + 1 + d) u N``.
 
     These add up to at most ``(4 d^2 + 5 d + 2 k + 10) u N``.  The margin
@@ -390,17 +393,16 @@ def _batches(total: int, step: int, first: int = 0):
         start, size = start + size, min(2 * size, step)
 
 
-def _subcube_search(
-    operator: _SplitOperator, deltas: np.ndarray, margin: float, step: int, cube: bool
-):
+def _subcube_search(operator: _SplitOperator, deltas: np.ndarray, margin: float, cube: bool):
     """Both extremes over all masks of ``operator``, each with its mask.
 
     Returns ``(low, high)``, ``low = (lambda_min, argmin)`` and
     ``high = (-lambda_max, argmax)``, ties to the smallest and the largest
     mask.  With ``cube`` the whole cube is one leaf; otherwise the search
-    runs over subcubes.  Each batch of masks holds at most ``step`` of them.
+    runs over subcubes.  Each batch holds at most ``operator.step`` masks.
     """
     k = len(deltas)
+    step = operator.step
     best = [(np.inf, 0), (np.inf, 0)]  # the incumbents of lambda_min and of -lambda_max
 
     def offer(masks, test=False, sides=None):
@@ -519,10 +521,9 @@ def weaving_scan(base: np.ndarray, deltas: np.ndarray):
     deltas = deltas[live]
     operator = _SplitOperator(base, deltas)
     k = len(live)
-    step = max(1, _BATCH_FLOATS // operator.floats)
-    largest = max((len(block) for block, _ in operator.blocks), default=1)
-    cube = not operator.blocks or 1 << k <= step or k < _TREE_BLOCKS + max(0, largest - 8) // 4
-    low, high = _subcube_search(operator, deltas, _margin(base, deltas), step, cube)
+    wide = max([0] + [len(block) - 8 for block, _ in operator.blocks]) // 4
+    cube = not operator.blocks or 1 << k <= operator.step or k < _TREE_BLOCKS + wide
+    low, high = _subcube_search(operator, deltas, _margin(base, deltas), cube)
     null_bits = ((1 << n) - 1) ^ _spread((1 << k) - 1, live)
     return low[0], _spread(low[1], live), -high[0], _spread(high[1], live) | null_bits
 
@@ -541,60 +542,63 @@ def mask_spectra(operator: _SplitOperator, n_blocks: int, masks, floor=None, cei
     masks = np.asarray(masks, dtype=np.int64)
     lo = np.empty(len(masks))
     hi = np.empty(len(masks))
-    for part in _batches(len(masks), max(1, _BATCH_FLOATS // operator.floats)):
+    for part in _batches(len(masks), operator.step):
         bounds = () if floor is None else (floor[part], ceiling[part])
         lo[part], hi[part] = operator.extremes(_mask_bits(masks[part], n_blocks), *bounds)
     return lo, hi
 
 
-def neighbour_quotients(base: np.ndarray, deltas: np.ndarray, masks, lowest, shift):
-    """Rayleigh quotients of the one-bit neighbours of each mask at an approximate eigenvector.
+def neighbour_quotients(operator: _SplitOperator, masks, lowest, shift):
+    """Rayleigh quotients of the one-bit neighbours of each mask, piece by piece of ``operator``.
 
-    For each mask with operator ``S``, ``u`` is one step of shifted inverse
-    iteration (Parlett, *The Symmetric Eigenvalue Problem*, ch. 4): the
-    solution ``x`` of ``(S - shift I) x = 1``, normalised.  The caller puts
-    the mask's ``shift`` just below the smallest eigenvalue of ``S`` where
+    Entry ``[r, i]`` is ``u* (S +- delta_i) u`` at a unit vector ``u`` in one
+    piece of mask ``r``'s operator ``S``, with ``+`` when bit ``i`` is clear:
+    the least over the pieces where ``lowest`` holds, else the greatest.  Up
+    to the rounding that :func:`_margin` bounds, any unit ``u`` puts it
+    between the extreme eigenvalues of that neighbour's operator.  A
+    coordinate of the diagonal part gives the neighbour's own diagonal entry,
+    with no solve.  On a component of order ``c``, ``u`` is one step of
+    shifted inverse iteration (Parlett, *The Symmetric Eigenvalue Problem*,
+    ch. 4): the solution ``x`` of ``(S_c - shift I) x = 1``, normalised.  The
+    caller puts ``shift`` just below the smallest eigenvalue of ``S`` where
     ``lowest`` holds and just above the largest elsewhere, so ``x`` leans
-    towards an eigenvector of that eigenvalue.  A row whose ``u`` comes out
-    non-finite, zero, or with a computed squared norm not within
-    ``(d + 2) eps`` of 1 (from an exactly singular ``S - shift I``, say)
-    takes the eigenvector of ``eigh`` instead.
-
-    Any unit ``u`` serves: entry ``[r, i]`` is ``u* (S +- delta_i) u``, with
-    ``+`` when bit ``i`` of the mask is clear, and up to the rounding that
-    :func:`_margin` bounds it lies between the smallest and the largest
-    eigenvalue of that neighbour's operator.  ``deltas`` may also be given as
-    its :func:`_flat` matrix.  Masks run in batches of at most
-    ``_BATCH_FLOATS`` stacked entries.
+    towards its eigenvector on the component that holds it.  A row whose
+    ``u`` comes out non-finite, zero, or with a computed squared norm not
+    within ``(c + 2) eps`` of 1 (from an exactly singular ``S_c - shift I``,
+    say) takes ``eigh``'s eigenvector of ``S_c`` instead.  An eigenvector of
+    ``S`` whose eigenvalue no other piece shares lies in one piece, so the
+    entry is at least as tight as its quotient.  Masks run in batches of
+    ``operator.step``.
     """
-    n = deltas.shape[0]
-    flat = _flat(deltas)
-    d = base.shape[0]
-    masks = np.asarray(masks, dtype=np.int64)
-    lowest = np.asarray(lowest)
-    shift = np.asarray(shift, dtype=np.float64)
-    ones = np.ones(d, dtype=base.dtype)
-    unit = (d + 2) * np.finfo(np.float64).eps
+    n = len(operator.diag_deltas)
     out = np.empty((len(masks), n))
-    for part in _batches(len(masks), max(1, _BATCH_FLOATS // flat.shape[1])):
+    for part in _batches(len(masks), operator.step):
         bits = _mask_bits(masks[part], n)
-        stack = _stack(base, flat, bits)
-        shifted = stack.copy()
-        shifted.reshape(len(stack), d * d)[:, :: d + 1] -= shift[part, np.newaxis]
-        # the LAPACK gufunc behind np.linalg.solve, which returns NaN for a
-        # singular matrix where np.linalg.solve raises for the whole stack
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            x = _umath_linalg.solve1(shifted, ones)
-            u = x / np.sqrt(np.square(_flat(x)).sum(axis=1))[:, np.newaxis]
-            fallback = ~(np.abs(np.square(_flat(u)).sum(axis=1) - 1) <= unit)
-        if fallback.any():
-            vectors = np.linalg.eigh(stack[fallback])[1]
-            u[fallback] = np.where(
-                lowest[part][fallback, np.newaxis], vectors[:, :, 0], vectors[:, :, -1]
-            )
-        # u* X u is the real dot product of u u* with X, entry by entry
-        outer = _flat(u[:, :, np.newaxis] * u.conj()[:, np.newaxis, :])
-        own = (outer * _flat(stack)).sum(axis=1)
-        step = outer @ flat.T  # [r, i] = u_r* delta_i u_r
-        out[part] = own[:, np.newaxis] + (1 - 2 * bits) * step
+        sign = 1 - 2 * bits
+        low = lowest[part, np.newaxis]
+        diag, stacks = operator.pieces(bits)
+        best = None
+        if diag.shape[1]:
+            # [r, i, j]: diagonal entry j of neighbour i of mask r
+            entries = diag[:, np.newaxis, :] + sign[:, :, np.newaxis] * operator.diag_deltas
+            best = np.where(low, entries.min(axis=2), entries.max(axis=2))
+        for stack, (_, flat) in zip(stacks, operator.blocks):
+            c = stack.shape[-1]
+            shifted = stack.copy()
+            shifted.reshape(len(stack), c * c)[:, :: c + 1] -= shift[part, np.newaxis]
+            # the LAPACK gufunc behind np.linalg.solve, which returns NaN for a
+            # singular matrix where np.linalg.solve raises for the whole stack
+            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                x = _umath_linalg.solve1(shifted, np.ones(c, dtype=stack.dtype))
+                u = x / np.sqrt(np.square(_flat(x)).sum(axis=1))[:, np.newaxis]
+                norm = np.square(_flat(u)).sum(axis=1)
+                fallback = ~(np.abs(norm - 1) <= (c + 2) * np.finfo(np.float64).eps)
+            if fallback.any():
+                vectors = np.linalg.eigh(stack[fallback])[1]
+                u[fallback] = np.where(low[fallback], vectors[:, :, 0], vectors[:, :, -1])
+            # u* X u is the real dot product of u u* with X, entry by entry
+            outer = _flat(u[:, :, np.newaxis] * u.conj()[:, np.newaxis, :])
+            q = (outer * _flat(stack)).sum(axis=1)[:, np.newaxis] + sign * (outer @ flat.T)
+            best = q if best is None else np.where(low, np.minimum(best, q), np.maximum(best, q))
+        out[part] = best
     return out

@@ -435,21 +435,21 @@ def _universal(pair: ExampleInstance, config: SuiteConfig):
     """Exhaustive bounds when the cap allows, sampled bounds otherwise."""
     cap = effective_cap(config.cap)
     if pair.first.n_blocks <= cap:
-        rep = universal_bounds_exhaustive(pair.first, pair.second, config.tol, cap)
-    else:
-        rep = universal_bounds_search(
-            pair.first, pair.second, config.search_budget, config.seed, config.tol
-        )
-    return rep, rep.method
+        return universal_bounds_exhaustive(pair.first, pair.second, config.tol, cap)
+    return universal_bounds_search(
+        pair.first, pair.second, config.search_budget, config.seed, config.tol
+    )
 
 
 def _bounds_close(pair_value, expected, eps=CHECK_EPS) -> bool:
     return abs(pair_value[0] - expected[0]) <= eps and abs(pair_value[1] - expected[1]) <= eps
 
 
-def _bounds_inside(pair_value, expected, eps=CHECK_EPS) -> bool:
-    # Sampled bounds only ever shrink the true interval.
-    return pair_value[0] >= expected[0] - eps and pair_value[1] <= expected[1] + eps
+def _universal_matches(rep, expected) -> bool:
+    """Exhaustive bounds equal ``expected``; sampled bounds only ever shrink it, so lie inside."""
+    if rep.method == "exhaustive":
+        return _bounds_close((rep.lower, rep.upper), expected)
+    return rep.lower >= expected[0] - CHECK_EPS and rep.upper <= expected[1] + CHECK_EPS
 
 
 def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
@@ -535,7 +535,7 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
 
     # Shifted pair: not woven, and the certificate is the singleton {1}.
     with statement("shifted-projections-not-woven") as record:
-        sh_rep, sh_method = shifted_universal()
+        sh_rep = shifted_universal()
         sh_first = optimal_bounds(shifted.first, tol)
         sh_second = optimal_bounds(shifted.second, tol)
         sh_ok = (
@@ -544,11 +544,11 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
             and _bounds_close((sh_first.lower, sh_first.upper), (1.0, 1.0))
             and _bounds_close((sh_second.lower, sh_second.upper), (1.0, 1.0))
         )
-        if sh_method == "exhaustive":
+        if sh_rep.method == "exhaustive":
             sh_ok = sh_ok and sh_rep.argmin.indices == shifted.expected["certificate_indices"]
         record(
             sh_ok,
-            sh_method,
+            sh_rep.method,
             {
                 "woven": sh_rep.woven,
                 "universal_lower": sh_rep.lower,
@@ -560,11 +560,10 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
 
     # Window pair: woven with universal bounds (1, 2).
     with statement("window-pair-universal") as record:
-        wi_rep, wi_method = window_universal()
-        check = _bounds_close if wi_method == "exhaustive" else _bounds_inside
+        wi_rep = window_universal()
         record(
-            wi_rep.woven and check((wi_rep.lower, wi_rep.upper), window.expected["universal"]),
-            wi_method,
+            wi_rep.woven and _universal_matches(wi_rep, window.expected["universal"]),
+            wi_rep.method,
             {"universal": (wi_rep.lower, wi_rep.upper), "woven": wi_rep.woven},
             {"universal": window.expected["universal"], "woven": True},
             window.provenance,
@@ -584,7 +583,7 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
                 spec2_g,
                 tol,
                 cap,
-                report=window_universal()[0],
+                report=window_universal(),
             )
             vector_bounds = transfer.computed["vector_bounds"]
             record(
@@ -620,7 +619,7 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
                 spec_g,
                 tol,
                 cap,
-                report=shifted_universal()[0],
+                report=shifted_universal(),
             )
             record(
                 transfer.passed and not transfer.computed["vector_woven"],
@@ -648,12 +647,9 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
         )
 
     with statement("scaled-split-universal") as record:
-        sc_rep, sc_method = scaled_universal()
-        check = _bounds_close if sc_method == "exhaustive" else _bounds_inside
-        sc_ok = sc_rep.woven and check(
-            (sc_rep.lower, sc_rep.upper), scaled_pair.expected["universal"]
-        )
-        if sc_method == "exhaustive":
+        sc_rep = scaled_universal()
+        sc_ok = sc_rep.woven and _universal_matches(sc_rep, scaled_pair.expected["universal"])
+        if sc_rep.method == "exhaustive":
             sc_ok = (
                 sc_ok
                 and sc_rep.argmin.contains(scaled_pair.expected["argmin_contains"])
@@ -661,7 +657,7 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
             )
         record(
             sc_ok,
-            sc_method,
+            sc_rep.method,
             {
                 "universal": (sc_rep.lower, sc_rep.upper),
                 "argmin": list(sc_rep.argmin.indices),
@@ -672,14 +668,14 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
         )
 
     with statement("scaled-split-envelope") as record:
-        sc_rep, sc_method = scaled_universal()
+        sc_rep = scaled_universal()
         sc_first, sc_second = scaled_families()
         record(
             sc_rep.lower <= min(sc_first.lower, sc_second.lower) + CHECK_EPS
             and sc_rep.upper >= max(sc_first.upper, sc_second.upper) - CHECK_EPS
             and sc_rep.lower < min(sc_first.lower, sc_second.lower) - CHECK_EPS
             and sc_rep.upper > max(sc_first.upper, sc_second.upper) + CHECK_EPS,
-            sc_method,
+            sc_rep.method,
             {"universal": (sc_rep.lower, sc_rep.upper)},
             {
                 "lower_strictly_below": min(sc_first.lower, sc_second.lower),
@@ -689,11 +685,11 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
         )
 
     with statement("scaled-split-sum-gap") as record:
-        sc_rep, sc_method = scaled_universal()
+        sc_rep = scaled_universal()
         gap = check_strict_sum_gap(scaled_pair.first, scaled_pair.second, sc_rep)
         record(
             gap.passed,
-            sc_method,
+            sc_rep.method,
             {"universal": (sc_rep.lower, sc_rep.upper)},
             gap.expected,
         )
@@ -701,7 +697,7 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
     if scaled_pair.first.n_blocks <= cap:
         with statement("parseval-transform-weaving") as record:
             pt = check_parseval_transform_weaving(
-                scaled_pair.first, scaled_pair.second, scaled_universal()[0], tol, cap
+                scaled_pair.first, scaled_pair.second, scaled_universal(), tol, cap
             )
             record(
                 pt.passed,
@@ -716,9 +712,9 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
     # Additive upper bound on two woven pairs.
     if window.first.n_blocks <= cap and scaled_pair.first.n_blocks <= cap:
         with statement("additive-upper-bound") as record:
-            a1 = check_additive_upper_bound(window.first, window.second, window_universal()[0])
+            a1 = check_additive_upper_bound(window.first, window.second, window_universal())
             a2 = check_additive_upper_bound(
-                scaled_pair.first, scaled_pair.second, scaled_universal()[0]
+                scaled_pair.first, scaled_pair.second, scaled_universal()
             )
             record(
                 a1.passed and a2.passed,
@@ -802,14 +798,13 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
     # The pair weaves although exactly one member is a Riesz family; this is
     # the asymmetry that cannot happen for ordinary vector frames.
     with statement("duplicate-vs-split-weaving") as record:
-        du_rep, du_method = _universal(dupsplit, cfg)
+        du_rep = _universal(dupsplit, cfg)
         exactly_one = split_riesz().is_riesz and not duplicate_riesz().is_riesz
-        check = _bounds_close if du_method == "exhaustive" else _bounds_inside
         record(
             du_rep.woven
-            and check((du_rep.lower, du_rep.upper), dupsplit.expected["universal"])
+            and _universal_matches(du_rep, dupsplit.expected["universal"])
             and exactly_one,
-            du_method,
+            du_rep.method,
             {
                 "universal": (du_rep.lower, du_rep.upper),
                 "woven": du_rep.woven,
@@ -832,11 +827,10 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
         )
 
     with statement("overlapping-coordinates-weaving") as record:
-        ov_rep, ov_method = _universal(overlap, cfg)
-        check = _bounds_close if ov_method == "exhaustive" else _bounds_inside
+        ov_rep = _universal(overlap, cfg)
         record(
-            ov_rep.woven and check((ov_rep.lower, ov_rep.upper), overlap.expected["universal"]),
-            ov_method,
+            ov_rep.woven and _universal_matches(ov_rep, overlap.expected["universal"]),
+            ov_rep.method,
             {"universal": (ov_rep.lower, ov_rep.upper), "woven": ov_rep.woven},
             {"universal": overlap.expected["universal"], "woven": True},
             overlap.provenance,

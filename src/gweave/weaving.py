@@ -304,24 +304,25 @@ def universal_bounds_search(
       neighbours, where ``u`` is a unit vector close to the eigenvector of
       ``lo(S)`` for the current operator ``S`` (the best neighbour's ``lo``
       is at most that quotient, so a neighbour above it is not the step);
-      an ascent likewise on ``hi``.  ``u`` comes from one linear solve, a
-      step of inverse iteration shifted by the rounding margin below the
-      solved ``lo(S)`` (above ``hi(S)`` for an ascent), as
+      an ascent likewise on ``hi``.  ``u`` is a coordinate vector of the
+      diagonal part, or comes from one linear solve on a component, a step
+      of inverse iteration shifted by the rounding margin below the solved
+      ``lo(S)`` (above ``hi(S)`` for an ascent), as
       ``_kernels.neighbour_quotients`` describes;
     - its ``lo`` or ``hi`` reaches the best value solved so far.
 
     Every other neighbour is certified and not solved: first by Weyl's
     inequality from the current mask, ``lo(S +- delta_i) >= lo(S) +
-    lo(+-delta_i)`` and likewise for ``hi``, then by the kernel's Cholesky
-    test, which only the neighbours with a side left open reach.  Each test
-    clears its threshold by the rounding margin of ``_kernels._margin``,
-    which also covers the rounding of the quotients.  A certified mask
-    keeps the floor and ceiling it was certified against, and is solved
-    when a later look needs more.  The new masks of a round are merged into
-    the sorted examined arrays in one pass.  A mask's spectrum does not
-    depend on the batch it is computed in, so the masks examined, and the
-    report, are those of running the descents one after another and solving
-    every neighbour.
+    lo(+-delta_i)`` and likewise for ``hi``, with the deltas' extremes
+    taken piece by piece, then by the kernel's Cholesky test, which only the
+    neighbours with a side left open reach.  Each test clears its threshold
+    by the rounding margin of ``_kernels._margin``, which also covers the
+    rounding of the quotients.  A certified mask keeps the floor and ceiling
+    it was certified against, and is solved when a later look needs more.
+    The new masks of a round are merged into the sorted examined arrays in
+    one pass.  A mask's spectrum does not depend on the batch it is computed
+    in, so the masks examined, and the report, are those of running the
+    descents one after another and solving every neighbour.
     """
     _check_pair(first, second)
     if budget < 1:
@@ -340,15 +341,15 @@ def universal_bounds_search(
 
     base, deltas, p, q = _pair_kernel_inputs(first, second)
     margin = _kernels._margin(base, deltas)
-    # Weyl steps: the extreme eigenvalues of +delta_i, which sets bit i, in
-    # row 0 and of -delta_i, which clears it, in row 1
-    w = np.linalg.eigvalsh(deltas)
-    step_lo = np.stack([w[:, 0], -w[:, -1]])
-    step_hi = np.stack([w[:, -1], -w[:, 0]])
-    # built once per request: the split operator for every spectrum below,
-    # the flattened deltas for every Rayleigh quotient
+    # built once per request: the split operator for every spectrum and
+    # every Rayleigh quotient below
     operator = _kernels._SplitOperator(base, deltas)
-    flat = _kernels._flat(deltas)
+    # Weyl steps: the extreme eigenvalues of +delta_i, which sets bit i, in
+    # row 0 and of -delta_i, which clears it, in row 1, piece by piece
+    pieces = [deltas[(slice(None), *grid)] for grid in operator.grids]
+    w_lo, w_hi = _kernels._solve(operator.diag_deltas, pieces)
+    step_lo = np.stack([w_lo, -w_hi])
+    step_hi = np.stack([w_hi, -w_lo])
     rng = np.random.default_rng(seed)
     # Examined masks, ascending.  lo and hi hold the extreme eigenvalues of a
     # solved mask; a certified one has lo > floor and hi < ceiling for the
@@ -382,7 +383,7 @@ def universal_bounds_search(
             # it; a look from the other side needs the neighbour beyond the
             # extremes solved so far.
             shift = np.where(down, cur_lo - margin, cur_hi + margin)
-            quotients = _kernels.neighbour_quotients(base, flat, current, down, shift)
+            quotients = _kernels.neighbour_quotients(operator, current, down, shift)
             need_lo = np.where(down, np.minimum(cur_lo, quotients.min(axis=1)), low)
             need_hi = np.where(down, high, np.maximum(cur_hi, quotients.max(axis=1)))
             neighbours = (current[:, np.newaxis] ^ flips).ravel()
@@ -668,10 +669,9 @@ def _basis_batches(first: GFrame, second: GFrame, cap: Optional[int]):
         raise TooManyBlocks(f"{n} blocks exceeds exhaustive cap {limit}")
     base, deltas, _, _ = _pair_kernel_inputs(first, second)
     operator = _kernels._SplitOperator(base, deltas)
-    step = max(1, _kernels._BATCH_FLOATS // operator.floats)
 
     def batches():
-        for part in _kernels._batches(1 << n, step):
+        for part in _kernels._batches(1 << n, operator.step):
             masks = np.arange(part.start, min(part.stop, 1 << n), dtype=np.int64)
             yield masks, _kernels._mask_bits(masks, n)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gweave import _kernels
+from gweave import _kernels, weaving
 from gweave.gframe import block_grams, new_gframe
 from gweave.suite import (
     build_duplicate_vs_split_pair,
@@ -374,10 +374,10 @@ def _tree_calls(monkeypatch):
     calls = []
     search = _kernels._subcube_search
 
-    def counted(operator, deltas, margin, step, cube):
+    def counted(operator, deltas, margin, cube):
         if not cube:
             calls.append(len(deltas))
-        return search(operator, deltas, margin, step, cube)
+        return search(operator, deltas, margin, cube)
 
     monkeypatch.setattr(_kernels, "_subcube_search", counted)
     return calls
@@ -476,7 +476,7 @@ def test_every_tree_batch_fits_the_batch_size(monkeypatch, batch_floats):
         lambda: is_weaving_g_riesz(*riesz).holds or pytest.fail("not every weaving is Riesz"),
         lambda: is_weaving_g_onb(*riesz),
         lambda: spectra.extend(_spectra(base, deltas, masks)),
-        lambda: _kernels.neighbour_quotients(base, deltas, masks, lowest, shift),
+        lambda: _quotients(base, deltas, masks, lowest, shift),
     ):
         floats.clear()
         run()
@@ -576,29 +576,38 @@ def test_search_solves_structured_pairs_by_component(monkeypatch, build, size):
     """Above the cap the search meets the declared bounds (1, 2), and solves no matrix larger than a component.
 
     Both pairs are coordinate-diagonal, of order 24 and 144: every component
-    is 1 x 1, so ``mask_spectra`` makes no eigensolve at all.
+    is 1 x 1.  Every ``eigvalsh``, ``eigh`` and linear solve of the search is
+    counted, in ``mask_spectra``, in ``neighbour_quotients`` and for the Weyl
+    steps, except the two frame-bound solves of the woven threshold, which
+    the exhaustive report computes the same way.
     """
     ex = build(size)
     base, deltas, _, _ = _pair_kernel_inputs(ex.first, ex.second)
     largest = max((len(b) for b, _ in _kernels._SplitOperator(base, deltas).blocks), default=1)
+    assert largest == 1
     orders = []
-    inside = []
-    eigvalsh = np.linalg.eigvalsh
-    spectra = _kernels.mask_spectra
+    threshold = []
 
-    def counted_eigvalsh(a):
-        if inside:
-            orders.extend([a.shape[-1]] * (a.size // a.shape[-1] ** 2))
-        return eigvalsh(a)
+    def count(module, name):
+        solver = getattr(module, name)
 
-    def counted_spectra(*args):
-        inside.append(1)
-        out = spectra(*args)
-        inside.pop()
+        def counted(a, *args):
+            if not threshold:
+                orders.extend([a.shape[-1]] * (a.size // a.shape[-1] ** 2))
+            return solver(a, *args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def uncounted(*args, woven_threshold=weaving._woven_threshold):
+        threshold.append(1)
+        out = woven_threshold(*args)
+        threshold.pop()
         return out
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
-    monkeypatch.setattr(_kernels, "mask_spectra", counted_spectra)
+    count(np.linalg, "eigvalsh")
+    count(np.linalg, "eigh")
+    count(_kernels._umath_linalg, "solve1")
+    monkeypatch.setattr(weaving, "_woven_threshold", uncounted)
     assert ex.first.n_blocks > DEFAULT_EXHAUSTIVE_CAP
     rep = universal_bounds_search(ex.first, ex.second, 16, seed=0)
     assert (rep.lower, rep.upper) == ex.expected["universal"] == (1.0, 2.0)
@@ -612,9 +621,15 @@ def _neighbour_spectra(base, deltas, masks):
     return lo.reshape(len(masks), n), hi.reshape(len(masks), n)
 
 
+def _quotients(base, deltas, masks, lowest, shift):
+    """``neighbour_quotients`` on the split operator of ``base`` and ``deltas``."""
+    operator = _kernels._SplitOperator(base, deltas)
+    return _kernels.neighbour_quotients(operator, masks, np.asarray(lowest), np.asarray(shift))
+
+
 def _quotients_in_range(base, deltas, masks, lowest, shift):
     """``neighbour_quotients`` with each entry checked against its neighbour's spectrum."""
-    got = _kernels.neighbour_quotients(base, deltas, masks, lowest, shift)
+    got = _quotients(base, deltas, masks, lowest, shift)
     lo, hi = _neighbour_spectra(base, deltas, masks)
     margin = _kernels._margin(base, deltas)
     assert (got >= lo - margin).all() and (got <= hi + margin).all()
@@ -642,21 +657,50 @@ def _count_eigh(monkeypatch):
 
 @pytest.mark.parametrize("complex_mode", [False, True])
 def test_neighbour_quotients_lie_in_their_neighbours_spectra(monkeypatch, complex_mode):
-    """On random pairs one inverse-iteration step gives eigh's quotients, without calling eigh."""
+    """One inverse-iteration step per component gives quotients as tight as eigh's, without calling eigh.
+
+    On a random dense pair, one component, they are eigh's quotients.  On a
+    pair whose every block is a direct sum over coordinate groups of sizes
+    2, 3, 3, 1 and 1, the operators split into three components and two
+    1 x 1 coordinates.  eigh's eigenvector of the whole operator then lies in
+    one piece, and each entry is the least quotient over the pieces on a
+    descent row, so no greater than eigh's, and the greatest on an ascent
+    row, so no less.
+    """
     rng = np.random.default_rng(40)
-    first = random_gframe(rng, d=6, n=20, complex_mode=complex_mode)
-    second = random_gframe(rng, d=6, n=20, complex_mode=complex_mode)
-    base, deltas = _pair_inputs(first, second)
-    masks = rng.integers(0, 1 << 20, size=300)
-    lowest = rng.random(300) < 0.5
-    lo, hi = _spectra(base, deltas, masks)
-    margin = _kernels._margin(base, deltas)
-    eigh_rows = _count_eigh(monkeypatch)
-    got = _quotients_in_range(base, deltas, masks, lowest, np.where(lowest, lo - margin, hi + margin))
-    assert eigh_rows == []
-    monkeypatch.undo()
-    scale = np.abs(got).max()
-    np.testing.assert_allclose(got, _eigh_quotients(base, deltas, masks, lowest), atol=1e-9 * scale)
+
+    def dense():
+        return [random_gframe(rng, d=6, n=20, complex_mode=complex_mode) for _ in range(2)]
+
+    def split():
+        groups = np.split(rng.permutation(10), [2, 5, 8, 9])
+
+        def family():
+            blocks = [np.vstack([_block(rng, 10, g, complex_mode) for g in groups]) for _ in range(20)]
+            return new_gframe(10, blocks)
+
+        return family(), family()
+
+    for pair, pieces in [(dense, ([6], 0)), (split, ([2, 3, 3], 2))]:
+        base, deltas = _pair_inputs(*pair())
+        operator = _kernels._SplitOperator(base, deltas)
+        assert (sorted(len(b) for b, _ in operator.blocks), len(operator.diag_base)) == pieces
+        masks = rng.integers(0, 1 << 20, size=300)
+        lowest = rng.random(300) < 0.5
+        lo, hi = _spectra(base, deltas, masks)
+        margin = _kernels._margin(base, deltas)
+        eigh_rows = _count_eigh(monkeypatch)
+        shift = np.where(lowest, lo - margin, hi + margin)
+        got = _quotients_in_range(base, deltas, masks, lowest, shift)
+        assert eigh_rows == []
+        monkeypatch.undo()
+        scale = np.abs(got).max()
+        expected = _eigh_quotients(base, deltas, masks, lowest)
+        if pair is dense:
+            np.testing.assert_allclose(got, expected, atol=1e-9 * scale)
+        else:
+            beyond = np.where(lowest[:, np.newaxis], got - expected, expected - got)
+            assert (beyond <= 1e-9 * scale).all()
 
 
 def test_neighbour_quotients_of_the_zero_operator_and_a_repeated_extreme(monkeypatch):
@@ -684,11 +728,30 @@ def test_neighbour_quotients_of_the_zero_operator_and_a_repeated_extreme(monkeyp
     assert eigh_rows == []
 
 
+def _diagonal_quotients(base, deltas, masks, lowest):
+    """Each one-bit neighbour's least diagonal entry where ``lowest`` holds, else its greatest."""
+    n = len(deltas)
+    neighbours = masks[:, np.newaxis] ^ (1 << np.arange(n))
+    bits = (neighbours[:, :, np.newaxis] >> np.arange(n)) & 1
+    entries = np.diagonal(base + np.tensordot(bits, deltas, axes=1), axis1=-2, axis2=-1).real
+    return np.where(lowest[:, np.newaxis], entries.min(axis=2), entries.max(axis=2))
+
+
 @pytest.mark.parametrize("complex_mode", [False, True])
 def test_neighbour_quotients_fall_back_to_eigh_on_a_singular_shift(monkeypatch, complex_mode):
-    """A shift exactly at a diagonal operator's eigenvalue makes the solve singular: eigh runs.
+    """Diagonal pieces need no solve; a component whose solve fails takes eigh's eigenvector.
 
-    So does the all-zero pair, whose margin, and so shift, is 0.
+    A coordinate-diagonal pair, and the all-zero pair, split into 1 x 1
+    coordinates: each quotient is a neighbour's own diagonal entry, exactly,
+    with no linear solve and no eigh, even at a shift that would make the
+    solve singular.
+
+    The same operators as one component of order 3: block 0 cancels the
+    off-diagonal entries of ``base``, so with bit 0 set every operator is
+    diagonal while its coordinates stay connected.  A shift exactly at an
+    eigenvalue makes the component's solve singular, and eigh's eigenvectors
+    of a diagonal operator are coordinate vectors, so the quotients equal
+    eigh's exactly.
     """
     dtype = complex if complex_mode else float
     base = np.diag([1.0, 2.0, 4.0]).astype(dtype)
@@ -696,23 +759,34 @@ def test_neighbour_quotients_fall_back_to_eigh_on_a_singular_shift(monkeypatch, 
     masks = np.arange(8)
     lowest = masks % 2 == 0
     lo, hi = _spectra(base, deltas, masks)
+    solves = []
+    solve1 = _kernels._umath_linalg.solve1
+    monkeypatch.setattr(
+        _kernels._umath_linalg, "solve1", lambda a, b: solves.append(len(a)) or solve1(a, b)
+    )
     eigh_rows = _count_eigh(monkeypatch)
     got = _quotients_in_range(base, deltas, masks, lowest, np.where(lowest, lo, hi))
-    assert sum(eigh_rows) == len(masks)
-    # eigh's eigenvectors of a diagonal operator are coordinate vectors, so the
-    # quotients are the neighbours' own diagonal entries at that coordinate
-    np.testing.assert_array_equal(got, _eigh_quotients(base, deltas, masks, lowest))
-
-    del eigh_rows[:]
+    np.testing.assert_array_equal(got, _diagonal_quotients(base, deltas, masks, lowest))
     zero = np.zeros((3, 3, 3), dtype=dtype)
     got = _quotients_in_range(zero[0], zero, masks, lowest, np.zeros(8))
-    assert sum(eigh_rows) == len(masks) and (got == 0).all()
+    assert (got == 0).all()
+    assert solves == [] and eigh_rows == []
 
-    # A shift 1e-300 below the eigenvalue 0 of mask 0 (diag(0, 2, 4)) gives
-    # a finite x whose squared norm overflows, so x / |x| is the zero
-    # vector, whose quotients of 0 bound nothing: eigh runs for that row.
+    off = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=dtype)
+    if complex_mode:
+        off[0, 1], off[1, 0] = 1j, -1j
+    masks = 1 | masks << 1  # bit 0 set: the diagonal operators above
+    deltas = np.concatenate([-off[np.newaxis], deltas])
+    assert [len(b) for b, _ in _kernels._SplitOperator(base + off, deltas).blocks] == [3]
+    got = _quotients_in_range(base + off, deltas, masks, lowest, np.where(lowest, lo, hi))
+    assert sum(solves) == sum(eigh_rows) == len(masks)
+    np.testing.assert_array_equal(got, _eigh_quotients(base + off, deltas, masks, lowest))
+
+    # A shift 1e-300 below the eigenvalue 0 of diag(0, 2, 4) gives a finite x
+    # whose squared norm overflows, so x / |x| is the zero vector, whose
+    # quotients of 0 bound nothing: eigh runs for that row.
     del eigh_rows[:]
-    base = np.diag([0.0, 2.0, 4.0]).astype(dtype)
+    base = np.diag([0.0, 2.0, 4.0]).astype(dtype) + off
     got = _quotients_in_range(base, deltas, masks[:1], [True], [-1e-300])
-    assert eigh_rows == [1]
+    assert eigh_rows == [1] and solves[-1] == 1
     np.testing.assert_array_equal(got, _eigh_quotients(base, deltas, masks[:1], [True]))
