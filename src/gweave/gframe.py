@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import linalg
+from . import _kernels, linalg
 from .errors import Empty, LengthMismatch, NonFinite, NotAFrame, ShapeMismatch
 
 DEFAULT_TOL = 1e-8
@@ -214,13 +214,21 @@ def is_g_exact(frame: GFrame, tol: float = DEFAULT_TOL) -> ExactnessReport:
     The raw post-removal lower bounds are reported alongside the verdict
     because the notion of "ceases to be a frame" is threshold-dependent.
     The witness, when present, is the smallest index whose removal keeps
-    the lower bound above the threshold.
+    the lower bound above the threshold.  Removing block ``i`` leaves
+    ``S - G_i``, the operator of row ``i`` of the identity in the kernel's
+    split operator with base ``S`` and deltas ``-G_i``, so each removal is
+    solved component by component.
     """
     fo = frame_operator(frame)
     threshold = tol * fo.upper
     if not fo.lower > threshold:
         raise NotAFrame("exactness is only defined for frames")
-    lows = np.linalg.eigvalsh(fo.s - block_grams(frame))[:, 0]
+    n = frame.n_blocks
+    operator = _kernels._SplitOperator(fo.s, -block_grams(frame))
+    batches = _kernels._batches(n, operator.step)
+    lows = np.concatenate(
+        [operator.extremes(np.eye(min(p.stop, n) - p.start, n, p.start))[0] for p in batches]
+    )
     kept = np.flatnonzero(lows > threshold)
     witness = int(kept[0]) + 1 if len(kept) else None
     return ExactnessReport(

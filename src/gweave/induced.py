@@ -6,9 +6,9 @@ questions can then be answered on either side and must agree.
 
 Vector questions run on the family's GFrame view: each group is one block
 whose rows are its conjugated vectors ``v*``, so the block analysis answers
-them.  Only :func:`vector_frame_operator` is an independent rank-one sum,
-which keeps :func:`check_operator_identity` from comparing an operator with
-itself.
+them.  Only :func:`vector_frame_operator` is independent of the block
+Grams: one product of the stacked vectors, which keeps
+:func:`check_operator_identity` from comparing an operator with itself.
 """
 
 from __future__ import annotations
@@ -173,13 +173,11 @@ def induced_vectors(frame: GFrame, spec: SubspaceFrameSpec) -> VectorFamily:
 
 
 def vector_frame_operator(family: VectorFamily) -> np.ndarray:
-    """Sum of rank-one contributions of all vectors."""
-    d = family.domain_dim
-    dtype = np.result_type(np.float64, *(v.dtype for v in family.flat)) if family.flat else np.float64
-    op = np.zeros((d, d), dtype=dtype)
-    for v in family.flat:
-        op += np.outer(v, v.conj())
-    return op
+    """Sum of the rank-one terms ``v v*`` of all vectors, as one product of the stacked vectors."""
+    if not family.flat:
+        return np.zeros((family.domain_dim, family.domain_dim))
+    rows = np.array(family.flat)
+    return rows.T @ rows.conj()
 
 
 def _as_gframe(family: VectorFamily) -> GFrame:

@@ -433,12 +433,12 @@ def _check_scale(scale: float) -> None:
 
 def _universal(pair: ExampleInstance, config: SuiteConfig):
     """Exhaustive bounds when the cap allows, sampled bounds otherwise."""
-    cap = effective_cap(config.cap)
-    if pair.first.n_blocks <= cap:
-        return universal_bounds_exhaustive(pair.first, pair.second, config.tol, cap)
-    return universal_bounds_search(
-        pair.first, pair.second, config.search_budget, config.seed, config.tol
-    )
+    try:
+        return universal_bounds_exhaustive(pair.first, pair.second, config.tol, config.cap)
+    except TooManyBlocks:
+        return universal_bounds_search(
+            pair.first, pair.second, config.search_budget, config.seed, config.tol
+        )
 
 
 def _bounds_close(pair_value, expected, eps=CHECK_EPS) -> bool:
@@ -459,7 +459,7 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
     scale = cfg.dim_scale
     _check_scale(scale)
     tol = cfg.tol
-    cap = effective_cap(cfg.cap)
+    cap = effective_cap(cfg.cap)  # a malformed cap is an input error, not a record
     records = []
 
     def add(name, passed, method, computed, expected, provenance=None, detail=""):
@@ -475,26 +475,18 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
             )
         )
 
-    def add_skipped(name):
-        # Keeps the record set identical across configurations when a check
-        # needs per-selection classification beyond the exhaustive cap.  A
-        # skipped record fails nothing, and its method says it was not checked.
-        add(
-            name,
-            True,
-            "skipped",
-            {},
-            {},
-            detail="skipped: block count above the exhaustive cap",
-        )
-
     @contextmanager
     def statement(name):
-        # Yields the add of the statement's record.  A GWeaveError raised
-        # while checking the statement fails that record alone, with its
-        # message, and the battery goes on.
+        # Yields the add of the statement's record.  A statement whose
+        # exhaustive computation the cap refuses gets a skipped record, which
+        # fails nothing and keeps the record set the same for every cap.  Any
+        # other GWeaveError fails that record alone, with its message, and
+        # the battery goes on.
         try:
             yield partial(add, name)
+        except TooManyBlocks:
+            detail = "skipped: block count above the exhaustive cap"
+            add(name, True, "skipped", {}, {}, detail=detail)
         except GWeaveError as exc:
             add(name, False, "error", {}, {}, detail=f"{type(exc).__name__}: {exc}")
 
@@ -572,64 +564,58 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
     # Window pair through doubled per-block bases: the group-level weaving
     # bounds scale by 4, and the declared conservative envelope is recorded
     # next to the computed optimum without judging between them.
-    if window.first.n_blocks <= cap:
-        with statement("window-pair-vector-transfer") as record:
-            spec2_f = onb_families(window.first.block_rows, scale=2.0)
-            spec2_g = onb_families(window.second.block_rows, scale=2.0)
-            transfer = check_weaving_transfer(
-                window.first,
-                window.second,
-                spec2_f,
-                spec2_g,
-                tol,
-                cap,
-                report=window_universal(),
-            )
-            vector_bounds = transfer.computed["vector_bounds"]
-            record(
-                _bounds_close(vector_bounds, window.expected["vector_universal_scaled2"])
-                and transfer.passed,
-                "exhaustive",
-                {
-                    "vector_universal": vector_bounds,
-                    "transfer_passed": transfer.passed,
-                },
-                {
-                    "vector_universal": window.expected["vector_universal_scaled2"],
-                    "stated_envelope": window.expected["stated_vector_envelope"],
-                },
-                window.provenance,
-                detail=(
-                    "computed optimal lower bound 4 recorded alongside the stated"
-                    " conservative envelope lower bound 1"
-                ),
-            )
-    else:
-        add_skipped("window-pair-vector-transfer")
+    with statement("window-pair-vector-transfer") as record:
+        spec2_f = onb_families(window.first.block_rows, scale=2.0)
+        spec2_g = onb_families(window.second.block_rows, scale=2.0)
+        transfer = check_weaving_transfer(
+            window.first,
+            window.second,
+            spec2_f,
+            spec2_g,
+            tol,
+            cap,
+            report=window_universal(),
+        )
+        vector_bounds = transfer.computed["vector_bounds"]
+        record(
+            _bounds_close(vector_bounds, window.expected["vector_universal_scaled2"])
+            and transfer.passed,
+            "exhaustive",
+            {
+                "vector_universal": vector_bounds,
+                "transfer_passed": transfer.passed,
+            },
+            {
+                "vector_universal": window.expected["vector_universal_scaled2"],
+                "stated_envelope": window.expected["stated_vector_envelope"],
+            },
+            window.provenance,
+            detail=(
+                "computed optimal lower bound 4 recorded alongside the stated"
+                " conservative envelope lower bound 1"
+            ),
+        )
 
     # Shifted pair transfers its negative verdict to the vector level.
-    if shifted.first.n_blocks <= cap:
-        with statement("shifted-pair-vector-transfer") as record:
-            spec_f = onb_families(shifted.first.block_rows, scale=2.0)
-            spec_g = onb_families(shifted.second.block_rows, scale=2.0)
-            transfer = check_weaving_transfer(
-                shifted.first,
-                shifted.second,
-                spec_f,
-                spec_g,
-                tol,
-                cap,
-                report=shifted_universal(),
-            )
-            record(
-                transfer.passed and not transfer.computed["vector_woven"],
-                "exhaustive",
-                transfer.computed,
-                {"verdicts_match": True, "vector_woven": False},
-                shifted.provenance,
-            )
-    else:
-        add_skipped("shifted-pair-vector-transfer")
+    with statement("shifted-pair-vector-transfer") as record:
+        spec_f = onb_families(shifted.first.block_rows, scale=2.0)
+        spec_g = onb_families(shifted.second.block_rows, scale=2.0)
+        transfer = check_weaving_transfer(
+            shifted.first,
+            shifted.second,
+            spec_f,
+            spec_g,
+            tol,
+            cap,
+            report=shifted_universal(),
+        )
+        record(
+            transfer.passed and not transfer.computed["vector_woven"],
+            "exhaustive",
+            transfer.computed,
+            {"verdicts_match": True, "vector_woven": False},
+            shifted.provenance,
+        )
 
     # Scaled-split pair: each family tight, universal bounds strictly wider.
     with statement("scaled-split-families-tight") as record:
@@ -694,60 +680,49 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
             gap.expected,
         )
 
-    if scaled_pair.first.n_blocks <= cap:
-        with statement("parseval-transform-weaving") as record:
-            pt = check_parseval_transform_weaving(
-                scaled_pair.first, scaled_pair.second, scaled_universal(), tol, cap
-            )
-            record(
-                pt.passed,
-                "exhaustive",
-                pt.computed,
-                pt.expected,
-                detail=pt.detail,
-            )
-    else:
-        add_skipped("parseval-transform-weaving")
+    with statement("parseval-transform-weaving") as record:
+        pt = check_parseval_transform_weaving(
+            scaled_pair.first, scaled_pair.second, scaled_universal(), tol, cap
+        )
+        record(
+            pt.passed,
+            "exhaustive",
+            pt.computed,
+            pt.expected,
+            detail=pt.detail,
+        )
 
-    # Additive upper bound on two woven pairs.
-    if window.first.n_blocks <= cap and scaled_pair.first.n_blocks <= cap:
-        with statement("additive-upper-bound") as record:
-            a1 = check_additive_upper_bound(window.first, window.second, window_universal())
-            a2 = check_additive_upper_bound(
-                scaled_pair.first, scaled_pair.second, scaled_universal()
-            )
-            record(
-                a1.passed and a2.passed,
-                "exhaustive",
-                {"window": a1.computed, "scaled_split": a2.computed},
-                {"window": a1.expected, "scaled_split": a2.expected},
-            )
-    else:
-        add_skipped("additive-upper-bound")
+    # Additive upper bound on two woven pairs, read from their reports.
+    with statement("additive-upper-bound") as record:
+        wi_rep, sc_rep = window_universal(), scaled_universal()
+        a1 = check_additive_upper_bound(window.first, window.second, wi_rep)
+        a2 = check_additive_upper_bound(scaled_pair.first, scaled_pair.second, sc_rep)
+        record(
+            a1.passed and a2.passed,
+            "search" if "search" in (wi_rep.method, sc_rep.method) else "exhaustive",
+            {"window": a1.computed, "scaled_split": a2.computed},
+            {"window": a1.expected, "scaled_split": a2.expected},
+        )
 
     # A family weaves with its canonical dual: scalar case plus the window family.
     scalar = new_gframe(1, [np.array([[1.0]]), np.array([[1.0]])])
-    if scalar.n_blocks <= cap:
-        with statement("dual-pair-weaving-guarantee") as record:
-            dr1 = check_dual_weaving(scalar, tol, cap)
-            dr1_ok = dr1.passed and _bounds_close(
-                (dr1.computed["universal_lower"], dr1.computed["universal_upper"]),
-                (0.5, 2.0),
-            )
-            dr2 = (
-                check_dual_weaving(window.second, tol, cap)
-                if window.second.n_blocks <= cap
-                else None
-            )
-            record(
-                dr1_ok and (dr2 is None or dr2.passed),
-                "exhaustive",
-                {"scalar": dr1.computed, "window_second": None if dr2 is None else dr2.computed},
-                {"scalar_universal": (0.5, 2.0), "guarantees": dr1.expected},
-                {"scalar_universal": "derived"},
-            )
-    else:
-        add_skipped("dual-pair-weaving-guarantee")
+    with statement("dual-pair-weaving-guarantee") as record:
+        dr1 = check_dual_weaving(scalar, tol, cap)
+        dr1_ok = dr1.passed and _bounds_close(
+            (dr1.computed["universal_lower"], dr1.computed["universal_upper"]),
+            (0.5, 2.0),
+        )
+        try:
+            dr2 = check_dual_weaving(window.second, tol, cap)
+        except TooManyBlocks:
+            dr2 = None
+        record(
+            dr1_ok and (dr2 is None or dr2.passed),
+            "exhaustive",
+            {"scalar": dr1.computed, "window_second": None if dr2 is None else dr2.computed},
+            {"scalar_universal": (0.5, 2.0), "guarantees": dr1.expected},
+            {"scalar_universal": "derived"},
+        )
 
     # Duplicate rows: a frame with bounds (2, 2) that is neither exact nor Riesz.
     with statement("duplicate-rows-family") as record:
@@ -888,19 +863,16 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
 
     # Orthonormal weaving survives unitary composition and fails for the two
     # non-unitary counterexamples.
-    if proj1.n_blocks <= cap:
-        with statement("unitary-composition-preserves-onb-weaving") as record:
-            u = random_unitary(proj_d, cfg.seed)
-            unitary_rec = check_unitary_weaving_invariance(proj1, proj1, u, tol, cap)
-            onb_pair_ok = unitary_rec.computed["input_pair_holds"]
-            record(
-                onb_pair_ok and unitary_rec.passed,
-                "exhaustive",
-                {"identity_pair_holds": onb_pair_ok, **unitary_rec.computed},
-                {"identity_pair_holds": True, **unitary_rec.expected},
-            )
-    else:
-        add_skipped("unitary-composition-preserves-onb-weaving")
+    with statement("unitary-composition-preserves-onb-weaving") as record:
+        u = random_unitary(proj_d, cfg.seed)
+        unitary_rec = check_unitary_weaving_invariance(proj1, proj1, u, tol, cap)
+        onb_pair_ok = unitary_rec.computed["input_pair_holds"]
+        record(
+            onb_pair_ok and unitary_rec.passed,
+            "exhaustive",
+            {"identity_pair_holds": onb_pair_ok, **unitary_rec.computed},
+            {"identity_pair_holds": True, **unitary_rec.expected},
+        )
 
     with statement("scaling-breaks-onb") as record:
         scaled_family = compose_right(proj1, scale2)

@@ -73,6 +73,15 @@ def effective_cap(cap: Optional[int] = None) -> int:
     return cap
 
 
+def _check_cap(n: int, cap: Optional[int]) -> None:
+    """Refuse an exhaustive computation over ``n`` blocks above the cap."""
+    limit = effective_cap(cap)
+    if n > limit:
+        raise TooManyBlocks(
+            f"{n} blocks exceeds exhaustive cap {limit}; use universal_bounds_search"
+        )
+
+
 @dataclass(frozen=True)
 class WeavingSelection:
     """Subset of block positions encoded as a bitmask.
@@ -243,12 +252,7 @@ def universal_bounds_exhaustive(
     opposite ends of the enumeration order.
     """
     _check_pair(first, second)
-    limit = effective_cap(cap)
-    if first.n_blocks > limit:
-        raise TooManyBlocks(
-            f"{first.n_blocks} blocks exceeds exhaustive cap {limit};"
-            " use universal_bounds_search"
-        )
+    _check_cap(first.n_blocks, cap)
     return _scan_pair(first, second, tol)
 
 
@@ -664,9 +668,7 @@ def _basis_batches(first: GFrame, second: GFrame, cap: Optional[int]):
     """
     _check_pair(first, second)
     n = first.n_blocks
-    limit = effective_cap(cap)
-    if n > limit:
-        raise TooManyBlocks(f"{n} blocks exceeds exhaustive cap {limit}")
+    _check_cap(n, cap)
     base, deltas, _, _ = _pair_kernel_inputs(first, second)
     operator = _kernels._SplitOperator(base, deltas)
 

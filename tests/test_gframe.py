@@ -32,6 +32,13 @@ from oracles import rayleigh_sample_range
 GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0, (3.0 + math.sqrt(5.0)) / 2.0
 
 
+def _removal_oracle(frame):
+    """Smallest eigenvalue of the frame operator without block i, one dense solve per block."""
+    grams = [b.conj().T @ b for b in frame.blocks]
+    s = sum(grams)
+    return np.array([np.linalg.eigvalsh(s - g)[0] for g in grams])
+
+
 class TestConstruction:
     def test_rows_of_identity(self):
         frame = new_gframe(3, [np.eye(3)[i] for i in range(3)])
@@ -184,6 +191,36 @@ class TestExactness:
         assert not rep.is_exact
         assert rep.witness == 2
         assert rep.removal_lower_bounds[1] > rep.threshold
+
+    def test_removals_past_the_mask_width(self):
+        # 70 coordinate rows and a second copy of coordinate 66: only the
+        # removals of block 66 and of the copy (block 71) keep a frame.
+        d = 70
+        frame = new_gframe(d, [np.eye(d)[i] for i in range(d)] + [np.eye(d)[65]])
+        rep = is_g_exact(frame)
+        assert rep.witness == 66
+        lows = np.array(rep.removal_lower_bounds)
+        assert len(lows) == 71
+        assert np.flatnonzero(lows > rep.threshold).tolist() == [65, 70]
+        np.testing.assert_array_equal(lows, _removal_oracle(frame))
+
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    def test_block_sparse_removals_against_dense_oracle(self, complex_mode):
+        # coordinates in components {0, 3}, {1, 4, 5} and the single 2, 6, 7
+        rng = np.random.default_rng(7)
+        d = 8
+        blocks = []
+        for support in ([0, 3], [1, 4, 5], [2], [0, 3], [1, 4, 5], [6], [7]):
+            b = np.zeros((2, d), dtype=complex if complex_mode else float)
+            b[:, support] = rng.standard_normal((2, len(support)))
+            if complex_mode:
+                b[:, support] += 1j * rng.standard_normal((2, len(support)))
+            blocks.append(b)
+        blocks.append(np.eye(d))
+        frame = new_gframe(d, blocks)
+        rep = is_g_exact(frame)
+        np.testing.assert_allclose(rep.removal_lower_bounds, _removal_oracle(frame), atol=1e-12)
+        assert rep.witness == 1
 
 
 class TestRiesz:

@@ -144,6 +144,23 @@ class TestVectorPredicates:
         gram_eigs = np.linalg.eigvalsh(t.conj().T @ t)
         np.testing.assert_allclose(op_eigs[-3:], gram_eigs, atol=1e-9)
 
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    def test_vector_frame_operator_against_accumulation_oracle(self, complex_mode):
+        rng = np.random.default_rng(4)
+        groups = [[rng.standard_normal(4) for _ in range(k)] for k in (2, 0, 3)]
+        if complex_mode:
+            groups[2][1] = groups[2][1] + 1j * rng.standard_normal(4)
+        fam = make_vector_family(4, groups)
+        op = vector_frame_operator(fam)
+        assert op.dtype == (np.complex128 if complex_mode else np.float64)
+        oracle = accumulated_frame_operator(list(fam.flat), 4)
+        assert np.max(np.abs(op - oracle)) <= 1e-12
+
+    def test_vector_frame_operator_of_no_vectors_is_zero(self):
+        for groups in ([], [[], []]):
+            op = vector_frame_operator(make_vector_family(3, groups))
+            assert op.shape == (3, 3) and not op.any()
+
 
 class TestVectorWeaving:
     def test_window_pair_scaled_universal(self):

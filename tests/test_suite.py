@@ -175,6 +175,46 @@ class TestRunSuite:
         assert any(r.method == "search" for r in report.records)
         assert report.passed
 
+    def test_additive_upper_bound_reads_sampled_reports(self):
+        report = run_suite(SuiteConfig(cap=4, search_budget=64))
+        rec = next(r for r in report.records if r.name == "additive-upper-bound")
+        assert rec.passed and rec.method == "search"
+        pairs = {"window": build_window_pair(8), "scaled_split": build_scaled_split_pair(9)}
+        for key, pair in pairs.items():
+            upper = rec.computed[key]["universal_upper"]
+            assert upper <= rec.expected[key]["at_most"]
+            lower_end, upper_end = pair.expected["universal"]
+            assert lower_end <= upper <= upper_end + 1e-9
+
+    @pytest.mark.parametrize(
+        "cap, skipped",
+        [
+            (
+                0,
+                {
+                    "window-pair-vector-transfer",
+                    "shifted-pair-vector-transfer",
+                    "parseval-transform-weaving",
+                    "dual-pair-weaving-guarantee",
+                    "unitary-composition-preserves-onb-weaving",
+                },
+            ),
+            (9, set()),
+        ],
+    )
+    def test_skipped_statements_are_those_the_cap_refuses(self, cap, skipped):
+        report = run_suite(SuiteConfig(cap=cap))
+        assert report.passed
+        assert {r.name for r in report.records if r.method == "skipped"} == skipped
+        assert len(report.records) == 22
+
+    def test_dual_statement_checks_its_scalar_pair_when_the_window_family_is_refused(self):
+        report = run_suite(SuiteConfig(cap=3))
+        rec = next(r for r in report.records if r.name == "dual-pair-weaving-guarantee")
+        assert rec.passed and rec.method == "exhaustive"
+        assert rec.computed["window_second"] is None
+        assert rec.computed["scalar"]["universal_lower"] == pytest.approx(0.5)
+
     @pytest.mark.parametrize("dim_scale", [1.0, 1.5])
     def test_statements_reuse_the_suite_reports(self, monkeypatch, dim_scale):
         """10 scans of 10 distinct pairs, and 2 ONB classifications.
