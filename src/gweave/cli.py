@@ -139,7 +139,7 @@ def load_gframe(path: str) -> GFrame:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}")
 
     def reject_constant(literal: str):
@@ -149,13 +149,18 @@ def load_gframe(path: str) -> GFrame:
         doc = json.loads(text, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply")
     return document_to_gframe(doc)
 
 
 def save_gframe(frame: GFrame, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_document(gframe_to_document(frame)))
-        fh.write("\n")
+    text = dumps_document(gframe_to_document(frame))
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc}")
 
 
 def dumps_document(doc: dict) -> str:
@@ -340,14 +345,11 @@ def _cmd_check(args) -> int:
 def _cmd_transform(args, transform, command: str) -> int:
     frame = load_gframe(args.path)
     out = transform(frame, args.tol)
-    text = dumps_document(gframe_to_document(out))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
+        save_gframe(out, args.output)
         print(f"{command}: wrote {args.output}")
     else:
-        print(text)
+        print(dumps_document(gframe_to_document(out)))
     return 0
 
 

@@ -50,7 +50,10 @@ class EnvelopeViolation(GWeaveError):
 
 
 class ParseError(GWeaveError):
-    """Input file is not valid JSON; message carries the position."""
+    """A family file cannot be read or written, is not UTF-8, or is not valid JSON.
+
+    The message carries the path, and for malformed JSON the position.
+    """
 
 
 class SchemaError(GWeaveError):

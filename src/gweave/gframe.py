@@ -267,7 +267,7 @@ def is_g_riesz_basis(frame: GFrame, tol: float = DEFAULT_TOL) -> RieszReport:
     count = v.shape[0]
     if count == 0:
         return RieszReport(False, 0.0, 0.0, 0, 0.0)
-    s, _, _ = linalg.svd(v)
+    s = np.linalg.svd(v, compute_uv=False)
     upper = float(s[0] ** 2)
     # With more vectors than dimensions the synthesis map has a kernel, so
     # the true lower Riesz bound over coefficient sequences is zero.

@@ -4,10 +4,11 @@ Pulling a frame of each coefficient space back through the block adjoints
 produces a family of vectors in the domain; frame, Riesz, and orthonormality
 questions can then be answered on either side and must agree.
 
-Vector questions run on the family's GFrame view: each group is one block
-whose rows are its conjugated vectors ``v*``, so the block analysis answers
-them.  Only :func:`vector_frame_operator` is independent of the block
-Grams: one product of the stacked vectors, which keeps
+Each group of vectors is one read-only matrix whose rows are its vectors,
+in one dtype.  Vector questions run on the family's GFrame view: each group
+is one block whose rows are its conjugated vectors ``v*``, so the block
+analysis answers them.  Only :func:`vector_frame_operator` is independent of
+the block Grams: one product of the stacked vectors, which keeps
 :func:`check_operator_identity` from comparing an operator with itself.
 """
 
@@ -25,7 +26,7 @@ from .gframe import (
     GFrame,
     OnbReport,
     RieszReport,
-    frame_operator,
+    frame_operator_matrix,
     is_g_orthonormal_basis,
     is_g_riesz_basis,
     new_gframe,
@@ -45,7 +46,7 @@ class VectorFamily:
     """Vectors in the domain, grouped by the block index they came from."""
 
     domain_dim: int
-    groups: tuple  # tuple of tuples of 1-d arrays
+    groups: tuple  # per group, a read-only (count, domain_dim) matrix of its vectors as rows
 
     @property
     def n_groups(self) -> int:
@@ -57,24 +58,26 @@ class VectorFamily:
         return tuple(v for group in self.groups for v in group)
 
 
+def _frozen_rows(vecs: list, length: int) -> np.ndarray:
+    """The vectors as the rows of one read-only float64 or complex128 matrix."""
+    rows = np.array(vecs).reshape(len(vecs), length)
+    rows = rows.astype(np.complex128 if np.iscomplexobj(rows) else np.float64, copy=False)
+    rows.setflags(write=False)
+    return rows
+
+
 def make_vector_family(domain_dim: int, groups) -> VectorFamily:
     d = int(domain_dim)
     frozen = []
     for gi, group in enumerate(groups):
-        vecs = []
-        for v in group:
-            arr = np.asarray(v).ravel()
-            if arr.shape[0] != d:
+        vecs = [np.asarray(v).ravel() for v in group]
+        for v in vecs:
+            if v.shape[0] != d:
                 raise ShapeMismatch(
-                    f"group {gi + 1} has a vector of length {arr.shape[0]},"
+                    f"group {gi + 1} has a vector of length {v.shape[0]},"
                     f" domain dimension is {d}"
                 )
-            arr = arr.astype(
-                np.complex128 if np.iscomplexobj(arr) else np.float64, copy=True
-            )
-            arr.setflags(write=False)
-            vecs.append(arr)
-        frozen.append(tuple(vecs))
+        frozen.append(_frozen_rows(vecs, d))
     return VectorFamily(domain_dim=d, groups=tuple(frozen))
 
 
@@ -88,7 +91,7 @@ class SubspaceFrameSpec:
     and upper envelope) is accepted but flagged.
     """
 
-    groups: tuple  # tuple of tuples of 1-d arrays, group m lives in C^{d_m}
+    groups: tuple  # per block, a read-only matrix whose rows lie in C^{d_m}; () when empty
     per_block_bounds: tuple  # (lower, upper) per nonempty group, None for empty
     envelope: tuple  # (lower, upper)
     strict_envelope: bool
@@ -107,17 +110,10 @@ def make_subspace_spec(groups, envelope: Optional[tuple] = None) -> SubspaceFram
             frozen.append(tuple())
             bounds.append(None)
             continue
-        dm = vecs[0].shape[0]
-        op = np.zeros((dm, dm), dtype=np.result_type(np.float64, *(v.dtype for v in vecs)))
-        fixed = []
-        for v in vecs:
-            v = v.astype(op.dtype, copy=True)
-            op += np.outer(v, v.conj())
-            v.setflags(write=False)
-            fixed.append(v)
-        w = np.linalg.eigvalsh(op)
+        rows = _frozen_rows(vecs, vecs[0].shape[0])
+        w = np.linalg.eigvalsh(rows.T @ rows.conj())
         bounds.append((float(w[0]), float(w[-1])))
-        frozen.append(tuple(fixed))
+        frozen.append(rows)
     present = [b for b in bounds if b is not None]
     if envelope is None:
         if not present:
@@ -145,30 +141,28 @@ def make_subspace_spec(groups, envelope: Optional[tuple] = None) -> SubspaceFram
 
 def onb_families(dims: Sequence[int], scale: float = 1.0) -> SubspaceFrameSpec:
     """Canonical (optionally scaled) orthonormal bases of each coefficient space."""
-    groups = []
-    for dm in dims:
-        groups.append([scale * np.eye(int(dm))[j] for j in range(int(dm))])
+    groups = [scale * np.eye(int(dm)) for dm in dims]
     return make_subspace_spec(groups, envelope=(scale**2, scale**2))
 
 
 def induced_vectors(frame: GFrame, spec: SubspaceFrameSpec) -> VectorFamily:
-    """Pull the per-block vectors back through the block adjoints."""
+    """Pull the per-block vectors back through the block adjoints.
+
+    One product per block: row ``j`` of ``rows @ B.conj()`` is ``(B* u_j)^T``
+    for the spec's ``j``-th vector ``u_j``.
+    """
     if len(spec.groups) != frame.n_blocks:
         raise LengthMismatch(
             f"spec has {len(spec.groups)} groups, family has {frame.n_blocks} blocks"
         )
     groups = []
-    for i, (block, group) in enumerate(zip(frame.blocks, spec.groups)):
-        adj = block.conj().T
-        vecs = []
-        for v in group:
-            if v.shape[0] != block.shape[0]:
-                raise ShapeMismatch(
-                    f"group {i + 1} vector length {v.shape[0]} does not match"
-                    f" block rows {block.shape[0]}"
-                )
-            vecs.append(adj @ v)
-        groups.append(vecs)
+    for i, (block, rows) in enumerate(zip(frame.blocks, spec.groups)):
+        if len(rows) and rows.shape[1] != block.shape[0]:
+            raise ShapeMismatch(
+                f"group {i + 1} vector length {rows.shape[1]} does not match"
+                f" block rows {block.shape[0]}"
+            )
+        groups.append(rows @ block.conj() if len(rows) else rows)
     return make_vector_family(frame.domain_dim, groups)
 
 
@@ -182,13 +176,7 @@ def vector_frame_operator(family: VectorFamily) -> np.ndarray:
 
 def _as_gframe(family: VectorFamily) -> GFrame:
     """The family as a block family: group ``m`` is the block whose rows are its ``v*``."""
-    return new_gframe(
-        family.domain_dim,
-        [
-            np.array([v.conj() for v in group]) if group else np.zeros((0, family.domain_dim))
-            for group in family.groups
-        ],
-    )
+    return new_gframe(family.domain_dim, [rows.conj() for rows in family.groups])
 
 
 def frame_bounds_vectors(family: VectorFamily, tol: float = DEFAULT_TOL) -> BoundsReport:
@@ -234,7 +222,7 @@ def check_operator_identity(frame: GFrame, tol: float = 1e-12) -> VerificationRe
     """
     spec = onb_families(frame.block_rows)
     vectors = induced_vectors(frame, spec)
-    s_blocks = frame_operator(frame).s
+    s_blocks = frame_operator_matrix(frame)
     s_vectors = vector_frame_operator(vectors)
     diff = float(np.max(np.abs(s_blocks - s_vectors))) if s_blocks.size else 0.0
     riesz_b = is_g_riesz_basis(frame).is_riesz

@@ -113,16 +113,6 @@ def rayleigh(m, x) -> float:
     return float(num.real / den.real)
 
 
-def svd(m):
-    """Thin singular value decomposition.
-
-    Returns ``(s, u, v)`` with ``s`` descending and ``m = u @ diag(s) @ v.conj().T``.
-    """
-    a = as_matrix(m)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    return s, u, vh.conj().T
-
-
 def solve_spd(m, rhs):
     """Solve ``m @ x = rhs`` for Hermitian positive definite ``m``.
 

@@ -460,6 +460,8 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
     _check_scale(scale)
     tol = cfg.tol
     cap = effective_cap(cfg.cap)  # a malformed cap is an input error, not a record
+    if cfg.search_budget < 1:
+        raise ShapeMismatch(f"budget must be at least 1, got {cfg.search_budget}")
     records = []
 
     def add(name, passed, method, computed, expected, provenance=None, detail=""):

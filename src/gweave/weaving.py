@@ -31,7 +31,7 @@ from .gframe import (
     block_grams,
     canonical_dual,
     compose_right,
-    frame_operator,
+    frame_operator_matrix,
     is_g_orthonormal_basis,
     is_g_riesz_basis,
     new_gframe,
@@ -206,27 +206,33 @@ class UniversalReport:
 
 
 def _pair_kernel_inputs(first: GFrame, second: GFrame):
-    """``base`` and ``deltas`` for the kernel, and both Gram stacks as built, before any cast."""
+    """``base`` and ``deltas`` for the kernel, and the two families' Gram sums before any cast.
+
+    ``deltas`` is formed in the first family's Gram stack, so no more than
+    two stacks are alive at once.
+    """
     p = block_grams(first)
     q = block_grams(second)
     dtype = np.result_type(p.dtype, q.dtype)
+    p_sum, q_sum = p.sum(axis=0), q.sum(axis=0)
     base = np.ascontiguousarray(q.astype(dtype, copy=False).sum(axis=0))
-    deltas = np.ascontiguousarray(p.astype(dtype, copy=False) - q.astype(dtype, copy=False))
-    return base, deltas, p, q
+    deltas = p.astype(dtype, copy=False)
+    deltas -= q
+    return base, deltas, p_sum, q_sum
 
 
-def _woven_threshold(p: np.ndarray, q: np.ndarray, tol: float) -> float:
-    """``tol`` times the larger upper frame bound of the two families, from their Gram stacks."""
-    b1 = float(np.linalg.eigvalsh(p.sum(axis=0))[-1])
-    b2 = float(np.linalg.eigvalsh(q.sum(axis=0))[-1])
+def _woven_threshold(p_sum: np.ndarray, q_sum: np.ndarray, tol: float) -> float:
+    """``tol`` times the larger upper frame bound of the two families, from their Gram sums."""
+    b1 = float(np.linalg.eigvalsh(p_sum)[-1])
+    b2 = float(np.linalg.eigvalsh(q_sum)[-1])
     return tol * max(b1, b2)
 
 
 def _scan_pair(first: GFrame, second: GFrame, tol: float) -> UniversalReport:
     n = first.n_blocks
-    base, deltas, p, q = _pair_kernel_inputs(first, second)
+    base, deltas, p_sum, q_sum = _pair_kernel_inputs(first, second)
     lower, amin, upper, amax = _kernels.weaving_scan(base, deltas)
-    threshold = _woven_threshold(p, q, tol)
+    threshold = _woven_threshold(p_sum, q_sum, tol)
     return UniversalReport(
         lower=lower,
         upper=upper,
@@ -343,7 +349,7 @@ def universal_bounds_search(
             f" {MAX_SEARCH_BUDGET} seeds a search draws"
         )
 
-    base, deltas, p, q = _pair_kernel_inputs(first, second)
+    base, deltas, p_sum, q_sum = _pair_kernel_inputs(first, second)
     margin = _kernels._margin(base, deltas)
     # built once per request: the split operator for every spectrum and
     # every Rayleigh quotient below
@@ -454,7 +460,7 @@ def universal_bounds_search(
     hi = np.where(solved, hi, -np.inf)
     i = int(np.argmin(lo))  # first occurrence: smallest mask among ties
     j = len(hi) - 1 - int(np.argmax(hi[::-1]))  # last occurrence: largest mask
-    threshold = _woven_threshold(p, q, tol)
+    threshold = _woven_threshold(p_sum, q_sum, tol)
     return UniversalReport(
         lower=float(lo[i]),
         upper=float(hi[j]),
@@ -630,7 +636,7 @@ def check_parseval_transform_weaving(
     report checks its interval.  ``tol`` and ``cap`` apply to the transformed pair.
     """
     _check_report(first, second, report, woven=True)
-    root = linalg.inv_sqrt_psd(frame_operator(first).s)
+    root = linalg.inv_sqrt_psd(frame_operator_matrix(first))
     transformed = universal_bounds_exhaustive(
         compose_right(first, root), compose_right(second, root), tol, cap
     )

@@ -198,7 +198,7 @@ def sequential_bounds_search(first, second, budget: int, seed: int = 0, tol: flo
     if budget >= total:
         return _scan_pair(first, second, tol)
 
-    base, deltas, p, q = _pair_kernel_inputs(first, second)
+    base, deltas, p_sum, q_sum = _pair_kernel_inputs(first, second)
     operator = _kernels._SplitOperator(base, deltas)
     cache: dict = {}
 
@@ -241,7 +241,7 @@ def sequential_bounds_search(first, second, budget: int, seed: int = 0, tol: flo
     hi = np.array([cache[int(m)][1] for m in masks])
     i = int(np.argmin(lo))  # first occurrence: smallest mask among ties
     j = len(hi) - 1 - int(np.argmax(hi[::-1]))  # last occurrence: largest mask
-    threshold = _woven_threshold(p, q, tol)
+    threshold = _woven_threshold(p_sum, q_sum, tol)
     return UniversalReport(
         lower=float(lo[i]),
         upper=float(hi[j]),

@@ -346,6 +346,22 @@ class TestExitCodes:
         with pytest.raises(TooManyBlocks):
             run_suite(SuiteConfig(dim_scale=float(scale)))
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_paper_suite_budget_below_one_is_input_error(self, capsys, monkeypatch, budget):
+        # refused before any family is built, also at a scale with no sampled pair
+        monkeypatch.setattr(suite, "build_projection_family", lambda *a: pytest.fail("built"))
+        for scale in ("1", "4"):
+            assert main(["paper-suite", "--budget", budget, "--dim-scale", scale]) == 2
+            assert capsys.readouterr().err == f"error: budget must be at least 1, got {budget}\n"
+
+    @pytest.mark.parametrize("command", ["dual", "transform-parseval"])
+    def test_output_file_holds_the_printed_document(self, paths, tmp_path, capsys, command):
+        assert main([command, paths["dup"]]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "out.json"
+        assert main([command, paths["dup"], "-o", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == printed
+
     @pytest.mark.parametrize(
         "argv", [["paper-suite"], ["woven", "proj", "proj"]], ids=lambda argv: argv[0]
     )
@@ -398,6 +414,35 @@ class TestExitCodes:
         monkeypatch.undo()
         assert main(["woven", small, small, "--search", "1000000000000000", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["results"]["method"] == "exhaustive"
+
+
+@pytest.mark.parametrize(
+    "case", ["not-utf8", "nested-5000-deep", "dual-to-missing-dir", "parseval-to-missing-dir"]
+)
+def test_unreadable_input_and_unwritable_output_are_input_errors(tmp_path, case):
+    """Exit 2 with one ``error:`` line naming the file, nothing on stdout and no traceback."""
+    family = str(tmp_path / "F.json")
+    save_gframe(build_projection_family(4, 1), family)
+    bad = tmp_path / "bad.json"
+    missing = str(tmp_path / "missing" / "out.json")
+    if case == "not-utf8":
+        bad.write_bytes(b'\xff\xfe{"schema_version": "gweave/1"}')
+        argv, named = ["bounds", str(bad)], str(bad)
+    elif case == "nested-5000-deep":
+        bad.write_text("[" * 5000 + "]" * 5000)
+        argv, named = ["bounds", str(bad)], str(bad)
+    else:
+        command = "dual" if case.startswith("dual") else "transform-parseval"
+        argv, named = [command, family, "-o", missing], missing
+    src = str(Path(gweave.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "gweave", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {named}: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_python_dash_m_runs_the_cli():

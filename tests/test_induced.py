@@ -102,6 +102,52 @@ class TestInducedVectors:
         with pytest.raises(LengthMismatch):
             induced_vectors(frame, onb_families([1, 1]))
 
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    def test_random_specs_against_per_vector_oracles(self, complex_mode):
+        """Whole-group products match per-vector matvecs and rank-one sums; vectors are frozen."""
+        rng = np.random.default_rng(21 + complex_mode)
+        for _ in range(4):
+            frame = random_gframe(rng, d=5, n=4, complex_mode=complex_mode)
+            groups = []
+            for dm in frame.block_rows:
+                vecs = [rng.standard_normal(dm) for _ in range(dm + int(rng.integers(0, 3)))]
+                if complex_mode:
+                    vecs = [v + 1j * rng.standard_normal(dm) for v in vecs]
+                groups.append(vecs)
+            spec = make_subspace_spec(groups)
+            for vecs, bounds in zip(groups, spec.per_block_bounds):
+                op = sum(np.outer(v, v.conj()) for v in vecs)
+                w = np.linalg.eigvalsh(op)
+                assert np.max(np.abs(np.array(bounds) - w[[0, -1]])) <= 1e-12 * max(1.0, w[-1])
+            fam = induced_vectors(frame, spec)
+            assert fam.n_groups == frame.n_blocks
+            for block, vecs, got in zip(frame.blocks, groups, fam.groups):
+                want = np.array([block.conj().T @ u for u in vecs])
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+            # the block view's witnesses are eigenvectors of the vectors' own operator
+            op = vector_frame_operator(fam)
+            rep = frame_bounds_vectors(fam)
+            for value, w in ((rep.lower, rep.witness_low), (rep.upper, rep.witness_high)):
+                assert np.linalg.norm(op @ w - value * w) <= 1e-10 * max(1.0, rep.upper)
+            vf = make_vector_family(frame.domain_dim, [[np.array(v) for v in fam.flat]])
+            for family_groups in (spec.groups, fam.groups, vf.groups):
+                for v in (v for group in family_groups for v in group):
+                    assert not v.flags.writeable
+                    with pytest.raises(ValueError):
+                        v[0] = 0.0
+
+    def test_a_group_mixing_real_and_complex_vectors_is_complex(self):
+        mixed = [np.array([1.0, 0.0]), np.array([0.0, 1j])]
+        spec = make_subspace_spec([mixed, [np.array([2.0])]])
+        fam = make_vector_family(2, [mixed, [np.array([2.0, 0.0])]])
+        for family_groups in (spec.groups, fam.groups):
+            assert family_groups[0].dtype == np.complex128
+            assert all(v.dtype == np.complex128 for v in family_groups[0])
+            assert family_groups[1].dtype == np.float64
+        integers = make_vector_family(2, [[np.array([1, 0]), np.array([0, 1])]])
+        assert integers.groups[0].dtype == np.float64
+
 
 class TestVectorPredicates:
     def test_canonical_basis(self):
@@ -245,6 +291,16 @@ class TestOperatorIdentity:
         frame = random_gframe(rng, complex_mode=seed % 2 == 1)
         rec = check_operator_identity(frame)
         assert rec.passed, rec.computed
+
+    def test_reads_no_eigenvectors(self, monkeypatch):
+        frame = random_gframe(np.random.default_rng(12), d=4, n=3, complex_mode=True)
+        expected = check_operator_identity(frame)
+
+        def refuse(*args):
+            raise AssertionError("hermitian_eig called")
+
+        monkeypatch.setattr(linalg, "hermitian_eig", refuse)
+        assert check_operator_identity(frame) == expected
 
     def test_orthonormal_basis_with_a_zero_row_block(self):
         frame = new_gframe(2, [[1.0, 0.0], [0.0, 1.0], np.zeros((0, 2))])

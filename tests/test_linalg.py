@@ -80,36 +80,6 @@ class TestHermitianEig:
         assert hi <= eig.eigenvalues[-1] + 1e-9
 
 
-class TestSvd:
-    def test_identity(self):
-        s, _, _ = linalg.svd(np.eye(2))
-        np.testing.assert_allclose(s, [1.0, 1.0])
-
-    def test_zero_rectangular(self):
-        s, _, _ = linalg.svd(np.zeros((2, 3)))
-        np.testing.assert_allclose(s, [0.0, 0.0])
-
-    def test_matches_gram_eigenvalues(self):
-        m = np.array([[1.0, 0.0], [1.0, 1.0]])
-        s, _, _ = linalg.svd(m)
-        gram_eigs = linalg.hermitian_eig(m.conj().T @ m).eigenvalues
-        np.testing.assert_allclose(np.sort(s**2), gram_eigs, atol=1e-12)
-
-    @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (4, 4)])
-    def test_reconstruction(self, shape):
-        rng = np.random.default_rng(11)
-        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        s, u, v = linalg.svd(m)
-        assert np.all(np.diff(s) <= 0)
-        assert np.all(s >= 0)
-        rebuilt = (u * s) @ v.conj().T
-        assert linalg.frobenius(rebuilt - m) <= 1e-10 * max(1.0, linalg.frobenius(m))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(NonFinite):
-            linalg.svd(np.array([[np.inf, 0.0]]))
-
-
 class TestSolveSpd:
     def test_identity(self):
         b = np.array([1.0, 2.0, 3.0])

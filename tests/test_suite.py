@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from gweave import _kernels, weaving
+from gweave import _kernels, suite, weaving
+from gweave.errors import ShapeMismatch
 from gweave.gframe import (
     is_g_exact,
     is_g_orthonormal_basis,
@@ -20,7 +21,7 @@ from gweave.suite import (
     build_window_pair,
     run_suite,
 )
-from gweave.weaving import universal_bounds_exhaustive
+from gweave.weaving import universal_bounds_exhaustive, universal_bounds_search
 
 from oracles import brute_universal
 
@@ -207,6 +208,17 @@ class TestRunSuite:
         assert report.passed
         assert {r.name for r in report.records if r.method == "skipped"} == skipped
         assert len(report.records) == 22
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_a_budget_below_one_is_refused_with_the_search_message(self, monkeypatch, budget):
+        pair = build_scaled_split_pair(9)
+        with pytest.raises(ShapeMismatch) as search_error:
+            universal_bounds_search(pair.first, pair.second, budget)
+        # refused before any family is built, at the default scale where no pair is sampled
+        monkeypatch.setattr(suite, "build_projection_family", lambda *a: pytest.fail("built"))
+        with pytest.raises(ShapeMismatch) as suite_error:
+            run_suite(SuiteConfig(search_budget=budget))
+        assert str(suite_error.value) == str(search_error.value)
 
     def test_dual_statement_checks_its_scalar_pair_when_the_window_family_is_refused(self):
         report = run_suite(SuiteConfig(cap=3))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gweave import _kernels, linalg, weaving
 from gweave.errors import LengthMismatch, NotUnitary, NotWoven, ShapeMismatch, TooManyBlocks
 from gweave.gframe import (
+    block_grams,
     compose_right,
     frame_operator,
     new_gframe,
@@ -25,6 +26,8 @@ from gweave.suite import (
 )
 from gweave.weaving import (
     WeavingSelection,
+    _pair_kernel_inputs,
+    _woven_threshold,
     check_additive_upper_bound,
     check_dual_weaving,
     check_parseval_transform_weaving,
@@ -163,6 +166,32 @@ class TestExhaustive:
         at_max = weaving_bounds(pair.first, pair.second, rep.argmax)
         assert at_min.lower == pytest.approx(rep.lower, abs=1e-10)
         assert at_max.upper == pytest.approx(rep.upper, abs=1e-10)
+
+    @pytest.mark.parametrize("first_complex", [False, True])
+    @pytest.mark.parametrize("second_complex", [False, True])
+    def test_pair_inputs_are_bitwise_the_stack_expressions(self, first_complex, second_complex):
+        """``base``, ``deltas`` and the threshold equal their expressions over both Gram stacks."""
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            first = random_gframe(rng, d=5, n=6, complex_mode=first_complex)
+            second = random_gframe(rng, d=5, n=6, complex_mode=second_complex)
+            p, q = block_grams(first), block_grams(second)
+            dtype = np.result_type(p.dtype, q.dtype)
+            base, deltas, p_sum, q_sum = _pair_kernel_inputs(first, second)
+            for got, want in (
+                (base, q.astype(dtype).sum(0)),
+                (deltas, p.astype(dtype) - q.astype(dtype)),
+                (p_sum, p.sum(0)),
+                (q_sum, q.sum(0)),
+            ):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+            tol = 1e-3
+            want = tol * max(
+                float(np.linalg.eigvalsh(p.sum(0))[-1]), float(np.linalg.eigvalsh(q.sum(0))[-1])
+            )
+            assert _woven_threshold(p_sum, q_sum, tol) == want
+            assert universal_bounds_exhaustive(first, second, tol).threshold == want
 
 
 class TestSearch:
@@ -413,6 +442,17 @@ class TestChecks:
         assert rec.passed
         assert rec.expected["lower_at_least"] == pytest.approx(1.0 / 3.0)
         assert rec.expected["upper_at_most"] == pytest.approx(3.0)
+
+    def test_parseval_transform_reads_no_eigenvectors(self, monkeypatch):
+        pair = build_scaled_split_pair(9)
+        report = universal_bounds_exhaustive(pair.first, pair.second)
+        expected = check_parseval_transform_weaving(pair.first, pair.second, report)
+
+        def refuse(*args):
+            raise AssertionError("hermitian_eig called")
+
+        monkeypatch.setattr(linalg, "hermitian_eig", refuse)
+        assert check_parseval_transform_weaving(pair.first, pair.second, report) == expected
 
     def test_parseval_transform_requires_woven(self):
         pair = build_shifted_projection_pair(8)
