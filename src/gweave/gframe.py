@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels, linalg
-from .errors import Empty, LengthMismatch, NonFinite, NotAFrame, ShapeMismatch
+from .errors import Empty, LengthMismatch, NonFinite, NotAFrame, ShapeMismatch, Singular
 
 DEFAULT_TOL = 1e-8
 
@@ -103,9 +103,15 @@ def coefficient_energy(frame: GFrame, h) -> float:
 
 
 def frame_operator_matrix(frame: GFrame) -> np.ndarray:
-    s = np.zeros((frame.domain_dim, frame.domain_dim), dtype=frame.dtype)
-    for b in frame.blocks:
-        s += b.conj().T @ b
+    """The frame operator ``S = V*V`` as one product of the stacked rows ``V``.
+
+    Raises :class:`NonFinite` when an entry overflows float64.
+    """
+    v = stacked_rows(frame)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = v.conj().T @ v
+    if not np.isfinite(s).all():
+        raise NonFinite("the frame operator has entries beyond float64")
     return s
 
 
@@ -168,17 +174,28 @@ def optimal_bounds(frame: GFrame, tol: float = DEFAULT_TOL) -> BoundsReport:
     )
 
 
+def _check_invertible(lower: float, upper: float, tol: float) -> None:
+    """Refuse a frame operator with these extreme eigenvalues before it is inverted.
+
+    :class:`NotAFrame` when ``lower`` is not above ``tol`` times ``upper``,
+    then :class:`Singular` when it is below ``linalg``'s rank tolerance.
+    """
+    if not lower > tol * upper:
+        raise NotAFrame(f"lower bound {lower:.3e} not above threshold {tol * upper:.3e}")
+    if lower <= max(linalg.RANK_RTOL * upper, linalg.ABS_FLOOR):
+        raise Singular(f"smallest eigenvalue {lower:.3e} below rank tolerance")
+
+
 def canonical_dual(frame: GFrame, tol: float = DEFAULT_TOL) -> GFrame:
-    """The dual family obtained by composing each block with the inverse frame operator."""
+    """The dual family obtained by composing each block with the inverse frame operator.
+
+    The refusals come from the eigenvalues of :func:`frame_operator`, and
+    one linear solve of the symmetrised operator gives the inverse.
+    """
     fo = frame_operator(frame)
-    if not fo.lower > tol * fo.upper:
-        raise NotAFrame(
-            f"lower bound {fo.lower:.3e} not above threshold {tol * fo.upper:.3e}"
-        )
-    s_inv = linalg.solve_spd(fo.s, np.eye(frame.domain_dim, dtype=frame.dtype))
-    return new_gframe(
-        frame.domain_dim, [b @ s_inv for b in frame.blocks], labels=frame.labels
-    )
+    _check_invertible(fo.lower, fo.upper, tol)
+    eye = np.eye(frame.domain_dim, dtype=frame.dtype)
+    return compose_right(frame, np.linalg.solve(linalg.hermitian_part(fo.s), eye))
 
 
 def is_dual_pair(first: GFrame, second: GFrame, tol: float = DEFAULT_TOL) -> bool:
@@ -196,7 +213,10 @@ def is_dual_pair(first: GFrame, second: GFrame, tol: float = DEFAULT_TOL) -> boo
         raise ShapeMismatch("domain dimensions differ")
     if first.block_rows != second.block_rows:
         raise ShapeMismatch("per-block row counts differ")
-    mixed = sum(f.conj().T @ g for f, g in zip(first.blocks, second.blocks))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mixed = sum(f.conj().T @ g for f, g in zip(first.blocks, second.blocks))
+    if not np.isfinite(mixed).all():
+        raise NonFinite("the mixed synthesis sum has entries beyond float64")
     return linalg.frobenius(mixed - np.eye(first.domain_dim)) <= tol
 
 
@@ -256,6 +276,33 @@ class RieszReport:
     synthesis_min_sv: float
 
 
+def _synthesis(frame: GFrame) -> tuple:
+    """The stacked rows ``V``, their singular values from one values-only SVD, and ``|V|_2^2``.
+
+    Both basis tests read these.  Refuses ``V`` whose squared 2-norm
+    overflows float64; it bounds every entry of ``V V*`` and ``V*V``.
+    """
+    v = stacked_rows(frame)
+    # with no rows, one zero singular value gives the zero bounds
+    s = np.linalg.svd(v, compute_uv=False) if v.size else np.zeros(1)
+    with np.errstate(over="ignore"):
+        upper = float(s[0] ** 2)
+    if not np.isfinite(upper):
+        raise NonFinite("the squared norm of the stacked rows overflows float64")
+    return v, s, upper
+
+
+def _riesz(frame: GFrame, synthesis: tuple, tol: float) -> RieszReport:
+    v, s, upper = synthesis
+    count = v.shape[0]
+    # With more vectors than dimensions the synthesis map has a kernel, so
+    # the true lower Riesz bound over coefficient sequences is zero.
+    lower = 0.0 if count > frame.domain_dim else float(s[-1] ** 2)
+    min_sv = float(s[-1]) if count <= frame.domain_dim else 0.0
+    ok = count == frame.domain_dim and lower > tol * upper
+    return RieszReport(ok, lower, upper, count, min_sv)
+
+
 def is_g_riesz_basis(frame: GFrame, tol: float = DEFAULT_TOL) -> RieszReport:
     """Riesz classification through the synthesis matrix of induced vectors.
 
@@ -263,18 +310,7 @@ def is_g_riesz_basis(frame: GFrame, tol: float = DEFAULT_TOL) -> RieszReport:
     ``domain_dim`` and the synthesis matrix has full rank; the reported
     bounds are the squared extreme singular values.
     """
-    v = stacked_rows(frame)
-    count = v.shape[0]
-    if count == 0:
-        return RieszReport(False, 0.0, 0.0, 0, 0.0)
-    s = np.linalg.svd(v, compute_uv=False)
-    upper = float(s[0] ** 2)
-    # With more vectors than dimensions the synthesis map has a kernel, so
-    # the true lower Riesz bound over coefficient sequences is zero.
-    lower = 0.0 if count > frame.domain_dim else float(s[-1] ** 2)
-    min_sv = float(s[-1]) if count <= frame.domain_dim else 0.0
-    ok = count == frame.domain_dim and lower > tol * upper
-    return RieszReport(ok, lower, upper, count, min_sv)
+    return _riesz(frame, _synthesis(frame), tol)
 
 
 @dataclass(frozen=True)
@@ -285,18 +321,11 @@ class OnbReport:
     first_zero_row: Optional[tuple]  # (block index, row index), 1-based
 
 
-def is_g_orthonormal_basis(frame: GFrame, tol: float = DEFAULT_TOL) -> OnbReport:
-    """Orthonormal-basis classification.
-
-    Condition (i), the cross-Gram identity between all block pairs, is
-    equivalent to the stacked rows having identity Gram; condition (ii) is
-    the Parseval identity for the frame operator.
-    """
-    v = stacked_rows(frame)
+def _onb(frame: GFrame, synthesis: tuple, tol: float) -> OnbReport:
+    v, _, upper = synthesis
     d = frame.domain_dim
     cross = linalg.frobenius(v @ v.conj().T - np.eye(v.shape[0]))
     parseval = linalg.frobenius(v.conj().T @ v - np.eye(d))
-    upper = float(np.linalg.norm(v, 2) ** 2) if v.size else 0.0
     abs_tol = tol * max(1.0, upper)
     zero_row = None
     for i, b in enumerate(frame.blocks):
@@ -312,6 +341,23 @@ def is_g_orthonormal_basis(frame: GFrame, tol: float = DEFAULT_TOL) -> OnbReport
     return OnbReport(ok, cross, parseval, zero_row)
 
 
+def is_g_orthonormal_basis(frame: GFrame, tol: float = DEFAULT_TOL) -> OnbReport:
+    """Orthonormal-basis classification.
+
+    Condition (i), the cross-Gram identity between all block pairs, is
+    equivalent to the stacked rows having identity Gram; condition (ii) is
+    the Parseval identity for the frame operator.  Both residuals are
+    allowed ``tol`` times ``max(1, |V|_2^2)`` for the stacked rows ``V``.
+    """
+    return _onb(frame, _synthesis(frame), tol)
+
+
+def basis_tests(frame: GFrame, tol: float = DEFAULT_TOL) -> tuple:
+    """:func:`is_g_riesz_basis` and :func:`is_g_orthonormal_basis`, from one SVD of the rows."""
+    synthesis = _synthesis(frame)
+    return _riesz(frame, synthesis, tol), _onb(frame, synthesis, tol)
+
+
 @dataclass(frozen=True)
 class Classification:
     is_g_frame: bool
@@ -325,8 +371,7 @@ class Classification:
 def classify(frame: GFrame, tol: float = DEFAULT_TOL) -> Classification:
     """All four predicates at once, with a diagnostics summary."""
     bounds = optimal_bounds(frame, tol)
-    riesz = is_g_riesz_basis(frame, tol)
-    onb = is_g_orthonormal_basis(frame, tol)
+    riesz, onb = basis_tests(frame, tol)
     if bounds.is_frame:
         exact = is_g_exact(frame, tol)
         is_exact, witness = exact.is_exact, exact.witness
@@ -369,17 +414,22 @@ def compose_right(frame: GFrame, u) -> GFrame:
     )
 
 
+def inverse_root(frame: GFrame, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """``S^(-1/2)`` for the frame operator ``S``, from one ``eigh`` of the symmetrised ``S``.
+
+    The same eigenvalues decide the refusals, as in :func:`canonical_dual`.
+    The result ``r`` is Hermitian, commutes with ``S`` and satisfies ``r S r = I``
+    up to rounding.
+    """
+    s = frame_operator_matrix(frame)
+    w, v = np.linalg.eigh(linalg.hermitian_part(s))
+    _check_invertible(float(w[0]), float(w[-1]), tol)
+    return linalg.hermitian_part((v * (1.0 / np.sqrt(w))) @ v.conj().T)
+
+
 def parseval_transform(frame: GFrame, tol: float = DEFAULT_TOL) -> GFrame:
     """Compose every block with the inverse square root of the frame operator.
 
     The result has frame operator equal to the identity.
     """
-    fo = frame_operator(frame)
-    if not fo.lower > tol * fo.upper:
-        raise NotAFrame(
-            f"lower bound {fo.lower:.3e} not above threshold {tol * fo.upper:.3e}"
-        )
-    r = linalg.inv_sqrt_psd(fo.s)
-    return new_gframe(
-        frame.domain_dim, [b @ r for b in frame.blocks], labels=frame.labels
-    )
+    return compose_right(frame, inverse_root(frame, tol))

@@ -7,9 +7,13 @@ questions can then be answered on either side and must agree.
 Each group of vectors is one read-only matrix whose rows are its vectors,
 in one dtype.  Vector questions run on the family's GFrame view: each group
 is one block whose rows are its conjugated vectors ``v*``, so the block
-analysis answers them.  Only :func:`vector_frame_operator` is independent of
-the block Grams: one product of the stacked vectors, which keeps
-:func:`check_operator_identity` from comparing an operator with itself.
+analysis answers them.  :func:`check_operator_identity` compares the block
+frame operator, one product of the stacked block rows, with
+:func:`vector_frame_operator`, one product of the vectors that
+:func:`induced_vectors` pulls back.  For the orthonormal spec those vectors
+are the conjugated block rows, bit for bit, so the two operators agree
+exactly; a fault in the pull-back, such as a dropped conjugate, shows as a
+difference.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .gframe import (
     GFrame,
     OnbReport,
     RieszReport,
+    basis_tests,
     frame_operator_matrix,
     is_g_orthonormal_basis,
     is_g_riesz_basis,
@@ -121,6 +126,8 @@ def make_subspace_spec(groups, envelope: Optional[tuple] = None) -> SubspaceFram
         else:
             envelope = (min(b[0] for b in present), max(b[1] for b in present))
     lo, hi = float(envelope[0]), float(envelope[1])
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
+        raise EnvelopeViolation(f"envelope ({lo}, {hi}) must be finite with lower at most upper")
     if lo <= 0:
         raise EnvelopeViolation(f"envelope lower bound must be positive, got {lo}")
     for gi, b in enumerate(bounds):
@@ -218,17 +225,17 @@ def check_operator_identity(frame: GFrame, tol: float = 1e-12) -> VerificationRe
 
     Both are the same sum of rank-one terms, so the entrywise difference must
     sit at rounding level, and the Riesz and orthonormality verdicts computed
-    on either side must agree.
+    on either side, from one SVD per side, must agree.
     """
     spec = onb_families(frame.block_rows)
     vectors = induced_vectors(frame, spec)
     s_blocks = frame_operator_matrix(frame)
     s_vectors = vector_frame_operator(vectors)
     diff = float(np.max(np.abs(s_blocks - s_vectors))) if s_blocks.size else 0.0
-    riesz_b = is_g_riesz_basis(frame).is_riesz
-    riesz_v = is_riesz_basis_vectors(vectors).is_riesz
-    onb_b = is_g_orthonormal_basis(frame).is_onb
-    onb_v = is_onb_vectors(vectors).is_onb
+    riesz, onb = basis_tests(frame)
+    riesz_b, onb_b = riesz.is_riesz, onb.is_onb
+    riesz, onb = basis_tests(_as_gframe(vectors))
+    riesz_v, onb_v = riesz.is_riesz, onb.is_onb
     ok = diff <= tol and riesz_b == riesz_v and onb_b == onb_v
     return VerificationRecord(
         name="operator-identity",

@@ -5,9 +5,12 @@ otherwise.  The tolerances of this module are relative: a symmetry residual
 is compared with ``HERMITIAN_RTOL`` times ``max(1, |A|_F)``, and the smallest
 eigenvalue in a rank test with ``RANK_RTOL`` times the largest, each with an
 absolute floor of 1e-12.  So rescaling a problem whose norm is at least 1
-does not change which inputs are accepted.  Tolerances that callers pass to
-other modules are as their docstrings say; ``gframe.is_dual_pair`` compares
-its residual with an absolute one.
+does not change which inputs are accepted.  The one rank test, the refusal
+of a frame operator before it is inverted, lives in ``gframe`` with the two
+inversions it guards, the canonical dual and the inverse root; it reads the
+constants here.  Tolerances that callers pass to other modules are as their
+docstrings say; ``gframe.is_dual_pair`` compares its residual with an
+absolute one.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite, NonHermitian, ShapeMismatch, Singular
+from .errors import NonFinite, NonHermitian, ShapeMismatch
 
 ABS_FLOOR = 1e-12
 HERMITIAN_RTOL = 1e-8
@@ -40,11 +43,17 @@ def as_matrix(m, square: bool = False) -> np.ndarray:
 
 
 def frobenius(a) -> float:
-    return float(np.linalg.norm(a))
+    with np.errstate(over="ignore"):  # a norm beyond float64 is inf
+        return float(np.linalg.norm(a))
 
 
 def hermitian_defect(a) -> float:
     return float(np.linalg.norm(a - a.conj().T))
+
+
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """``(A + A*) / 2``, halved before the sum so that no entry of a finite ``A`` overflows."""
+    return a / 2.0 + a.conj().T / 2.0
 
 
 def _require_hermitian(m) -> np.ndarray:
@@ -52,7 +61,7 @@ def _require_hermitian(m) -> np.ndarray:
     defect = hermitian_defect(a)
     if defect > max(HERMITIAN_RTOL * max(1.0, frobenius(a)), ABS_FLOOR):
         raise NonHermitian(f"symmetry residual {defect:.3e} exceeds tolerance")
-    return (a + a.conj().T) / 2.0
+    return hermitian_part(a)
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -111,41 +120,3 @@ def rayleigh(m, x) -> float:
     num = np.vdot(x, np.asarray(m) @ x)
     den = np.vdot(x, x)
     return float(num.real / den.real)
-
-
-def solve_spd(m, rhs):
-    """Solve ``m @ x = rhs`` for Hermitian positive definite ``m``.
-
-    Raises :class:`Singular` when the smallest eigenvalue falls below
-    ``RANK_RTOL`` times the largest.
-    """
-    a = _require_hermitian(m)
-    w = np.linalg.eigvalsh(a)
-    lo, hi = float(w[0]), float(w[-1])
-    if lo <= max(RANK_RTOL * hi, ABS_FLOOR):
-        raise Singular(f"smallest eigenvalue {lo:.3e} below rank tolerance")
-    b = np.asarray(rhs)
-    vector = b.ndim == 1
-    if vector:
-        b = b[:, np.newaxis]
-    if b.shape[0] != a.shape[0]:
-        raise ShapeMismatch(
-            f"rhs has {b.shape[0]} rows, matrix is {a.shape[0]}x{a.shape[1]}"
-        )
-    x = np.linalg.solve(a, b.astype(np.result_type(a.dtype, b.dtype)))
-    return x[:, 0] if vector else x
-
-
-def inv_sqrt_psd(m) -> np.ndarray:
-    """Inverse square root of a Hermitian positive definite matrix.
-
-    The result ``r`` is Hermitian, commutes with ``m`` and satisfies
-    ``r @ m @ r = I`` up to the documented residuals.
-    """
-    a = _require_hermitian(m)
-    w, v = np.linalg.eigh(a)
-    lo, hi = float(w[0]), float(w[-1])
-    if lo <= max(RANK_RTOL * hi, ABS_FLOOR):
-        raise Singular(f"smallest eigenvalue {lo:.3e} below rank tolerance")
-    r = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    return (r + r.conj().T) / 2.0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, partial
 from typing import Optional
 
@@ -390,7 +390,7 @@ class SuiteReport:
             "passed": self.passed,
             "config": {
                 "dim_scale": self.config.dim_scale,
-                "cap": effective_cap(self.config.cap),
+                "cap": self.config.cap,
                 "tol": self.config.tol,
                 "seed": self.config.seed,
                 "search_budget": self.config.search_budget,
@@ -460,6 +460,7 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
     _check_scale(scale)
     tol = cfg.tol
     cap = effective_cap(cfg.cap)  # a malformed cap is an input error, not a record
+    cfg = replace(cfg, cap=cap)  # the report carries the cap this run used
     if cfg.search_budget < 1:
         raise ShapeMismatch(f"budget must be at least 1, got {cfg.search_budget}")
     records = []

@@ -18,6 +18,7 @@ import numpy as np
 from . import _kernels, linalg
 from .errors import (
     LengthMismatch,
+    NonFinite,
     NotAFrame,
     NotUnitary,
     NotWoven,
@@ -31,7 +32,7 @@ from .gframe import (
     block_grams,
     canonical_dual,
     compose_right,
-    frame_operator_matrix,
+    inverse_root,
     is_g_orthonormal_basis,
     is_g_riesz_basis,
     new_gframe,
@@ -209,15 +210,20 @@ def _pair_kernel_inputs(first: GFrame, second: GFrame):
     """``base`` and ``deltas`` for the kernel, and the two families' Gram sums before any cast.
 
     ``deltas`` is formed in the first family's Gram stack, so no more than
-    two stacks are alive at once.
+    two stacks are alive at once.  Refuses a pair with an entry beyond
+    float64: a float sum is finite only when every term is, so the finite
+    Gram sums vouch for both stacks, and each delta is checked.
     """
-    p = block_grams(first)
-    q = block_grams(second)
-    dtype = np.result_type(p.dtype, q.dtype)
-    p_sum, q_sum = p.sum(axis=0), q.sum(axis=0)
-    base = np.ascontiguousarray(q.astype(dtype, copy=False).sum(axis=0))
-    deltas = p.astype(dtype, copy=False)
-    deltas -= q
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = block_grams(first)
+        q = block_grams(second)
+        dtype = np.result_type(p.dtype, q.dtype)
+        p_sum, q_sum = p.sum(axis=0), q.sum(axis=0)
+        base = np.ascontiguousarray(q.astype(dtype, copy=False).sum(axis=0))
+        deltas = p.astype(dtype, copy=False)
+        deltas -= q
+    if not all(np.isfinite(m).all() for m in (p_sum, q_sum, base, *deltas)):
+        raise NonFinite("a Gram matrix of the pair has entries beyond float64")
     return base, deltas, p_sum, q_sum
 
 
@@ -636,7 +642,8 @@ def check_parseval_transform_weaving(
     report checks its interval.  ``tol`` and ``cap`` apply to the transformed pair.
     """
     _check_report(first, second, report, woven=True)
-    root = linalg.inv_sqrt_psd(frame_operator_matrix(first))
+    # a woven report makes ``first`` a frame; tol 0 leaves the rank test to refuse
+    root = inverse_root(first, 0.0)
     transformed = universal_bounds_exhaustive(
         compose_right(first, root), compose_right(second, root), tol, cap
     )

@@ -144,3 +144,22 @@ def dense_pairs(draw, max_blocks=14):
         if kind == "scaled" and rng.integers(2):
             second[i] = rng.choice([0.5, 1.0, 2.0, 3.0]) * first[i]
     return new_gframe(d, first), new_gframe(d, second)
+
+
+def linalg_calls(monkeypatch, *names):
+    """Record every call of these ``numpy.linalg`` functions, those numpy makes itself included.
+
+    ``np.linalg.norm(v, 2)``, say, takes an SVD through numpy's own module.
+    """
+    calls = []
+    impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg  # numpy 2 or numpy 1
+    for name in names:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(impl, name, counted)
+    return calls

@@ -181,7 +181,9 @@ def test_parseval_transform_keeps_pairs_woven():
         first, second, rep = perturbed_woven_pair(
             rng, d=int(rng.integers(2, 6)), n=int(rng.integers(2, 6))
         )
-        root = linalg.inv_sqrt_psd(frame_operator(first).s)
+        s = sum(b.conj().T @ b for b in first.blocks)
+        w, v = np.linalg.eigh(s)
+        root = (v / np.sqrt(w)) @ v.conj().T
         t_first = new_gframe(first.domain_dim, [b @ root for b in first.blocks])
         t_second = new_gframe(second.domain_dim, [b @ root for b in second.blocks])
         rep2 = universal_bounds_exhaustive(t_first, t_second)

@@ -416,6 +416,14 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().out)["results"]["method"] == "exhaustive"
 
 
+def _run_cli(argv):
+    src = str(Path(gweave.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run(
+        [sys.executable, "-m", "gweave", *argv], capture_output=True, text=True, env=env
+    )
+
+
 @pytest.mark.parametrize(
     "case", ["not-utf8", "nested-5000-deep", "dual-to-missing-dir", "parseval-to-missing-dir"]
 )
@@ -434,23 +442,61 @@ def test_unreadable_input_and_unwritable_output_are_input_errors(tmp_path, case)
     else:
         command = "dual" if case.startswith("dual") else "transform-parseval"
         argv, named = [command, family, "-o", missing], missing
-    src = str(Path(gweave.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    proc = subprocess.run(
-        [sys.executable, "-m", "gweave", *argv], capture_output=True, text=True, env=env
-    )
+    proc = _run_cli(argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith(f"error: {named}: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
 
 
+# Rows of 1e155: every Gram entry they give, 1e310, is beyond float64.
+BIG = new_gframe(2, [[1e155, 0.0], [0.0, 1e155]])
+
+
+@pytest.mark.parametrize("search", [[], ["--search", "1"]], ids=["exhaustive", "search"])
+@pytest.mark.parametrize("second", ["big", "one"])
+def test_woven_on_a_pair_whose_grams_overflow_is_an_input_error(tmp_path, search, second):
+    """Exit 2 with one ``error:`` line: no traceback, no warning and no report holding inf."""
+    save_gframe(BIG, str(tmp_path / "big.json"))
+    save_gframe(new_gframe(2, [[1.0, 0.0], [0.0, 1.0]]), str(tmp_path / "one.json"))
+    first, second = str(tmp_path / "big.json"), str(tmp_path / f"{second}.json")
+    proc = _run_cli(["woven", first, second, *search])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+HOSTILE = {
+    "overflow": BIG,
+    "zero-rows": new_gframe(3, [np.zeros((0, 3)), np.zeros((0, 3))]),
+    "d1": new_gframe(1, [[2.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_no_input_escapes_main(tmp_path, capsys, name):
+    """Every subcommand answers a hostile document with exit 0, 1 or 2 and lets no exception out.
+
+    RuntimeWarnings are errors in this suite, so a warning escapes too.
+    """
+    path = str(tmp_path / "f.json")
+    save_gframe(HOSTILE[name], path)
+    commands = [
+        ["bounds", path],
+        *(["check", path, kind] for kind in ("frame", "exact", "riesz", "onb")),
+        ["check", path, "dual", "--with", path],
+        ["woven", path, path],
+        ["woven", path, path, "--search", "1"],
+        ["dual", path],
+        ["transform-parseval", path],
+    ]
+    for argv in commands:
+        assert main(argv) in (0, 1, 2), argv
+        capsys.readouterr()
+
+
 def test_python_dash_m_runs_the_cli():
-    src = str(Path(gweave.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    proc = subprocess.run(
-        [sys.executable, "-m", "gweave", "--help"], capture_output=True, text=True, env=env
-    )
+    proc = _run_cli(["--help"])
     assert proc.returncode == 0
     assert "paper-suite" in proc.stdout
 

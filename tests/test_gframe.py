@@ -8,14 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gweave import linalg
-from gweave.errors import Empty, NotAFrame, ShapeMismatch
+from gweave.errors import Empty, NonFinite, NotAFrame, ShapeMismatch, Singular
 from gweave.gframe import (
     apply,
+    basis_tests,
     canonical_dual,
     classify,
     coefficient_energy,
     compose_right,
     frame_operator,
+    frame_operator_matrix,
+    inverse_root,
     is_dual_pair,
     is_g_exact,
     is_g_orthonormal_basis,
@@ -26,10 +29,22 @@ from gweave.gframe import (
 )
 from gweave.suite import build_nonunitary_operators, build_projection_family, random_unitary
 
-from conftest import random_frame, random_gframe
+from conftest import linalg_calls, random_frame, random_gframe
 from oracles import rayleigh_sample_range
 
 GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0, (3.0 + math.sqrt(5.0)) / 2.0
+
+
+def _spd_frame(rng, n, shift, complex_mode):
+    """Rows of a random ``n x n`` matrix ``a`` and of ``sqrt(shift) I``: ``S = a*a + shift I``."""
+    a = rng.standard_normal((n, n))
+    if complex_mode:
+        a = a + 1j * rng.standard_normal((n, n))
+    return new_gframe(n, [a, math.sqrt(shift) * np.eye(n)])
+
+
+# A frame whose operator diag(1, 1e-14) is above threshold at tol 0 but below the rank tolerance.
+NEARLY_SINGULAR = new_gframe(2, [[1.0, 0.0], [0.0, 1e-7]])
 
 
 def _removal_oracle(frame):
@@ -178,6 +193,40 @@ class TestDuals:
             canonical_dual(new_gframe(2, [np.array([1.0, 0.0])]))
 
 
+class TestDualSolve:
+    """The canonical dual's one solve of the frame operator."""
+
+    def test_identity(self):
+        frame = new_gframe(3, list(np.eye(3)))
+        np.testing.assert_allclose(np.vstack(canonical_dual(frame).blocks), np.eye(3))
+
+    def test_scaled_identity(self):
+        frame = new_gframe(2, list(math.sqrt(2.0) * np.eye(2)))
+        dual = np.vstack(canonical_dual(frame).blocks)
+        np.testing.assert_allclose(dual, np.eye(2) / math.sqrt(2.0))
+
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    def test_residual_on_random_spd(self, complex_mode):
+        frame = _spd_frame(np.random.default_rng(21), 5, 0.5, complex_mode)
+        dual = canonical_dual(frame)
+        # sum_i b_i* (b_i S^-1) = S S^-1
+        mixed = sum(f.conj().T @ g for f, g in zip(frame.blocks, dual.blocks))
+        assert linalg.frobenius(mixed - np.eye(5)) <= 1e-8 * math.sqrt(5)
+
+    def test_singular_rejected(self):
+        with pytest.raises(Singular):
+            canonical_dual(NEARLY_SINGULAR, tol=0.0)
+        with pytest.raises(NotAFrame):  # the frame test comes first
+            canonical_dual(NEARLY_SINGULAR)
+
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    def test_one_eigensolve(self, monkeypatch, complex_mode):
+        frame = random_frame(np.random.default_rng(4), complex_mode=complex_mode)
+        calls = linalg_calls(monkeypatch, "eigh", "eigvalsh")
+        canonical_dual(frame)
+        assert calls == ["eigh"]
+
+
 class TestExactness:
     def test_projection_family_exact(self):
         rep = is_g_exact(build_projection_family(4, 1))
@@ -309,6 +358,40 @@ class TestParsevalTransform:
         assert linalg.frobenius(s - np.eye(frame.domain_dim)) <= 1e-8
 
 
+class TestInverseRoot:
+    """The inverse square root of the frame operator, from one eigensolve."""
+
+    def test_identity(self):
+        np.testing.assert_allclose(inverse_root(new_gframe(3, list(np.eye(3)))), np.eye(3))
+
+    def test_diagonal(self):
+        r = inverse_root(new_gframe(2, [[2.0, 0.0], [0.0, 3.0]]))
+        np.testing.assert_allclose(r, np.diag([0.5, 1.0 / 3.0]))
+
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    def test_multiply_back_and_commute(self, complex_mode):
+        frame = _spd_frame(np.random.default_rng(31), 6, 0.1, complex_mode)
+        m = sum(b.conj().T @ b for b in frame.blocks)
+        r = inverse_root(frame)
+        assert linalg.frobenius(r - r.conj().T) <= 1e-10
+        assert linalg.frobenius(r @ m @ r - np.eye(6)) <= 1e-8 * 6
+        assert linalg.frobenius(r @ m - m @ r) <= 1e-8 * linalg.frobenius(m)
+
+    def test_singular_rejected(self):
+        for transform in (inverse_root, parseval_transform):
+            with pytest.raises(Singular):
+                transform(NEARLY_SINGULAR, tol=0.0)
+            with pytest.raises(NotAFrame):  # the frame test comes first
+                transform(NEARLY_SINGULAR)
+
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    def test_parseval_transform_takes_one_eigensolve(self, monkeypatch, complex_mode):
+        frame = random_frame(np.random.default_rng(8), complex_mode=complex_mode)
+        calls = linalg_calls(monkeypatch, "eigh", "eigvalsh")
+        parseval_transform(frame)
+        assert calls == ["eigh"]
+
+
 class TestClassification:
     def test_chain_on_corpus(self):
         corpus = [
@@ -333,3 +416,57 @@ class TestClassification:
     def test_onb_classification(self):
         cls = classify(build_projection_family(3, 1))
         assert cls.is_g_frame and cls.is_g_exact and cls.is_g_riesz and cls.is_g_onb
+
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    def test_one_svd_answers_both_basis_tests(self, monkeypatch, complex_mode):
+        frame = random_gframe(np.random.default_rng(6), complex_mode=complex_mode)
+        riesz, onb = is_g_riesz_basis(frame), is_g_orthonormal_basis(frame)
+        calls = linalg_calls(monkeypatch, "svd")
+        cls = classify(frame)
+        assert calls == ["svd"]
+        assert (cls.is_g_riesz, cls.is_g_onb) == (riesz.is_riesz, onb.is_onb)
+        calls.clear()
+        assert basis_tests(frame) == (riesz, onb)
+        assert calls == ["svd"]
+
+
+class TestOverflow:
+    """Rows of 1e155 give Gram entries of 1e310, beyond float64: refused, with no warning."""
+
+    BIG = new_gframe(2, [[1e155, 0.0], [0.0, 1e155]])
+
+    @pytest.mark.parametrize(
+        "analysis",
+        [frame_operator_matrix, optimal_bounds, is_g_riesz_basis, is_g_orthonormal_basis,
+         basis_tests, classify, canonical_dual, parseval_transform, is_g_exact],
+    )
+    def test_single_family_analyses_refuse(self, analysis):
+        with pytest.raises(NonFinite):
+            analysis(self.BIG)
+
+    def test_dual_pair_test_refuses(self):
+        with pytest.raises(NonFinite):
+            is_dual_pair(self.BIG, self.BIG)
+
+    def test_the_largest_finite_operator_is_answered(self):
+        """Rows of 1e154 give ``S = 1e308 I``: finite, and symmetrising it must not overflow."""
+        frame = new_gframe(2, [[1e154, 0.0], [0.0, 1e154]])
+        bounds = optimal_bounds(frame)
+        assert bounds.lower == bounds.upper == pytest.approx(1e308)
+        riesz, onb = basis_tests(frame)
+        assert riesz.is_riesz and not onb.is_onb
+        np.testing.assert_allclose(inverse_root(frame), 1e-154 * np.eye(2))
+
+
+class TestFrameOperatorMatrix:
+    def test_zero_row_family_gives_the_zero_operator(self):
+        frame = new_gframe(3, [np.zeros((0, 3)), np.zeros((0, 3))])
+        np.testing.assert_array_equal(frame_operator_matrix(frame), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    def test_one_product_matches_the_block_sum(self, complex_mode):
+        frame = random_gframe(np.random.default_rng(9), d=5, n=4, complex_mode=complex_mode)
+        expected = sum(b.conj().T @ b for b in frame.blocks)
+        # the sum runs in another order: each entry may move by a few roundings of its terms
+        atol = 16 * np.finfo(np.float64).eps * np.abs(expected).max()
+        np.testing.assert_allclose(frame_operator_matrix(frame), expected, rtol=0, atol=atol)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from gweave import _kernels, linalg
+from gweave import _kernels, induced, linalg
 from gweave.errors import Empty, EnvelopeViolation, GWeaveError, LengthMismatch, ShapeMismatch
-from gweave.gframe import frame_operator, new_gframe
+from gweave.gframe import frame_operator, frame_operator_matrix, new_gframe
 from gweave.induced import (
     check_operator_identity,
     check_weaving_transfer,
@@ -27,7 +27,7 @@ from gweave.suite import (
 )
 from gweave.weaving import universal_bounds_exhaustive
 
-from conftest import random_gframe
+from conftest import linalg_calls, random_gframe
 from oracles import accumulated_frame_operator, rayleigh_sample_range
 
 
@@ -66,6 +66,14 @@ class TestSpecs:
     def test_envelope_violation(self):
         with pytest.raises(EnvelopeViolation):
             make_subspace_spec([[np.array([2.0, 0.0]), np.array([0.0, 2.0])]], envelope=(1.0, 2.0))
+
+    @pytest.mark.parametrize(
+        "envelope", [(2.0, 1.0), (np.nan, 1.0), (1.0, np.nan), (1.0, np.inf), (-np.inf, 1.0)]
+    )
+    @pytest.mark.parametrize("groups", [[[], []], [[np.array([1.0])]]])
+    def test_envelope_no_frame_has_is_refused(self, groups, envelope):
+        with pytest.raises(EnvelopeViolation):
+            make_subspace_spec(groups, envelope=envelope)
 
     def test_computed_envelope_and_strictness(self):
         groups = [
@@ -301,6 +309,32 @@ class TestOperatorIdentity:
 
         monkeypatch.setattr(linalg, "hermitian_eig", refuse)
         assert check_operator_identity(frame) == expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_orthonormal_spec_gives_bitwise_equal_operators(self, seed):
+        frame = random_gframe(np.random.default_rng(seed), complex_mode=seed % 2 == 1)
+        assert check_operator_identity(frame).computed["max_entry_difference"] == 0.0
+
+    def test_fails_when_the_induced_vectors_drop_the_conjugate(self, monkeypatch):
+        frame = random_gframe(np.random.default_rng(3), d=4, n=3, complex_mode=True)
+        assert check_operator_identity(frame).passed
+
+        def unconjugated(frame, spec):
+            groups = [rows @ block for block, rows in zip(frame.blocks, spec.groups)]
+            return make_vector_family(frame.domain_dim, groups)
+
+        monkeypatch.setattr(induced, "induced_vectors", unconjugated)
+        rec = check_operator_identity(frame)
+        assert not rec.passed
+        assert rec.computed["max_entry_difference"] > 1e-3
+
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    def test_one_svd_per_side(self, monkeypatch, complex_mode):
+        frame = random_gframe(np.random.default_rng(5), complex_mode=complex_mode)
+        expected = check_operator_identity(frame)
+        calls = linalg_calls(monkeypatch, "svd")
+        assert check_operator_identity(frame) == expected
+        assert calls == ["svd", "svd"]
 
     def test_orthonormal_basis_with_a_zero_row_block(self):
         frame = new_gframe(2, [[1.0, 0.0], [0.0, 1.0], np.zeros((0, 2))])

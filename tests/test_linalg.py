@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gweave import linalg
-from gweave.errors import NonFinite, NonHermitian, ShapeMismatch, Singular
+from gweave.errors import NonFinite, NonHermitian, ShapeMismatch
 
 from oracles import charpoly_eigenvalues, rayleigh_sample_range
 
@@ -78,53 +78,3 @@ class TestHermitianEig:
         lo, hi, _ = rayleigh_sample_range(m, 1000, seed + 100)
         assert eig.eigenvalues[0] - 1e-9 <= lo
         assert hi <= eig.eigenvalues[-1] + 1e-9
-
-
-class TestSolveSpd:
-    def test_identity(self):
-        b = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(linalg.solve_spd(np.eye(3), b), b)
-
-    def test_scaled_identity(self):
-        b = np.array([2.0, 4.0])
-        np.testing.assert_allclose(linalg.solve_spd(2 * np.eye(2), b), b / 2)
-
-    @pytest.mark.parametrize("complex_mode", [False, True])
-    def test_residual_on_random_spd(self, complex_mode):
-        rng = np.random.default_rng(21)
-        a = rng.standard_normal((5, 5))
-        if complex_mode:
-            a = a + 1j * rng.standard_normal((5, 5))
-        m = a.conj().T @ a + 0.5 * np.eye(5)
-        rhs = rng.standard_normal((5, 2))
-        x = linalg.solve_spd(m, rhs)
-        assert linalg.frobenius(m @ x - rhs) <= 1e-8 * linalg.frobenius(rhs)
-
-    def test_singular_rejected(self):
-        with pytest.raises(Singular):
-            linalg.solve_spd(np.diag([1.0, 0.0]), np.ones(2))
-
-
-class TestInvSqrt:
-    def test_identity(self):
-        np.testing.assert_allclose(linalg.inv_sqrt_psd(np.eye(3)), np.eye(3))
-
-    def test_diagonal(self):
-        r = linalg.inv_sqrt_psd(np.diag([4.0, 9.0]))
-        np.testing.assert_allclose(r, np.diag([0.5, 1.0 / 3.0]))
-
-    @pytest.mark.parametrize("complex_mode", [False, True])
-    def test_multiply_back_and_commute(self, complex_mode):
-        rng = np.random.default_rng(31)
-        a = rng.standard_normal((6, 6))
-        if complex_mode:
-            a = a + 1j * rng.standard_normal((6, 6))
-        m = a.conj().T @ a + 0.1 * np.eye(6)
-        r = linalg.inv_sqrt_psd(m)
-        assert linalg.frobenius(r - r.conj().T) <= 1e-10
-        assert linalg.frobenius(r @ m @ r - np.eye(6)) <= 1e-8 * 6
-        assert linalg.frobenius(r @ m - m @ r) <= 1e-8 * linalg.frobenius(m)
-
-    def test_singular_rejected(self):
-        with pytest.raises(Singular):
-            linalg.inv_sqrt_psd(np.diag([1.0, 1e-14]))

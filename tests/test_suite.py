@@ -255,3 +255,12 @@ class TestRunSuite:
         doc = run_suite().to_dict()
         json.dumps(doc)
         assert doc["passed"] is True
+
+    def test_report_carries_the_cap_the_run_used(self, monkeypatch):
+        monkeypatch.delenv("GWEAVE_EXHAUSTIVE_CAP", raising=False)
+        report = run_suite(SuiteConfig())
+        for value in ("3", "x"):  # read after the run, neither may change the report
+            monkeypatch.setenv("GWEAVE_EXHAUSTIVE_CAP", value)
+            assert report.to_dict()["config"]["cap"] == weaving.DEFAULT_EXHAUSTIVE_CAP
+        monkeypatch.setenv("GWEAVE_EXHAUSTIVE_CAP", "3")
+        assert run_suite(SuiteConfig()).to_dict()["config"]["cap"] == 3

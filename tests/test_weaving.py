@@ -6,7 +6,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gweave import _kernels, linalg, weaving
-from gweave.errors import LengthMismatch, NotUnitary, NotWoven, ShapeMismatch, TooManyBlocks
+from gweave.errors import (
+    LengthMismatch,
+    NonFinite,
+    NotUnitary,
+    NotWoven,
+    ShapeMismatch,
+    TooManyBlocks,
+)
 from gweave.gframe import (
     block_grams,
     compose_right,
@@ -192,6 +199,29 @@ class TestExhaustive:
             )
             assert _woven_threshold(p_sum, q_sum, tol) == want
             assert universal_bounds_exhaustive(first, second, tol).threshold == want
+
+
+# Rows of 1e155 give Gram entries of 1e310, beyond float64.
+BIG = new_gframe(2, [[1e155, 0.0], [0.0, 1e155]])
+ONE = new_gframe(2, [[1.0, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("second", [BIG, ONE], ids=["big-big", "big-one"])
+@pytest.mark.parametrize(
+    "question",
+    [
+        universal_bounds_exhaustive,
+        lambda first, second: universal_bounds_search(first, second, 1),
+        is_weaving_g_riesz,
+        is_weaving_g_onb,
+    ],
+    ids=["exhaustive", "search", "riesz", "onb"],
+)
+def test_a_pair_whose_grams_overflow_is_refused(question, second):
+    """Refused before any scan, with no warning and no report holding inf."""
+    for pair in ((BIG, second), (second, BIG)):
+        with pytest.raises(NonFinite):
+            question(*pair)
 
 
 class TestSearch:
