@@ -75,8 +75,14 @@ of the search forms or solves a matrix larger than a component.
 The margin ``m`` (:func:`_margin`) bounds the rounding of the shifts, of
 Cholesky, of ``eigvalsh``, of the envelopes and of the Weyl and Rayleigh
 bounds, so no mask that could be or tie a witness or a descent's step is
-ruled out or pruned.  Every solved mask gets the same bits as in a full scan, so the
-search gives bitwise the result of solving every mask.
+ruled out or pruned.  It is a multiple of ``N``, the Frobenius norm of
+``base`` plus those of the deltas.  Each operator takes these norms from its
+own pieces, which hold every nonzero entry: the squares of a row's entries
+in the diagonal part and the components, each entry first scaled by the
+power of two just above the row's largest one, so no square overflows.  The
+same norms order the tree's blocks.  Every solved mask gets the same bits
+as in a full scan, so the search gives bitwise the result of solving every
+mask.
 
 Ties: the argmin resolves to the smallest mask attaining the minimum and the
 argmax to the largest mask attaining the maximum.  Null bits are clear in the
@@ -168,6 +174,19 @@ def _components(pattern: np.ndarray) -> list:
     return [np.flatnonzero(roots == r) for r in np.flatnonzero(roots == np.arange(len(roots)))]
 
 
+def _scaled_norms(pieces: list):
+    """Frobenius norm of each row over the real matrices ``pieces``, as ``ratios * 2**exponents``.
+
+    ``2**exponents`` is the least power of two above the row's largest entry
+    (1 for a zero row).  Scaling by it is exact and leaves every entry below
+    1 in size, so no square overflows.
+    """
+    top = np.max([np.abs(piece).max(axis=1, initial=0.0) for piece in pieces], axis=0)
+    exponents = np.frexp(top)[1][:, np.newaxis]
+    squares = sum(np.square(np.ldexp(piece, -exponents)).sum(axis=1) for piece in pieces)
+    return np.sqrt(squares), exponents[:, 0]
+
+
 class _SplitOperator:
     """``base + sum_i bits[:, i] deltas[i]`` evaluated component by component."""
 
@@ -175,14 +194,23 @@ class _SplitOperator:
         pattern = (base != 0) | (deltas != 0).any(axis=0)
         comps = _components(pattern | pattern.T)
         singles = [c[0] for c in comps if len(c) == 1]
-        # index grids of the components of order >= 2
-        self.grids = [np.ix_(c, c) for c in comps if len(c) > 1]
-        self.blocks = [(base[sub], _flat(deltas[(slice(None), *sub)])) for sub in self.grids]
+        subs = [np.ix_(c, c) for c in comps if len(c) > 1]
+        # each component of order >= 2: its deltas, and its base with the deltas' flat views
+        self.block_deltas = [deltas[(slice(None), *sub)] for sub in subs]
+        self.blocks = [(base[sub], _flat(stack)) for sub, stack in zip(subs, self.block_deltas)]
         self.diag_base = base.real[singles, singles]
         self.diag_deltas = np.ascontiguousarray(deltas.real[:, singles, singles])
         # masks per batch, whose stacks hold at most _BATCH_FLOATS float64 entries
         floats = len(singles) + sum(flat.shape[1] for _, flat in self.blocks)
         self.step = max(1, _BATCH_FLOATS // floats)
+        # the Frobenius norms of base, row 0, and of each delta, from the pieces
+        ratios, exponents = _scaled_norms(
+            [np.concatenate([self.diag_base[np.newaxis], self.diag_deltas])]
+            + [np.concatenate([_flat(b[np.newaxis]), flat]) for b, flat in self.blocks]
+        )
+        with np.errstate(over="ignore"):  # a norm beyond float64 is inf, and orders first
+            self.norms = np.ldexp(ratios[1:], exponents[1:])
+        self.margin = _margin(ratios, exponents, len(base))
 
     def pieces(self, bits: np.ndarray):
         """The diagonal entries and the component stacks of the operator of each row of bits."""
@@ -271,19 +299,27 @@ def _inside(stack: np.ndarray, floor, ceiling) -> np.ndarray:
     return inside
 
 
-def _margin(base: np.ndarray, deltas: np.ndarray) -> float:
+def _margin(ratios: np.ndarray, exponents: np.ndarray, order: int) -> float:
     """How far past the incumbent a test must pass to rule a mask or a subcube out.
 
     Write ``N = |base|_F + sum_i |deltas[i]|_F``, ``u`` for the unit
-    roundoff, ``d`` for the order of ``base`` and ``k`` for the number of
-    deltas.  Every operator ``S`` of the scan has ``|S|_F <= N``, so its
-    entries and eigenvalues are at most ``N`` in size, and so are the
-    incumbents, which are eigenvalues of such operators.  A shift ``t`` is an
-    incumbent moved by the margin, so ``|t| <= 2N``.  Below, ``S^`` is the
-    computed stack row of ``S`` and ``c <= d`` the order of a component;
-    ``eigvalsh`` returns the eigenvalues of a matrix ``X`` to within
-    ``c u |X|_F``, the usual size factor of a Hermitian solver's backward
-    error.
+    roundoff, ``d = order`` for the order of ``base`` and ``k`` for the number
+    of deltas.  The norms come from the pieces of :class:`_SplitOperator`,
+    whose diagonal part and components hold every nonzero entry: norm ``j``
+    (``base`` first, then each delta) is ``ratios[j] * 2**exponents[j]``, where
+    ``2**exponents[j]`` is the least power of two above the row's largest
+    entry and ``ratios[j]`` the root of the sum of the squares of the row's
+    entries scaled by it (:func:`_scaled_norms`).  The margin multiplies each
+    ratio by its factor ``8 ((d + 2)^2 + k) u`` before applying ``2**e`` and
+    summing, so neither a square nor the sum overflows.
+
+    Every operator ``S`` of the scan has ``|S|_F <= N``, so its entries and
+    eigenvalues are at most ``N`` in size, and so are the incumbents, which
+    are eigenvalues of such operators.  A shift ``t`` is an incumbent moved
+    by the margin, so ``|t| <= 2N``.  Below, ``S^`` is the computed stack
+    row of ``S`` and ``c <= d`` the order of a component; ``eigvalsh``
+    returns the eigenvalues of a matrix ``X`` to within ``c u |X|_F``, the
+    usual size factor of a Hermitian solver's backward error.
 
     Cholesky test of a mask (its value is ``eigvalsh`` of the same ``S^``):
 
@@ -363,9 +399,8 @@ def _margin(base: np.ndarray, deltas: np.ndarray) -> float:
     values are also beyond the value ``eigvalsh`` returns for the neighbour
     whose quotient it is, so that neighbour is never certified against it.
     """
-    norm = np.linalg.norm(base) + np.linalg.norm(deltas, axis=(1, 2)).sum()
-    size = (base.shape[0] + 2) ** 2 + len(deltas)
-    return 4 * size * np.finfo(np.float64).eps * float(norm)
+    size = (order + 2) ** 2 + len(ratios) - 1
+    return float(np.ldexp(4 * size * np.finfo(np.float64).eps * ratios, exponents).sum())
 
 
 def _spread(mask: int, live: np.ndarray) -> int:
@@ -393,7 +428,7 @@ def _batches(total: int, step: int, first: int = 0):
         start, size = start + size, min(2 * size, step)
 
 
-def _subcube_search(operator: _SplitOperator, deltas: np.ndarray, margin: float, cube: bool):
+def _subcube_search(operator: _SplitOperator, cube: bool):
     """Both extremes over all masks of ``operator``, each with its mask.
 
     Returns ``(low, high)``, ``low = (lambda_min, argmin)`` and
@@ -401,8 +436,8 @@ def _subcube_search(operator: _SplitOperator, deltas: np.ndarray, margin: float,
     mask.  With ``cube`` the whole cube is one leaf; otherwise the search
     runs over subcubes.  Each batch holds at most ``operator.step`` masks.
     """
-    k = len(deltas)
-    step = operator.step
+    k = len(operator.norms)
+    step, margin = operator.step, operator.margin
     best = [(np.inf, 0), (np.inf, 0)]  # the incumbents of lambda_min and of -lambda_max
 
     def offer(masks, test=False, sides=None):
@@ -435,12 +470,12 @@ def _subcube_search(operator: _SplitOperator, deltas: np.ndarray, margin: float,
             offer(np.arange(part.start, min(part.stop, 1 << k), dtype=np.int64), test)
         return best
 
-    order = np.argsort(-np.linalg.norm(deltas, axis=(1, 2)), kind="stable")
+    order = np.argsort(-operator.norms, kind="stable")
     position = np.left_shift(1, order)  # the bit fixed at each depth
     # For each side the parts below (lambda_min) or above (lambda_max) each
     # delta, diagonal first, then their sums over the blocks from each depth
     # on.  Every node keeps a free block, so no node has depth k.
-    eigen = [np.linalg.eigh(deltas[(slice(None), *sub)]) for sub in operator.grids]
+    eigen = [np.linalg.eigh(stack) for stack in operator.block_deltas]
     suffixes = []
     for clip in (np.minimum, np.maximum):
         parts = [clip(operator.diag_deltas, 0.0)]
@@ -518,12 +553,11 @@ def weaving_scan(base: np.ndarray, deltas: np.ndarray):
     n = deltas.shape[0]
     _check_blocks(n)
     live = np.flatnonzero([delta.any() for delta in deltas])
-    deltas = deltas[live]
-    operator = _SplitOperator(base, deltas)
+    operator = _SplitOperator(base, deltas[live])
     k = len(live)
     wide = max([0] + [len(block) - 8 for block, _ in operator.blocks]) // 4
     cube = not operator.blocks or 1 << k <= operator.step or k < _TREE_BLOCKS + wide
-    low, high = _subcube_search(operator, deltas, _margin(base, deltas), cube)
+    low, high = _subcube_search(operator, cube)
     null_bits = ((1 << n) - 1) ^ _spread((1 << k) - 1, live)
     return low[0], _spread(low[1], live), -high[0], _spread(high[1], live) | null_bits
 

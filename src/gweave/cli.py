@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .errors import GWeaveError, ParseError, SchemaError, ShapeMismatch
 from .gframe import (
+    DEFAULT_TOL,
     GFrame,
     canonical_dual,
     classify,
@@ -392,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--tol", type=float, default=1e-8, help="classification tolerance")
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="classification tolerance")
         p.add_argument("--json", action="store_true", help="emit a JSON report document")
 
     p_bounds = sub.add_parser("bounds", help="optimal frame bounds of one family")
@@ -430,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dual = sub.add_parser("dual", help="write the canonical dual family")
     p_dual.add_argument("path")
     p_dual.add_argument("-o", "--output", default=None)
-    p_dual.add_argument("--tol", type=float, default=1e-8)
+    p_dual.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_dual.set_defaults(func=lambda a: _cmd_transform(a, canonical_dual, "dual"))
 
     p_par = sub.add_parser(
@@ -438,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_par.add_argument("path")
     p_par.add_argument("-o", "--output", default=None)
-    p_par.add_argument("--tol", type=float, default=1e-8)
+    p_par.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_par.set_defaults(
         func=lambda a: _cmd_transform(a, parseval_transform, "transform-parseval")
     )
@@ -446,13 +447,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite = sub.add_parser(
         "paper-suite", help="run the bundled worked-example verification battery"
     )
-    p_suite.add_argument("--dim-scale", type=float, default=1.0)
+    p_suite.add_argument("--dim-scale", type=float, default=SuiteConfig.dim_scale)
     p_suite.add_argument("--cap", type=int, default=None)
-    p_suite.add_argument("--seed", type=int, default=0)
+    p_suite.add_argument("--seed", type=int, default=SuiteConfig.seed)
     p_suite.add_argument(
         "--budget",
         type=int,
-        default=128,
+        default=SuiteConfig.search_budget,
         help="sampling budget for instances above the exhaustive cap",
     )
     add_common(p_suite)

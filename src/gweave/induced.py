@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EnvelopeViolation, LengthMismatch, ShapeMismatch
+from .errors import EnvelopeViolation, LengthMismatch, NonFinite, ShapeMismatch
 from .gframe import (
     DEFAULT_TOL,
     BoundsReport,
@@ -116,7 +116,11 @@ def make_subspace_spec(groups, envelope: Optional[tuple] = None) -> SubspaceFram
             bounds.append(None)
             continue
         rows = _frozen_rows(vecs, vecs[0].shape[0])
-        w = np.linalg.eigvalsh(rows.T @ rows.conj())
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = rows.T @ rows.conj()
+        if not np.isfinite(gram).all():
+            raise NonFinite(f"group {gi + 1} has a Gram matrix that is not finite")
+        w = np.linalg.eigvalsh(gram)
         bounds.append((float(w[0]), float(w[-1])))
         frozen.append(rows)
     present = [b for b in bounds if b is not None]

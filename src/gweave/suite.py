@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cache, partial
 from typing import Optional
 
@@ -39,6 +39,7 @@ from .induced import (
 from .weaving import (
     CHECK_EPS,
     WeavingSelection,
+    _check_budget,
     _check_seed,
     check_additive_upper_bound,
     check_dual_weaving,
@@ -59,7 +60,12 @@ class ExampleInstance:
     first: GFrame
     second: Optional[GFrame]
     expected: dict
-    provenance: dict  # expected-value key -> "declared" or "derived"
+    derived: tuple = ()  # the expected keys derived from the construction, not declared
+
+    @property
+    def provenance(self) -> dict:
+        """Each expected key -> ``"derived"`` or ``"declared"``."""
+        return {key: "derived" if key in self.derived else "declared" for key in self.expected}
 
 
 def _row(d: int, index: int, value: float = 1.0) -> np.ndarray:
@@ -125,13 +131,7 @@ def build_shifted_projection_pair(n_blocks: int) -> ExampleInstance:
             "certificate_indices": (1,),
             "failing_direction": 2,
         },
-        provenance={
-            "first_bounds": "declared",
-            "second_bounds": "derived",
-            "woven": "declared",
-            "certificate_indices": "declared",
-            "failing_direction": "declared",
-        },
+        derived=("second_bounds",),
     )
 
 
@@ -165,11 +165,7 @@ def build_window_pair(n_blocks: int) -> ExampleInstance:
             "vector_universal_scaled2": (4.0, 8.0),
             "stated_vector_envelope": (1.0, 8.0),
         },
-        provenance={
-            "universal": "derived",
-            "vector_universal_scaled2": "derived",
-            "stated_vector_envelope": "declared",
-        },
+        derived=("universal", "vector_universal_scaled2"),
     )
 
 
@@ -217,13 +213,6 @@ def build_scaled_split_pair(n_blocks: int) -> ExampleInstance:
             "argmin_contains": 2,
             "argmax_contains": 4,
         },
-        provenance={
-            "first_bounds": "declared",
-            "second_bounds": "declared",
-            "universal": "declared",
-            "argmin_contains": "declared",
-            "argmax_contains": "declared",
-        },
     )
 
 
@@ -266,15 +255,6 @@ def build_duplicate_vs_split_pair(k: int) -> ExampleInstance:
             "second_riesz_bounds": (1.0, 1.0),
             "universal": (1.0, 2.0),
             "removal_of_block_2_keeps_frame": True,
-        },
-        provenance={
-            "first_bounds": "declared",
-            "first_exact": "declared",
-            "first_riesz": "declared",
-            "second_riesz": "declared",
-            "second_riesz_bounds": "declared",
-            "universal": "declared",
-            "removal_of_block_2_keeps_frame": "declared",
         },
     )
 
@@ -321,15 +301,6 @@ def build_overlapping_coordinate_pair(n_blocks: int) -> ExampleInstance:
             "mixed_is_exact": False,
             "mixed_removal_of_block_2_keeps_frame": True,
             "mixed_is_riesz": False,
-        },
-        provenance={
-            "both_exact": "declared",
-            "universal": "declared",
-            "mixed_selection_indices": "declared",
-            "mixed_is_frame": "declared",
-            "mixed_is_exact": "declared",
-            "mixed_removal_of_block_2_keeps_frame": "declared",
-            "mixed_is_riesz": "declared",
         },
     )
 
@@ -388,25 +359,8 @@ class SuiteReport:
     def to_dict(self) -> dict:
         return {
             "passed": self.passed,
-            "config": {
-                "dim_scale": self.config.dim_scale,
-                "cap": self.config.cap,
-                "tol": self.config.tol,
-                "seed": self.config.seed,
-                "search_budget": self.config.search_budget,
-            },
-            "records": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "method": r.method,
-                    "computed": r.computed,
-                    "expected": r.expected,
-                    "provenance": r.provenance,
-                    "detail": r.detail,
-                }
-                for r in self.records
-            ],
+            "config": asdict(self.config),
+            "records": [asdict(r) for r in self.records],
         }
 
 
@@ -461,8 +415,7 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
     tol = cfg.tol
     cap = effective_cap(cfg.cap)  # a malformed cap is an input error, not a record
     cfg = replace(cfg, cap=cap)  # the report carries the cap this run used
-    if cfg.search_budget < 1:
-        raise ShapeMismatch(f"budget must be at least 1, got {cfg.search_budget}")
+    _check_budget(cfg.search_budget)
     records = []
 
     def add(name, passed, method, computed, expected, provenance=None, detail=""):

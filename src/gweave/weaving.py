@@ -211,8 +211,10 @@ def _pair_kernel_inputs(first: GFrame, second: GFrame):
 
     ``deltas`` is formed in the first family's Gram stack, so no more than
     two stacks are alive at once.  Refuses a pair with an entry beyond
-    float64: a float sum is finite only when every term is, so the finite
-    Gram sums vouch for both stacks, and each delta is checked.
+    float64 in a Gram matrix or in a weaving's operator: a float sum is
+    finite only when every term is, so a finite ``p_sum + q_sum`` vouches
+    for both stacks, and its diagonal bounds that of every weaving's
+    operator, which is positive semidefinite; each delta is checked.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         p = block_grams(first)
@@ -222,8 +224,9 @@ def _pair_kernel_inputs(first: GFrame, second: GFrame):
         base = np.ascontiguousarray(q.astype(dtype, copy=False).sum(axis=0))
         deltas = p.astype(dtype, copy=False)
         deltas -= q
-    if not all(np.isfinite(m).all() for m in (p_sum, q_sum, base, *deltas)):
-        raise NonFinite("a Gram matrix of the pair has entries beyond float64")
+        both = p_sum + q_sum
+    if not all(np.isfinite(m).all() for m in (both, base, *deltas)):
+        raise NonFinite("the Gram matrices of both families sum to entries beyond float64")
     return base, deltas, p_sum, q_sum
 
 
@@ -271,6 +274,11 @@ def universal_bounds_exhaustive(
 def _check_seed(seed) -> None:
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ShapeMismatch(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def _check_budget(budget) -> None:
+    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 1:
+        raise ShapeMismatch(f"budget must be an integer of at least 1, got {budget!r}")
 
 
 def _sorted_unique(masks: np.ndarray) -> np.ndarray:
@@ -341,8 +349,7 @@ def universal_bounds_search(
     descents one after another and solving every neighbour.
     """
     _check_pair(first, second)
-    if budget < 1:
-        raise ShapeMismatch(f"budget must be at least 1, got {budget}")
+    _check_budget(budget)
     _check_seed(seed)
     n = first.n_blocks
     _kernels._check_blocks(n)
@@ -356,14 +363,13 @@ def universal_bounds_search(
         )
 
     base, deltas, p_sum, q_sum = _pair_kernel_inputs(first, second)
-    margin = _kernels._margin(base, deltas)
     # built once per request: the split operator for every spectrum and
-    # every Rayleigh quotient below
+    # every Rayleigh quotient below, and its rounding margin
     operator = _kernels._SplitOperator(base, deltas)
+    margin = operator.margin
     # Weyl steps: the extreme eigenvalues of +delta_i, which sets bit i, in
     # row 0 and of -delta_i, which clears it, in row 1, piece by piece
-    pieces = [deltas[(slice(None), *grid)] for grid in operator.grids]
-    w_lo, w_hi = _kernels._solve(operator.diag_deltas, pieces)
+    w_lo, w_hi = _kernels._solve(operator.diag_deltas, operator.block_deltas)
     step_lo = np.stack([w_lo, -w_hi])
     step_hi = np.stack([w_hi, -w_lo])
     rng = np.random.default_rng(seed)
@@ -416,8 +422,9 @@ def universal_bounds_search(
                 # Weyl: lo(S +- delta_i) >= lo(S) + lo(+-delta_i), and likewise
                 # hi; Cholesky tests each side this leaves open
                 cleared = (current[row] >> bit) & 1
-                weyl_lo = cur_lo[row] + step_lo[cleared, bit]
-                weyl_hi = cur_hi[row] + step_hi[cleared, bit]
+                with np.errstate(over="ignore"):  # a ceiling bound past float64 certifies nothing
+                    weyl_lo = cur_lo[row] + step_lo[cleared, bit]
+                    weyl_hi = cur_hi[row] + step_hi[cleared, bit]
                 if len(heads) < len(looks):  # a new mask looked at from several rows
                     floor = np.maximum.reduceat(floor, heads)
                     ceiling = np.minimum.reduceat(ceiling, heads)

@@ -18,7 +18,7 @@ from gweave.cli import (
     main,
     save_gframe,
 )
-from gweave import suite, weaving
+from gweave import cli, suite, weaving
 from gweave.errors import ParseError, SchemaError, ShapeMismatch, TooManyBlocks
 from gweave.gframe import new_gframe
 from gweave.suite import (
@@ -352,7 +352,8 @@ class TestExitCodes:
         monkeypatch.setattr(suite, "build_projection_family", lambda *a: pytest.fail("built"))
         for scale in ("1", "4"):
             assert main(["paper-suite", "--budget", budget, "--dim-scale", scale]) == 2
-            assert capsys.readouterr().err == f"error: budget must be at least 1, got {budget}\n"
+            err = capsys.readouterr().err
+            assert err == f"error: budget must be an integer of at least 1, got {budget}\n"
 
     @pytest.mark.parametrize("command", ["dual", "transform-parseval"])
     def test_output_file_holds_the_printed_document(self, paths, tmp_path, capsys, command):
@@ -493,6 +494,25 @@ def test_no_input_escapes_main(tmp_path, capsys, name):
     for argv in commands:
         assert main(argv) in (0, 1, 2), argv
         capsys.readouterr()
+
+
+def test_option_defaults_come_from_their_owners(monkeypatch):
+    """Every ``--tol`` defaults to ``DEFAULT_TOL``, and ``paper-suite`` to ``SuiteConfig``'s values."""
+    monkeypatch.setattr(cli, "DEFAULT_TOL", 0.25)
+    for name, value in (("dim_scale", 2.0), ("seed", 7), ("search_budget", 9)):
+        monkeypatch.setattr(SuiteConfig, name, value)
+    parser = cli.build_parser()
+    for argv in (
+        ["bounds", "f"],
+        ["woven", "f", "g"],
+        ["check", "f", "frame"],
+        ["dual", "f"],
+        ["transform-parseval", "f"],
+        ["paper-suite"],
+    ):
+        assert parser.parse_args(argv).tol == 0.25, argv
+    args = parser.parse_args(["paper-suite"])
+    assert (args.dim_scale, args.seed, args.budget) == (2.0, 7, 9)
 
 
 def test_python_dash_m_runs_the_cli():

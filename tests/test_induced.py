@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from gweave import _kernels, induced, linalg
-from gweave.errors import Empty, EnvelopeViolation, GWeaveError, LengthMismatch, ShapeMismatch
+from gweave.errors import (
+    Empty,
+    EnvelopeViolation,
+    GWeaveError,
+    LengthMismatch,
+    NonFinite,
+    ShapeMismatch,
+)
 from gweave.gframe import frame_operator, frame_operator_matrix, new_gframe
 from gweave.induced import (
     check_operator_identity,
@@ -74,6 +81,13 @@ class TestSpecs:
     def test_envelope_no_frame_has_is_refused(self, groups, envelope):
         with pytest.raises(EnvelopeViolation):
             make_subspace_spec(groups, envelope=envelope)
+
+    @pytest.mark.parametrize("envelope", [None, (1.0, 2.0)])
+    def test_a_group_whose_gram_overflows_is_nonfinite(self, envelope):
+        """The second group's Gram entry 1e310 is refused by name, with no warning."""
+        groups = [[np.array([1.0])], [np.array([1e155])]]
+        with pytest.raises(NonFinite, match="^group 2 "):
+            make_subspace_spec(groups, envelope)
 
     def test_computed_envelope_and_strictness(self):
         groups = [

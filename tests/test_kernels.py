@@ -146,6 +146,59 @@ def test_reductions_match_brute_enumeration(pair):
     np.testing.assert_allclose(hi, highs, atol=1e-10)
 
 
+def _dense_margin(base, deltas):
+    """The margin from the dense norms, ``8 ((d + 2)^2 + k) u N``."""
+    norm = np.linalg.norm(base) + np.linalg.norm(deltas, axis=(1, 2)).sum()
+    return 4 * ((len(base) + 2) ** 2 + len(deltas)) * np.finfo(np.float64).eps * norm
+
+
+@pytest.mark.parametrize("complex_mode", [False, True])
+def test_margin_from_the_pieces_is_the_dense_margin(complex_mode):
+    """Random pairs, dense and split into components: the dense formula to 1e-12, relative.
+
+    Scaled by ``2**1000``, where the dense norms' squares overflow, the
+    pieces give exactly ``2**1000`` times the margin and the norms.
+    """
+    rng = np.random.default_rng(7)
+    for trial in range(40):
+        d, n = int(rng.integers(1, 9)), int(rng.integers(1, 16))
+        if trial % 2:
+            first, second = (random_gframe(rng, d, n, complex_mode) for _ in range(2))
+        else:
+            groups = np.split(rng.permutation(d), np.sort(rng.choice(d, 2)))
+
+            def family():
+                cols = [groups[rng.integers(len(groups))] for _ in range(n)]
+                return new_gframe(d, [_block(rng, d, c, complex_mode) for c in cols])
+
+            first, second = family(), family()
+        base, deltas = _pair_inputs(first, second)
+        operator = _kernels._SplitOperator(base, deltas)
+        dense = _dense_margin(base, deltas)
+        assert abs(operator.margin - dense) <= 1e-12 * dense
+        np.testing.assert_allclose(operator.norms, np.linalg.norm(deltas, axis=(1, 2)), rtol=1e-14)
+        huge = _kernels._SplitOperator(base * 2.0**1000, deltas * 2.0**1000)
+        assert huge.margin == operator.margin * 2.0**1000
+        assert np.array_equal(huge.norms, operator.norms * 2.0**1000)
+
+
+@pytest.mark.parametrize(
+    "build, size",
+    [
+        (build_window_pair, 16),
+        (build_scaled_split_pair, 14),
+        (build_shifted_projection_pair, 14),
+        (build_duplicate_vs_split_pair, 6),
+    ],
+)
+def test_tied_constructions_order_the_tree_by_the_dense_norms(build, size):
+    """The norms from the pieces are bitwise those of ``np.linalg.norm``, so the tree's order is too."""
+    ex = build(size)
+    base, deltas = _pair_inputs(ex.first, ex.second)
+    norms = _kernels._SplitOperator(base, deltas).norms
+    assert norms.tobytes() == np.linalg.norm(deltas, axis=(1, 2)).tobytes()
+
+
 def test_all_null_pair():
     rng = np.random.default_rng(5)
     frame = random_gframe(rng, d=4, n=5, complex_mode=True, min_rows_total=5)
@@ -374,10 +427,10 @@ def _tree_calls(monkeypatch):
     calls = []
     search = _kernels._subcube_search
 
-    def counted(operator, deltas, margin, cube):
+    def counted(operator, cube):
         if not cube:
-            calls.append(len(deltas))
-        return search(operator, deltas, margin, cube)
+            calls.append(len(operator.norms))
+        return search(operator, cube)
 
     monkeypatch.setattr(_kernels, "_subcube_search", counted)
     return calls
@@ -502,7 +555,7 @@ def test_a_subcube_whose_bound_meets_the_incumbent_is_searched(monkeypatch):
         delta[:2, :2] /= 2
     monkeypatch.setattr(_kernels, "_BATCH_FLOATS", 24)
     monkeypatch.setattr(_kernels, "_TREE_BLOCKS", 1)
-    monkeypatch.setattr(_kernels, "_margin", lambda base, deltas: 0.0)
+    monkeypatch.setattr(_kernels, "_margin", lambda *args: 0.0)
     calls = _tree_calls(monkeypatch)
     expected = full_weaving_scan(base, deltas)
     assert _kernels.weaving_scan(base, deltas) == expected == (0.0, 0, 100.0, 63)
@@ -631,7 +684,7 @@ def _quotients_in_range(base, deltas, masks, lowest, shift):
     """``neighbour_quotients`` with each entry checked against its neighbour's spectrum."""
     got = _quotients(base, deltas, masks, lowest, shift)
     lo, hi = _neighbour_spectra(base, deltas, masks)
-    margin = _kernels._margin(base, deltas)
+    margin = _kernels._SplitOperator(base, deltas).margin
     assert (got >= lo - margin).all() and (got <= hi + margin).all()
     return got
 
@@ -688,7 +741,7 @@ def test_neighbour_quotients_lie_in_their_neighbours_spectra(monkeypatch, comple
         masks = rng.integers(0, 1 << 20, size=300)
         lowest = rng.random(300) < 0.5
         lo, hi = _spectra(base, deltas, masks)
-        margin = _kernels._margin(base, deltas)
+        margin = operator.margin
         eigh_rows = _count_eigh(monkeypatch)
         shift = np.where(lowest, lo - margin, hi + margin)
         got = _quotients_in_range(base, deltas, masks, lowest, shift)
@@ -720,7 +773,7 @@ def test_neighbour_quotients_of_the_zero_operator_and_a_repeated_extreme(monkeyp
     for c in (0.0, 2.0):
         base = c * np.eye(5)
         lo, hi = _spectra(base, deltas, masks)
-        margin = _kernels._margin(base, deltas)
+        margin = _kernels._SplitOperator(base, deltas).margin
         shift = np.where(lowest, lo - margin, hi + margin)
         got = _quotients_in_range(base, deltas, masks, lowest, shift)
         at_ones = c + deltas.sum(axis=(1, 2)) / 5

@@ -155,6 +155,24 @@ class TestOverlappingPair:
         assert universal_bounds_exhaustive(dup.first, dup.second).woven
 
 
+@pytest.mark.parametrize(
+    "build, size",
+    [
+        (build_shifted_projection_pair, 8),
+        (build_window_pair, 8),
+        (build_scaled_split_pair, 9),
+        (build_duplicate_vs_split_pair, 4),
+        (build_overlapping_coordinate_pair, 8),
+    ],
+)
+def test_provenance_covers_exactly_the_expected_keys(build, size):
+    ex = build(size)
+    assert set(ex.derived) <= set(ex.expected)
+    assert list(ex.provenance) == list(ex.expected)
+    assert {ex.provenance[k] for k in ex.derived} <= {"derived"}
+    assert set(ex.provenance.values()) <= {"declared", "derived"}
+
+
 class TestRunSuite:
     def test_default_config_passes(self):
         report = run_suite()
@@ -220,6 +238,25 @@ class TestRunSuite:
             run_suite(SuiteConfig(search_budget=budget))
         assert str(suite_error.value) == str(search_error.value)
 
+    @pytest.mark.parametrize("budget", [2.5, 4.0, True, "4", None])
+    def test_a_budget_that_is_not_an_integer_is_refused(self, budget):
+        pair = build_scaled_split_pair(9)
+        message = f"budget must be an integer of at least 1, got {budget!r}"
+        for question in (
+            lambda: universal_bounds_search(pair.first, pair.second, budget),
+            lambda: weaving.is_woven(pair.first, pair.second, strategy="search", budget=budget),
+            lambda: run_suite(SuiteConfig(dim_scale=4, search_budget=budget)),
+        ):
+            with pytest.raises(ShapeMismatch) as error:
+                question()
+            assert str(error.value) == message
+
+    def test_a_numpy_integer_budget_is_a_budget(self):
+        pair = build_scaled_split_pair(9)
+        want = universal_bounds_search(pair.first, pair.second, 4)
+        assert universal_bounds_search(pair.first, pair.second, np.int64(4)) == want
+        assert universal_bounds_search(pair.first, pair.second, np.uint8(4)) == want
+
     def test_dual_statement_checks_its_scalar_pair_when_the_window_family_is_refused(self):
         report = run_suite(SuiteConfig(cap=3))
         rec = next(r for r in report.records if r.name == "dual-pair-weaving-guarantee")
@@ -255,6 +292,10 @@ class TestRunSuite:
         doc = run_suite().to_dict()
         json.dumps(doc)
         assert doc["passed"] is True
+        assert list(doc) == ["passed", "config", "records"]
+        assert list(doc["config"]) == ["dim_scale", "cap", "tol", "seed", "search_budget"]
+        fields = ["name", "passed", "method", "computed", "expected", "provenance", "detail"]
+        assert all(list(r) == fields for r in doc["records"])
 
     def test_report_carries_the_cap_the_run_used(self, monkeypatch):
         monkeypatch.delenv("GWEAVE_EXHAUSTIVE_CAP", raising=False)

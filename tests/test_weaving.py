@@ -224,6 +224,44 @@ def test_a_pair_whose_grams_overflow_is_refused(question, second):
             question(*pair)
 
 
+# Two-coordinate pairs with rows of size x, and by how much the two
+# families' Gram sums add to x**2 on the diagonal.
+HUGE_SHAPES = {
+    "swap": (([1, 0], [0, 1]), ([0, 1], [1, 0]), 2.0),
+    "same": (([1, 0], [0, 1]), ([1, 0], [0, 1]), 2.0),
+    "three": (([1, 0], [0, 1], [0.5, 0.5]), ([0, 1], [1, 0], [0.5, -0.5]), 2.5),
+}
+
+
+@pytest.mark.parametrize("x", [1e80, 1e150, 1e153, 9e153, 1.3e154])
+@pytest.mark.parametrize("shape", sorted(HUGE_SHAPES))
+@pytest.mark.parametrize("search", [False, True], ids=["exhaustive", "search"])
+def test_huge_entries_give_scaled_bounds_or_nonfinite(x, shape, search):
+    """Rows up to 1.3e154: the bounds of the unit pair times ``x**2``, or ``NonFinite``.
+
+    Refused exactly when the Gram sums of both families add past float64 (a
+    mixed weaving of the three-row pair at 9e153 overflows although each
+    family's sum is finite); otherwise answered with no warning, NaN or inf.
+    """
+    first_rows, second_rows, total = HUGE_SHAPES[shape]
+
+    def question(scale):
+        first = new_gframe(2, [np.multiply(scale, r) for r in first_rows])
+        second = new_gframe(2, [np.multiply(scale, r) for r in second_rows])
+        if search:
+            return universal_bounds_search(first, second, 2)
+        return universal_bounds_exhaustive(first, second)
+
+    unit = question(1.0)
+    if total * x * x > np.finfo(np.float64).max:
+        with pytest.raises(NonFinite):
+            question(x)
+        return
+    rep = question(x)
+    got = np.array([rep.lower, rep.upper, rep.threshold]) / (x * x)
+    np.testing.assert_allclose(got, [unit.lower, unit.upper, unit.threshold], rtol=0, atol=1e-12)
+
+
 class TestSearch:
     def test_full_budget_equals_exhaustive_exactly(self):
         rng = np.random.default_rng(3)
@@ -393,7 +431,7 @@ def test_a_neighbour_that_ties_a_look_is_solved(pair, budget, seed):
     """
     first, second = pair
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(weaving._kernels, "_margin", lambda base, deltas: 0.0)
+        mp.setattr(weaving._kernels, "_margin", lambda *args: 0.0)
         got = universal_bounds_search(first, second, budget, seed)
     assert got == sequential_bounds_search(first, second, budget, seed)
 
