@@ -601,8 +601,9 @@ def neighbour_quotients(operator: _SplitOperator, masks, lowest, shift):
     within ``(c + 2) eps`` of 1 (from an exactly singular ``S_c - shift I``,
     say) takes ``eigh``'s eigenvector of ``S_c`` instead.  An eigenvector of
     ``S`` whose eigenvalue no other piece shares lies in one piece, so the
-    entry is at least as tight as its quotient.  Masks run in batches of
-    ``operator.step``.
+    entry is at least as tight as its quotient.  An entry past float64
+    bounds nothing and reads ``+inf`` where ``lowest`` holds, else ``-inf``.
+    Masks run in batches of ``operator.step``.
     """
     n = len(operator.diag_deltas)
     out = np.empty((len(masks), n))
@@ -632,7 +633,9 @@ def neighbour_quotients(operator: _SplitOperator, masks, lowest, shift):
                 u[fallback] = np.where(low[fallback], vectors[:, :, 0], vectors[:, :, -1])
             # u* X u is the real dot product of u u* with X, entry by entry
             outer = _flat(u[:, :, np.newaxis] * u.conj()[:, np.newaxis, :])
-            q = (outer * _flat(stack)).sum(axis=1)[:, np.newaxis] + sign * (outer @ flat.T)
+            with np.errstate(over="ignore", invalid="ignore"):
+                q = (outer * _flat(stack)).sum(axis=1)[:, np.newaxis] + sign * (outer @ flat.T)
             best = q if best is None else np.where(low, np.minimum(best, q), np.maximum(best, q))
-        out[part] = best
+        # a quotient past float64 bounds nothing: +inf where lowest holds, else -inf
+        out[part] = np.where(np.isfinite(best), best, np.where(low, np.inf, -np.inf))
     return out

@@ -94,25 +94,21 @@ def apply(frame: GFrame, h) -> list:
         raise ShapeMismatch(
             f"vector has length {x.shape[0]}, domain dimension is {frame.domain_dim}"
         )
-    return [b @ x for b in frame.blocks]
+    what = "the coefficient vector of block {}"
+    return [linalg._product(b, x, what.format(i + 1)) for i, b in enumerate(frame.blocks)]
 
 
 def coefficient_energy(frame: GFrame, h) -> float:
     """Sum of squared coefficient norms over all blocks."""
-    return float(sum(np.vdot(c, c).real for c in apply(frame, h)))
+    what = "the coefficient energy"
+    energy = sum(float(linalg._product(c.conj(), c, what).real) for c in apply(frame, h))
+    return linalg._finite(energy, what)
 
 
 def frame_operator_matrix(frame: GFrame) -> np.ndarray:
-    """The frame operator ``S = V*V`` as one product of the stacked rows ``V``.
-
-    Raises :class:`NonFinite` when an entry overflows float64.
-    """
+    """The frame operator ``S = V*V`` as one product of the stacked rows ``V``."""
     v = stacked_rows(frame)
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = v.conj().T @ v
-    if not np.isfinite(s).all():
-        raise NonFinite("the frame operator has entries beyond float64")
-    return s
+    return linalg._product(v.conj().T, v, "the frame operator")
 
 
 def block_grams(frame: GFrame) -> np.ndarray:
@@ -137,6 +133,7 @@ def frame_operator(frame: GFrame) -> FrameOperatorResult:
     """Frame operator with its extreme eigenvalues and unit witness vectors."""
     s = frame_operator_matrix(frame)
     eig = linalg.hermitian_eig(s)
+    linalg._finite(eig.eigenvalues, "the spectrum of the frame operator")
     return FrameOperatorResult(
         s=s,
         lower=float(eig.eigenvalues[0]),
@@ -213,10 +210,9 @@ def is_dual_pair(first: GFrame, second: GFrame, tol: float = DEFAULT_TOL) -> boo
         raise ShapeMismatch("domain dimensions differ")
     if first.block_rows != second.block_rows:
         raise ShapeMismatch("per-block row counts differ")
-    with np.errstate(over="ignore", invalid="ignore"):
-        mixed = sum(f.conj().T @ g for f, g in zip(first.blocks, second.blocks))
-    if not np.isfinite(mixed).all():
-        raise NonFinite("the mixed synthesis sum has entries beyond float64")
+    mixed = linalg._product(
+        stacked_rows(first).conj().T, stacked_rows(second), "the mixed synthesis sum"
+    )
     return linalg.frobenius(mixed - np.eye(first.domain_dim)) <= tol
 
 
@@ -285,10 +281,7 @@ def _synthesis(frame: GFrame) -> tuple:
     v = stacked_rows(frame)
     # with no rows, one zero singular value gives the zero bounds
     s = np.linalg.svd(v, compute_uv=False) if v.size else np.zeros(1)
-    with np.errstate(over="ignore"):
-        upper = float(s[0] ** 2)
-    if not np.isfinite(upper):
-        raise NonFinite("the squared norm of the stacked rows overflows float64")
+    upper = float(linalg._product(s[:1], s[:1], "the squared norm of the stacked rows"))
     return v, s, upper
 
 
@@ -409,9 +402,8 @@ def compose_right(frame: GFrame, u) -> GFrame:
             f"operator is {mat.shape[0]}x{mat.shape[1]}, domain dimension is"
             f" {frame.domain_dim}"
         )
-    return new_gframe(
-        frame.domain_dim, [b @ mat for b in frame.blocks], labels=frame.labels
-    )
+    blocks = [linalg._product(b, mat, f"composed block {i + 1}") for i, b in enumerate(frame.blocks)]
+    return new_gframe(frame.domain_dim, blocks, labels=frame.labels)
 
 
 def inverse_root(frame: GFrame, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -423,6 +415,7 @@ def inverse_root(frame: GFrame, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     s = frame_operator_matrix(frame)
     w, v = np.linalg.eigh(linalg.hermitian_part(s))
+    linalg._finite(w, "the spectrum of the frame operator")
     _check_invertible(float(w[0]), float(w[-1]), tol)
     return linalg.hermitian_part((v * (1.0 / np.sqrt(w))) @ v.conj().T)
 

@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import linalg
 from .errors import EnvelopeViolation, LengthMismatch, NonFinite, ShapeMismatch
 from .gframe import (
     DEFAULT_TOL,
@@ -82,7 +83,10 @@ def make_vector_family(domain_dim: int, groups) -> VectorFamily:
                     f"group {gi + 1} has a vector of length {v.shape[0]},"
                     f" domain dimension is {d}"
                 )
-        frozen.append(_frozen_rows(vecs, d))
+        rows = _frozen_rows(vecs, d)
+        if not np.isfinite(rows).all():
+            raise NonFinite(f"group {gi + 1} contains NaN or Inf entries")
+        frozen.append(rows)
     return VectorFamily(domain_dim=d, groups=tuple(frozen))
 
 
@@ -116,11 +120,9 @@ def make_subspace_spec(groups, envelope: Optional[tuple] = None) -> SubspaceFram
             bounds.append(None)
             continue
         rows = _frozen_rows(vecs, vecs[0].shape[0])
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram = rows.T @ rows.conj()
-        if not np.isfinite(gram).all():
-            raise NonFinite(f"group {gi + 1} has a Gram matrix that is not finite")
-        w = np.linalg.eigvalsh(gram)
+        what = f"group {gi + 1} Gram matrix"
+        w = np.linalg.eigvalsh(linalg._product(rows.T, rows.conj(), what))
+        linalg._finite(w, f"the spectrum of the {what}")
         bounds.append((float(w[0]), float(w[-1])))
         frozen.append(rows)
     present = [b for b in bounds if b is not None]
@@ -153,7 +155,8 @@ def make_subspace_spec(groups, envelope: Optional[tuple] = None) -> SubspaceFram
 def onb_families(dims: Sequence[int], scale: float = 1.0) -> SubspaceFrameSpec:
     """Canonical (optionally scaled) orthonormal bases of each coefficient space."""
     groups = [scale * np.eye(int(dm)) for dm in dims]
-    return make_subspace_spec(groups, envelope=(scale**2, scale**2))
+    square = linalg._finite(float(scale) * float(scale), "the squared scale")
+    return make_subspace_spec(groups, envelope=(square, square))
 
 
 def induced_vectors(frame: GFrame, spec: SubspaceFrameSpec) -> VectorFamily:
@@ -173,7 +176,8 @@ def induced_vectors(frame: GFrame, spec: SubspaceFrameSpec) -> VectorFamily:
                 f"group {i + 1} vector length {rows.shape[1]} does not match"
                 f" block rows {block.shape[0]}"
             )
-        groups.append(rows @ block.conj() if len(rows) else rows)
+        what = f"the induced-vector matrix of group {i + 1}"
+        groups.append(linalg._product(rows, block.conj(), what) if len(rows) else rows)
     return make_vector_family(frame.domain_dim, groups)
 
 
@@ -182,7 +186,7 @@ def vector_frame_operator(family: VectorFamily) -> np.ndarray:
     if not family.flat:
         return np.zeros((family.domain_dim, family.domain_dim))
     rows = np.array(family.flat)
-    return rows.T @ rows.conj()
+    return linalg._product(rows.T, rows.conj(), "the vector frame operator")
 
 
 def _as_gframe(family: VectorFamily) -> GFrame:

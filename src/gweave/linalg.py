@@ -1,4 +1,4 @@
-"""Dense spectral primitives used by every other module.
+"""Dense spectral primitives used by every other module, and the refusal of values past float64.
 
 Matrices are plain numpy arrays, float64 in real mode and complex128
 otherwise.  The tolerances of this module are relative: a symmetry residual
@@ -11,6 +11,20 @@ inversions it guards, the canonical dual and the inverse root; it reads the
 constants here.  Tolerances that callers pass to other modules are as their
 docstrings say; ``gframe.is_dual_pair`` compares its residual with an
 absolute one.
+
+Finite inputs can give values beyond float64: a product of block rows, a
+spectrum, a report's bounds.  This module owns their refusal.  Every such
+product is formed by :func:`_product`, under ``np.errstate`` so that no
+``RuntimeWarning`` is printed, and every such value, formed here or already
+computed, is checked by :func:`_finite`, which raises :class:`NonFinite`
+naming it.  Only the input checks of ``gframe.new_gframe`` and
+``induced.make_vector_family`` raise ``NonFinite`` themselves.  Both helpers
+are private, since ``perfbench/spans.py`` wraps every public function of
+this module in its traced runs.  The ``np.errstate`` blocks of
+``_kernels``, and of the scans in ``weaving``, are no refusals: there an
+overflowing bound, quotient or residual certifies nothing, so the mask is
+solved or the weaving tested alone, and a value beyond float64 reaches a
+report only to be refused there.
 """
 
 from __future__ import annotations
@@ -40,6 +54,19 @@ def as_matrix(m, square: bool = False) -> np.ndarray:
     if square and a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {a.shape}")
     return a
+
+
+def _finite(value, what: str):
+    """``value``, or :class:`NonFinite` naming ``what`` when an entry of it is not finite."""
+    if not np.isfinite(value).all():
+        raise NonFinite(f"{what} is not finite in float64")
+    return value
+
+
+def _product(a, b, what: str) -> np.ndarray:
+    """``a @ b``, formed with no ``RuntimeWarning`` and refused by :func:`_finite` as ``what``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(a @ b, what)
 
 
 def frobenius(a) -> float:
@@ -115,8 +142,8 @@ def hermitian_eig(m) -> HermitianEig:
 
 
 def rayleigh(m, x) -> float:
-    """Real Rayleigh quotient x*Mx / x*x."""
+    """Real Rayleigh quotient x*Mx / x*x; :class:`NonFinite` when a product is beyond float64."""
     x = np.asarray(x).ravel()
-    num = np.vdot(x, np.asarray(m) @ x)
-    den = np.vdot(x, x)
+    num = _product(x.conj(), _product(np.asarray(m), x, "M x"), "x*Mx")
+    den = _product(x.conj(), x, "x*x")
     return float(num.real / den.real)

@@ -18,7 +18,6 @@ import numpy as np
 from . import _kernels, linalg
 from .errors import (
     LengthMismatch,
-    NonFinite,
     NotAFrame,
     NotUnitary,
     NotWoven,
@@ -225,8 +224,8 @@ def _pair_kernel_inputs(first: GFrame, second: GFrame):
         deltas = p.astype(dtype, copy=False)
         deltas -= q
         both = p_sum + q_sum
-    if not all(np.isfinite(m).all() for m in (both, base, *deltas)):
-        raise NonFinite("the Gram matrices of both families sum to entries beyond float64")
+    for m in (both, base, *deltas):  # one delta at a time: no n x d x d mask is formed
+        linalg._finite(m, "the sum of both families' Gram matrices")
     return base, deltas, p_sum, q_sum
 
 
@@ -237,21 +236,32 @@ def _woven_threshold(p_sum: np.ndarray, q_sum: np.ndarray, tol: float) -> float:
     return tol * max(b1, b2)
 
 
-def _scan_pair(first: GFrame, second: GFrame, tol: float) -> UniversalReport:
-    n = first.n_blocks
-    base, deltas, p_sum, q_sum = _pair_kernel_inputs(first, second)
-    lower, amin, upper, amax = _kernels.weaving_scan(base, deltas)
-    threshold = _woven_threshold(p_sum, q_sum, tol)
+def _pair_report(n, extremes, sums, tol, method, examined) -> UniversalReport:
+    """The report of ``extremes``, ``(lower, argmin mask, upper, argmax mask)``, over ``n`` blocks.
+
+    ``sums`` are the two families' Gram sums, which give the threshold.
+    Refuses bounds or a threshold beyond float64.
+    """
+    lower, amin, upper, amax = extremes
+    threshold = _woven_threshold(*sums, tol)
+    linalg._finite([lower, upper, threshold], "a universal bound or the woven threshold")
     return UniversalReport(
         lower=lower,
         upper=upper,
         argmin=WeavingSelection(n, amin),
         argmax=WeavingSelection(n, amax),
         woven=lower > threshold,
-        method="exhaustive",
-        subsets_examined=1 << n,
+        method=method,
+        subsets_examined=examined,
         threshold=threshold,
     )
+
+
+def _scan_pair(first: GFrame, second: GFrame, tol: float) -> UniversalReport:
+    n = first.n_blocks
+    base, deltas, p_sum, q_sum = _pair_kernel_inputs(first, second)
+    extremes = _kernels.weaving_scan(base, deltas)
+    return _pair_report(n, extremes, (p_sum, q_sum), tol, "exhaustive", 1 << n)
 
 
 def universal_bounds_exhaustive(
@@ -469,21 +479,10 @@ def universal_bounds_search(
             down = down[moves]
             here = at[np.arange(len(at)), best][moves]
 
-    lo = np.where(solved, lo, np.inf)
-    hi = np.where(solved, hi, -np.inf)
-    i = int(np.argmin(lo))  # first occurrence: smallest mask among ties
-    j = len(hi) - 1 - int(np.argmax(hi[::-1]))  # last occurrence: largest mask
-    threshold = _woven_threshold(p_sum, q_sum, tol)
-    return UniversalReport(
-        lower=float(lo[i]),
-        upper=float(hi[j]),
-        argmin=WeavingSelection(n, int(seen[i])),
-        argmax=WeavingSelection(n, int(seen[j])),
-        woven=float(lo[i]) > threshold,
-        method="search",
-        subsets_examined=len(seen),
-        threshold=threshold,
-    )
+    # the kernel's tie rule: the smallest mask for the minimum, the largest for the maximum
+    lower, amin = _kernels._least(lo[solved], seen[solved], 1, (np.inf, 0))
+    upper, amax = _kernels._least(-hi[solved], seen[solved], -1, (np.inf, 0))
+    return _pair_report(n, (lower, amin, -upper, amax), (p_sum, q_sum), tol, "search", len(seen))
 
 
 @dataclass(frozen=True)
@@ -768,7 +767,8 @@ def is_weaving_g_riesz(
     for masks, bits in batches:
         lo, hi = operator.extremes(bits)
         counts = _bit_sum(first.block_rows, second.block_rows, bits)
-        settled = (counts == d) & (lo - tol * hi > band)
+        with np.errstate(invalid="ignore"):  # 0 * inf is NaN, and settles nothing
+            settled = (counts == d) & (lo - tol * hi > band)
         for mask in masks[~settled]:
             sel = WeavingSelection(n, int(mask))
             rep = is_g_riesz_basis(weave(first, second, sel), tol)
@@ -808,10 +808,11 @@ def is_weaving_g_onb(
     for masks, bits in batches:
         # |S - I|_F^2 piece by piece: the entries off the components are exact zeros
         diag, stacks = operator.pieces(bits)
-        squares = np.square(diag - 1.0).sum(axis=1)
-        for stack in stacks:
-            stack -= np.eye(stack.shape[-1])
-            squares += np.square(_kernels._flat(stack)).sum(axis=1)
+        with np.errstate(over="ignore"):  # a residual past float64 is inf and settles nothing
+            squares = np.square(diag - 1.0).sum(axis=1)
+            for stack in stacks:
+                stack -= np.eye(stack.shape[-1])
+                squares += np.square(_kernels._flat(stack)).sum(axis=1)
         counts = _bit_sum(first.block_rows, second.block_rows, bits)
         empty = _bit_sum(no_rows1, no_rows2, bits)
         settled = (counts == d) & (empty == 0) & (np.sqrt(squares) <= cut)
@@ -841,8 +842,8 @@ def check_unitary_weaving_invariance(
     if mat.shape[0] != d:
         raise ShapeMismatch(f"operator is {mat.shape[0]}x{mat.shape[0]}, need {d}x{d}")
     eye = np.eye(d)
-    iso = linalg.frobenius(mat.conj().T @ mat - eye)
-    sur = linalg.frobenius(mat @ mat.conj().T - eye)
+    iso = linalg.frobenius(linalg._product(mat.conj().T, mat, "u*u") - eye)
+    sur = linalg.frobenius(linalg._product(mat, mat.conj().T, "u u*") - eye)
     abs_tol = tol * max(1.0, float(d))
     if iso > abs_tol or sur > abs_tol:
         failing = []

@@ -471,6 +471,8 @@ HOSTILE = {
     "overflow": BIG,
     "zero-rows": new_gframe(3, [np.zeros((0, 3)), np.zeros((0, 3))]),
     "d1": new_gframe(1, [[2.0]]),
+    # a finite frame operator, every entry 7.2e307, whose largest eigenvalue is beyond float64
+    "spectrum-overflow": new_gframe(3, [[8.5e153] * 3]),
 }
 
 
@@ -478,7 +480,8 @@ HOSTILE = {
 def test_no_input_escapes_main(tmp_path, capsys, name):
     """Every subcommand answers a hostile document with exit 0, 1 or 2 and lets no exception out.
 
-    RuntimeWarnings are errors in this suite, so a warning escapes too.
+    RuntimeWarnings are errors in this suite, so a warning escapes too.  A
+    command that answers with ``--json`` prints no ``Infinity`` and no ``NaN``.
     """
     path = str(tmp_path / "f.json")
     save_gframe(HOSTILE[name], path)
@@ -494,6 +497,11 @@ def test_no_input_escapes_main(tmp_path, capsys, name):
     for argv in commands:
         assert main(argv) in (0, 1, 2), argv
         capsys.readouterr()
+        if argv[0] in ("bounds", "check", "woven"):
+            code = main([*argv, "--json"])
+            out = capsys.readouterr().out
+            assert code in (0, 1, 2), argv
+            assert code != 0 or ("Infinity" not in out and "NaN" not in out), argv
 
 
 def test_option_defaults_come_from_their_owners(monkeypatch):

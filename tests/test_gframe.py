@@ -188,6 +188,25 @@ class TestDuals:
         second = new_gframe(d, [b + 0.1 * rng.standard_normal(b.shape) for b in first.blocks])
         assert is_dual_pair(first, second) == is_dual_pair(second, first)
 
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_dual_verdict_matches_the_block_sum(self, seed, complex_mode):
+        """One product of the stacked rows decides as the per-block sum does, off the boundary.
+
+        Both add the same terms in another order, so the residuals differ by a
+        few roundings of entries of order 1, far below 1e-6 of a residual near 1e-6.
+        """
+        rng = np.random.default_rng(seed)
+        frame = random_gframe(rng, complex_mode=complex_mode, min_rows_total=8)
+        dual = canonical_dual(frame)
+        noisy = new_gframe(
+            frame.domain_dim, [b + 1e-6 * rng.standard_normal(b.shape) for b in dual.blocks]
+        )
+        mixed = sum(f.conj().T @ g for f, g in zip(frame.blocks, noisy.blocks))
+        residual = np.linalg.norm(mixed - np.eye(frame.domain_dim))
+        assert is_dual_pair(frame, noisy, residual * (1 + 1e-6))
+        assert not is_dual_pair(frame, noisy, residual * (1 - 1e-6))
+
     def test_not_a_frame_rejected(self):
         with pytest.raises(NotAFrame):
             canonical_dual(new_gframe(2, [np.array([1.0, 0.0])]))

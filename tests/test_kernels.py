@@ -781,6 +781,25 @@ def test_neighbour_quotients_of_the_zero_operator_and_a_repeated_extreme(monkeyp
     assert eigh_rows == []
 
 
+def test_neighbour_quotients_past_float64_bound_nothing():
+    """A quotient that overflows reads -inf on an ascent row (+inf on a descent row), not inf or NaN.
+
+    ``base`` is the frame operator of the block ``[x, x, x]`` at ``x = 8.5e153``:
+    every entry is 7.2e307, and its largest eigenvalue, 2.2e308, is beyond
+    float64, so every quotient near its eigenvector overflows.  A descent
+    row, near the eigenvalue 0, keeps a finite quotient.
+    """
+    base = np.full((3, 3), 8.5e153**2)
+    operator = _kernels._SplitOperator(base, np.eye(3)[np.newaxis])
+    masks = np.array([0, 0, 1, 1])
+    lowest = np.array([True, False, True, False])
+    lo, hi = _kernels.mask_spectra(operator, 1, masks)
+    shift = np.where(lowest, lo - operator.margin, hi + operator.margin)
+    got = _kernels.neighbour_quotients(operator, masks, lowest, shift)[:, 0]
+    assert np.isfinite(got[lowest]).all()
+    assert (got[~lowest] == -np.inf).all()
+
+
 def _diagonal_quotients(base, deltas, masks, lowest):
     """Each one-bit neighbour's least diagonal entry where ``lowest`` holds, else its greatest."""
     n = len(deltas)

@@ -1,9 +1,17 @@
-"""Spectral primitive contracts, checked against charpoly and sampling oracles."""
+"""Spectral primitive contracts, checked against charpoly and sampling oracles.
+
+Also the refusal of values beyond float64, which ``linalg`` owns.
+"""
+
+import ast
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gweave import linalg
+import gweave
+from gweave import gframe, induced, linalg, weaving
 from gweave.errors import NonFinite, NonHermitian, ShapeMismatch
 
 from oracles import charpoly_eigenvalues, rayleigh_sample_range
@@ -78,3 +86,76 @@ class TestHermitianEig:
         lo, hi, _ = rayleigh_sample_range(m, 1000, seed + 100)
         assert eig.eigenvalues[0] - 1e-9 <= lo
         assert hi <= eig.eigenvalues[-1] + 1e-9
+
+
+# Products of finite inputs with entries near 1e200 pass float64.
+H = 1e200
+WIDE = gframe.new_gframe(2, [[H, H], [1.0, 0.0]])
+ONE = gframe.new_gframe(2, [[1.0, 0.0], [0.0, 1.0]])
+# Every entry of the frame operator of [[x, x, x]] is 7.2e307, finite, but
+# its largest eigenvalue 3 x^2 = 2.2e308 is beyond float64.
+F = gframe.new_gframe(3, [[8.5e153] * 3])
+
+BEYOND_FLOAT64 = {
+    "apply": lambda: gframe.apply(WIDE, [H, H]),
+    "coefficient_energy": lambda: gframe.coefficient_energy(ONE, [H, 1.0]),
+    "compose_right": lambda: gframe.compose_right(WIDE, np.diag([H, 1.0])),
+    "induced_vectors": lambda: induced.induced_vectors(WIDE, induced.onb_families([1, 1], 1e150)),
+    "check_weaving_transfer": lambda: induced.check_weaving_transfer(
+        WIDE, ONE, induced.onb_families([1, 1], 1e150), induced.onb_families([1, 1])
+    ),
+    "vector_frame_operator": lambda: induced.vector_frame_operator(
+        induced.make_vector_family(2, [[[H, H]]])
+    ),
+    "unitary_invariance": lambda: weaving.check_unitary_weaving_invariance(
+        ONE, ONE, np.diag([H, 1.0])
+    ),
+    "rayleigh": lambda: linalg.rayleigh(np.diag([H, 1.0]), [H, 1.0]),
+    "F-frame_operator": lambda: gframe.frame_operator(F),
+    "F-optimal_bounds": lambda: gframe.optimal_bounds(F),
+    "F-is_g_exact": lambda: gframe.is_g_exact(F),
+    "F-canonical_dual": lambda: gframe.canonical_dual(F),
+    "F-inverse_root": lambda: gframe.inverse_root(F),
+    "F-parseval_transform": lambda: gframe.parseval_transform(F),
+    "F-check_dual_weaving": lambda: weaving.check_dual_weaving(F),
+    "F-exhaustive": lambda: weaving.universal_bounds_exhaustive(F, F),
+    "F-search": lambda: weaving.universal_bounds_search(F, F, 1),
+    "F-is_weaving_g_onb": lambda: weaving.is_weaving_g_onb(F, F),
+    "F-is_weaving_g_riesz-tol-0": lambda: weaving.is_weaving_g_riesz(F, F, 0.0),
+    "F-group_spectrum": lambda: induced.make_subspace_spec([[np.full(3, 8.5e153)]]),
+    "nan_vector": lambda: induced.make_vector_family(1, [[[1.0]], [[np.nan]]]),
+    "inf_vector": lambda: induced.make_vector_family(2, [[[1.0, np.inf]]]),
+    "onb_scale": lambda: induced.onb_families([1], scale=1e200),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BEYOND_FLOAT64))
+def test_values_beyond_float64_are_refused_without_a_warning(name):
+    """Finite inputs whose products, spectra or bounds pass float64, and non-finite vectors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite):
+            BEYOND_FLOAT64[name]()
+
+
+def _raises_nonfinite(node) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return getattr(exc, "id", getattr(exc, "attr", None)) == "NonFinite"
+
+
+def test_only_linalg_refuses_values_beyond_float64():
+    """No function outside ``linalg.py`` raises ``NonFinite``, except two input checks.
+
+    Every other refusal goes through ``linalg._finite``, so the rule has one owner.
+    """
+    found = set()
+    for path in sorted(Path(gweave.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(_raises_nonfinite(node) for node in ast.walk(fn)):
+                    found.add(f"{path.stem}.{fn.name}")
+    assert found == {"gframe.new_gframe", "induced.make_vector_family"}
