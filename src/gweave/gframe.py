@@ -235,7 +235,11 @@ def is_g_exact(frame: GFrame, tol: float = DEFAULT_TOL) -> ExactnessReport:
     split operator with base ``S`` and deltas ``-G_i``, so each removal is
     solved component by component.
     """
-    fo = frame_operator(frame)
+    return _exactness(frame, frame_operator(frame), tol)
+
+
+def _exactness(frame: GFrame, fo: FrameOperatorResult, tol: float) -> ExactnessReport:
+    """:func:`is_g_exact` from the family's :func:`frame_operator`."""
     threshold = tol * fo.upper
     if not fo.lower > threshold:
         raise NotAFrame("exactness is only defined for frames")
@@ -272,28 +276,21 @@ class RieszReport:
     synthesis_min_sv: float
 
 
-def _synthesis(frame: GFrame) -> tuple:
-    """The stacked rows ``V``, their singular values from one values-only SVD, and ``|V|_2^2``.
-
-    Both basis tests read these.  Refuses ``V`` whose squared 2-norm
-    overflows float64; it bounds every entry of ``V V*`` and ``V*V``.
-    """
-    v = stacked_rows(frame)
-    # with no rows, one zero singular value gives the zero bounds
-    s = np.linalg.svd(v, compute_uv=False) if v.size else np.zeros(1)
-    upper = float(linalg._product(s[:1], s[:1], "the squared norm of the stacked rows"))
-    return v, s, upper
+def _spectrum(s: np.ndarray) -> np.ndarray:
+    """The ascending eigenvalues of the frame operator ``s``, from one values-only solve."""
+    w = np.linalg.eigvalsh(linalg.hermitian_part(s))
+    return linalg._finite(w, "the spectrum of the frame operator")
 
 
-def _riesz(frame: GFrame, synthesis: tuple, tol: float) -> RieszReport:
-    v, s, upper = synthesis
-    count = v.shape[0]
-    # With more vectors than dimensions the synthesis map has a kernel, so
-    # the true lower Riesz bound over coefficient sequences is zero.
-    lower = 0.0 if count > frame.domain_dim else float(s[-1] ** 2)
-    min_sv = float(s[-1]) if count <= frame.domain_dim else 0.0
-    ok = count == frame.domain_dim and lower > tol * upper
-    return RieszReport(ok, lower, upper, count, min_sv)
+def _riesz(frame: GFrame, w: np.ndarray, tol: float) -> RieszReport:
+    count, d = sum(frame.block_rows), frame.domain_dim
+    # The squared singular values of the stacked rows V are the top
+    # min(count, d) eigenvalues w of S = V*V.  With more vectors than
+    # dimensions V has a kernel, so the lower Riesz bound is zero.
+    lower = float(w[d - count]) if 0 < count <= d else 0.0
+    upper = float(w[-1])
+    ok = count == d and lower > tol * upper
+    return RieszReport(ok, lower, upper, count, float(np.sqrt(max(lower, 0.0))))
 
 
 def is_g_riesz_basis(frame: GFrame, tol: float = DEFAULT_TOL) -> RieszReport:
@@ -301,9 +298,10 @@ def is_g_riesz_basis(frame: GFrame, tol: float = DEFAULT_TOL) -> RieszReport:
 
     The family is a Riesz basis exactly when the induced vectors number
     ``domain_dim`` and the synthesis matrix has full rank; the reported
-    bounds are the squared extreme singular values.
+    bounds are its squared extreme singular values, read from the spectrum
+    of the frame operator.
     """
-    return _riesz(frame, _synthesis(frame), tol)
+    return _riesz(frame, _spectrum(frame_operator_matrix(frame)), tol)
 
 
 @dataclass(frozen=True)
@@ -314,12 +312,15 @@ class OnbReport:
     first_zero_row: Optional[tuple]  # (block index, row index), 1-based
 
 
-def _onb(frame: GFrame, synthesis: tuple, tol: float) -> OnbReport:
-    v, _, upper = synthesis
-    d = frame.domain_dim
-    cross = linalg.frobenius(v @ v.conj().T - np.eye(v.shape[0]))
-    parseval = linalg.frobenius(v.conj().T @ v - np.eye(d))
-    abs_tol = tol * max(1.0, upper)
+def _onb(frame: GFrame, w: np.ndarray, tol: float) -> OnbReport:
+    count, d = sum(frame.block_rows), frame.domain_dim
+    # V*V - I has the eigenvalues w - 1.  V V* - I shares those of the top
+    # min(count, d) of w and has count - d more equal to -1.
+    with np.errstate(over="ignore"):  # a residual past float64 is inf and settles nothing
+        squares = np.square(w - 1.0)
+        parseval = float(np.sqrt(squares.sum()))
+        cross = float(np.sqrt(squares[max(d - count, 0):].sum() + max(count - d, 0)))
+    abs_tol = tol * max(1.0, float(w[-1]))
     zero_row = None
     for i, b in enumerate(frame.blocks):
         if b.shape[0] == 0:
@@ -338,17 +339,23 @@ def is_g_orthonormal_basis(frame: GFrame, tol: float = DEFAULT_TOL) -> OnbReport
     """Orthonormal-basis classification.
 
     Condition (i), the cross-Gram identity between all block pairs, is
-    equivalent to the stacked rows having identity Gram; condition (ii) is
-    the Parseval identity for the frame operator.  Both residuals are
-    allowed ``tol`` times ``max(1, |V|_2^2)`` for the stacked rows ``V``.
+    equivalent to the stacked rows ``V`` having identity Gram; condition
+    (ii) is the Parseval identity for the frame operator ``S = V*V``.  Both
+    residuals are read from the spectrum of ``S`` and allowed ``tol`` times
+    ``max(1, lambda_max(S))``.
     """
-    return _onb(frame, _synthesis(frame), tol)
+    return _onb(frame, _spectrum(frame_operator_matrix(frame)), tol)
+
+
+def _basis_tests(frame: GFrame, s: np.ndarray, tol: float) -> tuple:
+    """Both basis tests of ``frame``, whose frame operator is ``s``, from one solve of ``s``."""
+    w = _spectrum(s)
+    return _riesz(frame, w, tol), _onb(frame, w, tol)
 
 
 def basis_tests(frame: GFrame, tol: float = DEFAULT_TOL) -> tuple:
-    """:func:`is_g_riesz_basis` and :func:`is_g_orthonormal_basis`, from one SVD of the rows."""
-    synthesis = _synthesis(frame)
-    return _riesz(frame, synthesis, tol), _onb(frame, synthesis, tol)
+    """:func:`is_g_riesz_basis` and :func:`is_g_orthonormal_basis`, from one spectrum of ``S``."""
+    return _basis_tests(frame, frame_operator_matrix(frame), tol)
 
 
 @dataclass(frozen=True)
@@ -362,16 +369,21 @@ class Classification:
 
 
 def classify(frame: GFrame, tol: float = DEFAULT_TOL) -> Classification:
-    """All four predicates at once, with a diagnostics summary."""
-    bounds = optimal_bounds(frame, tol)
-    riesz, onb = basis_tests(frame, tol)
-    if bounds.is_frame:
-        exact = is_g_exact(frame, tol)
+    """All four predicates at once, with a diagnostics summary.
+
+    ``S`` is formed once: its :func:`frame_operator` gives the bounds and the
+    exactness test, and one values-only solve of it both basis tests.
+    """
+    fo = frame_operator(frame)
+    is_frame = fo.lower > tol * fo.upper
+    riesz, onb = _basis_tests(frame, fo.s, tol)
+    if is_frame:
+        exact = _exactness(frame, fo, tol)
         is_exact, witness = exact.is_exact, exact.witness
     else:
         is_exact, witness = False, None
     parts = [
-        f"bounds=({bounds.lower:.6g}, {bounds.upper:.6g})",
+        f"bounds=({fo.lower:.6g}, {fo.upper:.6g})",
         f"riesz_bounds=({riesz.lower:.6g}, {riesz.upper:.6g})",
         f"induced_vectors={riesz.vector_count}",
         f"cross_gram_residual={onb.cross_gram_residual:.3e}",
@@ -385,7 +397,7 @@ def classify(frame: GFrame, tol: float = DEFAULT_TOL) -> Classification:
             f" row {onb.first_zero_row[1]})"
         )
     return Classification(
-        is_g_frame=bounds.is_frame,
+        is_g_frame=is_frame,
         is_g_exact=is_exact,
         is_g_riesz=riesz.is_riesz,
         is_g_onb=onb.is_onb,

@@ -140,10 +140,3 @@ def hermitian_eig(m) -> HermitianEig:
     w, v = np.linalg.eigh(a)
     return HermitianEig(eigenvalues=w, eigenvectors=_fix_phases(v))
 
-
-def rayleigh(m, x) -> float:
-    """Real Rayleigh quotient x*Mx / x*x; :class:`NonFinite` when a product is beyond float64."""
-    x = np.asarray(x).ravel()
-    num = _product(x.conj(), _product(np.asarray(m), x, "M x"), "x*Mx")
-    den = _product(x.conj(), x, "x*x")
-    return float(num.real / den.real)

@@ -711,7 +711,7 @@ def _guard_band(first: GFrame, second: GFrame, tol: float) -> float:
 
     Both paths compute functions of ``S = V*V`` for the stacked rows ``V`` of
     a weaving.  With ``T = |first|_F^2 + |second|_F^2``, every entry sum
-    along the way, every ``lambda_max(S)`` and ``|V|_2^2`` are at most ``T``,
+    along the way, every ``lambda_max(S)`` and ``|S|_F`` are at most ``T``,
     so a chain of ``k`` rounded additions is off by at most ``k eps T``:
 
     - kernel: Gram entries (r rows), ``base`` (n), ``deltas`` (1),
@@ -727,9 +727,14 @@ def _guard_band(first: GFrame, second: GFrame, tol: float) -> float:
       by ``d^2 eps R^2``.  The residual test settles a weaving only when
       ``R < tol < 1/3``; then ``T >= tr S >= d - sqrt(d) R >= 2d/3``, so
       ``R`` is off by at most ``d^2 eps R / 2 <= d eps T``;
-    - per GFrame: the SVD of ``V`` gives squared singular values to
-      ``2d eps |V|_2^2``, and ``V V*`` or ``V*V`` takes d-term sums; one
-      more for the final norm: ``2d + 1``.
+    - per GFrame, on a weaving of ``d`` rows: ``S = V*V`` takes d-term sums
+      (d), its Hermitian part one more rounding (1), and its values-only
+      eigensolve is off by ``d eps |S|_F`` (d); by the Hoffman-Wielandt
+      theorem each of these moves the vector of eigenvalues by at most its
+      Frobenius size.  The residuals ``|w - 1|`` then take a subtraction, a
+      sum of ``d`` squares and a root (2): with ``R < 1/3`` and
+      ``T >= 2d/3`` the sum is off by ``d eps R^2``, so ``R`` by
+      ``d eps R / 2 < eps T``.  In all ``2d + 3``.
 
     A test ``lambda_min - tol lambda_max`` moves by ``1 + |tol|`` times the
     error of the eigenvalues.  ``eps`` is twice the unit roundoff, which
@@ -738,7 +743,7 @@ def _guard_band(first: GFrame, second: GFrame, tol: float) -> float:
     n, d = first.n_blocks, first.domain_dim
     r = max(first.block_rows + second.block_rows)
     scale = sum(float(np.vdot(b, b).real) for b in first.blocks + second.blocks)
-    return (1.0 + abs(tol)) * (2 * n + 3 * d + r + 3) * np.finfo(np.float64).eps * scale
+    return (1.0 + abs(tol)) * (2 * n + 3 * d + r + 5) * np.finfo(np.float64).eps * scale
 
 
 def is_weaving_g_riesz(

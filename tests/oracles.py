@@ -6,8 +6,9 @@ Rayleigh quotients come from sampling plus matrix-vector power refinement,
 universal weaving bounds come from plain enumeration over explicitly
 constructed mixed families, the "every weaving is a basis" verdicts come
 from the per-weaving classifiers run on every selection in turn, the
-sampled search runs its descents one after another over a mask cache, and
-the exhaustive scan solves every mask.
+sampled search runs its descents one after another over a mask cache, the
+exhaustive scan solves every mask, and the single-family basis tests come
+from a values-only SVD of the stacked rows and two Gram products.
 """
 
 from __future__ import annotations
@@ -168,6 +169,39 @@ def brute_weaving_basis(first, second, kind: str, tol: float):
     if kind == "riesz":
         return WeavingBasisReport(True, None, float(lower), float(upper))
     return WeavingBasisReport(True, None, 1.0, 1.0)
+
+
+def svd_basis_tests(frame, tol: float = 1e-8) -> dict:
+    """The Riesz and orthonormal-basis tests of one family, from its stacked rows ``V``.
+
+    Riesz: ``upper`` is the largest squared singular value of ``V``, from one
+    values-only SVD, and ``lower`` the smallest with at most ``d`` rows, else
+    0; a Riesz basis has ``d`` rows and ``lower > tol upper``.  ONB: the
+    residuals ``|V V* - I|_F`` and ``|V*V - I|_F`` of the two Gram products,
+    each allowed ``tol max(1, upper)``, and no row of norm within that
+    allowance and no block without rows.
+    """
+    d = frame.domain_dim
+    rows = [b for b in frame.blocks if b.shape[0]]
+    v = np.vstack(rows) if rows else np.zeros((0, d))
+    count = v.shape[0]
+    s = np.linalg.svd(v, compute_uv=False) if v.size else np.zeros(1)
+    upper = float(s[0] ** 2)
+    min_sv = float(s[-1]) if count <= d else 0.0
+    cross = float(np.linalg.norm(v @ v.conj().T - np.eye(count)))
+    parseval = float(np.linalg.norm(v.conj().T @ v - np.eye(d)))
+    allowed = tol * max(1.0, upper)
+    short = bool(count) and np.linalg.norm(v, axis=1).min() <= allowed
+    zero_row = len(rows) < frame.n_blocks or short
+    return {
+        "is_riesz": count == d and min_sv**2 > tol * upper,
+        "lower": min_sv**2,
+        "upper": upper,
+        "synthesis_min_sv": min_sv,
+        "is_onb": cross <= allowed and parseval <= allowed and not zero_row,
+        "cross_gram_residual": cross,
+        "parseval_residual": parseval,
+    }
 
 
 def sequential_bounds_search(first, second, budget: int, seed: int = 0, tol: float = 1e-8):

@@ -30,7 +30,7 @@ from gweave.gframe import (
 from gweave.suite import build_nonunitary_operators, build_projection_family, random_unitary
 
 from conftest import linalg_calls, random_frame, random_gframe
-from oracles import rayleigh_sample_range
+from oracles import rayleigh_sample_range, svd_basis_tests
 
 GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0, (3.0 + math.sqrt(5.0)) / 2.0
 
@@ -135,8 +135,9 @@ class TestFrameOperator:
         rng = np.random.default_rng(17)
         frame = random_gframe(rng, d=4, n=4)
         fo = frame_operator(frame)
-        assert linalg.rayleigh(fo.s, fo.witness_low) == pytest.approx(fo.lower, abs=1e-9)
-        assert linalg.rayleigh(fo.s, fo.witness_high) == pytest.approx(fo.upper, abs=1e-9)
+        for x, value in ((fo.witness_low, fo.lower), (fo.witness_high, fo.upper)):
+            quotient = np.vdot(x, fo.s @ x).real / np.vdot(x, x).real
+            assert quotient == pytest.approx(value, abs=1e-9)
 
 
 class TestOptimalBounds:
@@ -437,16 +438,88 @@ class TestClassification:
         assert cls.is_g_frame and cls.is_g_exact and cls.is_g_riesz and cls.is_g_onb
 
     @pytest.mark.parametrize("complex_mode", [False, True])
-    def test_one_svd_answers_both_basis_tests(self, monkeypatch, complex_mode):
+    def test_one_spectrum_answers_both_basis_tests(self, monkeypatch, complex_mode):
+        """No SVD: one values-only solve of ``S`` per family; ``classify`` adds one ``eigh``."""
         frame = random_gframe(np.random.default_rng(6), complex_mode=complex_mode)
         riesz, onb = is_g_riesz_basis(frame), is_g_orthonormal_basis(frame)
-        calls = linalg_calls(monkeypatch, "svd")
+        s = linalg.hermitian_part(frame_operator_matrix(frame))
+        calls = linalg_calls(monkeypatch, "svd", "eigh")
+        solved = []
+        real_eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda a, *r, **k: solved.append(a) or real_eigvalsh(a, *r, **k)
+        )
         cls = classify(frame)
-        assert calls == ["svd"]
+        assert cls.is_g_frame and calls == ["eigh"]
+        # the exactness test's kernel solves stacks of component matrices, one axis more
+        matrices = [a for a in solved if a.ndim == 2]
+        assert len(matrices) == 1
+        np.testing.assert_array_equal(matrices[0], s)
         assert (cls.is_g_riesz, cls.is_g_onb) == (riesz.is_riesz, onb.is_onb)
         calls.clear()
+        solved.clear()
         assert basis_tests(frame) == (riesz, onb)
-        assert calls == ["svd"]
+        assert is_g_riesz_basis(frame) == riesz and is_g_orthonormal_basis(frame) == onb
+        assert calls == [] and len(solved) == 3
+        for a in solved:
+            np.testing.assert_array_equal(a, s)
+
+
+CORPUS_KINDS = ["near_orthonormal", "square", "wide", "tall", "rank_deficient", "column_scaled"]
+
+
+def _corpus_family(rng, kind, complex_mode):
+    """Stacked rows of one kind, d from 1 to 8, cut into blocks of one or more rows."""
+    d = int(rng.integers(1, 9))
+
+    def gaussian(rows, cols):
+        g = rng.standard_normal((rows, cols))
+        return g + 1j * rng.standard_normal((rows, cols)) if complex_mode else g
+
+    if kind == "near_orthonormal":
+        v = np.linalg.qr(gaussian(d, d))[0] + 10 ** rng.uniform(-12, -4) * gaussian(d, d)
+    elif kind == "square":
+        v = gaussian(d, d)
+    elif kind == "wide":  # fewer rows than d, none at all included
+        v = gaussian(int(rng.integers(0, d)), d)
+    elif kind == "tall":
+        v = gaussian(d + int(rng.integers(1, d + 3)), d)
+    elif kind == "rank_deficient":
+        rank = int(rng.integers(0, d))
+        v = gaussian(int(rng.integers(1, d + 3)), rank) @ gaussian(rank, d)
+    else:  # column_scaled
+        v = gaussian(d, d)
+        v[:, int(rng.integers(d))] *= 10.0 ** -int(rng.integers(2, 7))
+    cuts = np.sort(rng.integers(0, len(v) + 1, size=int(rng.integers(0, 4))))
+    return new_gframe(d, [b for b in np.split(v, cuts) if len(b)] or [np.zeros((0, d))])
+
+
+@pytest.mark.parametrize("complex_mode", [False, True])
+@pytest.mark.parametrize("kind", CORPUS_KINDS)
+def test_basis_tests_match_the_svd_reference(kind, complex_mode):
+    """The spectrum of ``S`` gives an SVD of the rows' verdicts, and its values to ``eps |S|``.
+
+    A singular value is compared by its square, the eigenvalue of ``S`` it is
+    read from: its root moves by up to 5e-11 on a column scaled by 1e-6.
+    """
+    rng = np.random.default_rng([CORPUS_KINDS.index(kind), complex_mode])
+    for _ in range(50):
+        frame = _corpus_family(rng, kind, complex_mode)
+        riesz, onb = basis_tests(frame)
+        ref = svd_basis_tests(frame)
+        assert (riesz.is_riesz, onb.is_onb) == (ref["is_riesz"], ref["is_onb"])
+        assert riesz.vector_count == sum(frame.block_rows)
+        got = {
+            "lower": riesz.lower,
+            "upper": riesz.upper,
+            "cross_gram_residual": onb.cross_gram_residual,
+            "parseval_residual": onb.parseval_residual,
+            "min_sv_squared": riesz.synthesis_min_sv**2,
+        }
+        ref["min_sv_squared"] = ref["synthesis_min_sv"] ** 2
+        bound = 1e-14 * max(1.0, ref["upper"])
+        for key, value in got.items():
+            assert abs(value - ref[key]) <= bound, (key, value, ref[key])
 
 
 class TestOverflow:

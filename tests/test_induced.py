@@ -343,12 +343,26 @@ class TestOperatorIdentity:
         assert rec.computed["max_entry_difference"] > 1e-3
 
     @pytest.mark.parametrize("complex_mode", [False, True])
-    def test_one_svd_per_side(self, monkeypatch, complex_mode):
+    def test_one_spectrum_per_side(self, monkeypatch, complex_mode):
+        """No SVD and no eigenvectors: one values-only solve of each side's operator.
+
+        The other values-only solves are the spec's, one per group Gram matrix.
+        """
         frame = random_gframe(np.random.default_rng(5), complex_mode=complex_mode)
         expected = check_operator_identity(frame)
-        calls = linalg_calls(monkeypatch, "svd")
+        sides = [
+            frame_operator_matrix(frame),
+            vector_frame_operator(induced_vectors(frame, onb_families(frame.block_rows))),
+        ]
+        calls = linalg_calls(monkeypatch, "svd", "eigh")
+        solved = []
+        real_eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a) or real_eigvalsh(a))
         assert check_operator_identity(frame) == expected
-        assert calls == ["svd", "svd"]
+        assert calls == []
+        assert len(solved) == 2 + frame.n_blocks
+        for a, s in zip(solved[-2:], sides):
+            np.testing.assert_array_equal(a, linalg.hermitian_part(s))
 
     def test_orthonormal_basis_with_a_zero_row_block(self):
         frame = new_gframe(2, [[1.0, 0.0], [0.0, 1.0], np.zeros((0, 2))])

@@ -110,7 +110,6 @@ BEYOND_FLOAT64 = {
     "unitary_invariance": lambda: weaving.check_unitary_weaving_invariance(
         ONE, ONE, np.diag([H, 1.0])
     ),
-    "rayleigh": lambda: linalg.rayleigh(np.diag([H, 1.0]), [H, 1.0]),
     "F-frame_operator": lambda: gframe.frame_operator(F),
     "F-optimal_bounds": lambda: gframe.optimal_bounds(F),
     "F-is_g_exact": lambda: gframe.is_g_exact(F),
@@ -122,6 +121,11 @@ BEYOND_FLOAT64 = {
     "F-search": lambda: weaving.universal_bounds_search(F, F, 1),
     "F-is_weaving_g_onb": lambda: weaving.is_weaving_g_onb(F, F),
     "F-is_weaving_g_riesz-tol-0": lambda: weaving.is_weaving_g_riesz(F, F, 0.0),
+    "F-is_g_riesz_basis": lambda: gframe.is_g_riesz_basis(F),
+    "F-is_g_orthonormal_basis": lambda: gframe.is_g_orthonormal_basis(F),
+    "F-basis_tests": lambda: gframe.basis_tests(F),
+    "F-classify": lambda: gframe.classify(F),
+    "F-check_operator_identity": lambda: induced.check_operator_identity(F),
     "F-group_spectrum": lambda: induced.make_subspace_spec([[np.full(3, 8.5e153)]]),
     "nan_vector": lambda: induced.make_vector_family(1, [[[1.0]], [[np.nan]]]),
     "inf_vector": lambda: induced.make_vector_family(2, [[[1.0, np.inf]]]),
@@ -159,3 +163,34 @@ def test_only_linalg_refuses_values_beyond_float64():
                 if any(_raises_nonfinite(node) for node in ast.walk(fn)):
                     found.add(f"{path.stem}.{fn.name}")
     assert found == {"gframe.new_gframe", "induced.make_vector_family"}
+
+
+# numpy functions that take an SVD inside, and the orders of norm that do
+SVD_CALLS = {"pinv", "lstsq", "matrix_rank", "cond"}
+SVD_ORDS = (2, -2, "nuc")
+
+
+def _takes_an_svd(node) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+    if name.startswith("svd") or name in SVD_CALLS:
+        return True
+    if name not in ("norm", "matrix_norm"):
+        return False
+    for order in node.args[1:2] + [k.value for k in node.keywords if k.arg == "ord"]:
+        try:
+            if ast.literal_eval(order) in SVD_ORDS:
+                return True
+        except ValueError:  # an order that is not a literal may be one of them
+            return True
+    return False
+
+
+def test_one_spectral_method():
+    """No module of gweave takes an SVD: every spectrum is an eigensolve of a Hermitian matrix."""
+    found = []
+    for path in sorted(Path(gweave.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _takes_an_svd(node)]
+    assert found == []

@@ -683,11 +683,13 @@ def test_classifiers_build_a_weaving_only_for_the_failure(monkeypatch, kind):
     )
     assert CLASSIFIERS[kind](*passing).holds
     assert built == []
+    if kind == "onb":  # the kernel settles the ONB test with no eigensolve
+        assert solves == []
     rep = CLASSIFIERS[kind](*failing)
     assert not rep.holds
     assert built == [rep.witness.mask]
-    if kind == "onb":
-        assert solves == []
+    if kind == "onb":  # only the per-weaving test of the failure solves, once
+        assert solves == [1]
 
 
 @pytest.mark.parametrize("tol", [0.2, 0.9])
