@@ -274,6 +274,8 @@ def _cmd_woven(args) -> int:
 
 def _cmd_check(args) -> int:
     started = time.perf_counter()
+    if args.with_path is not None and args.kind != "dual":
+        raise SchemaError(f"--with applies only to kind 'dual', not {args.kind!r}")
     frame = load_gframe(args.path)
     paths = [args.path]
     if args.kind == "frame":

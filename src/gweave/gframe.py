@@ -198,9 +198,10 @@ def canonical_dual(frame: GFrame, tol: float = DEFAULT_TOL) -> GFrame:
 def is_dual_pair(first: GFrame, second: GFrame, tol: float = DEFAULT_TOL) -> bool:
     """Whether the mixed synthesis sums reproduce the identity both ways.
 
-    ``M = sum_i first_i* second_i`` must satisfy ``|M - I|_F <= tol``, with
-    ``tol`` an absolute tolerance.  The other way round the sum is ``M*``,
-    and ``|M* - I|_F = |M - I|_F``, so one residual decides both.
+    ``M = sum_i first_i* second_i`` must satisfy ``|M - I|_F <= tol``, as a
+    comparison with the identity, of size 1, through ``linalg._at_most``.
+    The other way round the sum is ``M*``, and ``|M* - I|_F = |M - I|_F``,
+    so one residual decides both.
     """
     if first.n_blocks != second.n_blocks:
         raise LengthMismatch(
@@ -213,7 +214,7 @@ def is_dual_pair(first: GFrame, second: GFrame, tol: float = DEFAULT_TOL) -> boo
     mixed = linalg._product(
         stacked_rows(first).conj().T, stacked_rows(second), "the mixed synthesis sum"
     )
-    return linalg.frobenius(mixed - np.eye(first.domain_dim)) <= tol
+    return linalg._at_most(linalg.frobenius(mixed - np.eye(first.domain_dim)), 0.0, 1.0, rtol=tol)
 
 
 @dataclass(frozen=True)
@@ -320,18 +321,18 @@ def _onb(frame: GFrame, w: np.ndarray, tol: float) -> OnbReport:
         squares = np.square(w - 1.0)
         parseval = float(np.sqrt(squares.sum()))
         cross = float(np.sqrt(squares[max(d - count, 0):].sum() + max(count - d, 0)))
-    abs_tol = tol * max(1.0, float(w[-1]))
+    sizes = (1.0, float(w[-1]))
     zero_row = None
     for i, b in enumerate(frame.blocks):
         if b.shape[0] == 0:
             continue
         norms = np.linalg.norm(b, axis=1)
         j = int(np.argmin(norms))
-        if norms[j] <= abs_tol:
+        if linalg._at_most(norms[j], 0.0, *sizes, rtol=tol):
             zero_row = (i + 1, j + 1)
             break
     has_zero_rows = zero_row is not None or any(r == 0 for r in frame.block_rows)
-    ok = cross <= abs_tol and parseval <= abs_tol and not has_zero_rows
+    ok = linalg._at_most(max(cross, parseval), 0.0, *sizes, rtol=tol) and not has_zero_rows
     return OnbReport(ok, cross, parseval, zero_row)
 
 

@@ -39,7 +39,6 @@ from .gframe import (
     optimal_bounds,
 )
 from .weaving import (
-    CHECK_EPS,
     UniversalReport,
     VerificationRecord,
     _check_report,
@@ -139,7 +138,7 @@ def make_subspace_spec(groups, envelope: Optional[tuple] = None) -> SubspaceFram
     for gi, b in enumerate(bounds):
         if b is None:
             continue
-        if not (lo <= b[0] + CHECK_EPS and b[1] <= hi + CHECK_EPS):
+        if not (linalg._at_most(lo, b[0], b[1]) and linalg._at_most(b[1], hi, b[1])):
             raise EnvelopeViolation(
                 f"group {gi + 1} bounds ({b[0]:.6g}, {b[1]:.6g}) escape the"
                 f" envelope ({lo:.6g}, {hi:.6g})"
@@ -228,23 +227,24 @@ def universal_bounds_vectors(
     return universal_bounds_exhaustive(_as_gframe(first), _as_gframe(second), tol, cap)
 
 
-def check_operator_identity(frame: GFrame, tol: float = 1e-12) -> VerificationRecord:
+def check_operator_identity(frame: GFrame, tol: float = linalg.ZERO_RTOL) -> VerificationRecord:
     """The block frame operator equals the induced-vector frame operator.
 
     Both are the same sum of rank-one terms, so the entrywise difference must
-    sit at rounding level, and the Riesz and orthonormality verdicts computed
+    sit at rounding level, at most ``tol`` times the largest entry of the
+    block operator, and the Riesz and orthonormality verdicts computed
     on either side, from the spectrum of that side's operator, must agree.
     """
-    spec = onb_families(frame.block_rows)
-    vectors = induced_vectors(frame, spec)
+    vectors = induced_vectors(frame, onb_families(frame.block_rows))
     s_blocks = frame_operator_matrix(frame)
     s_vectors = vector_frame_operator(vectors)
-    diff = float(np.max(np.abs(s_blocks - s_vectors))) if s_blocks.size else 0.0
+    diff = float(np.abs(s_blocks - s_vectors).max(initial=0.0))
+    size = float(np.abs(s_blocks).max(initial=0.0))
     riesz, onb = _basis_tests(frame, s_blocks, DEFAULT_TOL)
     riesz_b, onb_b = riesz.is_riesz, onb.is_onb
     riesz, onb = _basis_tests(_as_gframe(vectors), s_vectors, DEFAULT_TOL)
     riesz_v, onb_v = riesz.is_riesz, onb.is_onb
-    ok = diff <= tol and riesz_b == riesz_v and onb_b == onb_v
+    ok = linalg._at_most(diff, 0.0, size, rtol=tol) and riesz_b == riesz_v and onb_b == onb_v
     return VerificationRecord(
         name="operator-identity",
         passed=ok,
@@ -255,7 +255,7 @@ def check_operator_identity(frame: GFrame, tol: float = 1e-12) -> VerificationRe
             "onb_blocks": onb_b,
             "onb_vectors": onb_v,
         },
-        expected={"max_entry_difference_at_most": tol, "verdicts_match": True},
+        expected={"max_entry_difference_at_most": tol * size, "verdicts_match": True},
     )
 
 
@@ -298,10 +298,10 @@ def check_weaving_transfer(
         a_g, b_g = report.lower, report.upper
         a_v, b_v = v_rep.lower, v_rep.upper
         ok = (
-            a_v >= a_g * min(a1, a2) - CHECK_EPS
-            and b_v <= b_g * max(b1, b2) + CHECK_EPS
-            and a_g >= a_v / max(b1, b2) - CHECK_EPS
-            and b_g <= b_v / min(a1, a2) + CHECK_EPS
+            linalg._at_most(a_g * min(a1, a2), a_v, b_g, b_v)
+            and linalg._at_most(b_v, b_g * max(b1, b2), b_g, b_v)
+            and linalg._at_most(a_v / max(b1, b2), a_g, b_g, b_v)
+            and linalg._at_most(b_g, b_v / min(a1, a2), b_g, b_v)
         )
     return VerificationRecord(
         name="weaving-transfer",

@@ -1,16 +1,21 @@
-"""Dense spectral primitives used by every other module, and the refusal of values past float64.
+"""Dense spectral primitives, the one tolerance rule, and the refusal of values past float64.
 
 Matrices are plain numpy arrays, float64 in real mode and complex128
-otherwise.  The tolerances of this module are relative: a symmetry residual
-is compared with ``HERMITIAN_RTOL`` times ``max(1, |A|_F)``, and the smallest
-eigenvalue in a rank test with ``RANK_RTOL`` times the largest, each with an
-absolute floor of 1e-12.  So rescaling a problem whose norm is at least 1
-does not change which inputs are accepted.  The one rank test, the refusal
-of a frame operator before it is inverted, lives in ``gframe`` with the two
-inversions it guards, the canonical dual and the inverse root; it reads the
-constants here.  Tolerances that callers pass to other modules are as their
-docstrings say; ``gframe.is_dual_pair`` compares its residual with an
-absolute one.
+otherwise.
+
+Every comparison that allows for rounding goes through :func:`_at_most`:
+``a <= b`` up to ``rtol`` times the largest of ``sizes``, the sizes of the
+operators whose values are compared (their largest eigenvalues, or 1 for the
+identity).  A computed eigenvalue errs by a small multiple of ``eps |S|``, so
+the slack scales with the operators.  The ``rtol`` is ``CHECK_RTOL`` for the
+paper's exact statements, checked in ``weaving``, ``induced`` and ``suite``;
+``ZERO_RTOL`` for a value that is zero in exact arithmetic;
+``HERMITIAN_RTOL`` for a symmetry residual, sized by 1 and ``|A|_F``; and a
+classification's ``tol`` for the basis, dual-pair and unitary residuals.
+The one absolute tolerance is ``ABS_FLOOR``, the floor of the rank test:
+``gframe`` refuses a frame operator before inverting it unless its smallest
+eigenvalue exceeds the larger of ``RANK_RTOL`` times the largest and
+``ABS_FLOOR``.
 
 Finite inputs can give values beyond float64: a product of block rows, a
 spectrum, a report's bounds.  This module owns their refusal.  Every such
@@ -36,8 +41,10 @@ import numpy as np
 from .errors import NonFinite, NonHermitian, ShapeMismatch
 
 ABS_FLOOR = 1e-12
+CHECK_RTOL = 1e-9
 HERMITIAN_RTOL = 1e-8
 RANK_RTOL = 1e-10
+ZERO_RTOL = 1e-12
 
 
 def as_matrix(m, square: bool = False) -> np.ndarray:
@@ -69,6 +76,14 @@ def _product(a, b, what: str) -> np.ndarray:
         return _finite(a @ b, what)
 
 
+def _at_most(a, b, *sizes, rtol: float = CHECK_RTOL) -> bool:
+    """``a <= b`` up to ``rtol`` times the largest magnitude among ``sizes``.
+
+    A strict test ``a < b`` is the negated reverse, ``not _at_most(b, a, ...)``.
+    """
+    return bool(a <= b + rtol * max(map(abs, sizes)))
+
+
 def frobenius(a) -> float:
     with np.errstate(over="ignore"):  # a norm beyond float64 is inf
         return float(np.linalg.norm(a))
@@ -86,7 +101,7 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 def _require_hermitian(m) -> np.ndarray:
     a = as_matrix(m, square=True)
     defect = hermitian_defect(a)
-    if defect > max(HERMITIAN_RTOL * max(1.0, frobenius(a)), ABS_FLOOR):
+    if not _at_most(defect, 0.0, 1.0, frobenius(a), rtol=HERMITIAN_RTOL):
         raise NonHermitian(f"symmetry residual {defect:.3e} exceeds tolerance")
     return hermitian_part(a)
 

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import linalg
 from ._kernels import _MAX_BLOCKS
 from .errors import GWeaveError, ShapeMismatch, TooManyBlocks
 from .gframe import (
@@ -37,7 +38,6 @@ from .induced import (
     onb_families,
 )
 from .weaving import (
-    CHECK_EPS,
     WeavingSelection,
     _check_budget,
     _check_seed,
@@ -395,15 +395,18 @@ def _universal(pair: ExampleInstance, config: SuiteConfig):
         )
 
 
-def _bounds_close(pair_value, expected, eps=CHECK_EPS) -> bool:
-    return abs(pair_value[0] - expected[0]) <= eps and abs(pair_value[1] - expected[1]) <= eps
+def _bounds_close(pair_value, expected) -> bool:
+    """Both ends equal, up to the check slack sized by the two upper ends."""
+    sizes = pair_value[1], expected[1]
+    return all(linalg._at_most(abs(v - e), 0.0, *sizes) for v, e in zip(pair_value, expected))
 
 
 def _universal_matches(rep, expected) -> bool:
     """Exhaustive bounds equal ``expected``; sampled bounds only ever shrink it, so lie inside."""
     if rep.method == "exhaustive":
         return _bounds_close((rep.lower, rep.upper), expected)
-    return rep.lower >= expected[0] - CHECK_EPS and rep.upper <= expected[1] + CHECK_EPS
+    inside = (expected[0], rep.lower), (rep.upper, expected[1])
+    return all(linalg._at_most(a, b, rep.upper, expected[1]) for a, b in inside)
 
 
 def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
@@ -481,14 +484,15 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
             {"bounds": "declared", "one_row_variant_is_onb": "declared"},
         )
 
-    # Shifted pair: not woven, and the certificate is the singleton {1}.
+    # Shifted pair: not woven, and the certificate is the singleton {1}.  Both
+    # families' frame operators are the identity, so the zero lower bound has size 1.
     with statement("shifted-projections-not-woven") as record:
         sh_rep = shifted_universal()
         sh_first = optimal_bounds(shifted.first, tol)
         sh_second = optimal_bounds(shifted.second, tol)
         sh_ok = (
             not sh_rep.woven
-            and sh_rep.lower <= 1e-12
+            and linalg._at_most(sh_rep.lower, 0.0, 1.0, rtol=linalg.ZERO_RTOL)
             and _bounds_close((sh_first.lower, sh_first.upper), (1.0, 1.0))
             and _bounds_close((sh_second.lower, sh_second.upper), (1.0, 1.0))
         )
@@ -502,7 +506,7 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
                 "universal_lower": sh_rep.lower,
                 "certificate": list(sh_rep.argmin.indices),
             },
-            {"woven": False, "certificate": [1], "universal_lower_at_most": 1e-12},
+            {"woven": False, "certificate": [1], "universal_lower_at_most": linalg.ZERO_RTOL},
             shifted.provenance,
         )
 
@@ -612,11 +616,10 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
     with statement("scaled-split-envelope") as record:
         sc_rep = scaled_universal()
         sc_first, sc_second = scaled_families()
+        sizes = sc_first.upper, sc_second.upper
         record(
-            sc_rep.lower <= min(sc_first.lower, sc_second.lower) + CHECK_EPS
-            and sc_rep.upper >= max(sc_first.upper, sc_second.upper) - CHECK_EPS
-            and sc_rep.lower < min(sc_first.lower, sc_second.lower) - CHECK_EPS
-            and sc_rep.upper > max(sc_first.upper, sc_second.upper) + CHECK_EPS,
+            not linalg._at_most(min(sc_first.lower, sc_second.lower), sc_rep.lower, *sizes)
+            and not linalg._at_most(sc_rep.upper, max(sizes), *sizes),
             sc_rep.method,
             {"universal": (sc_rep.lower, sc_rep.upper)},
             {
@@ -814,7 +817,7 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
             all(r.passed for r in id_results.values()),
             "exhaustive",
             {name: r.computed["max_entry_difference"] for name, r in id_results.items()},
-            {"max_entry_difference_at_most": 1e-12},
+            {"max_entry_difference_at_most": linalg.ZERO_RTOL},
         )
 
     # Orthonormal weaving survives unitary composition and fails for the two
@@ -853,7 +856,7 @@ def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
         record(
             not shifted_class.is_onb
             and shifted_class.first_zero_row == (1, 1)
-            and first_norm <= 1e-12,
+            and linalg._at_most(first_norm, 0.0, 1.0, rtol=linalg.ZERO_RTOL),
             "exhaustive",
             {
                 "is_onb": shifted_class.is_onb,

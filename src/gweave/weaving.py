@@ -4,7 +4,10 @@ A weaving picks block ``m`` from the first family when ``m`` lies in the
 selection and from the second family otherwise.  Universal bounds are the
 extrema over all selections of the mixed frame operator spectrum; computed
 exhaustively up to a configurable cap and by seeded sampling with one-bit
-local search beyond it.
+local search beyond it.  The statement checks compare computed bounds with
+the paper's exact inequalities through ``linalg._at_most``, sized by the
+upper bounds of the operators compared, so rescaling a pair changes none of
+their verdicts.
 """
 
 from __future__ import annotations
@@ -49,15 +52,11 @@ _ROUND_MASKS = 1 << 12
 MAX_SEARCH_BUDGET = 1 << 20
 ENV_CAP = "GWEAVE_EXHAUSTIVE_CAP"
 
-# Margin used by the inequality checks below; the underlying statements are
-# exact, the margin only absorbs floating-point noise.
-CHECK_EPS = 1e-9
-
 
 def effective_cap(cap: Optional[int] = None) -> int:
     """Exhaustive enumeration cap: explicit argument, else env override, else 20.
 
-    A negative cap is refused.
+    A cap that is no integer (a bool, a float or a string) or is negative is refused.
     """
     if cap is None:
         raw = os.environ.get(ENV_CAP, "").strip()
@@ -67,10 +66,11 @@ def effective_cap(cap: Optional[int] = None) -> int:
             cap = int(raw)
         except ValueError:
             raise TooManyBlocks(f"{ENV_CAP} must be an integer, got {raw!r}")
-    cap = int(cap)
+    if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)):
+        raise TooManyBlocks(f"the exhaustive cap must be an integer, got {cap!r}")
     if cap < 0:
         raise TooManyBlocks(f"the exhaustive cap must be at least 0, got {cap}")
-    return cap
+    return int(cap)
 
 
 def _check_cap(n: int, cap: Optional[int]) -> None:
@@ -537,6 +537,12 @@ def _check_report(first: GFrame, second: GFrame, report, woven: bool) -> None:
         raise NotWoven(f"universal lower bound {report.lower:.3e} below threshold")
 
 
+def _family_bounds(first: GFrame, second: GFrame, report, woven: bool) -> tuple:
+    """Both families' optimal bounds, once :func:`_check_report` accepts ``report``."""
+    _check_report(first, second, report, woven)
+    return optimal_bounds(first), optimal_bounds(second)
+
+
 def check_additive_upper_bound(
     first: GFrame, second: GFrame, report: UniversalReport
 ) -> VerificationRecord:
@@ -544,15 +550,12 @@ def check_additive_upper_bound(
 
     ``report`` is the pair's :class:`UniversalReport`; a search report checks the interval it found.
     """
-    _check_report(first, second, report, woven=False)
-    b1 = optimal_bounds(first)
-    b2 = optimal_bounds(second)
-    allowed = b1.upper + b2.upper + CHECK_EPS
+    b1, b2 = _family_bounds(first, second, report, woven=False)
     return VerificationRecord(
         name="additive-upper-bound",
-        passed=report.upper <= allowed,
+        passed=linalg._at_most(report.upper, b1.upper + b2.upper, b1.upper, b2.upper),
         computed={"universal_upper": report.upper},
-        expected={"at_most": allowed, "upper_1": b1.upper, "upper_2": b2.upper},
+        expected={"at_most": b1.upper + b2.upper, "upper_1": b1.upper, "upper_2": b2.upper},
     )
 
 
@@ -563,12 +566,10 @@ def check_universal_envelope(
 
     ``report`` is the pair's woven :class:`UniversalReport`; a search report checks its interval.
     """
-    _check_report(first, second, report, woven=True)
-    b1 = optimal_bounds(first)
-    b2 = optimal_bounds(second)
+    b1, b2 = _family_bounds(first, second, report, woven=True)
     ok = (
-        report.lower <= min(b1.lower, b2.lower) + CHECK_EPS
-        and report.upper >= max(b1.upper, b2.upper) - CHECK_EPS
+        linalg._at_most(report.lower, min(b1.lower, b2.lower), b1.upper, b2.upper)
+        and linalg._at_most(max(b1.upper, b2.upper), report.upper, b1.upper, b2.upper)
     )
     return VerificationRecord(
         name="universal-envelope",
@@ -588,12 +589,10 @@ def check_strict_sum_gap(
 
     ``report`` is the pair's woven :class:`UniversalReport`; a search report checks its interval.
     """
-    _check_report(first, second, report, woven=True)
-    b1 = optimal_bounds(first)
-    b2 = optimal_bounds(second)
-    ok = (
-        report.lower < b1.lower + b2.lower - CHECK_EPS
-        and report.upper < b1.upper + b2.upper - CHECK_EPS
+    b1, b2 = _family_bounds(first, second, report, woven=True)
+    ok = not (
+        linalg._at_most(b1.lower + b2.lower, report.lower, b1.upper, b2.upper)
+        or linalg._at_most(b1.upper + b2.upper, report.upper, b1.upper, b2.upper)
     )
     return VerificationRecord(
         name="strict-sum-gap",
@@ -624,7 +623,7 @@ def check_dual_weaving(
     b2 = optimal_bounds(dual, tol).upper
     rep = universal_bounds_exhaustive(frame, dual, tol, cap)
     floor = min(1.0 / (2.0 * b1), 1.0 / (2.0 * b2))
-    ok = rep.lower >= floor - CHECK_EPS and rep.upper <= b1 + b2 + CHECK_EPS
+    ok = linalg._at_most(floor, rep.lower, b1, b2) and linalg._at_most(rep.upper, b1 + b2, b1, b2)
     return VerificationRecord(
         name="dual-weaving",
         passed=ok,
@@ -657,8 +656,8 @@ def check_parseval_transform_weaving(
     ceil = report.upper / report.lower
     ok = (
         transformed.woven
-        and transformed.lower >= floor - CHECK_EPS
-        and transformed.upper <= ceil + CHECK_EPS
+        and linalg._at_most(floor, transformed.lower, transformed.upper)
+        and linalg._at_most(transformed.upper, ceil, transformed.upper)
     )
     return VerificationRecord(
         name="parseval-transform-weaving",
@@ -846,16 +845,14 @@ def check_unitary_weaving_invariance(
     d = first.domain_dim
     if mat.shape[0] != d:
         raise ShapeMismatch(f"operator is {mat.shape[0]}x{mat.shape[0]}, need {d}x{d}")
-    eye = np.eye(d)
-    iso = linalg.frobenius(linalg._product(mat.conj().T, mat, "u*u") - eye)
-    sur = linalg.frobenius(linalg._product(mat, mat.conj().T, "u u*") - eye)
-    abs_tol = tol * max(1.0, float(d))
-    if iso > abs_tol or sur > abs_tol:
-        failing = []
-        if iso > abs_tol:
-            failing.append(f"isometry residual {iso:.3e}")
-        if sur > abs_tol:
-            failing.append(f"surjectivity residual {sur:.3e}")
+    iso = linalg.frobenius(linalg._product(mat.conj().T, mat, "u*u") - np.eye(d))
+    sur = linalg.frobenius(linalg._product(mat, mat.conj().T, "u u*") - np.eye(d))
+    failing = [
+        f"{what} residual {residual:.3e}"
+        for what, residual in (("isometry", iso), ("surjectivity", sur))
+        if not linalg._at_most(residual, 0.0, 1.0, d, rtol=tol)
+    ]
+    if failing:
         raise NotUnitary("; ".join(failing))
     base = is_weaving_g_onb(first, second, tol, cap)
     composed = is_weaving_g_onb(

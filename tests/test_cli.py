@@ -374,6 +374,14 @@ class TestExitCodes:
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: the exhaustive cap must be at least 0, got -3\n"
 
+    @pytest.mark.parametrize("kind", ["frame", "exact", "riesz", "onb"])
+    def test_with_on_a_kind_other_than_dual_is_input_error(self, paths, tmp_path, capsys, kind):
+        for other in (str(tmp_path / "missing.json"), paths["dup"]):
+            assert main(["check", paths["dup"], kind, "--with", other]) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == f"error: --with applies only to kind 'dual', not {kind!r}\n"
+
     def test_cap_exceeded_is_input_error(self, paths, capsys):
         assert (
             main(["woven", paths["sh_first"], paths["sh_second"], "--cap", "3"]) == 2

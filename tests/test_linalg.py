@@ -194,3 +194,58 @@ def test_one_spectral_method():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _takes_an_svd(node)]
     assert found == []
+
+
+def _small_floats_and_eps_names(path: Path) -> list:
+    """Float literals of magnitude below 1e-3, and names ending in ``_EPS`` assigned, in ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    allowed = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            if path.name == "gframe.py" and names == ["DEFAULT_TOL"]:
+                allowed.add(id(node.value))
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n.endswith("_EPS")]
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, float)
+            and 0.0 < abs(node.value) < 1e-3
+            and id(node) not in allowed
+        ):
+            found.append(f"{path.name}:{node.lineno} {node.value!r}")
+    return found
+
+
+def test_one_tolerance_policy():
+    """Every rounding allowance is owned by ``linalg``: no module outside it states a tolerance.
+
+    Outside ``linalg.py`` no float literal below 1e-3 appears, except the
+    classification default ``gframe.DEFAULT_TOL``, and no module defines an
+    ``*_EPS`` constant; comparisons that allow for rounding call
+    ``linalg._at_most`` with one of ``linalg``'s relative tolerances.
+    """
+    found = []
+    for path in sorted(Path(gweave.__file__).parent.glob("*.py")):
+        names = _small_floats_and_eps_names(path)
+        found += [f for f in names if path.name != "linalg.py" or f.endswith("_EPS")]
+    assert found == []
+
+
+class TestAtMost:
+    def test_slack_is_relative_to_the_largest_size(self):
+        assert linalg._at_most(1.0 + 1e-10, 1.0, 1.0)
+        assert not linalg._at_most(1.0 + 1e-8, 1.0, 1.0)
+        assert linalg._at_most(2.0**40 * (1.0 + 1e-10), 2.0**40, 2.0**40)
+        assert not linalg._at_most(2.0**-40 * (1.0 + 1e-8), 2.0**-40, 2.0**-40)
+        assert linalg._at_most(1.5, 1.0, 1.0, -1e9)  # the magnitude of a size counts
+
+    def test_rtol_and_strict_form(self):
+        assert linalg._at_most(0.1, 0.0, 1.0, rtol=0.1)
+        assert not linalg._at_most(0.1, 0.0, 1.0, rtol=0.05)
+        assert not linalg._at_most(1.0, 0.0, 0.0)  # a size of zero allows nothing
+        # a strict test is the negated reverse: 1 < 1 + 1e-6 clears the slack, 1 < 1 + 1e-12 does not
+        assert not linalg._at_most(1.0 + 1e-6, 1.0, 1.0)
+        assert linalg._at_most(1.0 + 1e-12, 1.0, 1.0)

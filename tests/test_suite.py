@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gweave import _kernels, suite, weaving
-from gweave.errors import ShapeMismatch
+from gweave.errors import ShapeMismatch, TooManyBlocks
 from gweave.gframe import (
     is_g_exact,
     is_g_orthonormal_basis,
@@ -237,6 +237,16 @@ class TestRunSuite:
         with pytest.raises(ShapeMismatch) as suite_error:
             run_suite(SuiteConfig(search_budget=budget))
         assert str(suite_error.value) == str(search_error.value)
+
+    @pytest.mark.parametrize("cap", [4.0, 7.9, True, "4"])
+    def test_a_cap_that_is_not_an_integer_is_refused(self, cap):
+        with pytest.raises(TooManyBlocks, match=f"must be an integer, got {cap!r}"):
+            run_suite(SuiteConfig(cap=cap))
+
+    def test_a_numpy_integer_cap_runs_as_that_cap(self):
+        report = run_suite(SuiteConfig(cap=np.int64(4)))
+        assert report.to_dict()["config"]["cap"] == 4
+        assert type(report.config.cap) is int
 
     @pytest.mark.parametrize("budget", [2.5, 4.0, True, "4", None])
     def test_a_budget_that_is_not_an_integer_is_refused(self, budget):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gweave import _kernels, linalg, weaving
 from gweave.errors import (
+    GWeaveError,
     LengthMismatch,
     NonFinite,
     NotUnitary,
@@ -21,6 +22,7 @@ from gweave.gframe import (
     new_gframe,
     optimal_bounds,
 )
+from gweave.induced import check_operator_identity, check_weaving_transfer, onb_families
 from gweave.suite import (
     build_duplicate_vs_split_pair,
     build_nonunitary_operators,
@@ -151,6 +153,23 @@ class TestExhaustive:
         frame = build_projection_family(4, 1)
         with pytest.raises(TooManyBlocks):
             universal_bounds_exhaustive(frame, frame)
+
+    @pytest.mark.parametrize("cap", [7.9, 8.0, True, False, "4", "8", None])
+    def test_a_cap_that_is_not_an_integer_is_refused(self, monkeypatch, cap):
+        monkeypatch.delenv("GWEAVE_EXHAUSTIVE_CAP", raising=False)
+        if cap is None:  # no cap reads the environment, which must hold an integer
+            monkeypatch.setenv("GWEAVE_EXHAUSTIVE_CAP", "7.9")
+        frame = build_projection_family(8, 1)
+        with pytest.raises(TooManyBlocks, match="must be an integer"):
+            universal_bounds_exhaustive(frame, frame, cap=cap)
+        with pytest.raises(TooManyBlocks, match="must be an integer"):
+            effective_cap(cap)
+
+    @pytest.mark.parametrize("cap", [np.int64(8), np.uint8(8), 8])
+    def test_numpy_and_python_integer_caps_are_accepted(self, cap):
+        assert effective_cap(cap) == 8 and type(effective_cap(cap)) is int
+        frame = build_projection_family(8, 1)
+        assert universal_bounds_exhaustive(frame, frame, cap=cap).woven
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_swap_symmetry_and_sandwich(self, seed):
@@ -546,6 +565,63 @@ class TestChecks:
         other = universal_bounds_exhaustive(window.first, window.second)
         with pytest.raises(LengthMismatch):
             statement(pair.first, pair.second, other)
+
+
+def _scaled_pair(seed, complex_mode, k):
+    """Two random 6-block frames on C^4 or R^4, every block multiplied by ``2**k``."""
+    rng = np.random.default_rng(seed)
+    pair = [random_frame(rng, d=4, n=6, complex_mode=complex_mode) for _ in range(2)]
+    return [new_gframe(4, [b * 2.0**k for b in f.blocks]) for f in pair]
+
+
+def _statement_verdicts(first, second, spec_scale):
+    """Each statement check's verdict on the pair, or the name of the error it raised."""
+
+    def verdict(check, *args):
+        try:
+            return check(*args).passed
+        except GWeaveError as exc:
+            return type(exc).__name__
+
+    report = universal_bounds_exhaustive(first, second)
+    specs = [onb_families(f.block_rows, spec_scale) for f in (first, second)]
+    on_report = (
+        check_additive_upper_bound,
+        check_universal_envelope,
+        check_strict_sum_gap,
+        check_parseval_transform_weaving,
+    )
+    verdicts = {check.__name__: verdict(check, first, second, report) for check in on_report}
+    verdicts["check_dual_weaving"] = verdict(check_dual_weaving, first)
+    verdicts["check_weaving_transfer"] = verdict(
+        check_weaving_transfer, first, second, *specs, 1e-8, None, report
+    )
+    verdicts["check_operator_identity"] = verdict(check_operator_identity, first)
+    return verdicts
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    complex_mode=st.booleans(),
+    k=st.integers(-12, 20),
+    spec_scale=st.sampled_from([0.5, 2.0, 3.0]),
+)
+# An absolute slack of 1e-9 fails the first example's dual weaving and the second's transfer.
+@example(seed=0, complex_mode=False, k=12, spec_scale=2.0)
+@example(seed=2, complex_mode=True, k=8, spec_scale=3.0)
+def test_statement_verdicts_do_not_change_when_both_families_are_scaled(
+    seed, complex_mode, k, spec_scale
+):
+    """The statements are exact and homogeneous, so scaling every block by 2**k keeps each verdict.
+
+    Scaling by a power of two is exact in floating point, so every computed
+    value scales exactly too, and only a slack that does not scale with
+    them can change a verdict.
+    """
+    base = _statement_verdicts(*_scaled_pair(seed, complex_mode, 0), spec_scale)
+    assume(all(v is True for v in base.values()))
+    assert _statement_verdicts(*_scaled_pair(seed, complex_mode, k), spec_scale) == base
 
 
 class TestWeavingBases:
