@@ -9,6 +9,12 @@ block position ``i`` (0-based) is drawn from the first family.  Given
 the mixed frame operator for mask ``s`` is ``base + sum(deltas[i] for i in s)``
 and the kernel reports extreme eigenvalues across masks.
 
+This module is the only one that builds, batches or reads that operator.
+Each entry takes ``base`` and ``deltas`` and returns arrays:
+:func:`weaving_scan` for the extremes over all masks, :func:`descent_search`
+for the sampled search, :func:`basis_walk` for the per-weaving classifiers
+and :func:`one_bit_spectra` for the operators with one bit set.
+
 Every spectrum goes through one representation, :class:`_SplitOperator`:
 coordinates split into the connected components of the nonzero pattern of
 ``base`` and every delta, so each operator is block diagonal after a
@@ -21,8 +27,8 @@ operator fixes its batch size once, ``step`` masks whose stacks hold at most
 ``_BATCH_FLOATS`` entries, and every kernel entry reads it.  The matmul runs
 in tiles of a fixed number of rows, so a mask's operator, and with it its
 eigenvalues, is bitwise the same whatever batch it comes in, and the scan,
-the sampled search and the basis classifiers of ``weaving`` read the same
-values for the same mask.
+the sampled search and the basis walk read the same values for the same
+mask.
 
 Before enumerating, :func:`weaving_scan` also drops every block whose delta
 is exactly zero: it gives the same operator with its bit set or clear, so
@@ -60,8 +66,8 @@ one doubles, and the masks after the first batch take the Cholesky test; a
 diagonal costs no more to solve than to test, and one batch has no
 incumbents to test against.
 
-The sampled search of ``weaving.universal_bounds_search`` looks up one-bit
-neighbours through :func:`mask_spectra`.  The search gives each neighbour a
+The sampled search (:func:`descent_search`) looks up one-bit neighbours
+through :func:`mask_spectra`.  The search gives each neighbour a
 floor and a ceiling: it must be solved if its smallest eigenvalue could reach
 the floor or its largest the ceiling.  Floors come from the descents'
 values, tightened by the Rayleigh quotients of :func:`neighbour_quotients`.
@@ -103,7 +109,7 @@ from .errors import TooManyBlocks
 # depending on how many rows the product has and, in larger products, on
 # where the row sits; every tile of 8 rows goes through one code path.
 _TILE = 8
-_MAX_BLOCKS = 62  # masks are int64
+MAX_BLOCKS = 62  # masks are int64
 # float64 entries in the stacks of any one batch of masks (128 KiB), so that
 # a batch's memory depends on the operator size and not on the number of masks
 _BATCH_FLOATS = 1 << 14
@@ -116,6 +122,10 @@ _TREE_BLOCKS = 12
 # open nodes one search round expands on each side, and the free blocks of a leaf
 _ROUND = 16
 _LEAF_FREE = 4
+# The descents of descent_search advance in groups of _ROUND_MASKS // n, so
+# one round looks up at most this many one-bit neighbours, whatever the
+# number of seeds.
+_ROUND_MASKS = 1 << 12
 
 
 def backend() -> str:
@@ -138,9 +148,10 @@ def _flat(stack: np.ndarray) -> np.ndarray:
     return stack.reshape(stack.shape[0], math.prod(stack.shape[1:]))
 
 
-def _check_blocks(n: int) -> None:
-    if n > _MAX_BLOCKS:
-        raise TooManyBlocks(f"{n} blocks: masks beyond {_MAX_BLOCKS} blocks do not fit in int64")
+def check_blocks(n: int) -> None:
+    """Refuse ``n`` blocks when their masks do not fit in int64."""
+    if n > MAX_BLOCKS:
+        raise TooManyBlocks(f"{n} blocks: masks beyond {MAX_BLOCKS} blocks do not fit in int64")
 
 
 def _stack(base: np.ndarray, flat: np.ndarray, bits: np.ndarray) -> np.ndarray:
@@ -252,6 +263,21 @@ class _SplitOperator:
             lo[rows], hi[rows] = _solve(diag[rows], [stack[rows] for stack in stacks])
         return lo, hi
 
+    def residuals(self, bits: np.ndarray) -> np.ndarray:
+        """``|S - I|_F`` for the operator ``S`` of each row of bits, with no eigensolve.
+
+        It is the root of the sum of ``(s_jj - 1)^2`` over the diagonal part
+        and of ``|S_c - I|_F^2`` over the components, since the entries off
+        the components are exact zeros.  A residual past float64 is ``inf``.
+        """
+        diag, stacks = self.pieces(bits)
+        with np.errstate(over="ignore"):
+            squares = np.square(diag - 1.0).sum(axis=1)
+            for stack in stacks:
+                stack -= np.eye(stack.shape[-1])
+                squares += np.square(_flat(stack)).sum(axis=1)
+        return np.sqrt(squares)
+
 
 def _solve(diag: np.ndarray, stacks: list):
     """Extreme eigenvalues per row from its diagonal part and its component stacks."""
@@ -354,11 +380,11 @@ def _margin(ratios: np.ndarray, exponents: np.ndarray, order: int) -> float:
 
     These add up to at most ``(d^2 + 6 d + 3 k + 3) u N``.
 
-    Weyl bound of a one-bit neighbour (the sampled search of
-    ``weaving.universal_bounds_search``: ``S_x = S_c +- delta_i`` for a
-    solved mask ``c``, bounded by ``lo(c) + lambda_min(+-delta_i)`` with
-    ``lo(c)`` from ``eigvalsh`` and the delta's term from its diagonal part,
-    exact, and ``eigvalsh`` of each of its components; the exact ``S_x`` has
+    Weyl bound of a one-bit neighbour (:func:`descent_search`:
+    ``S_x = S_c +- delta_i`` for a solved mask ``c``, bounded by
+    ``lo(c) + lambda_min(+-delta_i)`` with ``lo(c)`` from ``eigvalsh`` and
+    the delta's term from its diagonal part, exact, and ``eigvalsh`` of each
+    of its components; the exact ``S_x`` has
     ``lambda_min(S_x) >= lambda_min(S_c) + lambda_min(+-delta_i)`` by Weyl's
     inequality, Horn and Johnson 4.3.1, and likewise for ``lambda_max``):
 
@@ -389,15 +415,48 @@ def _margin(ratios: np.ndarray, exponents: np.ndarray, order: int) -> float:
       ``eigh``, unit to within ``c u``;
     - the neighbour's value is ``eigvalsh`` of ``S^_x``: ``(k + 1 + d) u N``.
 
-    These add up to at most ``(4 d^2 + 5 d + 2 k + 10) u N``.  The margin
-    ``8 ((d + 2)^2 + k) u N`` is more than twice each of the four sums, and
-    more than the Rayleigh sum plus any other, which covers complex
-    arithmetic and the solvers' constant factors.  So when a Cholesky test,
-    an envelope bound or a Weyl bound clears ``incumbent + margin``, every
-    value ``eigvalsh`` would return for the masks it covers is strictly
-    beyond the incumbent.  When the incumbent is a Rayleigh bound, those
-    values are also beyond the value ``eigvalsh`` returns for the neighbour
-    whose quotient it is, so that neighbour is never certified against it.
+    These add up to at most ``(4 d^2 + 5 d + 2 k + 10) u N``.
+
+    Per-weaving classifier (:func:`basis_walk`: ``weaving`` settles a mask
+    whose Riesz test ``lambda_min - tol lambda_max`` or ONB test
+    ``tol - |S - I|_F`` clears ``(1 + |tol|) m``, and hands every other one
+    to the per-family classifier on its weaving, which must then agree).
+    Only a weaving of ``d`` rows is settled, so each of its blocks has at
+    most ``d`` rows, and its exact operator ``S = V* V`` has
+    ``tr S <= sqrt(d) |S|_F <= sqrt(d) N``:
+
+    - ``base`` and the deltas are rounded from the blocks' Grams.  Each Gram
+      of the weaving errs by ``d u tr G``, ``d^(3/2) u N`` together; the
+      Grams of the blocks not in it cancel, up to the sum that forms
+      ``base``, ``k u tr(base) <= k sqrt(d) u N``, and the rounding of each
+      delta, ``u N`` together;
+    - the kernel's eigenvalues add ``(k + d + 1) u N``, as for a mask above;
+    - per family, ``S = V* V`` takes ``d``-term sums,
+      ``d u tr S <= d^(3/2) u N``, its Hermitian part one more rounding and
+      its values-only solve ``d u N``: ``(d^(3/2) + d + 2) u N``.  By
+      Weyl's inequality each of these moves every eigenvalue by at most its
+      Frobenius size, and by the Hoffman-Wielandt theorem the vector
+      ``w - 1``, and with it ``|S - I|_F``;
+    - a residual is settled only below ``tol < 1/3``, where
+      ``N >= |S|_F >= tr S / sqrt(d) >= 2/3``; the kernel's is the root of
+      a sum of at most ``d^2`` squares, which moves it by
+      ``d^2 u / 6 <= d^2 u N / 4``, and the per-family one, of ``d``
+      squares, by ``d u N / 4``.
+
+    These add up to at most
+    ``(2 d^(3/2) + d^2 / 4 + (sqrt(d) + 1) k + 3 d + 4) u N``, and a test
+    moves by ``1 + |tol|`` times the error of its values.
+
+    The margin ``8 ((d + 2)^2 + k) u N`` is more than twice each of the five
+    sums (with ``k <= 62``, the most blocks a mask holds), and more than the
+    Rayleigh sum plus any other, which covers complex arithmetic and the
+    solvers' constant factors.  So when a Cholesky test, an envelope bound or
+    a Weyl bound clears ``incumbent + margin``, every value ``eigvalsh`` would
+    return for the masks it covers is strictly beyond the incumbent.  When
+    the incumbent is a Rayleigh bound, those values are also beyond the value
+    ``eigvalsh`` returns for the neighbour whose quotient it is, so that
+    neighbour is never certified against it.  And a weaving the basis walk
+    settles gets the same verdict from the per-family classifier.
     """
     size = (order + 2) ** 2 + len(ratios) - 1
     return float(np.ldexp(4 * size * np.finfo(np.float64).eps * ratios, exponents).sum())
@@ -551,7 +610,7 @@ def weaving_scan(base: np.ndarray, deltas: np.ndarray):
     those of a full solve: the result is that of solving every mask.
     """
     n = deltas.shape[0]
-    _check_blocks(n)
+    check_blocks(n)
     live = np.flatnonzero([delta.any() for delta in deltas])
     operator = _SplitOperator(base, deltas[live])
     k = len(live)
@@ -639,3 +698,213 @@ def neighbour_quotients(operator: _SplitOperator, masks, lowest, shift):
         # a quotient past float64 bounds nothing: +inf where lowest holds, else -inf
         out[part] = np.where(np.isfinite(best), best, np.where(low, np.inf, -np.inf))
     return out
+
+
+def _sorted_unique(masks: np.ndarray) -> np.ndarray:
+    # np.unique would import numpy.ma on first use, about 1 MB of resident memory
+    masks = np.sort(masks)
+    keep = np.ones(len(masks), dtype=bool)
+    keep[1:] = masks[1:] != masks[:-1]
+    return masks[keep]
+
+
+def _merge(old: np.ndarray, new: np.ndarray, kept: np.ndarray, place: np.ndarray) -> np.ndarray:
+    """``old`` at the ``kept`` positions and ``new`` at ``place``, in one new array."""
+    out = np.empty(len(kept), dtype=old.dtype)
+    out[kept] = old
+    out[place] = new
+    return out
+
+
+def descent_search(base: np.ndarray, deltas: np.ndarray, seeds):
+    """Steepest one-bit descents on ``lambda_min`` and ascents on ``lambda_max`` from ``seeds``.
+
+    Returns ``(lower, argmin_mask, upper, argmax_mask, examined)``: the
+    extremes over the masks solved, ties to the smallest mask for the
+    minimum and the largest for the maximum, and ``examined``, the number of
+    distinct masks examined, each solved or certified: the seeds and every
+    neighbour of every mask a descent visited.  Every block is kept, null
+    ones included.
+
+    From each distinct seed mask a descent runs on the smallest eigenvalue
+    and an ascent on the largest; a repeated seed repeats its descents
+    exactly, so each seed runs once.  A step moves to the first of the ``n``
+    one-bit neighbours with the best value, and only when that value
+    strictly improves on the current one.
+
+    All descents advance in lockstep, up to ``_ROUND_MASKS // n`` at a time,
+    and each round looks up every neighbour no descent has examined yet in
+    one :func:`mask_spectra` call.  A neighbour's spectrum matters only if it
+    could be a step or a witness:
+
+    - a descent at value ``v`` looks at it, and its ``lo`` is at most ``v``
+      and at most the least Rayleigh quotient ``u* (S +- delta_i) u`` of the
+      neighbours, where ``u`` is a unit vector close to the eigenvector of
+      ``lo(S)`` for the current operator ``S`` (the best neighbour's ``lo``
+      is at most that quotient, so a neighbour above it is not the step);
+      an ascent likewise on ``hi``.  ``u`` is a coordinate vector of the
+      diagonal part, or comes from one linear solve on a component, a step
+      of inverse iteration shifted by the rounding margin below the solved
+      ``lo(S)`` (above ``hi(S)`` for an ascent), as
+      :func:`neighbour_quotients` describes;
+    - its ``lo`` or ``hi`` reaches the best value solved so far.
+
+    Every other neighbour is certified and not solved: first by Weyl's
+    inequality from the current mask, ``lo(S +- delta_i) >= lo(S) +
+    lo(+-delta_i)`` and likewise for ``hi``, with the deltas' extremes
+    taken piece by piece, then by the Cholesky test of :func:`mask_spectra`,
+    which only the neighbours with a side left open reach.  Each test clears
+    its threshold by the rounding margin of :func:`_margin`, which also
+    covers the rounding of the quotients.  A certified mask keeps the floor
+    and ceiling it was certified against, and is solved when a later look
+    needs more.  The new masks of a round are merged into the sorted
+    examined arrays in one pass.  A mask's spectrum does not depend on the
+    batch it is computed in, so the masks examined, and the result, are
+    those of running the descents one after another and solving every
+    neighbour.
+    """
+    n = deltas.shape[0]
+    check_blocks(n)
+    # built once per request: the split operator for every spectrum and
+    # every Rayleigh quotient below, and its rounding margin
+    operator = _SplitOperator(base, deltas)
+    margin = operator.margin
+    # Weyl steps: the extreme eigenvalues of +delta_i, which sets bit i, in
+    # row 0 and of -delta_i, which clears it, in row 1, piece by piece
+    w_lo, w_hi = _solve(operator.diag_deltas, operator.block_deltas)
+    step_lo = np.stack([w_lo, -w_hi])
+    step_hi = np.stack([w_hi, -w_lo])
+    # Examined masks, ascending.  lo and hi hold the extreme eigenvalues of a
+    # solved mask; a certified one has lo > floor and hi < ceiling for the
+    # floor and ceiling it was certified against, and lo and hi hold those.
+    seen = _sorted_unique(np.asarray(seeds, dtype=np.int64))
+    lo, hi = mask_spectra(operator, n, seen)
+    solved = np.ones(len(seen), dtype=bool)
+    low, high = lo.min(), hi.max()  # the extremes solved so far
+    flips = np.int64(1) << np.arange(n, dtype=np.int64)
+    # a descent and an ascent from each seed; ascents walk on -hi
+    starts = np.repeat(seen, 2)
+    descending = np.tile([True, False], len(seen))
+    group = max(1, _ROUND_MASKS // n)
+    for g in range(0, len(starts), group):
+        current = starts[g : g + group]
+        down = descending[g : g + group]
+        here = np.searchsorted(seen, current)  # where each current mask sits in seen
+        while len(current):
+            cur_lo, cur_hi = lo[here], hi[here]
+            # A look needs a neighbour solved unless lo > need_lo and
+            # hi < need_hi.  A descent steps to its best neighbour if that
+            # beats its value.  The Rayleigh quotients at a unit vector near
+            # the current mask's eigenvector, found by one inverse-iteration
+            # step from just below its lo, bound each neighbour's lo from
+            # above, so the least one bounds the best neighbour's, and a
+            # neighbour above the value or that bound is not the step.  The
+            # neighbour with the least quotient cannot be certified above it,
+            # so it is solved, and no neighbour above the bound is a witness
+            # either.  Ascents mirror this on hi, shifting from just above
+            # it; a look from the other side needs the neighbour beyond the
+            # extremes solved so far.
+            shift = np.where(down, cur_lo - margin, cur_hi + margin)
+            quotients = neighbour_quotients(operator, current, down, shift)
+            need_lo = np.where(down, np.minimum(cur_lo, quotients.min(axis=1)), low)
+            need_hi = np.where(down, high, np.maximum(cur_hi, quotients.max(axis=1)))
+            neighbours = (current[:, np.newaxis] ^ flips).ravel()
+            at = np.searchsorted(seen, neighbours)
+            known = seen[np.minimum(at, len(seen) - 1)] == neighbours
+            if not known.all():
+                looks = np.flatnonzero(~known)
+                looks = looks[np.argsort(neighbours[looks], kind="stable")]
+                looked = neighbours[looks]
+                heads = np.flatnonzero(np.concatenate([[True], looked[1:] != looked[:-1]]))
+                new = looked[heads]
+                row, bit = np.divmod(looks, n)
+                floor, ceiling = need_lo[row], need_hi[row]
+                # Weyl: lo(S +- delta_i) >= lo(S) + lo(+-delta_i), and likewise
+                # hi; Cholesky tests each side this leaves open
+                cleared = (current[row] >> bit) & 1
+                with np.errstate(over="ignore"):  # a ceiling bound past float64 certifies nothing
+                    weyl_lo = cur_lo[row] + step_lo[cleared, bit]
+                    weyl_hi = cur_hi[row] + step_hi[cleared, bit]
+                if len(heads) < len(looks):  # a new mask looked at from several rows
+                    floor = np.maximum.reduceat(floor, heads)
+                    ceiling = np.minimum.reduceat(ceiling, heads)
+                    weyl_lo = np.maximum.reduceat(weyl_lo, heads)
+                    weyl_hi = np.minimum.reduceat(weyl_hi, heads)
+                test_lo = np.where(weyl_lo > floor + margin, -np.inf, floor + margin)
+                test_hi = np.where(weyl_hi < ceiling - margin, np.inf, ceiling - margin)
+                # only masks with a side left open get a stack row
+                tested = np.flatnonzero((test_lo != -np.inf) | (test_hi != np.inf))
+                new_lo = np.full(len(new), np.inf)
+                new_hi = np.full(len(new), -np.inf)
+                new_lo[tested], new_hi[tested] = mask_spectra(
+                    operator, n, new[tested], test_lo[tested], test_hi[tested]
+                )
+                new_solved = new_lo != np.inf
+                low, high = min(low, new_lo.min()), max(high, new_hi.max())
+                # One merge: the new masks go to their places in the merged
+                # arrays, and the examined ones fill the rest in order.
+                place = at[looks[heads]] + np.arange(len(new))
+                kept = np.ones(len(seen) + len(new), dtype=bool)
+                kept[place] = False
+                seen = _merge(seen, new, kept, place)
+                lo = _merge(lo, np.where(new_solved, new_lo, floor), kept, place)
+                hi = _merge(hi, np.where(new_solved, new_hi, ceiling), kept, place)
+                solved = _merge(solved, new_solved, kept, place)
+                # a neighbour moves up by the new masks below it
+                at += np.searchsorted(new, neighbours)
+            at = at.reshape(len(current), n)
+            # a certified neighbour whose certificate does not cover this look
+            # is solved now
+            short = (lo[at] < need_lo[:, np.newaxis]) | (hi[at] > need_hi[:, np.newaxis])
+            stale = short & ~solved[at]
+            if stale.any():
+                redo = _sorted_unique(at[stale])
+                lo[redo], hi[redo] = mask_spectra(operator, n, seen[redo])
+                solved[redo] = True
+            scores = np.where(down[:, np.newaxis], lo[at], -hi[at])
+            scores[~solved[at]] = np.inf  # a certified neighbour is not the step
+            best = scores.argmin(axis=1)  # first occurrence of the best value
+            moves = scores.min(axis=1) < np.where(down, cur_lo, -cur_hi)
+            current = (current ^ flips[best])[moves]
+            down = down[moves]
+            here = at[np.arange(len(at)), best][moves]
+
+    lower, amin = _least(lo[solved], seen[solved], 1, (np.inf, 0))
+    upper, amax = _least(-hi[solved], seen[solved], -1, (np.inf, 0))
+    return lower, amin, -upper, amax, len(seen)
+
+
+def basis_walk(base: np.ndarray, deltas: np.ndarray, residual: bool = False):
+    """Every mask of ``len(deltas)`` bits in ascending batches, with its operator's values.
+
+    Yields ``(masks, bits, values, margin)`` for each batch of at most
+    ``_BATCH_FLOATS`` stacked entries: the masks, their bits as float64 rows,
+    their values and the operator's rounding :func:`_margin`.  The values
+    are ``(lo, hi)``, the extreme eigenvalues (the diagonal part directly,
+    one stacked ``eigvalsh`` per larger component), or with ``residual``
+    ``|S - I|_F`` with no eigensolve (:meth:`_SplitOperator.residuals`).
+    Every block is kept, null ones included.
+    """
+    n = deltas.shape[0]
+    operator = _SplitOperator(base, deltas)
+    values = operator.residuals if residual else operator.extremes
+    for part in _batches(1 << n, operator.step):
+        masks = np.arange(part.start, min(part.stop, 1 << n), dtype=np.int64)
+        bits = _mask_bits(masks, n)
+        yield masks, bits, values(bits), operator.margin
+
+
+def one_bit_spectra(base: np.ndarray, deltas: np.ndarray):
+    """Extreme eigenvalues of ``base + deltas[i]`` for each ``i``, as ``(lo, hi)``.
+
+    Each operator is that of row ``i`` of the identity, taken as bit rows
+    a batch at a time rather than as int64 masks, so any number of deltas
+    is allowed.
+    """
+    operator = _SplitOperator(base, deltas)
+    n = len(deltas)
+    lo, hi = np.empty(n), np.empty(n)
+    for part in _batches(n, operator.step):
+        rows = np.eye(min(part.stop, n) - part.start, n, part.start)
+        lo[part], hi[part] = operator.extremes(rows)
+    return lo, hi

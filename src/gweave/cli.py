@@ -10,17 +10,17 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 
 import numpy as np
 
 from . import __version__
-from .errors import GWeaveError, ParseError, SchemaError, ShapeMismatch
+from .errors import GWeaveError, ParseError, SchemaError
 from .gframe import (
     DEFAULT_TOL,
     GFrame,
+    _check_tol,
     canonical_dual,
     classify,
     is_dual_pair,
@@ -468,8 +468,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not (math.isfinite(args.tol) and args.tol >= 0):
-            raise ShapeMismatch(f"--tol must be a finite non-negative number, got {args.tol}")
+        _check_tol(args.tol, "--tol")
         return args.func(args)
     except GWeaveError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,6 +8,8 @@ everything user-facing (witnesses, certificates, reports) is 1-based.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -17,6 +19,26 @@ from . import _kernels, linalg
 from .errors import Empty, LengthMismatch, NonFinite, NotAFrame, ShapeMismatch, Singular
 
 DEFAULT_TOL = 1e-8
+
+
+def _finite_real(x) -> bool:
+    """Whether ``x`` is a finite real number; a bool is none."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _check_tol(tol, name: str = "tol") -> None:
+    """Refuse a classification tolerance that is no finite non-negative number."""
+    if not (_finite_real(tol) and tol >= 0):
+        raise ShapeMismatch(f"{name} must be a finite non-negative number, got {tol}")
+
+
+def _check_dim(domain_dim) -> int:
+    """``domain_dim`` as an int; no integer (a bool, a float, a string) or one below 1 is refused."""
+    if isinstance(domain_dim, bool) or not isinstance(domain_dim, (int, np.integer)):
+        raise ShapeMismatch(f"domain dimension must be an integer, got {domain_dim!r}")
+    if domain_dim < 1:
+        raise ShapeMismatch(f"domain dimension must be positive, got {domain_dim}")
+    return int(domain_dim)
 
 
 @dataclass(frozen=True)
@@ -50,9 +72,7 @@ def new_gframe(domain_dim: int, blocks: Sequence, labels=None) -> GFrame:
     a common dtype (complex128 when any input is complex, float64 otherwise)
     and marked read-only.
     """
-    d = int(domain_dim)
-    if d < 1:
-        raise ShapeMismatch(f"domain dimension must be positive, got {d}")
+    d = _check_dim(domain_dim)
     mats = []
     for i, raw in enumerate(blocks):
         a = np.asarray(raw)
@@ -175,11 +195,12 @@ def _check_invertible(lower: float, upper: float, tol: float) -> None:
     """Refuse a frame operator with these extreme eigenvalues before it is inverted.
 
     :class:`NotAFrame` when ``lower`` is not above ``tol`` times ``upper``,
-    then :class:`Singular` when it is below ``linalg``'s rank tolerance.
+    so also for a zero operator, then :class:`Singular` when it is not above
+    ``linalg``'s relative rank tolerance times ``upper``.
     """
     if not lower > tol * upper:
         raise NotAFrame(f"lower bound {lower:.3e} not above threshold {tol * upper:.3e}")
-    if lower <= max(linalg.RANK_RTOL * upper, linalg.ABS_FLOOR):
+    if lower <= linalg.RANK_RTOL * upper:
         raise Singular(f"smallest eigenvalue {lower:.3e} below rank tolerance")
 
 
@@ -195,6 +216,16 @@ def canonical_dual(frame: GFrame, tol: float = DEFAULT_TOL) -> GFrame:
     return compose_right(frame, np.linalg.solve(linalg.hermitian_part(fo.s), eye))
 
 
+def _check_pair(first: GFrame, second: GFrame) -> None:
+    """Refuse two families that differ in block count or domain dimension."""
+    if first.n_blocks != second.n_blocks:
+        raise LengthMismatch(f"{first.n_blocks} blocks versus {second.n_blocks}")
+    if first.domain_dim != second.domain_dim:
+        raise ShapeMismatch(
+            f"domain dimensions differ: {first.domain_dim} versus {second.domain_dim}"
+        )
+
+
 def is_dual_pair(first: GFrame, second: GFrame, tol: float = DEFAULT_TOL) -> bool:
     """Whether the mixed synthesis sums reproduce the identity both ways.
 
@@ -203,12 +234,7 @@ def is_dual_pair(first: GFrame, second: GFrame, tol: float = DEFAULT_TOL) -> boo
     The other way round the sum is ``M*``, and ``|M* - I|_F = |M - I|_F``,
     so one residual decides both.
     """
-    if first.n_blocks != second.n_blocks:
-        raise LengthMismatch(
-            f"{first.n_blocks} blocks versus {second.n_blocks}"
-        )
-    if first.domain_dim != second.domain_dim:
-        raise ShapeMismatch("domain dimensions differ")
+    _check_pair(first, second)
     if first.block_rows != second.block_rows:
         raise ShapeMismatch("per-block row counts differ")
     mixed = linalg._product(
@@ -232,9 +258,8 @@ def is_g_exact(frame: GFrame, tol: float = DEFAULT_TOL) -> ExactnessReport:
     because the notion of "ceases to be a frame" is threshold-dependent.
     The witness, when present, is the smallest index whose removal keeps
     the lower bound above the threshold.  Removing block ``i`` leaves
-    ``S - G_i``, the operator of row ``i`` of the identity in the kernel's
-    split operator with base ``S`` and deltas ``-G_i``, so each removal is
-    solved component by component.
+    ``S - G_i``, whose extremes ``_kernels.one_bit_spectra`` gives with base
+    ``S`` and deltas ``-G_i``, component by component.
     """
     return _exactness(frame, frame_operator(frame), tol)
 
@@ -244,12 +269,7 @@ def _exactness(frame: GFrame, fo: FrameOperatorResult, tol: float) -> ExactnessR
     threshold = tol * fo.upper
     if not fo.lower > threshold:
         raise NotAFrame("exactness is only defined for frames")
-    n = frame.n_blocks
-    operator = _kernels._SplitOperator(fo.s, -block_grams(frame))
-    batches = _kernels._batches(n, operator.step)
-    lows = np.concatenate(
-        [operator.extremes(np.eye(min(p.stop, n) - p.start, n, p.start))[0] for p in batches]
-    )
+    lows = _kernels.one_bit_spectra(fo.s, -block_grams(frame))[0]
     kept = np.flatnonzero(lows > threshold)
     witness = int(kept[0]) + 1 if len(kept) else None
     return ExactnessReport(

@@ -32,6 +32,7 @@ from .gframe import (
     OnbReport,
     RieszReport,
     _basis_tests,
+    _check_dim,
     frame_operator_matrix,
     is_g_orthonormal_basis,
     is_g_riesz_basis,
@@ -72,7 +73,7 @@ def _frozen_rows(vecs: list, length: int) -> np.ndarray:
 
 
 def make_vector_family(domain_dim: int, groups) -> VectorFamily:
-    d = int(domain_dim)
+    d = _check_dim(domain_dim)
     frozen = []
     for gi, group in enumerate(groups):
         vecs = [np.asarray(v).ravel() for v in group]

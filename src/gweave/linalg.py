@@ -12,10 +12,9 @@ paper's exact statements, checked in ``weaving``, ``induced`` and ``suite``;
 ``ZERO_RTOL`` for a value that is zero in exact arithmetic;
 ``HERMITIAN_RTOL`` for a symmetry residual, sized by 1 and ``|A|_F``; and a
 classification's ``tol`` for the basis, dual-pair and unitary residuals.
-The one absolute tolerance is ``ABS_FLOOR``, the floor of the rank test:
-``gframe`` refuses a frame operator before inverting it unless its smallest
-eigenvalue exceeds the larger of ``RANK_RTOL`` times the largest and
-``ABS_FLOOR``.
+The rank test is relative too: ``gframe`` refuses a frame operator before
+inverting it unless its smallest eigenvalue exceeds ``RANK_RTOL`` times the
+largest, so no tolerance depends on the scale of a family.
 
 Finite inputs can give values beyond float64: a product of block rows, a
 spectrum, a report's bounds.  This module owns their refusal.  Every such
@@ -40,7 +39,6 @@ import numpy as np
 
 from .errors import NonFinite, NonHermitian, ShapeMismatch
 
-ABS_FLOOR = 1e-12
 CHECK_RTOL = 1e-9
 HERMITIAN_RTOL = 1e-8
 RANK_RTOL = 1e-10

@@ -31,6 +31,7 @@ from .gframe import (
     DEFAULT_TOL,
     BoundsReport,
     GFrame,
+    _check_pair,
     block_grams,
     canonical_dual,
     compose_right,
@@ -42,10 +43,6 @@ from .gframe import (
 )
 
 DEFAULT_EXHAUSTIVE_CAP = 20
-# The descents of universal_bounds_search advance in groups of
-# _ROUND_MASKS // n, so one round looks up at most this many one-bit
-# neighbours, whatever the budget.
-_ROUND_MASKS = 1 << 12
 # The most seeds universal_bounds_search draws when the budget is below 2**n.
 # Each seed starts two descents that examine at least n masks each, so a
 # larger budget would run for hours; it is refused before anything is drawn.
@@ -143,18 +140,6 @@ class WeavingSelection:
     def __str__(self) -> str:
         inner = ",".join(str(i) for i in self.indices)
         return "{" + inner + "}"
-
-
-def _check_pair(first: GFrame, second: GFrame):
-    if first.n_blocks != second.n_blocks:
-        raise LengthMismatch(
-            f"{first.n_blocks} blocks versus {second.n_blocks}"
-        )
-    if first.domain_dim != second.domain_dim:
-        raise ShapeMismatch(
-            f"domain dimensions differ: {first.domain_dim} versus"
-            f" {second.domain_dim}"
-        )
 
 
 def weave(first: GFrame, second: GFrame, selection: WeavingSelection) -> GFrame:
@@ -291,22 +276,6 @@ def _check_budget(budget) -> None:
         raise ShapeMismatch(f"budget must be an integer of at least 1, got {budget!r}")
 
 
-def _sorted_unique(masks: np.ndarray) -> np.ndarray:
-    # np.unique would import numpy.ma on first use, about 1 MB of resident memory
-    masks = np.sort(masks)
-    keep = np.ones(len(masks), dtype=bool)
-    keep[1:] = masks[1:] != masks[:-1]
-    return masks[keep]
-
-
-def _merge(old: np.ndarray, new: np.ndarray, kept: np.ndarray, place: np.ndarray) -> np.ndarray:
-    """``old`` at the ``kept`` positions and ``new`` at ``place``, in one new array."""
-    out = np.empty(len(kept), dtype=old.dtype)
-    out[kept] = old
-    out[place] = new
-    return out
-
-
 def universal_bounds_search(
     first: GFrame,
     second: GFrame,
@@ -328,41 +297,15 @@ def universal_bounds_search(
     instead and the result equals the exhaustive report.  A smaller budget
     above ``MAX_SEARCH_BUDGET`` is refused.
 
-    All descents advance in lockstep, up to ``_ROUND_MASKS // n`` at a time,
-    and each round looks up every neighbour no descent has examined yet in
-    one kernel call.  A neighbour's spectrum matters only if it could be a
-    step or a witness:
-
-    - a descent at value ``v`` looks at it, and its ``lo`` is at most ``v``
-      and at most the least Rayleigh quotient ``u* (S +- delta_i) u`` of the
-      neighbours, where ``u`` is a unit vector close to the eigenvector of
-      ``lo(S)`` for the current operator ``S`` (the best neighbour's ``lo``
-      is at most that quotient, so a neighbour above it is not the step);
-      an ascent likewise on ``hi``.  ``u`` is a coordinate vector of the
-      diagonal part, or comes from one linear solve on a component, a step
-      of inverse iteration shifted by the rounding margin below the solved
-      ``lo(S)`` (above ``hi(S)`` for an ascent), as
-      ``_kernels.neighbour_quotients`` describes;
-    - its ``lo`` or ``hi`` reaches the best value solved so far.
-
-    Every other neighbour is certified and not solved: first by Weyl's
-    inequality from the current mask, ``lo(S +- delta_i) >= lo(S) +
-    lo(+-delta_i)`` and likewise for ``hi``, with the deltas' extremes
-    taken piece by piece, then by the kernel's Cholesky test, which only the
-    neighbours with a side left open reach.  Each test clears its threshold
-    by the rounding margin of ``_kernels._margin``, which also covers the
-    rounding of the quotients.  A certified mask keeps the floor and ceiling
-    it was certified against, and is solved when a later look needs more.
-    The new masks of a round are merged into the sorted examined arrays in
-    one pass.  A mask's spectrum does not depend on the batch it is computed
-    in, so the masks examined, and the report, are those of running the
+    The descents run in ``_kernels.descent_search``, which certifies most
+    neighbours instead of solving them and gives the report of running the
     descents one after another and solving every neighbour.
     """
     _check_pair(first, second)
     _check_budget(budget)
     _check_seed(seed)
     n = first.n_blocks
-    _kernels._check_blocks(n)
+    _kernels.check_blocks(n)
     total = 1 << n
     if budget >= total:
         return _scan_pair(first, second, tol)
@@ -373,116 +316,9 @@ def universal_bounds_search(
         )
 
     base, deltas, p_sum, q_sum = _pair_kernel_inputs(first, second)
-    # built once per request: the split operator for every spectrum and
-    # every Rayleigh quotient below, and its rounding margin
-    operator = _kernels._SplitOperator(base, deltas)
-    margin = operator.margin
-    # Weyl steps: the extreme eigenvalues of +delta_i, which sets bit i, in
-    # row 0 and of -delta_i, which clears it, in row 1, piece by piece
-    w_lo, w_hi = _kernels._solve(operator.diag_deltas, operator.block_deltas)
-    step_lo = np.stack([w_lo, -w_hi])
-    step_hi = np.stack([w_hi, -w_lo])
-    rng = np.random.default_rng(seed)
-    # Examined masks, ascending.  lo and hi hold the extreme eigenvalues of a
-    # solved mask; a certified one has lo > floor and hi < ceiling for the
-    # floor and ceiling it was certified against, and lo and hi hold those.
-    # A repeated seed repeats its descents exactly, so each seed runs once.
-    seen = _sorted_unique(rng.integers(0, total, size=budget))
-    lo, hi = _kernels.mask_spectra(operator, n, seen)
-    solved = np.ones(len(seen), dtype=bool)
-    low, high = lo.min(), hi.max()  # the extremes solved so far
-    flips = np.int64(1) << np.arange(n, dtype=np.int64)
-    # a descent and an ascent from each seed; ascents walk on -hi
-    starts = np.repeat(seen, 2)
-    descending = np.tile([True, False], len(seen))
-    group = max(1, _ROUND_MASKS // n)
-    for g in range(0, len(starts), group):
-        current = starts[g : g + group]
-        down = descending[g : g + group]
-        here = np.searchsorted(seen, current)  # where each current mask sits in seen
-        while len(current):
-            cur_lo, cur_hi = lo[here], hi[here]
-            # A look needs a neighbour solved unless lo > need_lo and
-            # hi < need_hi.  A descent steps to its best neighbour if that
-            # beats its value.  The Rayleigh quotients at a unit vector near
-            # the current mask's eigenvector, found by one inverse-iteration
-            # step from just below its lo, bound each neighbour's lo from
-            # above, so the least one bounds the best neighbour's, and a
-            # neighbour above the value or that bound is not the step.  The
-            # neighbour with the least quotient cannot be certified above it,
-            # so it is solved, and no neighbour above the bound is a witness
-            # either.  Ascents mirror this on hi, shifting from just above
-            # it; a look from the other side needs the neighbour beyond the
-            # extremes solved so far.
-            shift = np.where(down, cur_lo - margin, cur_hi + margin)
-            quotients = _kernels.neighbour_quotients(operator, current, down, shift)
-            need_lo = np.where(down, np.minimum(cur_lo, quotients.min(axis=1)), low)
-            need_hi = np.where(down, high, np.maximum(cur_hi, quotients.max(axis=1)))
-            neighbours = (current[:, np.newaxis] ^ flips).ravel()
-            at = np.searchsorted(seen, neighbours)
-            known = seen[np.minimum(at, len(seen) - 1)] == neighbours
-            if not known.all():
-                looks = np.flatnonzero(~known)
-                looks = looks[np.argsort(neighbours[looks], kind="stable")]
-                looked = neighbours[looks]
-                heads = np.flatnonzero(np.concatenate([[True], looked[1:] != looked[:-1]]))
-                new = looked[heads]
-                row, bit = np.divmod(looks, n)
-                floor, ceiling = need_lo[row], need_hi[row]
-                # Weyl: lo(S +- delta_i) >= lo(S) + lo(+-delta_i), and likewise
-                # hi; Cholesky tests each side this leaves open
-                cleared = (current[row] >> bit) & 1
-                with np.errstate(over="ignore"):  # a ceiling bound past float64 certifies nothing
-                    weyl_lo = cur_lo[row] + step_lo[cleared, bit]
-                    weyl_hi = cur_hi[row] + step_hi[cleared, bit]
-                if len(heads) < len(looks):  # a new mask looked at from several rows
-                    floor = np.maximum.reduceat(floor, heads)
-                    ceiling = np.minimum.reduceat(ceiling, heads)
-                    weyl_lo = np.maximum.reduceat(weyl_lo, heads)
-                    weyl_hi = np.minimum.reduceat(weyl_hi, heads)
-                test_lo = np.where(weyl_lo > floor + margin, -np.inf, floor + margin)
-                test_hi = np.where(weyl_hi < ceiling - margin, np.inf, ceiling - margin)
-                # only masks with a side left open get a stack row
-                tested = np.flatnonzero((test_lo != -np.inf) | (test_hi != np.inf))
-                new_lo = np.full(len(new), np.inf)
-                new_hi = np.full(len(new), -np.inf)
-                new_lo[tested], new_hi[tested] = _kernels.mask_spectra(
-                    operator, n, new[tested], test_lo[tested], test_hi[tested]
-                )
-                new_solved = new_lo != np.inf
-                low, high = min(low, new_lo.min()), max(high, new_hi.max())
-                # One merge: the new masks go to their places in the merged
-                # arrays, and the examined ones fill the rest in order.
-                place = at[looks[heads]] + np.arange(len(new))
-                kept = np.ones(len(seen) + len(new), dtype=bool)
-                kept[place] = False
-                seen = _merge(seen, new, kept, place)
-                lo = _merge(lo, np.where(new_solved, new_lo, floor), kept, place)
-                hi = _merge(hi, np.where(new_solved, new_hi, ceiling), kept, place)
-                solved = _merge(solved, new_solved, kept, place)
-                # a neighbour moves up by the new masks below it
-                at += np.searchsorted(new, neighbours)
-            at = at.reshape(len(current), n)
-            # a certified neighbour whose certificate does not cover this look
-            # is solved now
-            short = (lo[at] < need_lo[:, np.newaxis]) | (hi[at] > need_hi[:, np.newaxis])
-            stale = short & ~solved[at]
-            if stale.any():
-                redo = _sorted_unique(at[stale])
-                lo[redo], hi[redo] = _kernels.mask_spectra(operator, n, seen[redo])
-                solved[redo] = True
-            scores = np.where(down[:, np.newaxis], lo[at], -hi[at])
-            scores[~solved[at]] = np.inf  # a certified neighbour is not the step
-            best = scores.argmin(axis=1)  # first occurrence of the best value
-            moves = scores.min(axis=1) < np.where(down, cur_lo, -cur_hi)
-            current = (current ^ flips[best])[moves]
-            down = down[moves]
-            here = at[np.arange(len(at)), best][moves]
-
-    # the kernel's tie rule: the smallest mask for the minimum, the largest for the maximum
-    lower, amin = _kernels._least(lo[solved], seen[solved], 1, (np.inf, 0))
-    upper, amax = _kernels._least(-hi[solved], seen[solved], -1, (np.inf, 0))
-    return _pair_report(n, (lower, amin, -upper, amax), (p_sum, q_sum), tol, "search", len(seen))
+    seeds = np.random.default_rng(seed).integers(0, total, size=budget)
+    *extremes, examined = _kernels.descent_search(base, deltas, seeds)
+    return _pair_report(n, extremes, (p_sum, q_sum), tol, "search", examined)
 
 
 @dataclass(frozen=True)
@@ -679,23 +515,12 @@ class WeavingBasisReport:
     upper: float
 
 
-def _basis_batches(first: GFrame, second: GFrame, cap: Optional[int]):
-    """The pair's split operator, and ``(masks, bits)`` of every selection in ascending batches.
-
-    Refuses a pair with more blocks than the cap.
-    """
+def _basis_walk(first: GFrame, second: GFrame, cap: Optional[int], residual: bool):
+    """``_kernels.basis_walk`` of the pair, refused above the cap."""
     _check_pair(first, second)
-    n = first.n_blocks
-    _check_cap(n, cap)
+    _check_cap(first.n_blocks, cap)
     base, deltas, _, _ = _pair_kernel_inputs(first, second)
-    operator = _kernels._SplitOperator(base, deltas)
-
-    def batches():
-        for part in _kernels._batches(1 << n, operator.step):
-            masks = np.arange(part.start, min(part.stop, 1 << n), dtype=np.int64)
-            yield masks, _kernels._mask_bits(masks, n)
-
-    return operator, batches()
+    return _kernels.basis_walk(base, deltas, residual)
 
 
 def _bit_sum(first_values, second_values, bits: np.ndarray) -> np.ndarray:
@@ -703,46 +528,6 @@ def _bit_sum(first_values, second_values, bits: np.ndarray) -> np.ndarray:
     a = np.asarray(first_values, dtype=np.float64)
     b = np.asarray(second_values, dtype=np.float64)
     return b.sum() + bits @ (a - b)
-
-
-def _guard_band(first: GFrame, second: GFrame, tol: float) -> float:
-    """How far past its threshold a kernel test must land to fix the per-GFrame verdict.
-
-    Both paths compute functions of ``S = V*V`` for the stacked rows ``V`` of
-    a weaving.  With ``T = |first|_F^2 + |second|_F^2``, every entry sum
-    along the way, every ``lambda_max(S)`` and ``|S|_F`` are at most ``T``,
-    so a chain of ``k`` rounded additions is off by at most ``k eps T``:
-
-    - kernel: Gram entries (r rows), ``base`` (n), ``deltas`` (1),
-      ``bits @ deltas`` (n), ``+= base`` (1), then the eigensolve or the
-      residual ``R = |S - I|_F`` (d): ``2n + r + d + 2``.  The kernel works
-      on the components of ``_kernels._SplitOperator``: each entry of a
-      component's stack takes the same sums as in the whole ``S``, and the
-      entries off the components are exact zeros.  The eigensolve of a
-      component of order ``c <= d`` is off by ``c eps |S|_F``, the usual
-      size factor of a Hermitian solver's backward error.  The residual sums
-      the squares of the diagonal part and of each component apart, then
-      adds the pieces: a sum of at most ``d^2`` squares in some order, off
-      by ``d^2 eps R^2``.  The residual test settles a weaving only when
-      ``R < tol < 1/3``; then ``T >= tr S >= d - sqrt(d) R >= 2d/3``, so
-      ``R`` is off by at most ``d^2 eps R / 2 <= d eps T``;
-    - per GFrame, on a weaving of ``d`` rows: ``S = V*V`` takes d-term sums
-      (d), its Hermitian part one more rounding (1), and its values-only
-      eigensolve is off by ``d eps |S|_F`` (d); by the Hoffman-Wielandt
-      theorem each of these moves the vector of eigenvalues by at most its
-      Frobenius size.  The residuals ``|w - 1|`` then take a subtraction, a
-      sum of ``d`` squares and a root (2): with ``R < 1/3`` and
-      ``T >= 2d/3`` the sum is off by ``d eps R^2``, so ``R`` by
-      ``d eps R / 2 < eps T``.  In all ``2d + 3``.
-
-    A test ``lambda_min - tol lambda_max`` moves by ``1 + |tol|`` times the
-    error of the eigenvalues.  ``eps`` is twice the unit roundoff, which
-    leaves room for the solvers' constant factors.
-    """
-    n, d = first.n_blocks, first.domain_dim
-    r = max(first.block_rows + second.block_rows)
-    scale = sum(float(np.vdot(b, b).real) for b in first.blocks + second.blocks)
-    return (1.0 + abs(tol)) * (2 * n + 3 * d + r + 5) * np.finfo(np.float64).eps * scale
 
 
 def is_weaving_g_riesz(
@@ -755,24 +540,21 @@ def is_weaving_g_riesz(
 
     A weaving is a Riesz basis exactly when its row count is ``d`` and
     ``lambda_min(S) > tol lambda_max(S)`` for its frame operator ``S``, since
-    ``V*V = S`` for its square synthesis matrix ``V``.  The kernel's split
-    operator gives ``lambda_min`` and ``lambda_max`` of every selection, in
+    ``V*V = S`` for its square synthesis matrix ``V``.  The kernel's basis
+    walk gives ``lambda_min`` and ``lambda_max`` of every selection, in
     ascending batches, and settles each selection whose test clears zero by
-    more than the rounding bound of :func:`_guard_band`; every other one, in
-    ascending mask order, goes to :func:`is_g_riesz_basis` on its weaving
-    until one fails.  So verdict, witness and failing bounds are those of
-    the per-weaving classifier.
+    ``1 + |tol|`` times the kernel's rounding margin, which also bounds the
+    rounding of the per-weaving classifier (``_kernels._margin``); every
+    other one, in ascending mask order, goes to :func:`is_g_riesz_basis` on
+    its weaving until one fails.  So verdict, witness and failing bounds are
+    those of the per-weaving classifier.
     """
-    operator, batches = _basis_batches(first, second, cap)
     n, d = first.n_blocks, first.domain_dim
-    band = _guard_band(first, second, tol)
-    lower = np.inf
-    upper = -np.inf
-    for masks, bits in batches:
-        lo, hi = operator.extremes(bits)
+    lower, upper = np.inf, -np.inf
+    for masks, bits, (lo, hi), margin in _basis_walk(first, second, cap, False):
         counts = _bit_sum(first.block_rows, second.block_rows, bits)
         with np.errstate(invalid="ignore"):  # 0 * inf is NaN, and settles nothing
-            settled = (counts == d) & (lo - tol * hi > band)
+            settled = (counts == d) & (lo - tol * hi > (1.0 + abs(tol)) * margin)
         for mask in masks[~settled]:
             sel = WeavingSelection(n, int(mask))
             rep = is_g_riesz_basis(weave(first, second, sel), tol)
@@ -793,33 +575,24 @@ def is_weaving_g_onb(
 
     With row count ``d`` the synthesis matrix ``V`` is square, so both
     residuals of :func:`is_g_orthonormal_basis` equal ``R = |S - I|_F``,
-    which the kernel's split operator gives piece by piece, ``R^2`` the sum
-    of ``(s_jj - 1)^2`` over its diagonal part and of ``|S_c - I|_F^2`` over
-    its components.  The kernel settles a weaving with no zero-row block,
-    row count ``d`` and ``R`` below ``tol`` by more than the rounding bound
-    of :func:`_guard_band`, with no eigensolve: the per-weaving test allows
-    ``tol max(1, lambda_max) >= tol``.  For ``tol < 1/3`` that also settles its
-    zero-row test, since each row norm squared is within ``R`` of 1, so above
-    ``2/3``, while ``lambda_max <= 1 + R`` keeps the allowance below ``4/9``.
-    Every other weaving, in ascending mask order, goes to
-    :func:`is_g_orthonormal_basis` until one fails.
+    which the kernel's basis walk gives piece by piece, with no eigensolve.
+    A weaving with no zero-row block, row count ``d`` and ``R`` below
+    ``tol`` by ``1 + |tol|`` times the kernel's rounding margin is settled:
+    the per-weaving test allows ``tol max(1, lambda_max) >= tol``.  For
+    ``tol < 1/3`` that also settles its zero-row test, since each row norm
+    squared is within ``R`` of 1, so above ``2/3``, while
+    ``lambda_max <= 1 + R`` keeps the allowance below ``4/9``.  Every other
+    weaving, in ascending mask order, goes to :func:`is_g_orthonormal_basis`
+    until one fails.
     """
-    operator, batches = _basis_batches(first, second, cap)
     n, d = first.n_blocks, first.domain_dim
-    cut = tol - _guard_band(first, second, tol) if tol < 1.0 / 3.0 else -np.inf
     no_rows1 = [r == 0 for r in first.block_rows]
     no_rows2 = [r == 0 for r in second.block_rows]
-    for masks, bits in batches:
-        # |S - I|_F^2 piece by piece: the entries off the components are exact zeros
-        diag, stacks = operator.pieces(bits)
-        with np.errstate(over="ignore"):  # a residual past float64 is inf and settles nothing
-            squares = np.square(diag - 1.0).sum(axis=1)
-            for stack in stacks:
-                stack -= np.eye(stack.shape[-1])
-                squares += np.square(_kernels._flat(stack)).sum(axis=1)
+    for masks, bits, residual, margin in _basis_walk(first, second, cap, True):
+        cut = tol - (1.0 + abs(tol)) * margin if tol < 1.0 / 3.0 else -np.inf
         counts = _bit_sum(first.block_rows, second.block_rows, bits)
         empty = _bit_sum(no_rows1, no_rows2, bits)
-        settled = (counts == d) & (empty == 0) & (np.sqrt(squares) <= cut)
+        settled = (counts == d) & (empty == 0) & (residual <= cut)
         for mask in masks[~settled]:
             sel = WeavingSelection(n, int(mask))
             if not is_g_orthonormal_basis(weave(first, second, sel), tol).is_onb:

@@ -290,10 +290,10 @@ def sequential_bounds_search(first, second, budget: int, seed: int = 0, tol: flo
 
 def full_weaving_scan(base: np.ndarray, deltas: np.ndarray):
     """``_kernels.weaving_scan`` with an eigensolve for every mask, in chunks of 2048 masks."""
-    from gweave._kernels import _SplitOperator, _check_blocks, _mask_bits, _spread
+    from gweave._kernels import _SplitOperator, _mask_bits, _spread, check_blocks
 
     n = deltas.shape[0]
-    _check_blocks(n)
+    check_blocks(n)
     live = np.flatnonzero([delta.any() for delta in deltas])
     deltas = deltas[live]
     operator = _SplitOperator(base, deltas)

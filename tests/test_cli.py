@@ -313,6 +313,10 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: --tol must be a finite non-negative number")
 
+    def test_dual_check_without_a_second_family_is_input_error(self, paths, capsys):
+        assert main(["check", paths["proj"], "dual"]) == 2
+        assert capsys.readouterr().err == "error: kind 'dual' needs --with PATH2\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -234,6 +234,49 @@ def test_one_tolerance_policy():
     assert found == []
 
 
+# The attributes of the kernel's split operator; no other object in gweave has one of these names.
+OPERATOR_ATTRIBUTES = {
+    "pieces", "extremes", "step", "margin", "norms", "diag_base", "diag_deltas", "block_deltas",
+}
+
+
+def _names_kernels(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "_kernels") or (
+        isinstance(node, ast.Attribute) and node.attr == "_kernels"
+    )
+
+
+def _kernel_reads(path: Path) -> list:
+    """Private kernel names and split-operator attributes that ``path`` reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "_kernels":
+            names = [a.name for a in node.names if a.name.startswith("_")]
+            found += [f"{path.name}:{node.lineno} {name}" for name in names]
+        elif isinstance(node, ast.Attribute) and (
+            (node.attr.startswith("_") and _names_kernels(node.value))
+            or (node.attr in OPERATOR_ATTRIBUTES and isinstance(node.ctx, ast.Load))
+        ):
+            found.append(f"{path.name}:{node.lineno} {node.attr}")
+    return found
+
+
+def test_one_kernel_owner():
+    """Only ``_kernels`` builds, batches or reads a split operator.
+
+    Outside ``_kernels.py`` no module uses a private kernel name, as
+    ``_kernels._name`` or through ``from ._kernels import _name``, and none
+    reads an attribute of the split operator: every kernel entry takes
+    ``base`` and ``deltas`` and returns arrays.
+    """
+    found = []
+    for path in sorted(Path(gweave.__file__).parent.glob("*.py")):
+        if path.name != "_kernels.py":
+            found += _kernel_reads(path)
+    assert found == []
+
+
 class TestAtMost:
     def test_slack_is_relative_to_the_largest_size(self):
         assert linalg._at_most(1.0 + 1e-10, 1.0, 1.0)

@@ -368,7 +368,7 @@ class TestSearch:
         rng = np.random.default_rng(21)
         first = random_gframe(rng, d=3, n=12)
         second = random_gframe(rng, d=3, n=12)
-        budget = 3 * weaving._ROUND_MASKS // 12
+        budget = 3 * _kernels._ROUND_MASKS // 12
         got = universal_bounds_search(first, second, budget, seed=4)
         assert got == sequential_bounds_search(first, second, budget, seed=4)
 
@@ -415,7 +415,7 @@ def test_lockstep_search_equals_sequential_descents(pair, budget, seed, round_ma
     first, second = pair
     with pytest.MonkeyPatch.context() as mp:
         if round_masks is not None:
-            mp.setattr(weaving, "_ROUND_MASKS", round_masks)
+            mp.setattr(_kernels, "_ROUND_MASKS", round_masks)
         got = universal_bounds_search(first, second, budget, seed)
     assert got == sequential_bounds_search(first, second, budget, seed)
 
@@ -604,12 +604,14 @@ def _statement_verdicts(first, second, spec_scale):
 @given(
     seed=st.integers(0, 2**32 - 1),
     complex_mode=st.booleans(),
-    k=st.integers(-12, 20),
+    k=st.integers(-24, 20),
     spec_scale=st.sampled_from([0.5, 2.0, 3.0]),
 )
 # An absolute slack of 1e-9 fails the first example's dual weaving and the second's transfer.
 @example(seed=0, complex_mode=False, k=12, spec_scale=2.0)
 @example(seed=2, complex_mode=True, k=8, spec_scale=3.0)
+# An absolute floor of 1e-12 on the rank test refuses this one's dual as Singular.
+@example(seed=0, complex_mode=False, k=-24, spec_scale=2.0)
 def test_statement_verdicts_do_not_change_when_both_families_are_scaled(
     seed, complex_mode, k, spec_scale
 ):
