@@ -31,11 +31,6 @@ from .gframe import (
     optimal_bounds,
     parseval_transform,
 )
-from .suite import SuiteConfig, run_suite
-from .weaving import (
-    universal_bounds_exhaustive,
-    universal_bounds_search,
-)
 
 SCHEMA_VERSION = "gweave/1"
 
@@ -236,6 +231,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_woven(args) -> int:
+    from .weaving import universal_bounds_exhaustive, universal_bounds_search
+
     started = time.perf_counter()
     first = load_gframe(args.path_first)
     second = load_gframe(args.path_second)
@@ -357,13 +354,13 @@ def _cmd_transform(args, transform, command: str) -> int:
 
 
 def _cmd_paper_suite(args) -> int:
+    from .suite import SuiteConfig, run_suite
+
     started = time.perf_counter()
+    options = {"dim_scale": args.dim_scale, "seed": args.seed, "search_budget": args.budget}
+    # an option not given keeps SuiteConfig's default
     config = SuiteConfig(
-        dim_scale=args.dim_scale,
-        cap=args.cap,
-        tol=args.tol,
-        seed=args.seed,
-        search_budget=args.budget,
+        cap=args.cap, tol=args.tol, **{k: v for k, v in options.items() if v is not None}
     )
     report = run_suite(config)
     doc = _report_document("paper-suite", [], report.to_dict(), {"tol": args.tol}, started)
@@ -449,13 +446,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite = sub.add_parser(
         "paper-suite", help="run the bundled worked-example verification battery"
     )
-    p_suite.add_argument("--dim-scale", type=float, default=SuiteConfig.dim_scale)
+    p_suite.add_argument("--dim-scale", type=float)
     p_suite.add_argument("--cap", type=int, default=None)
-    p_suite.add_argument("--seed", type=int, default=SuiteConfig.seed)
+    p_suite.add_argument("--seed", type=int)
     p_suite.add_argument(
         "--budget",
         type=int,
-        default=SuiteConfig.search_budget,
         help="sampling budget for instances above the exhaustive cap",
     )
     add_common(p_suite)

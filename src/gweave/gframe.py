@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _kernels, linalg
+from . import linalg
 from .errors import Empty, LengthMismatch, NonFinite, NotAFrame, ShapeMismatch, Singular
 
 DEFAULT_TOL = 1e-8
@@ -179,6 +179,7 @@ def optimal_bounds(frame: GFrame, tol: float = DEFAULT_TOL) -> BoundsReport:
     The family is flagged as a frame when the lower bound exceeds
     ``tol`` times the upper bound.
     """
+    _check_tol(tol)
     fo = frame_operator(frame)
     threshold = tol * fo.upper
     return BoundsReport(
@@ -196,12 +197,17 @@ def _check_invertible(lower: float, upper: float, tol: float) -> None:
 
     :class:`NotAFrame` when ``lower`` is not above ``tol`` times ``upper``,
     so also for a zero operator, then :class:`Singular` when it is not above
-    ``linalg``'s relative rank tolerance times ``upper``.
+    ``linalg``'s relative rank tolerance times ``upper``, or when it is
+    subnormal: below ``np.finfo(np.float64).tiny`` an eigenvalue keeps too
+    few bits for its inverse to mean anything.  That is the edge of
+    float64's range, not a tolerance.
     """
     if not lower > tol * upper:
         raise NotAFrame(f"lower bound {lower:.3e} not above threshold {tol * upper:.3e}")
     if lower <= linalg.RANK_RTOL * upper:
         raise Singular(f"smallest eigenvalue {lower:.3e} below rank tolerance")
+    if lower < np.finfo(np.float64).tiny:
+        raise Singular(f"smallest eigenvalue {lower:.3e} below the normal range of float64")
 
 
 def canonical_dual(frame: GFrame, tol: float = DEFAULT_TOL) -> GFrame:
@@ -210,6 +216,7 @@ def canonical_dual(frame: GFrame, tol: float = DEFAULT_TOL) -> GFrame:
     The refusals come from the eigenvalues of :func:`frame_operator`, and
     one linear solve of the symmetrised operator gives the inverse.
     """
+    _check_tol(tol)
     fo = frame_operator(frame)
     _check_invertible(fo.lower, fo.upper, tol)
     eye = np.eye(frame.domain_dim, dtype=frame.dtype)
@@ -234,6 +241,7 @@ def is_dual_pair(first: GFrame, second: GFrame, tol: float = DEFAULT_TOL) -> boo
     The other way round the sum is ``M*``, and ``|M* - I|_F = |M - I|_F``,
     so one residual decides both.
     """
+    _check_tol(tol)
     _check_pair(first, second)
     if first.block_rows != second.block_rows:
         raise ShapeMismatch("per-block row counts differ")
@@ -261,11 +269,14 @@ def is_g_exact(frame: GFrame, tol: float = DEFAULT_TOL) -> ExactnessReport:
     ``S - G_i``, whose extremes ``_kernels.one_bit_spectra`` gives with base
     ``S`` and deltas ``-G_i``, component by component.
     """
+    _check_tol(tol)
     return _exactness(frame, frame_operator(frame), tol)
 
 
 def _exactness(frame: GFrame, fo: FrameOperatorResult, tol: float) -> ExactnessReport:
     """:func:`is_g_exact` from the family's :func:`frame_operator`."""
+    from . import _kernels
+
     threshold = tol * fo.upper
     if not fo.lower > threshold:
         raise NotAFrame("exactness is only defined for frames")
@@ -322,6 +333,7 @@ def is_g_riesz_basis(frame: GFrame, tol: float = DEFAULT_TOL) -> RieszReport:
     bounds are its squared extreme singular values, read from the spectrum
     of the frame operator.
     """
+    _check_tol(tol)
     return _riesz(frame, _spectrum(frame_operator_matrix(frame)), tol)
 
 
@@ -365,6 +377,7 @@ def is_g_orthonormal_basis(frame: GFrame, tol: float = DEFAULT_TOL) -> OnbReport
     residuals are read from the spectrum of ``S`` and allowed ``tol`` times
     ``max(1, lambda_max(S))``.
     """
+    _check_tol(tol)
     return _onb(frame, _spectrum(frame_operator_matrix(frame)), tol)
 
 
@@ -376,6 +389,7 @@ def _basis_tests(frame: GFrame, s: np.ndarray, tol: float) -> tuple:
 
 def basis_tests(frame: GFrame, tol: float = DEFAULT_TOL) -> tuple:
     """:func:`is_g_riesz_basis` and :func:`is_g_orthonormal_basis`, from one spectrum of ``S``."""
+    _check_tol(tol)
     return _basis_tests(frame, frame_operator_matrix(frame), tol)
 
 
@@ -395,6 +409,7 @@ def classify(frame: GFrame, tol: float = DEFAULT_TOL) -> Classification:
     ``S`` is formed once: its :func:`frame_operator` gives the bounds and the
     exactness test, and one values-only solve of it both basis tests.
     """
+    _check_tol(tol)
     fo = frame_operator(frame)
     is_frame = fo.lower > tol * fo.upper
     riesz, onb = _basis_tests(frame, fo.s, tol)
@@ -446,6 +461,7 @@ def inverse_root(frame: GFrame, tol: float = DEFAULT_TOL) -> np.ndarray:
     The result ``r`` is Hermitian, commutes with ``S`` and satisfies ``r S r = I``
     up to rounding.
     """
+    _check_tol(tol)
     s = frame_operator_matrix(frame)
     w, v = np.linalg.eigh(linalg.hermitian_part(s))
     linalg._finite(w, "the spectrum of the frame operator")

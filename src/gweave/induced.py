@@ -33,6 +33,7 @@ from .gframe import (
     RieszReport,
     _basis_tests,
     _check_dim,
+    _check_tol,
     frame_operator_matrix,
     is_g_orthonormal_basis,
     is_g_riesz_basis,
@@ -236,6 +237,7 @@ def check_operator_identity(frame: GFrame, tol: float = linalg.ZERO_RTOL) -> Ver
     block operator, and the Riesz and orthonormality verdicts computed
     on either side, from the spectrum of that side's operator, must agree.
     """
+    _check_tol(tol)
     vectors = induced_vectors(frame, onb_families(frame.block_rows))
     s_blocks = frame_operator_matrix(frame)
     s_vectors = vector_frame_operator(vectors)
@@ -277,6 +279,7 @@ def check_weaving_transfer(
     exhaustive :class:`UniversalReport` when the caller already holds it;
     without it the pair is scanned here.
     """
+    _check_tol(tol)
     a1, b1 = spec_first.envelope
     a2, b2 = spec_second.envelope
     vf = induced_vectors(first, spec_first)

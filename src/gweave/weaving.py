@@ -32,6 +32,7 @@ from .gframe import (
     BoundsReport,
     GFrame,
     _check_pair,
+    _check_tol,
     block_grams,
     canonical_dual,
     compose_right,
@@ -175,6 +176,7 @@ def weaving_bounds(
     tol: float = DEFAULT_TOL,
 ) -> BoundsReport:
     """Optimal bounds of one particular weaving."""
+    _check_tol(tol)
     return optimal_bounds(weave(first, second, selection), tol)
 
 
@@ -261,6 +263,7 @@ def universal_bounds_exhaustive(
     the maximizer resolve to the largest, so the two witnesses come from
     opposite ends of the enumeration order.
     """
+    _check_tol(tol)
     _check_pair(first, second)
     _check_cap(first.n_blocks, cap)
     return _scan_pair(first, second, tol)
@@ -301,6 +304,7 @@ def universal_bounds_search(
     neighbours instead of solving them and gives the report of running the
     descents one after another and solving every neighbour.
     """
+    _check_tol(tol)
     _check_pair(first, second)
     _check_budget(budget)
     _check_seed(seed)
@@ -482,6 +486,7 @@ def check_parseval_transform_weaving(
     the transformed pair has universal bounds inside [A/B, B/A]; a search
     report checks its interval.  ``tol`` and ``cap`` apply to the transformed pair.
     """
+    _check_tol(tol)
     _check_report(first, second, report, woven=True)
     # a woven report makes ``first`` a frame; tol 0 leaves the rank test to refuse
     root = inverse_root(first, 0.0)
@@ -515,8 +520,9 @@ class WeavingBasisReport:
     upper: float
 
 
-def _basis_walk(first: GFrame, second: GFrame, cap: Optional[int], residual: bool):
-    """``_kernels.basis_walk`` of the pair, refused above the cap."""
+def _basis_walk(first: GFrame, second: GFrame, tol: float, cap: Optional[int], residual: bool):
+    """``_kernels.basis_walk`` of the pair, refused for a bad ``tol`` or above the cap."""
+    _check_tol(tol)
     _check_pair(first, second)
     _check_cap(first.n_blocks, cap)
     base, deltas, _, _ = _pair_kernel_inputs(first, second)
@@ -551,7 +557,7 @@ def is_weaving_g_riesz(
     """
     n, d = first.n_blocks, first.domain_dim
     lower, upper = np.inf, -np.inf
-    for masks, bits, (lo, hi), margin in _basis_walk(first, second, cap, False):
+    for masks, bits, (lo, hi), margin in _basis_walk(first, second, tol, cap, False):
         counts = _bit_sum(first.block_rows, second.block_rows, bits)
         with np.errstate(invalid="ignore"):  # 0 * inf is NaN, and settles nothing
             settled = (counts == d) & (lo - tol * hi > (1.0 + abs(tol)) * margin)
@@ -588,7 +594,7 @@ def is_weaving_g_onb(
     n, d = first.n_blocks, first.domain_dim
     no_rows1 = [r == 0 for r in first.block_rows]
     no_rows2 = [r == 0 for r in second.block_rows]
-    for masks, bits, residual, margin in _basis_walk(first, second, cap, True):
+    for masks, bits, residual, margin in _basis_walk(first, second, tol, cap, True):
         cut = tol - (1.0 + abs(tol)) * margin if tol < 1.0 / 3.0 else -np.inf
         counts = _bit_sum(first.block_rows, second.block_rows, bits)
         empty = _bit_sum(no_rows1, no_rows2, bits)
@@ -614,6 +620,7 @@ def check_unitary_weaving_invariance(
     pair is not itself a weaving orthonormal pair the implication is vacuous
     and the record says so.
     """
+    _check_tol(tol)
     mat = linalg.as_matrix(u, square=True)
     d = first.domain_dim
     if mat.shape[0] != d:

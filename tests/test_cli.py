@@ -1,9 +1,11 @@
 """File format, commands, exit codes, and report determinism."""
 
+import inspect
 import json
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ from gweave.cli import (
     save_gframe,
 )
 from gweave import cli, suite, weaving
-from gweave.errors import ParseError, SchemaError, ShapeMismatch, TooManyBlocks
+from gweave.errors import GWeaveError, ParseError, SchemaError, ShapeMismatch, TooManyBlocks
 from gweave.gframe import new_gframe
 from gweave.suite import (
     SuiteConfig,
@@ -517,10 +519,27 @@ def test_no_input_escapes_main(tmp_path, capsys, name):
 
 
 def test_option_defaults_come_from_their_owners(monkeypatch):
-    """Every ``--tol`` defaults to ``DEFAULT_TOL``, and ``paper-suite`` to ``SuiteConfig``'s values."""
+    """Every ``--tol`` defaults to ``DEFAULT_TOL``, and ``paper-suite`` to ``SuiteConfig``'s values.
+
+    ``paper-suite`` reads ``SuiteConfig`` when it runs, not when the parser is
+    built, so that no other command imports ``suite``.
+    """
     monkeypatch.setattr(cli, "DEFAULT_TOL", 0.25)
-    for name, value in (("dim_scale", 2.0), ("seed", 7), ("search_budget", 9)):
-        monkeypatch.setattr(SuiteConfig, name, value)
+
+    @dataclass(frozen=True)
+    class Config(SuiteConfig):
+        dim_scale: float = 2.0
+        seed: int = 7
+        search_budget: int = 9
+
+    configs = []
+
+    def record(config):
+        configs.append(config)
+        raise GWeaveError("recorded")
+
+    monkeypatch.setattr(suite, "SuiteConfig", Config)
+    monkeypatch.setattr(suite, "run_suite", record)
     parser = cli.build_parser()
     for argv in (
         ["bounds", "f"],
@@ -531,8 +550,10 @@ def test_option_defaults_come_from_their_owners(monkeypatch):
         ["paper-suite"],
     ):
         assert parser.parse_args(argv).tol == 0.25, argv
-    args = parser.parse_args(["paper-suite"])
-    assert (args.dim_scale, args.seed, args.budget) == (2.0, 7, 9)
+    assert main(["paper-suite"]) == 2
+    assert main(["paper-suite", "--seed", "3", "--budget", "5"]) == 2
+    fields = [(c.dim_scale, c.seed, c.search_budget, c.tol) for c in configs]
+    assert fields == [(2.0, 7, 9, 0.25), (2.0, 3, 5, 0.25)]
 
 
 def test_python_dash_m_runs_the_cli():
@@ -566,6 +587,74 @@ def test_package_loads_the_cli_lazily():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def _fresh_modules(argv) -> tuple:
+    """``cli.main(argv)``'s exit code in a fresh interpreter, and the gweave modules it then holds."""
+    src = str(Path(gweave.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = (
+        "import sys, gweave.cli\n"
+        "code = gweave.cli.main(sys.argv[1:])\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('gweave.')), file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, *modules = proc.stderr.splitlines()[-1].split()
+    return int(code), set(modules)
+
+
+# The modules only a pair, a suite or an exactness test needs.
+ON_DEMAND = {"gweave._kernels", "gweave.induced", "gweave.suite", "gweave.weaving"}
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["bounds", "proj"], set()),
+        (["check", "proj", "dual", "--with", "proj"], set()),
+        (["dual", "proj"], set()),
+        (["transform-parseval", "proj"], set()),
+        # the classification printed with frame, riesz and onb runs the exactness
+        # test, whose removal spectra come from the kernel, on a frame only
+        (["check", "zero", "frame"], set()),
+        (["check", "zero", "riesz"], set()),
+        (["check", "proj", "frame"], {"gweave._kernels"}),
+        (["check", "proj", "riesz"], {"gweave._kernels"}),
+        (["check", "proj", "onb"], {"gweave._kernels"}),
+        (["check", "proj", "exact"], {"gweave._kernels"}),
+        (["woven", "dup", "split"], {"gweave._kernels", "gweave.weaving"}),
+        (["woven", "dup", "split", "--search", "4"], {"gweave._kernels", "gweave.weaving"}),
+        (["paper-suite"], ON_DEMAND),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_command_imports_only_the_modules_it_runs(paths, argv, loaded):
+    argv = [paths.get(a, a) for a in argv]
+    code, modules = _fresh_modules(argv)
+    assert code in (0, 1)
+    assert modules & ON_DEMAND == loaded
+    assert {"gweave.cli", "gweave.errors", "gweave.gframe", "gweave.linalg"} <= modules
+
+
+def test_public_names_resolve_to_the_objects_their_modules_define():
+    for name in gweave.__all__:
+        obj = getattr(gweave, name)
+        if inspect.ismodule(obj):
+            assert obj is sys.modules[f"gweave.{name}"]
+        else:
+            assert obj.__module__.startswith("gweave.")
+            assert getattr(sys.modules[obj.__module__], name) is obj
+    namespace = {}
+    exec("from gweave import *", namespace)
+    assert all(namespace[name] is getattr(gweave, name) for name in gweave.__all__)
+    assert set(gweave.__all__) <= set(dir(gweave))
+    with pytest.raises(AttributeError, match="has no attribute 'nothing'"):
+        gweave.nothing
+    # perfbench's serving process records the backend through this attribute
+    assert getattr(gweave, "_kernels").backend() == "numpy"
 
 
 class TestDeterminism:

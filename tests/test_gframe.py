@@ -28,6 +28,7 @@ from gweave.gframe import (
     parseval_transform,
 )
 from gweave.suite import build_nonunitary_operators, build_projection_family, random_unitary
+from gweave.weaving import check_dual_weaving
 
 from conftest import linalg_calls, random_frame, random_gframe
 from oracles import rayleigh_sample_range, svd_basis_tests
@@ -403,6 +404,17 @@ class TestInverseRoot:
                 transform(NEARLY_SINGULAR, tol=0.0)
             with pytest.raises(NotAFrame):  # the frame test comes first
                 transform(NEARLY_SINGULAR)
+
+    def test_subnormal_frame_operator_is_refused(self):
+        # S = 1e-320 I is well conditioned but subnormal: it holds about 11 bits
+        subnormal = new_gframe(2, [[1e-160, 0.0], [0.0, 1e-160]])
+        assert optimal_bounds(subnormal).lower == optimal_bounds(subnormal).upper == 1e-320
+        for transform in (canonical_dual, inverse_root, parseval_transform, check_dual_weaving):
+            with pytest.raises(Singular, match="below the normal range of float64"):
+                transform(subnormal)
+        scaled = new_gframe(2, [[2.0**-24, 0.0], [0.0, 2.0**-24]])  # S = 2^-48 I
+        np.testing.assert_array_equal(np.vstack(canonical_dual(scaled).blocks), 2.0**24 * np.eye(2))
+        np.testing.assert_array_equal(np.vstack(parseval_transform(scaled).blocks), np.eye(2))
 
     @pytest.mark.parametrize("complex_mode", [False, True])
     def test_parseval_transform_takes_one_eigensolve(self, monkeypatch, complex_mode):

@@ -1,14 +1,23 @@
 """Each input refusal of the Python API raises its named ``GWeaveError``, before any work."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+import gweave
 from gweave import linalg, suite
 from gweave.errors import EnvelopeViolation, LengthMismatch, NonFinite, ShapeMismatch
 from gweave.gframe import compose_right, is_dual_pair, new_gframe
 from gweave.induced import induced_vectors, make_subspace_spec, make_vector_family, onb_families
 from gweave.suite import SuiteConfig, run_suite
-from gweave.weaving import WeavingSelection, check_unitary_weaving_invariance, is_woven, weave
+from gweave.weaving import (
+    WeavingSelection,
+    check_unitary_weaving_invariance,
+    is_woven,
+    universal_bounds_exhaustive,
+    weave,
+)
 
 TWO = new_gframe(2, [[1.0, 0.0], [0.0, 1.0]])  # two one-row blocks on R^2
 THREE = new_gframe(2, [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])  # three blocks
@@ -101,3 +110,55 @@ def test_suite_tolerance_is_refused_before_any_family_is_built(monkeypatch, tol)
 def test_suite_scale_that_is_no_number_is_refused(scale):
     with pytest.raises(ShapeMismatch, match="^dim_scale must be a finite positive number"):
         run_suite(SuiteConfig(dim_scale=scale))
+
+
+# Every function of the package's public names that takes ``tol``, found from
+# its signature, so that a new one cannot go unchecked.
+TOL_TAKERS = sorted(
+    name
+    for name in gweave.__all__
+    if inspect.isfunction(getattr(gweave, name))
+    and "tol" in inspect.signature(getattr(gweave, name)).parameters
+)
+VECTORS = make_vector_family(2, [[[1.0, 0.0]], [[0.0, 1.0]]])
+SPEC = onb_families(TWO.block_rows)
+# Each one's arguments other than ``tol``.
+TOL_ARGS = {
+    "canonical_dual": lambda: (TWO,),
+    "check_dual_weaving": lambda: (TWO,),
+    "check_operator_identity": lambda: (TWO,),
+    "check_parseval_transform_weaving": lambda: (TWO, TWO, universal_bounds_exhaustive(TWO, TWO)),
+    "check_unitary_weaving_invariance": lambda: (TWO, TWO, np.eye(2)),
+    "check_weaving_transfer": lambda: (TWO, TWO, SPEC, SPEC),
+    "classify": lambda: (TWO,),
+    "frame_bounds_vectors": lambda: (VECTORS,),
+    "is_dual_pair": lambda: (TWO, TWO),
+    "is_g_exact": lambda: (TWO,),
+    "is_g_orthonormal_basis": lambda: (TWO,),
+    "is_g_riesz_basis": lambda: (TWO,),
+    "is_onb_vectors": lambda: (VECTORS,),
+    "is_riesz_basis_vectors": lambda: (VECTORS,),
+    "is_weaving_g_onb": lambda: (TWO, TWO),
+    "is_weaving_g_riesz": lambda: (TWO, TWO),
+    "is_woven": lambda: (TWO, TWO),
+    "optimal_bounds": lambda: (TWO,),
+    "parseval_transform": lambda: (TWO,),
+    "universal_bounds_exhaustive": lambda: (TWO, TWO),
+    "universal_bounds_search": lambda: (TWO, TWO, 1),
+    "universal_bounds_vectors": lambda: (VECTORS, VECTORS),
+    "weaving_bounds": lambda: (TWO, TWO, NONE),
+}
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, "x", True])
+@pytest.mark.parametrize("name", TOL_TAKERS)
+def test_public_tolerance_is_refused(name, tol):
+    assert name in TOL_ARGS, f"{name} takes tol: add its other arguments to TOL_ARGS"
+    function, args = getattr(gweave, name), TOL_ARGS[name]()
+    function(*args)  # the arguments are good, so the refusal below is tol's
+    with pytest.raises(ShapeMismatch, match="^tol must be a finite non-negative number"):
+        function(*args, tol=tol)
+
+
+def test_every_tolerance_taker_is_covered():
+    assert sorted(TOL_ARGS) == TOL_TAKERS
