@@ -12,7 +12,7 @@ and the kernel reports extreme eigenvalues across masks.
 This module is the only one that builds, batches or reads that operator.
 Each entry takes ``base`` and ``deltas`` and returns arrays:
 :func:`weaving_scan` for the extremes over all masks, :func:`descent_search`
-for the sampled search, :func:`basis_walk` for the per-weaving classifiers
+for the sampled search, :func:`basis_search` for the per-weaving classifiers
 and :func:`one_bit_spectra` for the operators with one bit set.
 
 Every spectrum goes through one representation, :class:`_SplitOperator`:
@@ -27,7 +27,7 @@ operator fixes its batch size once, ``step`` masks whose stacks hold at most
 ``_BATCH_FLOATS`` entries, and every kernel entry reads it.  The matmul runs
 in tiles of a fixed number of rows, so a mask's operator, and with it its
 eigenvalues, is bitwise the same whatever batch it comes in, and the scan,
-the sampled search and the basis walk read the same values for the same
+the sampled search and the basis search read the same values for the same
 mask.
 
 Before enumerating, :func:`weaving_scan` also drops every block whose delta
@@ -78,6 +78,12 @@ each component of the mask's operator and solves only the masks that fail
 it.  Its quotients and Weyl steps are taken piece by piece too, so no step
 of the search forms or solves a matrix larger than a component.
 
+The basis search (:func:`basis_search`) answers "does every mask pass" for
+the per-weaving classifiers.  Its subcubes fix bits from the highest block
+down, with the envelopes of the subcube search (:func:`_envelopes`), so a
+subcube the caller certifies is skipped and the masks of the others are
+met in ascending order, as a walk over every mask would meet them.
+
 The margin ``m`` (:func:`_margin`) bounds the rounding of the shifts, of
 Cholesky, of ``eigvalsh``, of the envelopes and of the Weyl and Rayleigh
 bounds, so no mask that could be or tie a witness or a descent's step is
@@ -119,7 +125,8 @@ _BATCH_FLOATS = 1 << 14
 # stack row and a Cholesky test; on random pairs the subcubes are the faster
 # from there on.
 _TREE_BLOCKS = 12
-# open nodes one search round expands on each side, and the free blocks of a leaf
+# open nodes one search round expands on each side (the basis search tests as
+# many per round), and the free blocks of a leaf
 _ROUND = 16
 _LEAF_FREE = 4
 # The descents of descent_search advance in groups of _ROUND_MASKS // n, so
@@ -237,23 +244,13 @@ class _SplitOperator:
         With no ``floor`` and ``ceiling`` every row is solved.  Otherwise
         they are both scalars or both hold one value per row, and a row whose
         operator is proved to have every eigenvalue strictly between its
-        floor and ceiling (the diagonal directly, each component by
-        :func:`_inside`) is not solved; it reads ``+inf`` and ``-inf``.  A
-        floor of ``-inf`` or a ceiling of ``+inf`` needs no test.
+        floor and ceiling (:func:`_proved`) is not solved; it reads ``+inf``
+        and ``-inf``.
         """
         diag, stacks = self.pieces(bits)
         if floor is None:
             return _solve(diag, stacks)
-        solve = np.zeros(len(bits), dtype=bool)
-        if diag.shape[1]:
-            solve = (diag.min(axis=1) <= floor) | (diag.max(axis=1) >= ceiling)
-        for stack in stacks:
-            rows = ~solve
-            if rows.all():  # every row: test the stack itself, not a copy
-                solve = ~_inside(stack, floor, ceiling)
-            elif rows.any():
-                shifts = (floor[rows], ceiling[rows]) if np.ndim(floor) else (floor, ceiling)
-                solve[rows] = ~_inside(stack[rows], *shifts)
+        solve = ~_proved(diag, stacks, floor, ceiling)
         if solve.all():
             return _solve(diag, stacks)
         lo = np.full(len(bits), np.inf)
@@ -288,6 +285,28 @@ def _solve(diag: np.ndarray, stacks: list):
         np.minimum(lo, w[:, 0], out=lo)
         np.maximum(hi, w[:, -1], out=hi)
     return lo, hi
+
+
+def _proved(diag: np.ndarray, stacks: list, floor, ceiling) -> np.ndarray:
+    """Whether each row's operator has every eigenvalue strictly between ``floor`` and ``ceiling``.
+
+    The diagonal part is read directly and each component goes through
+    :func:`_inside`, for the rows no earlier piece has disproved.  ``floor``
+    and ``ceiling`` are scalars or hold one value per row.  A floor of
+    ``-inf`` or a ceiling of ``+inf`` needs no test, and a NaN one proves
+    nothing.
+    """
+    proved = np.ones(len(diag), dtype=bool)
+    if diag.shape[1]:
+        proved = (diag.min(axis=1) > floor) & (diag.max(axis=1) < ceiling)
+    for stack in stacks:
+        if proved.all():  # every row: test the stack itself, not a copy
+            proved = _inside(stack, floor, ceiling)
+        elif proved.any():
+            rows = np.flatnonzero(proved)
+            shifts = (floor[rows], ceiling[rows]) if np.ndim(floor) else (floor, ceiling)
+            proved[rows] = _inside(stack[rows], *shifts)
+    return proved
 
 
 def _definite(stack: np.ndarray) -> np.ndarray:
@@ -417,7 +436,7 @@ def _margin(ratios: np.ndarray, exponents: np.ndarray, order: int) -> float:
 
     These add up to at most ``(4 d^2 + 5 d + 2 k + 10) u N``.
 
-    Per-weaving classifier (:func:`basis_walk`: ``weaving`` settles a mask
+    Per-weaving classifier (:func:`basis_search`: ``weaving`` settles a mask
     whose Riesz test ``lambda_min - tol lambda_max`` or ONB test
     ``tol - |S - I|_F`` clears ``(1 + |tol|) m``, and hands every other one
     to the per-family classifier on its weaving, which must then agree).
@@ -447,15 +466,43 @@ def _margin(ratios: np.ndarray, exponents: np.ndarray, order: int) -> float:
     ``(2 d^(3/2) + d^2 / 4 + (sqrt(d) + 1) k + 3 d + 4) u N``, and a test
     moves by ``1 + |tol|`` times the error of its values.
 
+    Subcube certificate of the basis search (``weaving`` settles a subcube
+    whose completions all have ``d`` rows, when Cholesky proves its lower
+    envelope ``L`` above ``tol lambda_max(U) + 2 (1 + |tol|) m``, for the
+    upper envelope ``U`` of the whole cube, or when
+    ``|P - I|_F + sum_free |delta_i|_F`` is at most ``tol - (1 + |tol|) m``;
+    every completion's exact operator lies between the exact ``L`` and
+    ``U``, and its exact residual is at most the exact sum):
+
+    - each envelope's value errs as the envelope bound above, without the
+      mask's solve: ``(d^2 + 5 d + 2 k + 2) u N``, and there are two;
+    - for the residual, ``|P - I|_F`` errs as a mask's does, which the
+      per-weaving sum counts; each ``|delta_i|_F``, the root of at most
+      ``2 d^2`` scaled squares, by ``(d^2 + 1) u |delta_i|_F``, and the sums
+      of at most ``k + 1`` terms by ``(k + 1) u N``;
+    - the per-weaving classifier's values of a completion err from its
+      exact ones by less than the per-weaving sum.
+
+    These add up to at most
+    ``(9 d^2 / 4 + 2 d^(3/2) + 13 d + (sqrt(d) + 5) k + 8) u N``, and a test
+    moves by ``1 + |tol|`` times that.  The Cholesky test of ``L`` against
+    that floor errs by the Cholesky sum above on top, and so does the same
+    test of ``S`` for a mask walked in a subcube that is not settled; each
+    sum is below ``m``, so twice the margin covers both.
+
     The margin ``8 ((d + 2)^2 + k) u N`` is more than twice each of the five
-    sums (with ``k <= 62``, the most blocks a mask holds), and more than the
-    Rayleigh sum plus any other, which covers complex arithmetic and the
-    solvers' constant factors.  So when a Cholesky test, an envelope bound or
-    a Weyl bound clears ``incumbent + margin``, every value ``eigvalsh`` would
-    return for the masks it covers is strictly beyond the incumbent.  When
-    the incumbent is a Rayleigh bound, those values are also beyond the value
-    ``eigvalsh`` returns for the neighbour whose quotient it is, so that
-    neighbour is never certified against it.  And a weaving the basis walk
+    sums before the certificate (with ``k <= 62``, the most blocks a mask
+    holds), and more than the Rayleigh sum plus any other, which covers
+    complex arithmetic and the solvers' constant factors.  It also exceeds
+    the certificate sum: ``8 d^2`` exceeds ``9 d^2 / 4 + 2 d^(3/2)`` by
+    ``23 d^2 / 4 - 2 d^(3/2)``, which is more than ``(sqrt(d) - 3) k`` for
+    every ``d`` when ``k <= 62``, and ``32 d + 32`` exceeds ``13 d + 8``.  So
+    when a Cholesky test, an envelope bound or a Weyl bound clears
+    ``incumbent + margin``, every value ``eigvalsh`` would return for the
+    masks it covers is strictly beyond the incumbent.  When the incumbent is
+    a Rayleigh bound, those values are also beyond the value ``eigvalsh``
+    returns for the neighbour whose quotient it is, so that neighbour is
+    never certified against it.  And a weaving or a subcube the basis search
     settles gets the same verdict from the per-family classifier.
     """
     size = (order + 2) ** 2 + len(ratios) - 1
@@ -485,6 +532,41 @@ def _batches(total: int, step: int, first: int = 0):
     while start < total:
         yield slice(start, start + size)
         start, size = start + size, min(2 * size, step)
+
+
+def _envelopes(operator: _SplitOperator, order: np.ndarray):
+    """The envelopes of subcubes whose blocks ``order[:depth]`` are fixed and the others free.
+
+    Returns ``envelope(masks, depths, side)``, which yields ``(part, diag,
+    stacks)`` for each batch of nodes: the slice of the batch and the pieces
+    (as :meth:`_SplitOperator.pieces`) of ``P + sum_free neg(delta_i)``
+    (side 0, below every completion's operator) or ``P + sum_free
+    pos(delta_i)`` (side 1, above it) for each node, given by the mask of its
+    fixed bits (its free bits clear) and its depth, where ``P`` is the
+    operator of the mask.  The negative and positive parts of each delta
+    come from one ``eigh`` per component, the diagonal part clipped.
+    """
+    k = len(order)
+    # For each side the parts below (lambda_min) or above (lambda_max) each
+    # delta, diagonal first, then their sums over the blocks from each depth
+    # on, and none at depth k.
+    eigen = [np.linalg.eigh(stack) for stack in operator.block_deltas]
+    suffixes = [[], []]
+    for clip, suffix in zip((np.minimum, np.maximum), suffixes):
+        parts = [clip(operator.diag_deltas, 0.0)]
+        parts += [(v * clip(w, 0.0)[:, np.newaxis]) @ v.conj().transpose(0, 2, 1) for w, v in eigen]
+        for part in parts:
+            suffix.append(np.zeros((k + 1, *part.shape[1:]), dtype=part.dtype))
+            np.cumsum(part[order][::-1], axis=0, out=suffix[-1][:k][::-1])
+
+    def envelope(masks, depths, side):
+        for part in _batches(len(masks), operator.step):
+            diag, stacks = operator.pieces(_mask_bits(masks[part], k))
+            for piece, suffix in zip([diag, *stacks], suffixes[side]):
+                piece += suffix[depths[part]]
+            yield part, diag, stacks
+
+    return envelope
 
 
 def _subcube_search(operator: _SplitOperator, cube: bool):
@@ -531,23 +613,12 @@ def _subcube_search(operator: _SplitOperator, cube: bool):
 
     order = np.argsort(-operator.norms, kind="stable")
     position = np.left_shift(1, order)  # the bit fixed at each depth
-    # For each side the parts below (lambda_min) or above (lambda_max) each
-    # delta, diagonal first, then their sums over the blocks from each depth
-    # on.  Every node keeps a free block, so no node has depth k.
-    eigen = [np.linalg.eigh(stack) for stack in operator.block_deltas]
-    suffixes = []
-    for clip in (np.minimum, np.maximum):
-        parts = [clip(operator.diag_deltas, 0.0)]
-        parts += [(v * clip(w, 0.0)[:, np.newaxis]) @ v.conj().transpose(0, 2, 1) for w, v in eigen]
-        suffixes.append([np.cumsum(part[order][::-1], axis=0)[::-1] for part in parts])
+    envelope = _envelopes(operator, order)
 
     def bounds(masks, depths, side):
         """Each node's envelope bound on ``lambda_min`` (side 0) or ``-lambda_max`` (side 1)."""
         out = np.empty(len(masks))
-        for part in _batches(len(masks), step):
-            diag, stacks = operator.pieces(_mask_bits(masks[part], k))
-            for piece, suffix in zip([diag, *stacks], suffixes[side]):
-                piece += suffix[depths[part]]
+        for part, diag, stacks in envelope(masks, depths, side):
             lo, hi = _solve(diag, stacks)
             out[part] = -hi if side else lo
         return out
@@ -874,24 +945,87 @@ def descent_search(base: np.ndarray, deltas: np.ndarray, seeds):
     return lower, amin, -upper, amax, len(seen)
 
 
-def basis_walk(base: np.ndarray, deltas: np.ndarray, residual: bool = False):
-    """Every mask of ``len(deltas)`` bits in ascending batches, with its operator's values.
+def basis_search(base: np.ndarray, deltas: np.ndarray, certify, floor=None):
+    """The masks of ``len(deltas)`` bits that no certified subcube covers, in ascending batches.
 
-    Yields ``(masks, bits, values, margin)`` for each batch of at most
-    ``_BATCH_FLOATS`` stacked entries: the masks, their bits as float64 rows,
-    their values and the operator's rounding :func:`_margin`.  The values
-    are ``(lo, hi)``, the extreme eigenvalues (the diagonal part directly,
-    one stacked ``eigvalsh`` per larger component), or with ``residual``
-    ``|S - I|_F`` with no eigensolve (:meth:`_SplitOperator.residuals`).
-    Every block is kept, null ones included.
+    Yields ``(masks, bits, values, margin)``: the masks, their bits as
+    float64 rows, their operators' values and the operator's rounding
+    :func:`_margin`.  Every block is kept, null ones included.
+
+    A node is a subcube whose bits are fixed from the highest block down and
+    whose low ``free`` bits are free, given by the mask of its fixed bits.
+    ``certify(bits, free, values, margin)`` says for each node of a batch
+    whether every mask in it passes; ``free`` holds each node's free bits.
+
+    - With ``floor`` the values are ``(lo, hi)``.  The search reads
+      ``level = floor(lambda_max(U), margin)`` once, for the upper envelope
+      ``U`` of the whole cube, which lies above every mask's operator
+      (:func:`_envelopes`).  A node whose lower envelope, or a mask whose
+      operator, Cholesky proves to have every eigenvalue above ``level``
+      (:func:`_proved`) reads ``(+inf, -inf)``; any other mask reads its
+      extreme eigenvalues, and any other node ``(-inf, +inf)``.
+    - Without, the values are residuals: for a mask ``|S - I|_F``
+      (:meth:`_SplitOperator.residuals`), for a node that of its mask plus
+      the norms of its free deltas, which bounds every completion's.
+
+    Each round takes the first ``_ROUND`` nodes not yet tested, in ascending
+    order, and splits the uncertified ones with more than ``_LEAF_FREE``
+    free bits, the child with the next bit clear first; an uncertified leaf
+    is walked once no untested node lies before it.  A walk's first batch is
+    one leaf and each next one doubles, up to ``_BATCH_FLOATS`` stacked
+    entries, so a caller that stops at the first failure computes few masks
+    past it.
     """
     n = deltas.shape[0]
     operator = _SplitOperator(base, deltas)
-    values = operator.residuals if residual else operator.extremes
-    for part in _batches(1 << n, operator.step):
-        masks = np.arange(part.start, min(part.stop, 1 << n), dtype=np.int64)
+    step, margin = operator.step, operator.margin
+    if floor is not None:
+        envelope = _envelopes(operator, np.arange(n)[::-1])
+        root = np.zeros(1, dtype=np.int64)
+        ((_, diag, stacks),) = envelope(root, root, 1)
+        level = floor(_solve(diag, stacks)[1][0], margin)
+    spread = np.concatenate([[0.0], np.cumsum(operator.norms)])  # sum of |delta_i|_F, i < free
+    leaf_depth = max(0, n - _LEAF_FREE)
+    leaf = np.arange(1 << (n - leaf_depth))
+    # The subcubes left, ascending, as the columns of ``nodes``: mask, depth
+    # and whether tested, which only an uncertified leaf is.
+    nodes = np.zeros((3, 1), dtype=np.int64)
+    while nodes.shape[1]:
+        run = np.argmin(nodes[2]) if not nodes[2].all() else nodes.shape[1]
+        if run:
+            walk = (nodes[0, :run, np.newaxis] | leaf).ravel()
+            for part in _batches(len(walk), step, min(step, len(leaf))):
+                bits = _mask_bits(walk[part], n)
+                if floor is None:
+                    values = operator.residuals(bits)
+                else:
+                    values = operator.extremes(bits, level, np.inf)
+                yield walk[part], bits, values, margin
+            nodes = nodes[:, run:]
+            continue
+        pick = np.flatnonzero(nodes[2] == 0)[:_ROUND]
+        masks, depths, _ = nodes[:, pick]
         bits = _mask_bits(masks, n)
-        yield masks, bits, values(bits), operator.margin
+        if floor is None:
+            residuals = [operator.residuals(bits[part]) for part in _batches(len(bits), step)]
+            values = np.concatenate(residuals) + spread[n - depths]
+        else:
+            proved = [_proved(d, s, level, np.inf) for _, d, s in envelope(masks, depths, 0)]
+            lo = np.where(np.concatenate(proved), np.inf, -np.inf)
+            values = lo, -lo
+        opened = ~certify(bits, n - depths, values, margin)
+        leaves, inner = opened & (depths == leaf_depth), opened & (depths < leaf_depth)
+        # an inner node gives way to its children, with the next bit clear and set
+        children = [masks[inner], masks[inner] | (1 << (n - 1 - depths[inner]))]
+        nodes = np.concatenate(
+            [
+                np.delete(nodes, pick, axis=1),
+                [masks[leaves], depths[leaves], np.ones_like(masks[leaves])],
+                *([child, depths[inner] + 1, np.zeros_like(child)] for child in children),
+            ],
+            axis=1,
+        )
+        nodes = nodes[:, np.argsort(nodes[0])]
 
 
 def one_bit_spectra(base: np.ndarray, deltas: np.ndarray):

@@ -520,13 +520,12 @@ class WeavingBasisReport:
     upper: float
 
 
-def _basis_walk(first: GFrame, second: GFrame, tol: float, cap: Optional[int], residual: bool):
-    """``_kernels.basis_walk`` of the pair, refused for a bad ``tol`` or above the cap."""
+def _basis_inputs(first: GFrame, second: GFrame, tol: float, cap: Optional[int]):
+    """The kernel's ``base`` and ``deltas``, refused for a bad ``tol`` or above the cap."""
     _check_tol(tol)
     _check_pair(first, second)
     _check_cap(first.n_blocks, cap)
-    base, deltas, _, _ = _pair_kernel_inputs(first, second)
-    return _kernels.basis_walk(base, deltas, residual)
+    return _pair_kernel_inputs(first, second)[:2]
 
 
 def _bit_sum(first_values, second_values, bits: np.ndarray) -> np.ndarray:
@@ -534,6 +533,18 @@ def _bit_sum(first_values, second_values, bits: np.ndarray) -> np.ndarray:
     a = np.asarray(first_values, dtype=np.float64)
     b = np.asarray(second_values, dtype=np.float64)
     return b.sum() + bits @ (a - b)
+
+
+def _square(first: GFrame, second: GFrame):
+    """``square(bits, free)``: whether every completion of each node has ``d`` rows.
+
+    A node's bits fix its high blocks and leave its low ``free`` blocks
+    clear.  Its completions all have the row count of its own mask exactly
+    when each free block has as many rows in both families.
+    """
+    rows1, rows2 = first.block_rows, second.block_rows
+    same = np.cumprod([True] + [r1 == r2 for r1, r2 in zip(rows1, rows2)]).astype(bool)
+    return lambda bits, free: (_bit_sum(rows1, rows2, bits) == first.domain_dim) & same[free]
 
 
 def is_weaving_g_riesz(
@@ -547,27 +558,42 @@ def is_weaving_g_riesz(
     A weaving is a Riesz basis exactly when its row count is ``d`` and
     ``lambda_min(S) > tol lambda_max(S)`` for its frame operator ``S``, since
     ``V*V = S`` for its square synthesis matrix ``V``.  The kernel's basis
-    walk gives ``lambda_min`` and ``lambda_max`` of every selection, in
-    ascending batches, and settles each selection whose test clears zero by
-    ``1 + |tol|`` times the kernel's rounding margin, which also bounds the
-    rounding of the per-weaving classifier (``_kernels._margin``); every
-    other one, in ascending mask order, goes to :func:`is_g_riesz_basis` on
-    its weaving until one fails.  So verdict, witness and failing bounds are
-    those of the per-weaving classifier.
+    search (``_kernels.basis_search``) settles a whole subcube of selections
+    whose every completion has ``d`` rows when Cholesky proves its lower
+    envelope above ``tol lambda_max(U) + 2 (1 + |tol|) m``, for the upper
+    envelope ``U`` of the whole cube and the kernel's rounding margin ``m``,
+    which also bounds the rounding of the per-weaving classifier
+    (``_kernels._margin``).  It walks the selections of the other subcubes
+    in ascending order, and settles one with ``d`` rows by the same Cholesky
+    test of its operator, or when its own ``lambda_min - tol lambda_max``
+    clears ``(1 + |tol|) m``.  Every other selection goes to
+    :func:`is_g_riesz_basis` on its weaving until one fails.  So verdict,
+    witness and failing bounds are those of the per-weaving classifier; a
+    passing report gives the universal bounds of ``_kernels.weaving_scan``.
     """
-    n, d = first.n_blocks, first.domain_dim
-    lower, upper = np.inf, -np.inf
-    for masks, bits, (lo, hi), margin in _basis_walk(first, second, tol, cap, False):
-        counts = _bit_sum(first.block_rows, second.block_rows, bits)
+    n = first.n_blocks
+    base, deltas = _basis_inputs(first, second, tol, cap)
+    allowance = 1.0 + abs(tol)
+    square = _square(first, second)
+
+    def certify(bits, free, values, margin):
+        lo, hi = values
+        # lo is +inf where Cholesky proved every eigenvalue above the floor
         with np.errstate(invalid="ignore"):  # 0 * inf is NaN, and settles nothing
-            settled = (counts == d) & (lo - tol * hi > (1.0 + abs(tol)) * margin)
-        for mask in masks[~settled]:
+            above = (lo == np.inf) | (lo - tol * hi > allowance * margin)
+        return square(bits, free) & above
+
+    def floor(upper, margin):
+        with np.errstate(invalid="ignore"):  # 0 * inf is NaN, and proves nothing
+            return tol * upper + 2.0 * allowance * margin
+
+    for masks, bits, values, margin in _kernels.basis_search(base, deltas, certify, floor):
+        for mask in masks[~certify(bits, 0, values, margin)]:
             sel = WeavingSelection(n, int(mask))
             rep = is_g_riesz_basis(weave(first, second, sel), tol)
             if not rep.is_riesz:
                 return WeavingBasisReport(False, sel, rep.lower, rep.upper)
-        lower = min(lower, float(lo.min()))
-        upper = max(upper, float(hi.max()))
+    lower, _, upper, _ = _kernels.weaving_scan(base, deltas)
     return WeavingBasisReport(True, None, lower, upper)
 
 
@@ -581,25 +607,35 @@ def is_weaving_g_onb(
 
     With row count ``d`` the synthesis matrix ``V`` is square, so both
     residuals of :func:`is_g_orthonormal_basis` equal ``R = |S - I|_F``,
-    which the kernel's basis walk gives piece by piece, with no eigensolve.
-    A weaving with no zero-row block, row count ``d`` and ``R`` below
-    ``tol`` by ``1 + |tol|`` times the kernel's rounding margin is settled:
-    the per-weaving test allows ``tol max(1, lambda_max) >= tol``.  For
+    which the kernel gives piece by piece, with no eigensolve.  A weaving
+    with no zero-row block, row count ``d`` and ``R`` below ``tol`` by
+    ``1 + |tol|`` times the kernel's rounding margin is settled: the
+    per-weaving test allows ``tol max(1, lambda_max) >= tol``.  For
     ``tol < 1/3`` that also settles its zero-row test, since each row norm
     squared is within ``R`` of 1, so above ``2/3``, while
-    ``lambda_max <= 1 + R`` keeps the allowance below ``4/9``.  Every other
-    weaving, in ascending mask order, goes to :func:`is_g_orthonormal_basis`
-    until one fails.
+    ``lambda_max <= 1 + R`` keeps the allowance below ``4/9``.  The kernel's
+    basis search settles a whole subcube the same way, with
+    ``|P - I|_F + sum_free |delta_i|_F`` in place of ``R``, which bounds it
+    for every completion.  Every other weaving, in ascending mask order,
+    goes to :func:`is_g_orthonormal_basis` until one fails.
     """
-    n, d = first.n_blocks, first.domain_dim
+    n = first.n_blocks
+    base, deltas = _basis_inputs(first, second, tol, cap)
     no_rows1 = [r == 0 for r in first.block_rows]
     no_rows2 = [r == 0 for r in second.block_rows]
-    for masks, bits, residual, margin in _basis_walk(first, second, tol, cap, True):
+    square = _square(first, second)
+
+    def certify(bits, free, residual, margin):
+        # A node's own mask takes its free blocks from the second family, and
+        # where every completion has d rows each free block has as many rows
+        # in the first: so no completion has a zero-row block when its own
+        # mask has none.
         cut = tol - (1.0 + abs(tol)) * margin if tol < 1.0 / 3.0 else -np.inf
-        counts = _bit_sum(first.block_rows, second.block_rows, bits)
         empty = _bit_sum(no_rows1, no_rows2, bits)
-        settled = (counts == d) & (empty == 0) & (residual <= cut)
-        for mask in masks[~settled]:
+        return square(bits, free) & (empty == 0) & (residual <= cut)
+
+    for masks, bits, residual, margin in _kernels.basis_search(base, deltas, certify):
+        for mask in masks[~certify(bits, 0, residual, margin)]:
             sel = WeavingSelection(n, int(mask))
             if not is_g_orthonormal_basis(weave(first, second, sel), tol).is_onb:
                 return WeavingBasisReport(False, sel, 0.0, 0.0)

@@ -493,8 +493,10 @@ def test_every_tree_batch_fits_the_batch_size(monkeypatch, batch_floats):
     The tree's node envelopes, own masks and leaf completions run in batches
     of the bound, and so do the stacks of ``mask_spectra``,
     ``neighbour_quotients`` and the basis classifiers; a stack holds at
-    least one operator of 16 floats.  Every weaving of the classifiers'
-    pair is a Riesz basis, so the Riesz classifier walks all of its masks.
+    least one operator, of 16 floats, or of 64 for the classifiers' pair.
+    At the ONB test's tolerance each weaving of its pair settles on its own
+    but no subcube does, so it walks every mask; the Riesz test walks the
+    quarter of a fail-late pair next to its failures.
     """
     rng = np.random.default_rng(3)
     base, deltas = _pair_inputs(random_gframe(rng, d=4, n=14), random_gframe(rng, d=4, n=14))
@@ -503,6 +505,12 @@ def test_every_tree_batch_fits_the_batch_size(monkeypatch, batch_floats):
     lo, hi = _spectra(base, deltas, masks)
     lowest = masks % 2 == 0
     shift = np.where(lowest, lo - 1.0, hi + 1.0)
+    pair = basis_pair(rng, [1] * 8, noise=0.02)
+    late = basis_pair(rng, [1] * 8, noise=0.02, fail_late="duplicate")
+    w = np.array([np.linalg.eigvalsh(mixed_frame_operator(*pair, m)) for m in range(1 << 8)])
+    # every weaving clears it by far more than the rounding margin, and the
+    # envelope of no leaf does
+    onb_tol = 1.01 * np.sqrt(np.square(w - 1.0).sum(axis=1)).max()
     monkeypatch.setattr(_kernels, "_BATCH_FLOATS", batch_floats)
     calls = _tree_calls(monkeypatch)
     batches = []
@@ -523,17 +531,28 @@ def test_every_tree_batch_fits_the_batch_size(monkeypatch, batch_floats):
         lambda base, flat, bits: floats.append(bits.shape[0] * flat.shape[1])
         or stack(base, flat, bits),
     )
+    walked = []
+    search = _kernels.basis_search
+
+    def counted(*args):
+        for batch in search(*args):
+            walked.append(len(batch[0]))
+            yield batch
+
+    monkeypatch.setattr(_kernels, "basis_search", counted)
     spectra = []
-    riesz = basis_pair(rng, [1, 1, 1, 1, 0, 0, 0, 0, 0, 0], noise=0.02)
-    for run in (
-        lambda: is_weaving_g_riesz(*riesz).holds or pytest.fail("not every weaving is Riesz"),
-        lambda: is_weaving_g_onb(*riesz),
-        lambda: spectra.extend(_spectra(base, deltas, masks)),
-        lambda: _quotients(base, deltas, masks, lowest, shift),
+    for size, walks, run in (
+        (64, 1 << 6, lambda: is_weaving_g_riesz(*late).holds and pytest.fail("Riesz")),
+        (64, 1 << 8, lambda: is_weaving_g_onb(*pair, onb_tol).holds or pytest.fail("ONB")),
+        (16, 0, lambda: spectra.extend(_spectra(base, deltas, masks))),
+        (16, 0, lambda: _quotients(base, deltas, masks, lowest, shift)),
     ):
         floats.clear()
+        walked.clear()
         run()
-        assert max(floats) == 16 * step <= max(batch_floats, 16)
+        step = max(1, batch_floats // size)
+        assert max(floats) == size * step <= max(batch_floats, size)
+        assert sum(walked) >= walks
     assert np.array_equal(spectra[0], lo) and np.array_equal(spectra[1], hi)
 
 

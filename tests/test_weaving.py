@@ -16,6 +16,7 @@ from gweave.errors import (
     TooManyBlocks,
 )
 from gweave.gframe import (
+    DEFAULT_TOL,
     block_grams,
     compose_right,
     frame_operator,
@@ -733,6 +734,77 @@ def test_basis_classifiers_match_per_weaving_loop(
     _assert_same_report(got, brute_weaving_basis(first, second, kind, tol), kind)
 
 
+@settings(max_examples=60, deadline=None)
+@example(
+    seed=0, rows=[2, 0], complex_mode=False, kind="riesz", fail_late="duplicate", drop=0,
+    tol="band", leaf=0, round_=1,
+)
+@given(
+    seed=st.integers(0, 10_000),
+    rows=st.lists(st.integers(0, 2), min_size=4, max_size=10),
+    complex_mode=st.booleans(),
+    kind=st.sampled_from(["riesz", "onb"]),
+    fail_late=st.sampled_from([None, "scale", "duplicate"]),
+    drop=st.none() | st.integers(0, 9),
+    tol=st.sampled_from([1e-8, 1e-3, 0.5, "band"]),
+    leaf=st.sampled_from([0, 1]),
+    round_=st.sampled_from([1, 3, 16]),
+)
+def test_deep_subcube_splits_match_per_weaving_loop(
+    seed, rows, complex_mode, kind, fail_late, drop, tol, leaf, round_
+):
+    """With leaves of one or two masks the basis search splits pairs of up to 10 blocks all the way.
+
+    Small rounds make it test few nodes at a time, so certified subcubes,
+    walked leaves and untested nodes interleave; verdict, witness and
+    bounds must still be those of the per-weaving loop.
+    """
+    rng = np.random.default_rng(seed)
+    rows = list(rows)
+    if fail_late == "duplicate":
+        rows[-1] = rows[-2]
+    assume(sum(rows) > 0)
+    noise = 0.02 if kind == "riesz" else 1e-6 if tol == "band" else 0.0
+    first, second = basis_pair(rng, rows, complex_mode, noise, fail_late)
+    if drop is not None:
+        blocks = list(second.blocks)
+        blocks[drop % len(blocks)] = blocks[drop % len(blocks)][:0]
+        second = new_gframe(second.domain_dim, blocks)
+    if tol == "band":
+        tol = _tol_at(first, second, kind, int(rng.integers(0, 1 << len(rows))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_LEAF_FREE", leaf)
+        mp.setattr(_kernels, "_ROUND", round_)
+        got = CLASSIFIERS[kind](first, second, tol)
+    _assert_same_report(got, brute_weaving_basis(first, second, kind, tol), kind)
+
+
+@pytest.mark.parametrize("kind", ["riesz", "onb"])
+def test_a_subcube_with_a_completion_of_more_than_d_rows_is_not_certified(kind):
+    """Mask 0 is an orthonormal basis, but mask 1 takes a two-row block and has three rows.
+
+    Every weaving's operator lies between ``I`` and ``I + e2 e2*``, so only
+    the row counts of the completions tell the subcube apart.
+    """
+    first = new_gframe(2, [np.eye(2), np.eye(2)[1:]])
+    second = new_gframe(2, [np.eye(2)[:1], np.eye(2)[1:]])
+    got = CLASSIFIERS[kind](first, second)
+    assert got.witness == WeavingSelection(2, 1)
+    _assert_same_report(got, brute_weaving_basis(first, second, kind, DEFAULT_TOL), kind)
+
+
+@pytest.mark.parametrize("complex_mode", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_passing_riesz_bounds_are_the_exhaustive_ones(seed, complex_mode):
+    rng = np.random.default_rng(seed)
+    first, second = basis_pair(rng, [1, 2, 1, 2, 1, 1, 2], complex_mode, noise=0.02)
+    got = is_weaving_g_riesz(first, second)
+    exhaustive = universal_bounds_exhaustive(first, second)
+    assert got.holds
+    assert got.lower == exhaustive.lower
+    assert got.upper == exhaustive.upper
+
+
 @pytest.mark.parametrize("kind", ["riesz", "onb"])
 def test_weaving_on_its_threshold_goes_to_the_per_weaving_classifier(monkeypatch, kind):
     rng = np.random.default_rng(12)
@@ -759,21 +831,46 @@ def test_classifiers_build_a_weaving_only_for_the_failure(monkeypatch, kind):
     failing = basis_pair(rng, [1, 2, 1, 2, 2, 1, 1, 2, 1, 1], noise=noise, fail_late=fail)
     built = []
     solves = []
+    walked = []  # the masks of each batch the basis search walks
+    scans = []
     real_weave = weaving.weave
     real_eigvalsh = np.linalg.eigvalsh
+    real_eigh = np.linalg.eigh
+    search = _kernels.basis_search
+    scan = _kernels.weaving_scan
+
+    def counted(*args, **kwargs):
+        for batch in search(*args, **kwargs):
+            walked.append(len(batch[0]))
+            yield batch
+
     monkeypatch.setattr(weaving, "weave", lambda *a: built.append(a[2].mask) or real_weave(*a))
     monkeypatch.setattr(
         np.linalg, "eigvalsh", lambda *a, **k: solves.append(1) or real_eigvalsh(*a, **k)
     )
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: solves.append(1) or real_eigh(*a, **k))
+    monkeypatch.setattr(_kernels, "basis_search", counted)
+    monkeypatch.setattr(_kernels, "weaving_scan", lambda *a: scans.append(1) or scan(*a))
+    n = passing[0].n_blocks
     assert CLASSIFIERS[kind](*passing).holds
     assert built == []
+    # the whole cube is one certified subcube: no mask is walked
+    assert walked == []
     if kind == "onb":  # the kernel settles the ONB test with no eigensolve
         assert solves == []
+        assert scans == []
+    else:  # the bounds of the report come from one scan
+        assert scans == [1]
+    walked.clear()
+    solves.clear()
     rep = CLASSIFIERS[kind](*failing)
     assert not rep.holds
     assert built == [rep.witness.mask]
     if kind == "onb":  # only the per-weaving test of the failure solves, once
         assert solves == [1]
+        assert sum(walked) <= 1 << _kernels._LEAF_FREE
+    else:  # the half with the last block from the second family is certified
+        assert sum(walked) < (1 << n) // 2
 
 
 @pytest.mark.parametrize("tol", [0.2, 0.9])
