@@ -49,6 +49,12 @@ best-first branch-and-bound after Land and Doig) gives both extremes:
 - a side of a node closes once its bound clears that side's incumbent by the
   margin ``m``, and stays closed in the node's children, whose envelopes for
   that side are never computed; a node is dropped when both sides are closed;
+- the search opens with every node of one level, in one batch: the level
+  of ``4 * _ROUND`` nodes, 64, or the leaves' level if that is higher.  A
+  search grown from the root spends its first rounds reaching that level
+  and prunes next to nothing on the way.  The opening's own masks are those
+  it would have solved above the level, and its subcubes partition the
+  cube, so no bound or certificate changes;
 - each round expands the ``_ROUND`` open nodes of least bound on each side;
 - a node with at most ``_LEAF_FREE`` free blocks is a leaf subcube.  A batched
   Cholesky factors ``S - (lower + m) I`` and ``(upper - m) I - S`` of each
@@ -59,7 +65,8 @@ best-first branch-and-bound after Land and Doig) gives both extremes:
 
 The whole cube is one leaf when every component is 1 x 1, when the masks fit
 in one batch of at most ``_BATCH_FLOATS`` stacked entries, or when there are
-fewer than ``_TREE_BLOCKS`` non-null blocks (more for large components).
+fewer than ``_TREE_BLOCKS`` non-null blocks, plus one for every 3
+coordinates by which the largest component exceeds 4.
 Its masks run in ascending batches.  When some component is not 1 x 1 and
 the masks fill more than one batch, the first batch is one tile, each next
 one doubles, and the masks after the first batch take the Cholesky test; a
@@ -120,11 +127,12 @@ MAX_BLOCKS = 62  # masks are int64
 # a batch's memory depends on the operator size and not on the number of masks
 _BATCH_FLOATS = 1 << 14
 # Non-null blocks from which the search splits the cube into subcubes, plus
-# one for every 4 coordinates by which the largest component exceeds 8.  A
+# one for every 3 coordinates by which the largest component exceeds 4.  A
 # node pays an eigensolve for its envelope, a mask of the cube as one leaf a
-# stack row and a Cholesky test; on random pairs the subcubes are the faster
-# from there on.
-_TREE_BLOCKS = 12
+# stack row and a Cholesky test.  On random dense pairs the subcubes were the
+# faster from about 10 blocks at order 4 to 6, 11 at 8, 12 at 12, 14 at 16
+# and 16 at 20.
+_TREE_BLOCKS = 10
 # open nodes one search round expands on each side (the basis search tests as
 # many per round), and the free blocks of a leaf
 _ROUND = 16
@@ -623,16 +631,25 @@ def _subcube_search(operator: _SplitOperator, cube: bool):
             out[part] = -hi if side else lo
         return out
 
+    def span(bits):
+        """The mask of every subset of the bits ``bits``, in binary counting order."""
+        return ((np.arange(1 << len(bits))[:, np.newaxis] >> np.arange(len(bits))) & 1) @ bits
+
     # Nodes stop at _LEAF_FREE free blocks, so every leaf sits at one depth;
-    # its completions set every subset of its free bits
+    # its completions set every subset of its free bits.  The search opens
+    # with every node of one level, at most 4 * _ROUND of them, or with the
+    # leaves if they lie higher.  A search grown from the root spends its
+    # first rounds reaching that level and prunes next to nothing on the
+    # way; the level's nodes partition the cube.
     leaf_depth = max(0, k - _LEAF_FREE)
-    free = k - leaf_depth
-    subsets = ((np.arange(1 << free)[:, np.newaxis] >> np.arange(free)) & 1) @ position[leaf_depth:]
-    root = np.zeros(1, dtype=np.int64)
-    offer(root)
+    subsets = span(position[leaf_depth:])
+    top = min(leaf_depth, (4 * _ROUND).bit_length() - 1)
+    mask = span(position[:top])
+    offer(mask)
     # the open nodes: the bound of each side, +inf once the side is closed,
     # and the depth and mask of each
-    bound, depth, mask = np.array([bounds(root, root, 0), bounds(root, root, 1)]), root, root
+    depth = np.full(len(mask), top)
+    bound = np.array([bounds(mask, depth, 0), bounds(mask, depth, 1)])
     while True:
         bound[bound > np.array([[best[0][0]], [best[1][0]]]) + margin] = np.inf
         live = (bound < np.inf).any(axis=0)
@@ -674,18 +691,21 @@ def weaving_scan(base: np.ndarray, deltas: np.ndarray):
     both extremes.  The whole cube is one leaf when every coordinate
     component is 1 x 1, when the masks fit in one batch of about
     ``_BATCH_FLOATS`` stacked entries, or when there are fewer than
-    ``_TREE_BLOCKS`` non-null blocks plus one for every 4 coordinates by
-    which the largest component exceeds 8.  A mask is left unsolved only
-    when a test clears its incumbent by the rounding :func:`_margin`, so it
-    can neither be nor tie a witness, and each solved mask's values are
-    those of a full solve: the result is that of solving every mask.
+    ``_TREE_BLOCKS`` non-null blocks plus one for every 3 coordinates by
+    which the largest component exceeds 4.  Otherwise the search opens with
+    every subcube that fixes the ``log2(4 * _ROUND)`` blocks of largest
+    norm, 64 subcubes, or with the leaves when there are at most ten
+    blocks.  A mask is left unsolved only when a test clears its incumbent
+    by the rounding :func:`_margin`, so it can neither be nor tie a
+    witness, and each solved mask's values are those of a full solve: the
+    result is that of solving every mask.
     """
     n = deltas.shape[0]
     check_blocks(n)
     live = np.flatnonzero([delta.any() for delta in deltas])
     operator = _SplitOperator(base, deltas[live])
     k = len(live)
-    wide = max([0] + [len(block) - 8 for block, _ in operator.blocks]) // 4
+    wide = max([0] + [len(block) - 4 for block, _ in operator.blocks]) // 3
     cube = not operator.blocks or 1 << k <= operator.step or k < _TREE_BLOCKS + wide
     low, high = _subcube_search(operator, cube)
     null_bits = ((1 << n) - 1) ^ _spread((1 << k) - 1, live)
@@ -971,10 +991,14 @@ def basis_search(base: np.ndarray, deltas: np.ndarray, certify, floor=None):
     Each round takes the first ``_ROUND`` nodes not yet tested, in ascending
     order, and splits the uncertified ones with more than ``_LEAF_FREE``
     free bits, the child with the next bit clear first; an uncertified leaf
-    is walked once no untested node lies before it.  A walk's first batch is
-    one leaf and each next one doubles, up to ``_BATCH_FLOATS`` stacked
-    entries, so a caller that stops at the first failure computes few masks
-    past it.
+    is walked once no untested node lies before it.  Without ``floor``, a
+    node whose own mask alone is uncertified (``certify`` of its residual
+    with no free bits) cannot be certified, nor can any node down to the
+    leaf that holds that mask: it splits at once into that leaf, to be
+    walked, and the child with the next bit set of every node on the way.
+    A walk's first batch is one leaf and each next one doubles, up to
+    ``_BATCH_FLOATS`` stacked entries, so a caller that stops at the first
+    failure computes few masks past it.
     """
     n = deltas.shape[0]
     operator = _SplitOperator(base, deltas)
@@ -1008,23 +1032,31 @@ def basis_search(base: np.ndarray, deltas: np.ndarray, certify, floor=None):
         bits = _mask_bits(masks, n)
         if floor is None:
             residuals = [operator.residuals(bits[part]) for part in _batches(len(bits), step)]
-            values = np.concatenate(residuals) + spread[n - depths]
+            own = np.concatenate(residuals)
+            values = own + spread[n - depths]
         else:
             proved = [_proved(d, s, level, np.inf) for _, d, s in envelope(masks, depths, 0)]
             lo = np.where(np.concatenate(proved), np.inf, -np.inf)
             values = lo, -lo
         opened = ~certify(bits, n - depths, values, margin)
-        leaves, inner = opened & (depths == leaf_depth), opened & (depths < leaf_depth)
-        # an inner node gives way to its children, with the next bit clear and set
-        children = [masks[inner], masks[inner] | (1 << (n - 1 - depths[inner]))]
-        nodes = np.concatenate(
-            [
-                np.delete(nodes, pick, axis=1),
-                [masks[leaves], depths[leaves], np.ones_like(masks[leaves])],
-                *([child, depths[inner] + 1, np.zeros_like(child)] for child in children),
-            ],
-            axis=1,
-        )
+        nodes = np.delete(nodes, pick, axis=1)
+        if not opened.any():
+            continue
+        masks, depths, tested = masks[opened], depths[opened], depths[opened] == leaf_depth
+        # An inner node gives way to its children, with the next bit clear and
+        # set.  The child with the bit clear keeps the node's own mask, so
+        # where that mask's residual alone is uncertified, no node down to its
+        # leaf is certified: the node gives way at once to that leaf, to be
+        # walked, and to the child with the bit set of each node on the way.
+        if floor is None:
+            tested |= ~certify(bits[opened], 0, own[opened], margin)
+        to = np.where(tested, leaf_depth, depths + 1)
+        steps = to - depths
+        start = np.repeat(np.cumsum(steps) - steps, steps)
+        at = np.repeat(depths, steps) + np.arange(len(start)) - start
+        taken = np.repeat(masks, steps) | (1 << (n - 1 - at))
+        children = [[masks, to, tested], [taken, at + 1, np.zeros_like(at)]]
+        nodes = np.concatenate([nodes, *children], axis=1)
         nodes = nodes[:, np.argsort(nodes[0])]
 
 

@@ -1,6 +1,11 @@
-"""The summary step of the before/after harness in tools/bench_pair.py; no benchmark runs."""
+"""The summary step and the run commands of the before/after harness in tools/bench_pair.py.
+
+No benchmark runs.
+"""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -63,3 +68,23 @@ def test_absent_metric_is_left_out_and_one_run_is_its_own_spread():
     assert list(out["metrics"]) == ["latency_p90_s"]
     spread = out["metrics"]["latency_p90_s"]["change"]
     assert (spread["median"], spread["q1"], spread["q3"]) == (0.1, 0.1, 0.1)
+
+
+@pytest.mark.parametrize("args, seed", [([], 11), (["--seed", "13"], 13)])
+def test_the_seed_reaches_every_run_command_and_the_record(monkeypatch, tmp_path, args, seed):
+    """Every ``perfbench/run.py`` command gets the seed, and so does the JSON; nothing runs."""
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    commands = []
+
+    def run(cmd, **kwargs):
+        commands.append(cmd)
+        line = json.dumps(_run(0, latency_p90_s=0.1))
+        return subprocess.CompletedProcess(cmd, 0, stdout=line + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pair, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pair, "export", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(bench_pair.subprocess, "run", run)
+    assert bench_pair.main(["29", "--k", "2", "--workloads", "scan", *args]) == 0
+    assert len(commands) == 4
+    assert all(cmd[cmd.index("--seed") + 1] == str(seed) for cmd in commands)
+    assert json.loads((tmp_path / "BENCH_29.json").read_text())["seed"] == seed

@@ -402,24 +402,65 @@ def test_inside_with_a_shift_per_row_matches_scalar_shifts(complex_mode):
         assert got[j] == _kernels._inside(stack[j : j + 1], floor[j], ceiling[j])[0]
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    pair=st.one_of(dense_pairs(), structured_pairs(), direct_sums()),
-    batch_floats=st.sampled_from([1, 16, 64]),
-)
-def test_branch_and_bound_equals_full_scan(pair, batch_floats):
-    """Small batches and no block minimum send most pairs to the tree; the result is ``==``.
+def _opening(k):
+    """The depth at which the subcube search of ``k`` live blocks opens."""
+    return min(max(0, k - _kernels._LEAF_FREE), (4 * _kernels._ROUND).bit_length() - 1)
+
+
+def _envelope_depths(monkeypatch):
+    """The depth of every node whose envelope the subcube search forms, once per side."""
+    depths = []
+    envelopes = _kernels._envelopes
+
+    def counted(operator, order):
+        envelope = envelopes(operator, order)
+
+        def formed(masks, node_depths, side):
+            depths.extend(node_depths.tolist())
+            yield from envelope(masks, node_depths, side)
+
+        return formed
+
+    monkeypatch.setattr(_kernels, "_envelopes", counted)
+    return depths
+
+
+def test_branch_and_bound_equals_full_scan():
+    """Small batches and rounds and no block minimum: the tree expands inner nodes, and is ``==``.
 
     Bounds, witnesses and ties all match.  The ``integer`` kind of
     ``dense_pairs`` ties bitwise inside a dense component, so a subcube
     pruned or a leaf mask ruled out without a strict margin changes a witness.
+    A ``_ROUND`` of 1 or 4 opens the search at depth 2 or 4, so a pair with
+    more live blocks than that plus ``_LEAF_FREE`` has inner nodes, and the
+    one that holds the argmin is never pruned: it must be expanded.
     """
-    base, deltas = _pair_inputs(*pair)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernels, "_BATCH_FLOATS", batch_floats)
-        mp.setattr(_kernels, "_TREE_BLOCKS", 1)
-        scanned = _kernels.weaving_scan(base, deltas)
-    assert scanned == full_weaving_scan(base, deltas)
+    expanded = []
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pair=st.one_of(dense_pairs(), structured_pairs(), direct_sums()),
+        batch_floats=st.sampled_from([1, 16, 64]),
+        round_=st.sampled_from([1, 4]),
+    )
+    def check(pair, batch_floats, round_):
+        base, deltas = _pair_inputs(*pair)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_BATCH_FLOATS", batch_floats)
+            mp.setattr(_kernels, "_TREE_BLOCKS", 1)
+            mp.setattr(_kernels, "_ROUND", round_)
+            depths = _envelope_depths(mp)
+            scanned = _kernels.weaving_scan(base, deltas)
+            k = sum(bool(delta.any()) for delta in deltas)
+            top, inner = _opening(k), _opening(k) < k - _kernels._LEAF_FREE
+        assert scanned == full_weaving_scan(base, deltas)
+        if depths:  # the search ran over subcubes
+            assert min(depths) == top
+            assert (max(depths) > top) == inner
+            expanded.append(inner)
+
+    check()
+    assert any(expanded)
 
 
 def _tree_calls(monkeypatch):
@@ -457,14 +498,18 @@ def test_diagonal_pairs_and_one_chunk_scans_take_no_tree(monkeypatch):
     assert calls == []
 
     # 2**12 masks of order 16 fill 64 batches, but a component of order 16
-    # needs 14 blocks: the cube is one leaf, with the Cholesky test
+    # needs 10 + (16 - 4) // 3 = 14 blocks, and one of order 8 needs 11: the
+    # cube is one leaf, with the Cholesky test
     wide = _pair_inputs(random_gframe(rng, d=16, n=12), random_gframe(rng, d=16, n=12))
     assert _kernels.weaving_scan(*wide) == full_weaving_scan(*wide)
+    short = _pair_inputs(random_gframe(rng, d=8, n=10), random_gframe(rng, d=8, n=10))
+    assert _kernels.weaving_scan(*short) == full_weaving_scan(*short)
     assert calls == []
 
-    dense = _pair_inputs(random_gframe(rng, d=4, n=12), random_gframe(rng, d=4, n=12))
-    assert _kernels.weaving_scan(*dense) == full_weaving_scan(*dense)
-    assert calls == [12]
+    for d, n in [(8, 11), (6, 10), (4, 12)]:
+        dense = _pair_inputs(random_gframe(rng, d=d, n=n), random_gframe(rng, d=d, n=n))
+        assert _kernels.weaving_scan(*dense) == full_weaving_scan(*dense)
+    assert calls == [11, 10, 12]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -562,7 +607,9 @@ def test_a_subcube_whose_bound_meets_the_incumbent_is_searched(monkeypatch):
     Coordinates 2 and 3 are fixed diagonal entries 0 and 100, below and above
     every eigenvalue of the 2 x 2 component, so every mask ties on both sides
     and so does every envelope.  Only by expanding every subcube does the
-    argmax reach the largest mask.
+    argmax reach the largest mask.  Rounds of one node and leaves of one
+    free block open the search at depth 2 with its leaves at depth 5, so
+    every node of depths 2 to 4 must be expanded.
     """
     rng = np.random.default_rng(2)
     base = np.diag([10.0, 10.0, 0.0, 100.0])
@@ -575,10 +622,95 @@ def test_a_subcube_whose_bound_meets_the_incumbent_is_searched(monkeypatch):
     monkeypatch.setattr(_kernels, "_BATCH_FLOATS", 24)
     monkeypatch.setattr(_kernels, "_TREE_BLOCKS", 1)
     monkeypatch.setattr(_kernels, "_margin", lambda *args: 0.0)
+    monkeypatch.setattr(_kernels, "_ROUND", 1)
+    monkeypatch.setattr(_kernels, "_LEAF_FREE", 1)
     calls = _tree_calls(monkeypatch)
+    depths = _envelope_depths(monkeypatch)
     expected = full_weaving_scan(base, deltas)
     assert _kernels.weaving_scan(base, deltas) == expected == (0.0, 0, 100.0, 63)
     assert calls == [6]
+    # both sides of every node: 4 at the opening, twice as many each level down
+    assert np.bincount(depths).tolist() == [0, 0, 8, 16, 32, 64]
+
+
+def _seeded_pair(kind, n, seed):
+    """A pair of ``n`` blocks, all of them non-null, for the subcube search.
+
+    ``real`` and ``complex`` are dense Gaussian pairs; ``block_sparse`` puts
+    every block on three coordinate groups of orders 3, 2 and 1, with a
+    unit row in the first group so no block is empty; ``integer`` draws the
+    first family from two small integer blocks and repeats a third in the
+    second, so masks of the same counts tie bitwise.
+    """
+    rng = np.random.default_rng(seed)
+    if kind in ("real", "complex"):
+        complex_mode = kind == "complex"
+        return _pair_inputs(*(random_gframe(rng, 4, n, complex_mode) for _ in range(2)))
+    if kind == "block_sparse":
+        groups = np.split(rng.permutation(6), [3, 5])
+
+        def family():
+            return [
+                np.vstack([np.eye(6)[groups[0][:1]]] + [_block(rng, 6, g, False) for g in groups])
+                for _ in range(n)
+            ]
+
+        return _pair_inputs(new_gframe(6, family()), new_gframe(6, family()))
+    pool = [rng.integers(-2, 3, size=(2, 4)).astype(float) for _ in range(3)]
+    first = [pool[int(rng.integers(2))] for _ in range(n)]
+    return _pair_inputs(new_gframe(4, first), new_gframe(4, [pool[2]] * n))
+
+
+@pytest.mark.parametrize(
+    "kind, n, seed",
+    [
+        ("real", 16, 0),
+        ("complex", 14, 1),
+        ("block_sparse", 13, 2),
+        ("integer", 12, 3),
+        ("integer", 15, 4),
+    ],
+)
+def test_tree_pairs_of_12_to_16_blocks_expand_below_the_opening(monkeypatch, kind, n, seed):
+    """At the default rounds the search opens at depth 6 and its leaves lie 2 to 6 levels down.
+
+    The node that holds each witness is never pruned, so inner nodes are
+    expanded, and the result is ``==`` that of solving every mask.
+    """
+    base, deltas = _seeded_pair(kind, n, seed)
+    assert all(delta.any() for delta in deltas)
+    calls = _tree_calls(monkeypatch)
+    depths = _envelope_depths(monkeypatch)
+    scanned = _kernels.weaving_scan(base, deltas)
+    assert calls == [n]
+    assert min(depths) == 6 < max(depths) <= n - _kernels._LEAF_FREE
+    monkeypatch.undo()
+    assert scanned == full_weaving_scan(base, deltas)
+
+
+def test_the_search_opens_with_the_64_subcubes_of_the_six_largest_blocks(monkeypatch):
+    """No envelope is formed above depth 6, and the first batch solved is the opening's own masks.
+
+    Those are the 64 masks that set any of the six blocks of largest norm,
+    in the order of the operator's norms, and no other bits.
+    """
+    rng = np.random.default_rng(29)
+    base, deltas = _pair_inputs(random_gframe(rng, d=6, n=12), random_gframe(rng, d=6, n=12))
+    top = np.argsort(-_kernels._SplitOperator(base, deltas).norms, kind="stable")[:6]
+    opening = [sum(1 << int(top[j]) for j in range(6) if m >> j & 1) for m in range(64)]
+    batches = []
+    mask_bits = _kernels._mask_bits
+    monkeypatch.setattr(
+        _kernels, "_mask_bits", lambda masks, k: batches.append(list(masks)) or mask_bits(masks, k)
+    )
+    calls = _tree_calls(monkeypatch)
+    depths = _envelope_depths(monkeypatch)
+    scanned = _kernels.weaving_scan(base, deltas)
+    assert calls == [12]
+    assert sorted(batches[0]) == sorted(opening)
+    assert min(depths) == 6 and depths.count(6) == 2 * 64
+    monkeypatch.undo()
+    assert scanned == full_weaving_scan(base, deltas)
 
 
 def test_a_pair_where_every_selection_ties_both_extremes_scans_exactly(monkeypatch):

@@ -873,6 +873,29 @@ def test_classifiers_build_a_weaving_only_for_the_failure(monkeypatch, kind):
         assert sum(walked) < (1 << n) // 2
 
 
+def test_an_onb_node_whose_own_mask_fails_goes_straight_to_its_leaf(monkeypatch):
+    """Only the weavings that take the last block from the first family fail.
+
+    The root splits once.  The half with that block from the second family
+    is certified, and the other half's own mask alone already fails, so the
+    leaf that holds it is walked next, with no split of the levels between:
+    one residual batch per round of node tests, then one walked leaf.
+    """
+    rng = np.random.default_rng(13)
+    first, second = basis_pair(rng, [1, 2, 1, 2, 2, 1, 1, 2, 1, 1], fail_late="scale")
+    batches = []
+    residuals = _kernels._SplitOperator.residuals
+    monkeypatch.setattr(
+        _kernels._SplitOperator,
+        "residuals",
+        lambda self, bits: batches.append(len(bits)) or residuals(self, bits),
+    )
+    got = is_weaving_g_onb(first, second)
+    assert batches == [1, 2, 1 << _kernels._LEAF_FREE]
+    assert got.witness == WeavingSelection(10, 1 << 9)
+    _assert_same_report(got, brute_weaving_basis(first, second, "onb", DEFAULT_TOL), "onb")
+
+
 @pytest.mark.parametrize("tol", [0.2, 0.9])
 def test_onb_verdict_at_large_tol_follows_the_per_weaving_classifier(tol):
     # |S - I|_F = 0.75, yet at tol 0.9 the row of norm 0.5 counts as a zero row

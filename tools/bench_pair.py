@@ -1,20 +1,21 @@
 """Before/after benchmark of a change against its parent commit.
 
-Usage: python tools/bench_pair.py PR [--parent REV] [--k K] [--workloads W ...]
+Usage: python tools/bench_pair.py PR [--parent REV] [--k K] [--seed S] [--workloads W ...]
 
 Exports ``REV`` (default ``HEAD``) from local git with ``git archive`` into a
 temporary directory.  Then it runs ``perfbench/run.py --trace 0`` there and
 in this checkout, alternately, ``K`` times per workload (default 10, all
-three workloads), each run ``SECONDS`` long with seed ``SEED``.  The side
-that runs first alternates from pair to pair.  Run it before committing the
-change, so that ``HEAD`` is the parent and the working tree is the change,
-or pass ``--parent HEAD~1`` after.
+three workloads), each run ``SECONDS`` long with seed ``S`` (default
+``SEED``), so that a claim can be checked on a seed it was not written on.
+The side that runs first alternates from pair to pair.  Run it before
+committing the change, so that ``HEAD`` is the parent and the working tree
+is the change, or pass ``--parent HEAD~1`` after.
 
-Writes ``BENCH_<PR>.json`` at the root of the checkout.  For every workload
-and every end-to-end metric that ``BENCHMARK.json`` declares, it holds the
-value of each run and, per side, the median and the quartiles; for each
-pair, whether the change won.  A tie counts for neither side.  The failed
-operations of every run are recorded too.
+Writes ``BENCH_<PR>.json`` at the root of the checkout, with the seed.  For
+every workload and every end-to-end metric that ``BENCHMARK.json``
+declares, it holds the value of each run and, per side, the median and the
+quartiles; for each pair, whether the change won.  A tie counts for neither
+side.  The failed operations of every run are recorded too.
 """
 
 from __future__ import annotations
@@ -45,11 +46,11 @@ def export(rev: str, dest: Path) -> str:
     return sha
 
 
-def run_once(root: Path, workload: str) -> dict:
+def run_once(root: Path, workload: str, seed: int) -> dict:
     """One untraced benchmark run in checkout ``root``: the JSON object of its last line."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0",
+        "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0",
     ]
     proc = subprocess.run(cmd, cwd=str(root), capture_output=True, text=True)
     if proc.returncode != 0:
@@ -98,6 +99,7 @@ def main(argv=None) -> int:
     parser.add_argument("pr", help="the change's number, used in the file name")
     parser.add_argument("--parent", default="HEAD", help="the commit to compare with")
     parser.add_argument("--k", type=int, default=10, help="pairs of runs per workload")
+    parser.add_argument("--seed", type=int, default=SEED, help="the seed of every run")
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     args = parser.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
@@ -110,14 +112,14 @@ def main(argv=None) -> int:
             for i in range(args.k):
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                     print(f"{workload} pair {i + 1}/{args.k}: {side}", file=sys.stderr, flush=True)
-                    runs[side].append(run_once(roots[side], workload))
+                    runs[side].append(run_once(roots[side], workload, args.seed))
             workloads[workload] = summarize(runs, metrics)
     record = {
         "pr": args.pr,
         "parent": sha,
         "change": "the working tree of this checkout",
         "command": "perfbench/run.py --trace 0",
-        "seed": SEED,
+        "seed": args.seed,
         "seconds": SECONDS,
         "k": args.k,
         "workloads": workloads,
