@@ -63,15 +63,15 @@ best-first branch-and-bound after Land and Doig) gives both extremes:
   could return for ``S`` lies strictly between them, so the mask can neither
   be nor tie a witness and gets no eigensolve.
 
-The whole cube is one leaf when every component is 1 x 1, when the masks fit
-in one batch of at most ``_BATCH_FLOATS`` stacked entries, or when there are
+The whole cube is one leaf when every component is 1 x 1, or when there are
 fewer than ``_TREE_BLOCKS`` non-null blocks, plus one for every 3
-coordinates by which the largest component exceeds 4.
-Its masks run in ascending batches.  When some component is not 1 x 1 and
-the masks fill more than one batch, the first batch is one tile, each next
-one doubles, and the masks after the first batch take the Cholesky test; a
-diagonal costs no more to solve than to test, and one batch has no
-incumbents to test against.
+coordinates by which the largest component exceeds 4.  Enough blocks take
+the subcubes even when their masks fit in one batch.  The leaf's masks run
+in ascending batches.  When some component is not 1 x 1 and the masks fill
+more than one batch, the first batch is one tile, each next one doubles,
+and the masks after the first batch take the Cholesky test; a diagonal
+costs no more to solve than to test, and one batch has no incumbents to
+test against.
 
 The sampled search (:func:`descent_search`) looks up one-bit neighbours
 through :func:`mask_spectra`.  The search gives each neighbour a
@@ -689,10 +689,10 @@ def weaving_scan(base: np.ndarray, deltas: np.ndarray):
 
     One :func:`_subcube_search` over the masks of the non-null blocks gives
     both extremes.  The whole cube is one leaf when every coordinate
-    component is 1 x 1, when the masks fit in one batch of about
-    ``_BATCH_FLOATS`` stacked entries, or when there are fewer than
-    ``_TREE_BLOCKS`` non-null blocks plus one for every 3 coordinates by
-    which the largest component exceeds 4.  Otherwise the search opens with
+    component is 1 x 1, or when there are fewer than ``_TREE_BLOCKS``
+    non-null blocks plus one for every 3 coordinates by which the largest
+    component exceeds 4, whether or not the masks fit in one batch.
+    Otherwise the search opens with
     every subcube that fixes the ``log2(4 * _ROUND)`` blocks of largest
     norm, 64 subcubes, or with the leaves when there are at most ten
     blocks.  A mask is left unsolved only when a test clears its incumbent
@@ -706,7 +706,7 @@ def weaving_scan(base: np.ndarray, deltas: np.ndarray):
     operator = _SplitOperator(base, deltas[live])
     k = len(live)
     wide = max([0] + [len(block) - 4 for block, _ in operator.blocks]) // 3
-    cube = not operator.blocks or 1 << k <= operator.step or k < _TREE_BLOCKS + wide
+    cube = not operator.blocks or k < _TREE_BLOCKS + wide
     low, high = _subcube_search(operator, cube)
     null_bits = ((1 << n) - 1) ^ _spread((1 << k) - 1, live)
     return low[0], _spread(low[1], live), -high[0], _spread(high[1], live) | null_bits

@@ -18,11 +18,7 @@ class Empty(GWeaveError):
 
 
 class NonFinite(GWeaveError):
-    """Input contains NaN or Inf entries."""
-
-
-class NonHermitian(GWeaveError):
-    """Symmetry residual of a supposedly Hermitian matrix is too large."""
+    """Input contains NaN, Inf or a number beyond float64, or a computed value leaves float64."""
 
 
 class Singular(GWeaveError):

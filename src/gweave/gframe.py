@@ -8,22 +8,22 @@ everything user-facing (witnesses, certificates, reports) is 1-based.
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import linalg
-from .errors import Empty, LengthMismatch, NonFinite, NotAFrame, ShapeMismatch, Singular
+from .errors import Empty, LengthMismatch, NotAFrame, ShapeMismatch, Singular
 
 DEFAULT_TOL = 1e-8
 
 
 def _finite_real(x) -> bool:
-    """Whether ``x`` is a finite real number; a bool is none."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    """Whether ``x`` is a real number within float64's finite range; a bool is none."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _check_tol(tol, name: str = "tol") -> None:
@@ -32,13 +32,28 @@ def _check_tol(tol, name: str = "tol") -> None:
         raise ShapeMismatch(f"{name} must be a finite non-negative number, got {tol}")
 
 
-def _check_dim(domain_dim) -> int:
-    """``domain_dim`` as an int; no integer (a bool, a float, a string) or one below 1 is refused."""
-    if isinstance(domain_dim, bool) or not isinstance(domain_dim, (int, np.integer)):
-        raise ShapeMismatch(f"domain dimension must be an integer, got {domain_dim!r}")
-    if domain_dim < 1:
-        raise ShapeMismatch(f"domain dimension must be positive, got {domain_dim}")
-    return int(domain_dim)
+def _check_dim(n, what: str = "domain dimension", least: int = 1) -> int:
+    """``n`` as an int; refuses what is no integer (a bool, a float, a string) or is below ``least``."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ShapeMismatch(f"{what} must be an integer, got {n!r}")
+    if n < least:
+        raise ShapeMismatch(f"{what} must be {'positive' if least else 'non-negative'}, got {n}")
+    return int(n)
+
+
+def _sequence(items, what: str) -> list:
+    """``items`` as a list; what cannot be iterated is :class:`ShapeMismatch`."""
+    try:
+        return list(items)
+    except TypeError:
+        raise ShapeMismatch(f"{what} must be a sequence, got {items!r}") from None
+
+
+def _frozen(a: np.ndarray, dtype=None) -> np.ndarray:
+    """A read-only C-ordered copy of ``a``, in ``dtype`` if given."""
+    out = np.array(a, dtype=dtype, order="C")
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -66,50 +81,38 @@ class GFrame:
 
 
 def new_gframe(domain_dim: int, blocks: Sequence, labels=None) -> GFrame:
-    """Validate shapes and freeze an immutable family.
+    """Validate shapes and freeze an immutable family that keeps its own copy of each block.
 
-    1-d block inputs are accepted as single rows.  All blocks are promoted to
-    a common dtype (complex128 when any input is complex, float64 otherwise)
-    and marked read-only.
+    Each block goes through ``linalg._matrix``, so 1-d block inputs are
+    accepted as single rows.  All blocks are promoted to a common dtype
+    (complex128 when any input is complex, float64 otherwise), copied once
+    and marked read-only, so changing an input array afterwards leaves the
+    family unchanged.
     """
     d = _check_dim(domain_dim)
     mats = []
-    for i, raw in enumerate(blocks):
-        a = np.asarray(raw)
-        if a.ndim == 1:
-            a = a[np.newaxis, :]
-        if a.ndim != 2:
-            raise ShapeMismatch(f"block {i + 1} has ndim {a.ndim}, expected 2")
+    for i, raw in enumerate(_sequence(blocks, "blocks")):
+        a = linalg._matrix(raw, f"block {i + 1}")
+        # Zero-row blocks encode the zero operator onto a trivial summand
+        # and are allowed, whatever their number of columns.
         if a.shape[1] != d and a.shape[0] != 0:
             raise ShapeMismatch(
                 f"block {i + 1} has {a.shape[1]} columns, domain dimension is {d}"
             )
-        mats.append(a)
+        mats.append(a.reshape(a.shape[0], d))
     if not mats:
         raise Empty("a family needs at least one block")
-    dtype = np.result_type(np.float64, *(a.dtype for a in mats))
-    dtype = np.complex128 if np.issubdtype(dtype, np.complexfloating) else np.float64
-    frozen = []
-    for i, a in enumerate(mats):
-        # Zero-row blocks encode the zero operator onto a trivial summand
-        # and are allowed; the finiteness check is vacuous for them.
-        b = np.ascontiguousarray(a.reshape(a.shape[0], d), dtype=dtype)
-        if b.size and not np.isfinite(b).all():
-            raise NonFinite(f"block {i + 1} contains NaN or Inf entries")
-        b.setflags(write=False)
-        frozen.append(b)
+    dtype = np.complex128 if any(a.dtype == np.complex128 for a in mats) else np.float64
     if labels is not None:
-        labels = tuple(str(s) for s in labels)
-        if len(labels) != len(frozen):
-            raise LengthMismatch(
-                f"{len(labels)} labels for {len(frozen)} blocks"
-            )
-    return GFrame(domain_dim=d, blocks=tuple(frozen), labels=labels)
+        labels = tuple(str(s) for s in _sequence(labels, "labels"))
+        if len(labels) != len(mats):
+            raise LengthMismatch(f"{len(labels)} labels for {len(mats)} blocks")
+    return GFrame(domain_dim=d, blocks=tuple(_frozen(a, dtype) for a in mats), labels=labels)
 
 
 def apply(frame: GFrame, h) -> list:
     """Analysis map: the list of per-block coefficient vectors."""
-    x = np.asarray(h).ravel()
+    x = linalg._matrix(h, "the vector").ravel()
     if x.shape[0] != frame.domain_dim:
         raise ShapeMismatch(
             f"vector has length {x.shape[0]}, domain dimension is {frame.domain_dim}"
@@ -150,16 +153,21 @@ class FrameOperatorResult:
 
 
 def frame_operator(frame: GFrame) -> FrameOperatorResult:
-    """Frame operator with its extreme eigenvalues and unit witness vectors."""
+    """Frame operator with its extreme eigenvalues and unit witness vectors.
+
+    One ``eigh`` of the symmetrised ``S`` gives both, and each witness is
+    rotated so that its first significant component is real positive.
+    """
     s = frame_operator_matrix(frame)
-    eig = linalg.hermitian_eig(s)
-    linalg._finite(eig.eigenvalues, "the spectrum of the frame operator")
+    w, v = np.linalg.eigh(linalg.hermitian_part(s))
+    linalg._finite(w, "the spectrum of the frame operator")
+    witnesses = linalg._fix_phases(v[:, [0, -1]])
     return FrameOperatorResult(
         s=s,
-        lower=float(eig.eigenvalues[0]),
-        upper=float(eig.eigenvalues[-1]),
-        witness_low=eig.eigenvectors[:, 0],
-        witness_high=eig.eigenvectors[:, -1],
+        lower=float(w[0]),
+        upper=float(w[-1]),
+        witness_low=witnesses[:, 0],
+        witness_high=witnesses[:, 1],
     )
 
 
@@ -444,7 +452,7 @@ def classify(frame: GFrame, tol: float = DEFAULT_TOL) -> Classification:
 
 def compose_right(frame: GFrame, u) -> GFrame:
     """New family whose blocks act through ``u`` first."""
-    mat = linalg.as_matrix(u, square=True)
+    mat = linalg._matrix(u, "the operator", square=True)
     if mat.shape[1] != frame.domain_dim:
         raise ShapeMismatch(
             f"operator is {mat.shape[0]}x{mat.shape[1]}, domain dimension is"

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import EnvelopeViolation, LengthMismatch, NonFinite, ShapeMismatch
+from .errors import EnvelopeViolation, LengthMismatch, ShapeMismatch
 from .gframe import (
     DEFAULT_TOL,
     BoundsReport,
@@ -34,6 +34,9 @@ from .gframe import (
     _basis_tests,
     _check_dim,
     _check_tol,
+    _finite_real,
+    _frozen,
+    _sequence,
     frame_operator_matrix,
     is_g_orthonormal_basis,
     is_g_riesz_basis,
@@ -65,29 +68,18 @@ class VectorFamily:
         return tuple(v for group in self.groups for v in group)
 
 
-def _frozen_rows(vecs: list, length: int) -> np.ndarray:
-    """The vectors as the rows of one read-only float64 or complex128 matrix."""
-    rows = np.array(vecs).reshape(len(vecs), length)
-    rows = rows.astype(np.complex128 if np.iscomplexobj(rows) else np.float64, copy=False)
-    rows.setflags(write=False)
-    return rows
-
-
 def make_vector_family(domain_dim: int, groups) -> VectorFamily:
+    """Freeze each group, a matrix whose rows are its vectors, as a read-only copy."""
     d = _check_dim(domain_dim)
     frozen = []
-    for gi, group in enumerate(groups):
-        vecs = [np.asarray(v).ravel() for v in group]
-        for v in vecs:
-            if v.shape[0] != d:
-                raise ShapeMismatch(
-                    f"group {gi + 1} has a vector of length {v.shape[0]},"
-                    f" domain dimension is {d}"
-                )
-        rows = _frozen_rows(vecs, d)
-        if not np.isfinite(rows).all():
-            raise NonFinite(f"group {gi + 1} contains NaN or Inf entries")
-        frozen.append(rows)
+    for gi, group in enumerate(_sequence(groups, "groups")):
+        rows = linalg._matrix(group, f"group {gi + 1}")
+        if rows.size and rows.shape[1] != d:
+            raise ShapeMismatch(
+                f"group {gi + 1} has a vector of length {rows.shape[1]},"
+                f" domain dimension is {d}"
+            )
+        frozen.append(_frozen(rows.reshape(-1, d)))
     return VectorFamily(domain_dim=d, groups=tuple(frozen))
 
 
@@ -111,16 +103,13 @@ def make_subspace_spec(groups, envelope: Optional[tuple] = None) -> SubspaceFram
     """Compute per-block bounds and validate them against the envelope."""
     frozen = []
     bounds = []
-    for gi, group in enumerate(groups):
-        vecs = [np.asarray(v).ravel() for v in group]
-        dims = {v.shape[0] for v in vecs}
-        if len(dims) > 1:
-            raise ShapeMismatch(f"group {gi + 1} mixes vector lengths {sorted(dims)}")
-        if not vecs or vecs[0].shape[0] == 0:
+    for gi, group in enumerate(_sequence(groups, "groups")):
+        rows = linalg._matrix(group, f"group {gi + 1}")
+        if not rows.size:  # no vectors, or vectors of length 0
             frozen.append(tuple())
             bounds.append(None)
             continue
-        rows = _frozen_rows(vecs, vecs[0].shape[0])
+        rows = _frozen(rows)
         what = f"group {gi + 1} Gram matrix"
         w = np.linalg.eigvalsh(linalg._product(rows.T, rows.conj(), what))
         linalg._finite(w, f"the spectrum of the {what}")
@@ -132,9 +121,10 @@ def make_subspace_spec(groups, envelope: Optional[tuple] = None) -> SubspaceFram
             envelope = (1.0, 1.0)
         else:
             envelope = (min(b[0] for b in present), max(b[1] for b in present))
-    lo, hi = float(envelope[0]), float(envelope[1])
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-        raise EnvelopeViolation(f"envelope ({lo}, {hi}) must be finite with lower at most upper")
+    bound = _sequence(envelope, "the envelope")
+    if not (len(bound) == 2 and all(map(_finite_real, bound)) and bound[0] <= bound[1]):
+        raise EnvelopeViolation(f"envelope {bound} must be two finite numbers, lower at most upper")
+    lo, hi = map(float, bound)
     if lo <= 0:
         raise EnvelopeViolation(f"envelope lower bound must be positive, got {lo}")
     for gi, b in enumerate(bounds):
@@ -155,7 +145,10 @@ def make_subspace_spec(groups, envelope: Optional[tuple] = None) -> SubspaceFram
 
 def onb_families(dims: Sequence[int], scale: float = 1.0) -> SubspaceFrameSpec:
     """Canonical (optionally scaled) orthonormal bases of each coefficient space."""
-    groups = [scale * np.eye(int(dm)) for dm in dims]
+    if not _finite_real(scale):
+        raise ShapeMismatch(f"scale must be a finite real number, got {scale!r}")
+    sizes = [_check_dim(dm, "coefficient dimension", least=0) for dm in _sequence(dims, "dims")]
+    groups = [scale * np.eye(dm) for dm in sizes]
     square = linalg._finite(float(scale) * float(scale), "the squared scale")
     return make_subspace_spec(groups, envelope=(square, square))
 

@@ -657,7 +657,7 @@ def check_unitary_weaving_invariance(
     and the record says so.
     """
     _check_tol(tol)
-    mat = linalg.as_matrix(u, square=True)
+    mat = linalg._matrix(u, "the operator", square=True)
     d = first.domain_dim
     if mat.shape[0] != d:
         raise ShapeMismatch(f"operator is {mat.shape[0]}x{mat.shape[0]}, need {d}x{d}")

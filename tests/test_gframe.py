@@ -1,6 +1,7 @@
 """Family model, frame operator, bounds, duals, and classification."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -78,6 +79,30 @@ class TestConstruction:
         frame = new_gframe(2, [np.zeros((0, 2)), np.eye(2)])
         assert frame.block_rows == (0, 2)
         assert optimal_bounds(frame).is_frame
+
+    def test_a_family_keeps_its_own_copy_of_each_block(self):
+        """Changing an input array after ``new_gframe`` leaves the family unchanged."""
+        inputs = [np.eye(2), np.eye(2)[0], np.asfortranarray(np.eye(2)), np.eye(2)[:, ::-1]]
+        for block in inputs:
+            frame = new_gframe(2, [block])
+            assert not np.shares_memory(frame.blocks[0], block)
+            assert frame.blocks[0].flags.c_contiguous and block.flags.writeable
+            upper = optimal_bounds(frame).upper
+            block *= 5.0
+            assert optimal_bounds(frame).upper == upper
+
+    @pytest.mark.parametrize(
+        "entry, value",
+        [(2**70, 2.0**70), (Fraction(1, 3), 1.0 / 3.0), (np.float32(0.5), 0.5), (np.int8(3), 3.0),
+         (True, 1.0), (np.True_, 1.0)],
+    )
+    def test_numbers_that_convert_still_build(self, entry, value):
+        """Python integers beyond int64, fractions, numpy scalars and bools are numbers."""
+        for row in ([entry], np.array([entry], dtype=object)):
+            block = new_gframe(1, [row]).blocks[0]
+            assert block.dtype == np.float64 and block[0, 0] == value
+        mixed = new_gframe(2, [[entry, 1j]]).blocks[0]
+        assert mixed.dtype == np.complex128 and mixed[0, 0] == value
 
 
 class TestApply:

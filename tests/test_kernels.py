@@ -478,9 +478,9 @@ def _tree_calls(monkeypatch):
 
 
 def test_diagonal_pairs_and_one_chunk_scans_take_no_tree(monkeypatch):
-    """Subcubes need more than one batch of masks, a component that is not 1 x 1 and enough blocks.
+    """Subcubes need a component that is not 1 x 1 and enough blocks.
 
-    Otherwise the whole cube is one leaf.
+    Otherwise the whole cube is one leaf, in one batch or in many.
     """
     calls = _tree_calls(monkeypatch)
     for build, size in [
@@ -510,6 +510,16 @@ def test_diagonal_pairs_and_one_chunk_scans_take_no_tree(monkeypatch):
         dense = _pair_inputs(random_gframe(rng, d=d, n=n), random_gframe(rng, d=d, n=n))
         assert _kernels.weaving_scan(*dense) == full_weaving_scan(*dense)
     assert calls == [11, 10, 12]
+
+
+def test_enough_blocks_in_one_batch_take_the_tree(monkeypatch):
+    """A dense pair of order 4 with 10 live blocks fits one batch of masks and runs over subcubes."""
+    calls = _tree_calls(monkeypatch)
+    rng = np.random.default_rng(11)
+    base, deltas = _pair_inputs(random_gframe(rng, d=4, n=10), random_gframe(rng, d=4, n=10))
+    assert 1 << 10 <= _kernels._SplitOperator(base, deltas).step
+    assert _kernels.weaving_scan(base, deltas) == full_weaving_scan(base, deltas)
+    assert calls == [10]
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -12,80 +12,65 @@ import pytest
 
 import gweave
 from gweave import gframe, induced, linalg, weaving
-from gweave.errors import NonFinite, NonHermitian, ShapeMismatch
+from gweave.errors import NonFinite
 
+from conftest import random_gframe
 from oracles import charpoly_eigenvalues, rayleigh_sample_range
 
 
-def random_hermitian(rng, n, complex_mode=False):
-    a = rng.standard_normal((n, n))
-    if complex_mode:
-        a = a + 1j * rng.standard_normal((n, n))
-    return (a + a.conj().T) / 2
+def random_family(rng, d, complex_mode=False):
+    """A family of random blocks on a d-dimensional domain with at least d rows, so a frame."""
+    return random_gframe(rng, d=d, n=4, complex_mode=complex_mode, min_rows_total=d)
 
 
 class TestHermitianEig:
+    """The one eigendecomposition of the frame operator ``S``, that of ``frame_operator``."""
+
     def test_identity(self):
-        eig = linalg.hermitian_eig(np.eye(3))
-        np.testing.assert_allclose(eig.eigenvalues, [1.0, 1.0, 1.0])
+        fo = gframe.frame_operator(gframe.new_gframe(3, [np.eye(3)[:2], np.eye(3)[2]]))
+        assert (fo.lower, fo.upper) == (1.0, 1.0)
 
     def test_diagonal_sorted_ascending(self):
-        eig = linalg.hermitian_eig(np.diag([2.0, 0.5]))
-        np.testing.assert_allclose(eig.eigenvalues, [0.5, 2.0])
+        frame = gframe.new_gframe(2, [[np.sqrt(2.0), 0.0], [0.0, np.sqrt(0.5)]])
+        fo = gframe.frame_operator(frame)
+        np.testing.assert_allclose([fo.lower, fo.upper], [0.5, 2.0])
+        np.testing.assert_allclose(np.abs(fo.witness_low), [0.0, 1.0])
+        np.testing.assert_allclose(np.abs(fo.witness_high), [1.0, 0.0])
 
     @pytest.mark.parametrize("complex_mode", [False, True])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_charpoly_oracle(self, complex_mode, seed):
-        rng = np.random.default_rng(seed)
-        m = random_hermitian(rng, 4, complex_mode)
-        eig = linalg.hermitian_eig(m)
-        np.testing.assert_allclose(
-            eig.eigenvalues, charpoly_eigenvalues(m), atol=1e-9, rtol=1e-9
-        )
+        fo = gframe.frame_operator(random_family(np.random.default_rng(seed), 4, complex_mode))
+        w = charpoly_eigenvalues(fo.s)
+        np.testing.assert_allclose([fo.lower, fo.upper], w[[0, -1]], atol=1e-9, rtol=1e-9)
 
     @pytest.mark.parametrize("complex_mode", [False, True])
     def test_reconstruction_and_unitarity(self, complex_mode):
-        rng = np.random.default_rng(7)
-        m = random_hermitian(rng, 6, complex_mode)
-        eig = linalg.hermitian_eig(m)
-        v, w = eig.eigenvectors, eig.eigenvalues
-        rebuilt = (v * w) @ v.conj().T
-        assert linalg.frobenius(rebuilt - m) <= 1e-10 * max(1.0, linalg.frobenius(m))
-        assert linalg.frobenius(v.conj().T @ v - np.eye(6)) <= 1e-10 * 6
+        """Each witness is a unit eigenvector of ``S`` for its extreme eigenvalue."""
+        fo = gframe.frame_operator(random_family(np.random.default_rng(7), 6, complex_mode))
+        size = max(1.0, linalg.frobenius(fo.s))
+        for value, w in ((fo.lower, fo.witness_low), (fo.upper, fo.witness_high)):
+            assert abs(np.linalg.norm(w) - 1.0) <= 1e-12 * 6
+            assert linalg.frobenius(fo.s @ w - value * w) <= 1e-10 * size
+        assert abs(np.vdot(fo.witness_low, fo.witness_high)) <= 1e-10
 
     def test_deterministic_gauge(self):
-        rng = np.random.default_rng(3)
-        m = random_hermitian(rng, 5, complex_mode=True)
-        a = linalg.hermitian_eig(m)
-        b = linalg.hermitian_eig(m.copy())
-        np.testing.assert_array_equal(a.eigenvectors, b.eigenvectors)
-        # first significant component of each column is real positive
-        for j in range(5):
-            col = a.eigenvectors[:, j]
+        frame = random_family(np.random.default_rng(3), 5, complex_mode=True)
+        a = gframe.frame_operator(frame)
+        b = gframe.frame_operator(gframe.new_gframe(5, [block.copy() for block in frame.blocks]))
+        for col, again in ((a.witness_low, b.witness_low), (a.witness_high, b.witness_high)):
+            np.testing.assert_array_equal(col, again)
+            # first significant component of each witness is real positive
             i = int(np.argmax(np.abs(col) > 1e-12 * np.abs(col).max()))
             assert abs(col[i].imag) <= 1e-12
             assert col[i].real > 0
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NonHermitian):
-            linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(NonFinite):
-            linalg.hermitian_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ShapeMismatch):
-            linalg.hermitian_eig(np.zeros((2, 3)))
-
     @pytest.mark.parametrize("seed", [0, 5])
     def test_extremes_bracket_rayleigh_quotients(self, seed):
-        rng = np.random.default_rng(seed)
-        m = random_hermitian(rng, 5)
-        eig = linalg.hermitian_eig(m)
-        lo, hi, _ = rayleigh_sample_range(m, 1000, seed + 100)
-        assert eig.eigenvalues[0] - 1e-9 <= lo
-        assert hi <= eig.eigenvalues[-1] + 1e-9
+        fo = gframe.frame_operator(random_family(np.random.default_rng(seed), 5))
+        lo, hi, _ = rayleigh_sample_range(fo.s, 1000, seed + 100)
+        assert fo.lower - 1e-9 <= lo
+        assert hi <= fo.upper + 1e-9
 
 
 # Products of finite inputs with entries near 1e200 pass float64.
@@ -150,9 +135,10 @@ def _raises_nonfinite(node) -> bool:
 
 
 def test_only_linalg_refuses_values_beyond_float64():
-    """No function outside ``linalg.py`` raises ``NonFinite``, except two input checks.
+    """No function outside ``linalg.py`` raises ``NonFinite``.
 
-    Every other refusal goes through ``linalg._finite``, so the rule has one owner.
+    Input arrays are refused by ``linalg._matrix`` and every other value by
+    ``linalg._finite``, so the rule has one owner.
     """
     found = set()
     for path in sorted(Path(gweave.__file__).parent.glob("*.py")):
@@ -162,7 +148,7 @@ def test_only_linalg_refuses_values_beyond_float64():
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if any(_raises_nonfinite(node) for node in ast.walk(fn)):
                     found.add(f"{path.stem}.{fn.name}")
-    assert found == {"gframe.new_gframe", "induced.make_vector_family"}
+    assert found == set()
 
 
 # numpy functions that take an SVD inside, and the orders of norm that do

@@ -1,14 +1,23 @@
 """Each input refusal of the Python API raises its named ``GWeaveError``, before any work."""
 
 import inspect
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gweave
-from gweave import linalg, suite
-from gweave.errors import EnvelopeViolation, LengthMismatch, NonFinite, ShapeMismatch
-from gweave.gframe import compose_right, is_dual_pair, new_gframe
+from gweave import suite
+from gweave.errors import (
+    EnvelopeViolation,
+    GWeaveError,
+    LengthMismatch,
+    NonFinite,
+    ShapeMismatch,
+)
+from gweave.gframe import apply, compose_right, is_dual_pair, new_gframe
 from gweave.induced import induced_vectors, make_subspace_spec, make_vector_family, onb_families
 from gweave.suite import SuiteConfig, run_suite
 from gweave.weaving import (
@@ -56,7 +65,61 @@ CASES = {
     "induced_vectors-rows": (
         lambda: induced_vectors(TWO, onb_families([2, 1])), ShapeMismatch, "length 2 does not match"
     ),
-    "as_matrix-3d": (lambda: linalg.as_matrix(np.zeros((1, 1, 1))), ShapeMismatch, "ndim 3"),
+    "compose_right-3d": (lambda: compose_right(TWO, np.zeros((1, 1, 1))), ShapeMismatch, "ndim 3"),
+    "new_gframe-strings": (lambda: new_gframe(2, [["a", "b"]]), ShapeMismatch, "block 1 holds"),
+    "new_gframe-ragged": (
+        lambda: new_gframe(2, [[[1.0, 2.0], [3.0]]]), ShapeMismatch, "block 1 mixes vector lengths"
+    ),
+    "new_gframe-beyond-float64": (
+        lambda: new_gframe(1, [[10**400]]), NonFinite, "block 1 holds a number beyond float64"
+    ),
+    "new_gframe-none": (lambda: new_gframe(1, None), ShapeMismatch, "blocks must be a sequence"),
+    "new_gframe-labels-no-sequence": (
+        lambda: new_gframe(1, [[1.0]], labels=5), ShapeMismatch, "labels must be a sequence"
+    ),
+    "apply-strings": (lambda: apply(TWO, ["a", "b"]), ShapeMismatch, "the vector holds"),
+    "compose_right-strings": (
+        lambda: compose_right(TWO, [["a", "b"], ["c", "d"]]), ShapeMismatch, "the operator holds"
+    ),
+    "unitary-invariance-strings": (
+        lambda: check_unitary_weaving_invariance(TWO, TWO, [["1", "0"], ["0", "1"]]),
+        ShapeMismatch,
+        "the operator holds",
+    ),
+    "make_vector_family-strings": (
+        lambda: make_vector_family(2, [[["a", "b"]]]), ShapeMismatch, "group 1 holds"
+    ),
+    "make_vector_family-none": (
+        lambda: make_vector_family(1, None), ShapeMismatch, "groups must be a sequence"
+    ),
+    "make_vector_family-scalar-group": (
+        lambda: make_vector_family(1, [5]), ShapeMismatch, "group 1 has ndim 0"
+    ),
+    "make_subspace_spec-strings": (
+        lambda: make_subspace_spec([[["a"]]]), ShapeMismatch, "group 1 holds"
+    ),
+    "make_subspace_spec-none": (
+        lambda: make_subspace_spec(None), ShapeMismatch, "groups must be a sequence"
+    ),
+    "make_subspace_spec-envelope-strings": (
+        lambda: make_subspace_spec([[[1.0]]], envelope=("a", "b")),
+        EnvelopeViolation,
+        "must be two finite numbers",
+    ),
+    "make_subspace_spec-envelope-one-number": (
+        lambda: make_subspace_spec([[[1.0]]], envelope=(1.0,)),
+        EnvelopeViolation,
+        "must be two finite numbers",
+    ),
+    "onb_families-negative": (
+        lambda: onb_families([-1]), ShapeMismatch, "dimension must be non-negative, got -1"
+    ),
+    "onb_families-fraction": (
+        lambda: onb_families([1.5]), ShapeMismatch, "dimension must be an integer, got 1.5"
+    ),
+    "onb_families-scale": (
+        lambda: onb_families([1], scale="x"), ShapeMismatch, "scale must be a finite real number"
+    ),
     "projection-family": (lambda: suite.build_projection_family(0), ShapeMismatch, "d >= 1"),
     "shifted-pair": (lambda: suite.build_shifted_projection_pair(2), ShapeMismatch, "3 blocks"),
     "window-pair": (lambda: suite.build_window_pair(2), ShapeMismatch, "3 blocks"),
@@ -72,9 +135,39 @@ CASES = {
 @pytest.mark.parametrize("case", CASES)
 def test_refusal_raises_its_error(case):
     call, error, message = CASES[case]
-    with pytest.raises(error) as raised:
-        call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as raised:
+            call()
     assert message in str(raised.value)
+
+
+# Every constructor that turns an input array into a matrix, given one nested list.
+ARRAY_TAKERS = {
+    "new_gframe": lambda x: new_gframe(2, [x]),
+    "make_vector_family": lambda x: make_vector_family(2, [x]),
+    "make_subspace_spec": lambda x: make_subspace_spec([x]),
+    "compose_right": lambda x: compose_right(TWO, x),
+    "apply": lambda x: apply(TWO, x),
+    "check_unitary_weaving_invariance": lambda x: check_unitary_weaving_invariance(TWO, TWO, x),
+}
+ENTRIES = st.one_of(
+    st.floats(), st.integers(), st.complex_numbers(), st.text(max_size=3), st.none()
+)
+NESTED = st.recursive(ENTRIES, lambda inner: st.lists(inner, max_size=3), max_leaves=10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=NESTED)
+@pytest.mark.parametrize("taker", sorted(ARRAY_TAKERS))
+def test_any_nested_list_is_taken_or_refused_as_a_package_error(taker, value):
+    """No input array ends in another exception or in a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ARRAY_TAKERS[taker](value)
+        except GWeaveError:
+            pass
 
 
 @pytest.mark.parametrize(

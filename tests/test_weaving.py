@@ -95,6 +95,16 @@ class TestWeave:
         woven = weave(pair.first, pair.second, WeavingSelection(5, 0))
         assert all(np.allclose(a, b) for a, b in zip(woven.blocks, pair.second.blocks))
 
+    def test_labels_are_woven_when_both_families_carry_them(self):
+        first = new_gframe(2, [[1.0, 0.0], [0.0, 1.0]], labels=["f1", "f2"])
+        second = new_gframe(2, [[2.0, 0.0], [0.0, 2.0]], labels=["s1", "s2"])
+        selection = WeavingSelection.from_indices(2, [2])
+        assert weave(first, second, selection).labels == ("s1", "f2")
+        assert weave(second, first, selection).labels == ("f1", "s2")
+        unlabelled = new_gframe(2, second.blocks)
+        assert weave(first, unlabelled, selection).labels is None
+        assert weave(unlabelled, first, selection).labels is None
+
     def test_block_count_mismatch(self):
         with pytest.raises(LengthMismatch):
             weave(
@@ -537,9 +547,9 @@ class TestChecks:
         expected = check_parseval_transform_weaving(pair.first, pair.second, report)
 
         def refuse(*args):
-            raise AssertionError("hermitian_eig called")
+            raise AssertionError("an eigenvector was read")
 
-        monkeypatch.setattr(linalg, "hermitian_eig", refuse)
+        monkeypatch.setattr(linalg, "_fix_phases", refuse)
         assert check_parseval_transform_weaving(pair.first, pair.second, report) == expected
 
     def test_parseval_transform_requires_woven(self):
@@ -967,9 +977,9 @@ def test_permuting_both_families_keeps_the_bounds(pair, seed):
 def test_composing_both_families_with_a_unitary_keeps_the_bounds(seed, d, complex_mode):
     """``S_s`` becomes ``U* S_s U`` for every selection, so the universal bounds stay put.
 
-    At 14 blocks the masks fill more than one batch, so the scan takes its
-    branch-and-bound path; conjugation changes the rounding of every envelope
-    but not the answer.
+    At 14 blocks of order at most 5 the scan takes its branch-and-bound
+    path; conjugation changes the rounding of every envelope but not the
+    answer.
     """
     rng = np.random.default_rng(seed)
     first = random_gframe(rng, d=d, n=14, complex_mode=complex_mode)
