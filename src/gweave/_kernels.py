@@ -49,6 +49,11 @@ best-first branch-and-bound after Land and Doig) gives both extremes:
 - a side of a node closes once its bound clears that side's incumbent by the
   margin ``m``, and stays closed in the node's children, whose envelopes for
   that side are never computed; a node is dropped when both sides are closed;
+- a caller that has certified the lower extreme, as :mod:`weaving` does for
+  a pair with a weaving of fewer rows than the domain dimension, whose
+  operator is singular, passes it as ``low``: the lower side is then closed
+  from the start, in every node, so no mask takes a ``lambda_min`` test and
+  no node a lower envelope, and the sampled search runs its ascents only;
 - the search opens with every node of one level, in one batch: the level
   of ``4 * _ROUND`` nodes, 64, or the leaves' level if that is higher.  A
   search grown from the root spends its first rounds reaching that level
@@ -65,7 +70,8 @@ best-first branch-and-bound after Land and Doig) gives both extremes:
 
 The whole cube is one leaf when every component is 1 x 1, or when there are
 fewer than ``_TREE_BLOCKS`` non-null blocks, plus one for every 3
-coordinates by which the largest component exceeds 4.  Enough blocks take
+coordinates by which the largest component exceeds 4; a search on one side
+alone has a crossover of its own (:func:`weaving_scan`).  Enough blocks take
 the subcubes even when their masks fit in one batch.  The leaf's masks run
 in ascending batches.  When some component is not 1 x 1 and the masks fill
 more than one batch, the first batch is one tile, each next one doubles,
@@ -131,7 +137,8 @@ _BATCH_FLOATS = 1 << 14
 # node pays an eigensolve for its envelope, a mask of the cube as one leaf a
 # stack row and a Cholesky test.  On random dense pairs the subcubes were the
 # faster from about 10 blocks at order 4 to 6, 11 at 8, 12 at 12, 14 at 16
-# and 16 at 20.
+# and 16 at 20.  Searching the upper side alone, from about 12 blocks at
+# order 2, 10 at 3, 9 at 4 to 8, and 11 at 12 to 16.
 _TREE_BLOCKS = 10
 # open nodes one search round expands on each side (the basis search tests as
 # many per round), and the free blocks of a leaf
@@ -577,17 +584,21 @@ def _envelopes(operator: _SplitOperator, order: np.ndarray):
     return envelope
 
 
-def _subcube_search(operator: _SplitOperator, cube: bool):
+def _subcube_search(operator: _SplitOperator, cube: bool, closed: bool = False):
     """Both extremes over all masks of ``operator``, each with its mask.
 
     Returns ``(low, high)``, ``low = (lambda_min, argmin)`` and
     ``high = (-lambda_max, argmax)``, ties to the smallest and the largest
     mask.  With ``cube`` the whole cube is one leaf; otherwise the search
     runs over subcubes.  Each batch holds at most ``operator.step`` masks.
+    With ``closed`` the side of ``lambda_min`` is closed from the start: its
+    incumbent reads ``-inf``, so no mask takes a test on that side and no
+    node an envelope, and ``low`` comes back as ``(-inf, 0)``.
     """
     k = len(operator.norms)
     step, margin = operator.step, operator.margin
-    best = [(np.inf, 0), (np.inf, 0)]  # the incumbents of lambda_min and of -lambda_max
+    # the incumbents of lambda_min and of -lambda_max
+    best = [(-np.inf if closed else np.inf, 0), (np.inf, 0)]
 
     def offer(masks, test=False, sides=None):
         """Solve ``masks`` for both incumbents.
@@ -649,7 +660,8 @@ def _subcube_search(operator: _SplitOperator, cube: bool):
     # the open nodes: the bound of each side, +inf once the side is closed,
     # and the depth and mask of each
     depth = np.full(len(mask), top)
-    bound = np.array([bounds(mask, depth, 0), bounds(mask, depth, 1)])
+    lower = np.full(len(mask), np.inf) if closed else bounds(mask, depth, 0)
+    bound = np.array([lower, bounds(mask, depth, 1)])
     while True:
         bound[bound > np.array([[best[0][0]], [best[1][0]]]) + margin] = np.inf
         live = (bound < np.inf).any(axis=0)
@@ -682,16 +694,22 @@ def _subcube_search(operator: _SplitOperator, cube: bool):
     return best
 
 
-def weaving_scan(base: np.ndarray, deltas: np.ndarray):
+def weaving_scan(base: np.ndarray, deltas: np.ndarray, low=None):
     """Extreme eigenvalues over all ``2**n`` masks, with their witness masks.
 
-    Returns ``(lower, argmin_mask, upper, argmax_mask)``.
+    Returns ``(lower, argmin_mask, upper, argmax_mask)``.  ``low``, a
+    ``(lower, argmin_mask)`` the caller has certified, closes the lower
+    side: the search runs on the upper side alone, and ``low`` is returned
+    as it is.
 
     One :func:`_subcube_search` over the masks of the non-null blocks gives
     both extremes.  The whole cube is one leaf when every coordinate
     component is 1 x 1, or when there are fewer than ``_TREE_BLOCKS``
     non-null blocks plus one for every 3 coordinates by which the largest
-    component exceeds 4, whether or not the masks fit in one batch.
+    component, of order ``c``, exceeds 4, whether or not the masks fit in
+    one batch.  A one-sided search prunes more and has a crossover of its
+    own: from ``_TREE_BLOCKS - 1`` blocks, two more when ``c > 8``, and
+    one more for each coordinate by which ``c`` falls short of 4.
     Otherwise the search opens with
     every subcube that fixes the ``log2(4 * _ROUND)`` blocks of largest
     norm, 64 subcubes, or with the leaves when there are at most ten
@@ -705,11 +723,17 @@ def weaving_scan(base: np.ndarray, deltas: np.ndarray):
     live = np.flatnonzero([delta.any() for delta in deltas])
     operator = _SplitOperator(base, deltas[live])
     k = len(live)
-    wide = max([0] + [len(block) - 4 for block, _ in operator.blocks]) // 3
-    cube = not operator.blocks or k < _TREE_BLOCKS + wide
-    low, high = _subcube_search(operator, cube)
+    c = max([0] + [len(block) for block, _ in operator.blocks])
+    if low is None:
+        fewest = _TREE_BLOCKS + max(0, c - 4) // 3
+    else:
+        fewest = _TREE_BLOCKS - 1 + 2 * (c > 8) + max(0, 4 - c)
+    cube = not operator.blocks or k < fewest
+    least, high = _subcube_search(operator, cube, low is not None)
+    if low is None:
+        low = least[0], _spread(least[1], live)
     null_bits = ((1 << n) - 1) ^ _spread((1 << k) - 1, live)
-    return low[0], _spread(low[1], live), -high[0], _spread(high[1], live) | null_bits
+    return *low, -high[0], _spread(high[1], live) | null_bits
 
 
 def mask_spectra(operator: _SplitOperator, n_blocks: int, masks, floor=None, ceiling=None):
@@ -807,7 +831,7 @@ def _merge(old: np.ndarray, new: np.ndarray, kept: np.ndarray, place: np.ndarray
     return out
 
 
-def descent_search(base: np.ndarray, deltas: np.ndarray, seeds):
+def descent_search(base: np.ndarray, deltas: np.ndarray, seeds, low=None):
     """Steepest one-bit descents on ``lambda_min`` and ascents on ``lambda_max`` from ``seeds``.
 
     Returns ``(lower, argmin_mask, upper, argmax_mask, examined)``: the
@@ -853,6 +877,10 @@ def descent_search(base: np.ndarray, deltas: np.ndarray, seeds):
     batch it is computed in, so the masks examined, and the result, are
     those of running the descents one after another and solving every
     neighbour.
+
+    ``low``, a ``(lower, argmin_mask)`` the caller has certified, closes the
+    lower side: only the ascents run, no look needs a neighbour's ``lo``,
+    and ``low`` is returned as it is.
     """
     n = deltas.shape[0]
     check_blocks(n)
@@ -871,11 +899,15 @@ def descent_search(base: np.ndarray, deltas: np.ndarray, seeds):
     seen = _sorted_unique(np.asarray(seeds, dtype=np.int64))
     lo, hi = mask_spectra(operator, n, seen)
     solved = np.ones(len(seen), dtype=bool)
-    low, high = lo.min(), hi.max()  # the extremes solved so far
+    # the extremes solved so far; with the lower side closed no look needs a lo
+    least = lo.min() if low is None else -np.inf
+    most = hi.max()
     flips = np.int64(1) << np.arange(n, dtype=np.int64)
-    # a descent and an ascent from each seed; ascents walk on -hi
-    starts = np.repeat(seen, 2)
-    descending = np.tile([True, False], len(seen))
+    # a descent, unless the lower side is closed, and an ascent from each
+    # seed; ascents walk on -hi
+    sides = [True, False] if low is None else [False]
+    starts = np.repeat(seen, len(sides))
+    descending = np.tile(sides, len(seen))
     group = max(1, _ROUND_MASKS // n)
     for g in range(0, len(starts), group):
         current = starts[g : g + group]
@@ -897,8 +929,8 @@ def descent_search(base: np.ndarray, deltas: np.ndarray, seeds):
             # extremes solved so far.
             shift = np.where(down, cur_lo - margin, cur_hi + margin)
             quotients = neighbour_quotients(operator, current, down, shift)
-            need_lo = np.where(down, np.minimum(cur_lo, quotients.min(axis=1)), low)
-            need_hi = np.where(down, high, np.maximum(cur_hi, quotients.max(axis=1)))
+            need_lo = np.where(down, np.minimum(cur_lo, quotients.min(axis=1)), least)
+            need_hi = np.where(down, most, np.maximum(cur_hi, quotients.max(axis=1)))
             neighbours = (current[:, np.newaxis] ^ flips).ravel()
             at = np.searchsorted(seen, neighbours)
             known = seen[np.minimum(at, len(seen) - 1)] == neighbours
@@ -931,7 +963,7 @@ def descent_search(base: np.ndarray, deltas: np.ndarray, seeds):
                     operator, n, new[tested], test_lo[tested], test_hi[tested]
                 )
                 new_solved = new_lo != np.inf
-                low, high = min(low, new_lo.min()), max(high, new_hi.max())
+                least, most = min(least, new_lo.min()), max(most, new_hi.max())
                 # One merge: the new masks go to their places in the merged
                 # arrays, and the examined ones fill the rest in order.
                 place = at[looks[heads]] + np.arange(len(new))
@@ -960,9 +992,10 @@ def descent_search(base: np.ndarray, deltas: np.ndarray, seeds):
             down = down[moves]
             here = at[np.arange(len(at)), best][moves]
 
-    lower, amin = _least(lo[solved], seen[solved], 1, (np.inf, 0))
+    if low is None:
+        low = _least(lo[solved], seen[solved], 1, (np.inf, 0))
     upper, amax = _least(-hi[solved], seen[solved], -1, (np.inf, 0))
-    return lower, amin, -upper, amax, len(seen)
+    return *low, -upper, amax, len(seen)
 
 
 def basis_search(base: np.ndarray, deltas: np.ndarray, certify, floor=None):

@@ -21,6 +21,7 @@ from .gframe import (
     DEFAULT_TOL,
     GFrame,
     _check_tol,
+    _check_type,
     canonical_dual,
     classify,
     is_dual_pair,
@@ -111,6 +112,7 @@ def document_to_gframe(doc: dict) -> GFrame:
 
 
 def gframe_to_document(frame: GFrame) -> dict:
+    _check_type(frame, GFrame, "the frame")
     mode = "complex" if np.iscomplexobj(frame.blocks[0]) else "real"
     ops = []
     for i, b in enumerate(frame.blocks):

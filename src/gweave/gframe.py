@@ -41,6 +41,17 @@ def _check_dim(n, what: str = "domain dimension", least: int = 1) -> int:
     return int(n)
 
 
+def _check_type(value, kind: type, what: str) -> None:
+    """Refuse ``value`` with :class:`ShapeMismatch` unless it is a ``kind``.
+
+    The package's entries check each object they take this way, so a number
+    or ``None`` where a family, a selection or a spec belongs ends in a
+    package error, not in an ``AttributeError``.
+    """
+    if not isinstance(value, kind):
+        raise ShapeMismatch(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 def _sequence(items, what: str) -> list:
     """``items`` as a list; what cannot be iterated is :class:`ShapeMismatch`."""
     try:
@@ -112,6 +123,7 @@ def new_gframe(domain_dim: int, blocks: Sequence, labels=None) -> GFrame:
 
 def apply(frame: GFrame, h) -> list:
     """Analysis map: the list of per-block coefficient vectors."""
+    _check_type(frame, GFrame, "the frame")
     x = linalg._matrix(h, "the vector").ravel()
     if x.shape[0] != frame.domain_dim:
         raise ShapeMismatch(
@@ -130,6 +142,7 @@ def coefficient_energy(frame: GFrame, h) -> float:
 
 def frame_operator_matrix(frame: GFrame) -> np.ndarray:
     """The frame operator ``S = V*V`` as one product of the stacked rows ``V``."""
+    _check_type(frame, GFrame, "the frame")
     v = stacked_rows(frame)
     return linalg._product(v.conj().T, v, "the frame operator")
 
@@ -233,6 +246,8 @@ def canonical_dual(frame: GFrame, tol: float = DEFAULT_TOL) -> GFrame:
 
 def _check_pair(first: GFrame, second: GFrame) -> None:
     """Refuse two families that differ in block count or domain dimension."""
+    _check_type(first, GFrame, "the first family")
+    _check_type(second, GFrame, "the second family")
     if first.n_blocks != second.n_blocks:
         raise LengthMismatch(f"{first.n_blocks} blocks versus {second.n_blocks}")
     if first.domain_dim != second.domain_dim:
@@ -452,6 +467,7 @@ def classify(frame: GFrame, tol: float = DEFAULT_TOL) -> Classification:
 
 def compose_right(frame: GFrame, u) -> GFrame:
     """New family whose blocks act through ``u`` first."""
+    _check_type(frame, GFrame, "the frame")
     mat = linalg._matrix(u, "the operator", square=True)
     if mat.shape[1] != frame.domain_dim:
         raise ShapeMismatch(

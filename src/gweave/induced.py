@@ -34,6 +34,7 @@ from .gframe import (
     _basis_tests,
     _check_dim,
     _check_tol,
+    _check_type,
     _finite_real,
     _frozen,
     _sequence,
@@ -159,6 +160,8 @@ def induced_vectors(frame: GFrame, spec: SubspaceFrameSpec) -> VectorFamily:
     One product per block: row ``j`` of ``rows @ B.conj()`` is ``(B* u_j)^T``
     for the spec's ``j``-th vector ``u_j``.
     """
+    _check_type(frame, GFrame, "the frame")
+    _check_type(spec, SubspaceFrameSpec, "the spec")
     if len(spec.groups) != frame.n_blocks:
         raise LengthMismatch(
             f"spec has {len(spec.groups)} groups, family has {frame.n_blocks} blocks"
@@ -177,6 +180,7 @@ def induced_vectors(frame: GFrame, spec: SubspaceFrameSpec) -> VectorFamily:
 
 def vector_frame_operator(family: VectorFamily) -> np.ndarray:
     """Sum of the rank-one terms ``v v*`` of all vectors, as one product of the stacked vectors."""
+    _check_type(family, VectorFamily, "the vector family")
     if not family.flat:
         return np.zeros((family.domain_dim, family.domain_dim))
     rows = np.array(family.flat)
@@ -185,6 +189,7 @@ def vector_frame_operator(family: VectorFamily) -> np.ndarray:
 
 def _as_gframe(family: VectorFamily) -> GFrame:
     """The family as a block family: group ``m`` is the block whose rows are its ``v*``."""
+    _check_type(family, VectorFamily, "the vector family")
     return new_gframe(family.domain_dim, [rows.conj() for rows in family.groups])
 
 
@@ -231,6 +236,7 @@ def check_operator_identity(frame: GFrame, tol: float = linalg.ZERO_RTOL) -> Ver
     on either side, from the spectrum of that side's operator, must agree.
     """
     _check_tol(tol)
+    _check_type(frame, GFrame, "the frame")
     vectors = induced_vectors(frame, onb_families(frame.block_rows))
     s_blocks = frame_operator_matrix(frame)
     s_vectors = vector_frame_operator(vectors)
@@ -273,10 +279,10 @@ def check_weaving_transfer(
     without it the pair is scanned here.
     """
     _check_tol(tol)
-    a1, b1 = spec_first.envelope
-    a2, b2 = spec_second.envelope
     vf = induced_vectors(first, spec_first)
     vg = induced_vectors(second, spec_second)
+    a1, b1 = spec_first.envelope
+    a2, b2 = spec_second.envelope
     if report is None:
         report = universal_bounds_exhaustive(first, second, tol, cap)
     _check_report(first, second, report, woven=False)

@@ -24,6 +24,7 @@ from .gframe import (
     DEFAULT_TOL,
     GFrame,
     _check_tol,
+    _check_type,
     _finite_real,
     classify,
     compose_right,
@@ -413,7 +414,8 @@ def _universal_matches(rep, expected) -> bool:
 
 def run_suite(config: Optional[SuiteConfig] = None) -> SuiteReport:
     """Run the whole verification battery and collect one record per statement."""
-    cfg = config or SuiteConfig()
+    cfg = SuiteConfig() if config is None else config
+    _check_type(cfg, SuiteConfig, "the config")
     _check_seed(cfg.seed)
     scale = cfg.dim_scale
     _check_scale(scale)

@@ -31,8 +31,11 @@ from .gframe import (
     DEFAULT_TOL,
     BoundsReport,
     GFrame,
+    _check_dim,
     _check_pair,
     _check_tol,
+    _check_type,
+    _sequence,
     block_grams,
     canonical_dual,
     compose_right,
@@ -93,6 +96,8 @@ class WeavingSelection:
     mask: int
 
     def __post_init__(self):
+        _check_dim(self.n_blocks, "the block count", least=0)
+        _check_dim(self.mask, "the mask", least=0)
         if self.n_blocks < 1:
             raise LengthMismatch("selection needs at least one block")
         if not 0 <= self.mask < (1 << self.n_blocks):
@@ -102,8 +107,10 @@ class WeavingSelection:
 
     @classmethod
     def from_indices(cls, n_blocks: int, indices) -> "WeavingSelection":
+        _check_dim(n_blocks, "the block count", least=0)
         mask = 0
-        for ix in indices:
+        for ix in _sequence(indices, "indices"):
+            _check_dim(ix, "an index", least=0)
             if not 1 <= ix <= n_blocks:
                 raise ShapeMismatch(f"index {ix} outside 1..{n_blocks}")
             mask |= 1 << (ix - 1)
@@ -151,6 +158,7 @@ def weave(first: GFrame, second: GFrame, selection: WeavingSelection) -> GFrame:
     not required.
     """
     _check_pair(first, second)
+    _check_type(selection, WeavingSelection, "the selection")
     if selection.n_blocks != first.n_blocks:
         raise LengthMismatch(
             f"selection covers {selection.n_blocks} blocks, families have"
@@ -223,6 +231,37 @@ def _woven_threshold(p_sum: np.ndarray, q_sum: np.ndarray, tol: float) -> float:
     return tol * max(b1, b2)
 
 
+def _singular(first: GFrame, second: GFrame, deltas: np.ndarray):
+    """``(0.0, mask)`` for the smallest mask whose weaving has fewer than ``d`` rows, else None.
+
+    Such a weaving's operator ``V*V`` has rank below ``d``, so its least
+    eigenvalue is exactly 0, and no weaving's is less: the universal lower
+    bound is 0.  A set bit takes block ``i``'s rows from the first family, a
+    clear one from the second.  A null block (``deltas[i]`` exactly zero)
+    gives the same operator either way, of rank at most ``min(r1, r2)``: it
+    counts that many rows and keeps its bit clear, so the mask is the
+    smallest of those with its operator.  Bits are fixed from the highest
+    down, each left clear when the blocks below it can still bring the count
+    under ``d``.
+    """
+    d = first.domain_dim
+    rows1, rows2 = first.block_rows, second.block_rows
+    least = [min(r1, r2) for r1, r2 in zip(rows1, rows2)]
+    if sum(least) >= d:  # the fewest rows a weaving can have
+        return None
+    null = ~deltas.reshape(len(deltas), -1).any(axis=1)
+    below = np.cumsum([0] + least)  # below[i]: the fewest rows of the blocks below i
+    mask = rows = 0
+    for i in reversed(range(len(least))):
+        clear = least[i] if null[i] else rows2[i]
+        if rows + clear + below[i] < d:
+            rows += clear
+        else:
+            rows += rows1[i]
+            mask |= 1 << i
+    return 0.0, mask
+
+
 def _pair_report(n, extremes, sums, tol, method, examined) -> UniversalReport:
     """The report of ``extremes``, ``(lower, argmin mask, upper, argmax mask)``, over ``n`` blocks.
 
@@ -247,7 +286,7 @@ def _pair_report(n, extremes, sums, tol, method, examined) -> UniversalReport:
 def _scan_pair(first: GFrame, second: GFrame, tol: float) -> UniversalReport:
     n = first.n_blocks
     base, deltas, p_sum, q_sum = _pair_kernel_inputs(first, second)
-    extremes = _kernels.weaving_scan(base, deltas)
+    extremes = _kernels.weaving_scan(base, deltas, _singular(first, second, deltas))
     return _pair_report(n, extremes, (p_sum, q_sum), tol, "exhaustive", 1 << n)
 
 
@@ -261,7 +300,11 @@ def universal_bounds_exhaustive(
 
     Ties for the recorded minimizer resolve to the smallest mask; ties for
     the maximizer resolve to the largest, so the two witnesses come from
-    opposite ends of the enumeration order.
+    opposite ends of the enumeration order.  When some weaving has fewer
+    rows than the domain dimension, its operator is singular and the lower
+    bound is exactly ``0.0``, read from the row counts: the argmin is the
+    smallest such mask, with null bits clear, no lower-side eigenvalue is
+    computed, and the pair is not woven at any ``tol``.
     """
     _check_tol(tol)
     _check_pair(first, second)
@@ -295,7 +338,10 @@ def universal_bounds_search(
     ``subsets_examined`` counts the distinct masks examined, each solved or
     certified: the seeds and every neighbour of every mask a descent visited.
     The reported lower value over-estimates the true universal lower bound
-    and the upper value under-estimates the true upper bound.  When the
+    and the upper value under-estimates the true upper bound.  A pair with a
+    weaving of fewer rows than the domain dimension reports the exhaustive
+    lower bound, ``0.0`` at the smallest such mask, and runs its ascents
+    only.  When the
     budget covers the whole selection space the full enumeration runs
     instead and the result equals the exhaustive report.  A smaller budget
     above ``MAX_SEARCH_BUDGET`` is refused.
@@ -321,7 +367,8 @@ def universal_bounds_search(
 
     base, deltas, p_sum, q_sum = _pair_kernel_inputs(first, second)
     seeds = np.random.default_rng(seed).integers(0, total, size=budget)
-    *extremes, examined = _kernels.descent_search(base, deltas, seeds)
+    low = _singular(first, second, deltas)
+    *extremes, examined = _kernels.descent_search(base, deltas, seeds, low)
     return _pair_report(n, extremes, (p_sum, q_sum), tol, "search", examined)
 
 
@@ -346,7 +393,9 @@ def is_woven(
     Under the exhaustive strategy the verdict is exact either way.  Under the
     search strategy a negative verdict is conclusive (the certificate is a
     concrete failing selection) while a positive verdict only means no
-    counterexample was found within the budget.
+    counterexample was found within the budget.  Under either strategy a
+    pair with a weaving of fewer rows than the domain dimension is not
+    woven, and the certificate is the smallest such selection.
     """
     if strategy == "exhaustive":
         report = universal_bounds_exhaustive(first, second, tol, cap)
@@ -369,8 +418,7 @@ class VerificationRecord:
 def _check_report(first: GFrame, second: GFrame, report, woven: bool) -> None:
     """Refuse a report that is no UniversalReport of the pair's blocks, or unwoven if ``woven``."""
     _check_pair(first, second)
-    if not isinstance(report, UniversalReport):
-        raise ShapeMismatch(f"report must be a UniversalReport, got {type(report).__name__}")
+    _check_type(report, UniversalReport, "the report")
     if report.argmin.n_blocks != first.n_blocks:
         raise LengthMismatch(f"report covers {report.argmin.n_blocks} blocks, not {first.n_blocks}")
     if woven and not report.woven:
@@ -571,8 +619,8 @@ def is_weaving_g_riesz(
     witness and failing bounds are those of the per-weaving classifier; a
     passing report gives the universal bounds of ``_kernels.weaving_scan``.
     """
-    n = first.n_blocks
     base, deltas = _basis_inputs(first, second, tol, cap)
+    n = first.n_blocks
     allowance = 1.0 + abs(tol)
     square = _square(first, second)
 
@@ -619,8 +667,8 @@ def is_weaving_g_onb(
     for every completion.  Every other weaving, in ascending mask order,
     goes to :func:`is_g_orthonormal_basis` until one fails.
     """
-    n = first.n_blocks
     base, deltas = _basis_inputs(first, second, tol, cap)
+    n = first.n_blocks
     no_rows1 = [r == 0 for r in first.block_rows]
     no_rows2 = [r == 0 for r in second.block_rows]
     square = _square(first, second)
@@ -657,6 +705,7 @@ def check_unitary_weaving_invariance(
     and the record says so.
     """
     _check_tol(tol)
+    _check_pair(first, second)
     mat = linalg._matrix(u, "the operator", square=True)
     d = first.domain_dim
     if mat.shape[0] != d:

@@ -143,6 +143,28 @@ def brute_universal(first, second):
     return float(lows.min()), float(highs.max())
 
 
+def fewest_rows_mask(first, second):
+    """The smallest mask with every null bit clear whose weaving has fewer than ``d`` rows, or None.
+
+    Masks are enumerated in ascending chunks up to the first that fits.  A
+    null block, one whose Gram matrix is the same in both families, counts
+    ``min(r1, r2)`` rows.
+    """
+    n = first.n_blocks
+    rows1, rows2 = np.array(first.block_rows), np.array(second.block_rows)
+    pairs = zip(first.blocks, second.blocks)
+    null = np.array([np.array_equal(a.conj().T @ a, b.conj().T @ b) for a, b in pairs])
+    if np.minimum(rows1, rows2).sum() >= first.domain_dim:
+        return None
+    for start in range(0, 1 << n, 1 << 16):
+        masks = np.arange(start, min(start + (1 << 16), 1 << n))
+        bits = ((masks[:, np.newaxis] >> np.arange(n)) & 1).astype(bool)
+        rows = np.where(null, np.minimum(rows1, rows2), np.where(bits, rows1, rows2)).sum(axis=1)
+        fits = (rows < first.domain_dim) & ~(bits & null).any(axis=1)
+        if fits.any():
+            return int(masks[fits][0])
+
+
 def brute_weaving_basis(first, second, kind: str, tol: float):
     """Whether every weaving is a Riesz basis (``kind`` "riesz") or orthonormal basis ("onb").
 
@@ -209,7 +231,8 @@ def sequential_bounds_search(first, second, budget: int, seed: int = 0, tol: flo
 
     Each step asks the kernel for the spectra of the current mask's
     neighbours not seen yet, then scans them in bit order for the best strict
-    improvement.
+    improvement.  When some weaving has fewer than ``d`` rows, the lower
+    bound is 0 at :func:`fewest_rows_mask` and only the ascents run.
     """
     from gweave import _kernels
     from gweave.errors import ShapeMismatch, TooManyBlocks
@@ -266,8 +289,10 @@ def sequential_bounds_search(first, second, budget: int, seed: int = 0, tol: flo
                 return
             current, value = best_mask, best_value
 
+    singular = fewest_rows_mask(first, second)
     for s in samples:
-        descend(s, want_min=True)
+        if singular is None:
+            descend(s, want_min=True)
         descend(s, want_min=False)
 
     masks = np.array(sorted(cache), dtype=np.int64)
@@ -275,13 +300,14 @@ def sequential_bounds_search(first, second, budget: int, seed: int = 0, tol: flo
     hi = np.array([cache[int(m)][1] for m in masks])
     i = int(np.argmin(lo))  # first occurrence: smallest mask among ties
     j = len(hi) - 1 - int(np.argmax(hi[::-1]))  # last occurrence: largest mask
+    lower, amin = (float(lo[i]), int(masks[i])) if singular is None else (0.0, singular)
     threshold = _woven_threshold(p_sum, q_sum, tol)
     return UniversalReport(
-        lower=float(lo[i]),
+        lower=lower,
         upper=float(hi[j]),
-        argmin=WeavingSelection(n, int(masks[i])),
+        argmin=WeavingSelection(n, amin),
         argmax=WeavingSelection(n, int(masks[j])),
-        woven=float(lo[i]) > threshold,
+        woven=lower > threshold,
         method="search",
         subsets_examined=len(masks),
         threshold=threshold,

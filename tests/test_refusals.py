@@ -1,6 +1,7 @@
 """Each input refusal of the Python API raises its named ``GWeaveError``, before any work."""
 
 import inspect
+import os
 import warnings
 
 import numpy as np
@@ -129,6 +130,33 @@ CASES = {
         lambda: suite.build_overlapping_coordinate_pair(3), ShapeMismatch, "4 blocks"
     ),
     "nonunitary-operators": (lambda: suite.build_nonunitary_operators(1), ShapeMismatch, "d >= 2"),
+    "weave-int-selection": (
+        lambda: weave(TWO, TWO, 1), ShapeMismatch, "selection must be a WeavingSelection, got int"
+    ),
+    "is_woven-int-family": (
+        lambda: is_woven(TWO, 5), ShapeMismatch, "second family must be a GFrame, got int"
+    ),
+    "universal_bounds_exhaustive-str-family": (
+        lambda: universal_bounds_exhaustive(TWO, "x"), ShapeMismatch, "must be a GFrame, got str"
+    ),
+    "optimal_bounds-none": (
+        lambda: gweave.optimal_bounds(None), ShapeMismatch, "frame must be a GFrame, got NoneType"
+    ),
+    "induced_vectors-none-spec": (
+        lambda: induced_vectors(TWO, None), ShapeMismatch, "spec must be a SubspaceFrameSpec"
+    ),
+    "run_suite-int-config": (
+        lambda: run_suite(5), ShapeMismatch, "config must be a SuiteConfig, got int"
+    ),
+    "from_indices-none": (
+        lambda: WeavingSelection.from_indices(2, None), ShapeMismatch, "indices must be a sequence"
+    ),
+    "from_indices-str-index": (
+        lambda: WeavingSelection.from_indices(2, ["a"]), ShapeMismatch, "index must be an integer"
+    ),
+    "selection-str-mask": (
+        lambda: WeavingSelection(2, "1"), ShapeMismatch, "mask must be an integer, got '1'"
+    ),
 }
 
 
@@ -255,3 +283,49 @@ def test_public_tolerance_is_refused(name, tol):
 
 def test_every_tolerance_taker_is_covered():
     assert sorted(TOL_ARGS) == TOL_TAKERS
+
+
+# Parameters that take one of the package's objects: a family, a selection, a
+# spec, a report or a suite config.
+OBJECT_PARAMS = {
+    "frame", "first", "second", "family", "selection", "spec", "spec_first", "spec_second",
+    "report", "config",
+}
+# Each taker, parameter and wrong value, but no None where None is the default.
+OBJECT_CASES = [
+    (name, param, wrong)
+    for name in gweave.__all__
+    if inspect.isfunction(getattr(gweave, name))
+    for param, spec in inspect.signature(getattr(gweave, name)).parameters.items()
+    if param in OBJECT_PARAMS
+    for wrong in (5, None, "x")
+    if not (wrong is None and spec.default is None)
+]
+# Good arguments of each object taker that TOL_ARGS does not hold.
+OBJECT_ARGS = {
+    **TOL_ARGS,
+    "apply": lambda: (TWO, [1.0, 0.0]),
+    "check_additive_upper_bound": lambda: (TWO, TWO, universal_bounds_exhaustive(TWO, TWO)),
+    "check_strict_sum_gap": lambda: (TWO, TWO, universal_bounds_exhaustive(TWO, TWO)),
+    "check_universal_envelope": lambda: (TWO, TWO, universal_bounds_exhaustive(TWO, TWO)),
+    "coefficient_energy": lambda: (TWO, [1.0, 0.0]),
+    "compose_right": lambda: (TWO, np.eye(2)),
+    "frame_operator": lambda: (TWO,),
+    "induced_vectors": lambda: (TWO, SPEC),
+    "run_suite": lambda: (),
+    "save_gframe": lambda: (TWO, os.devnull),
+    "vector_frame_operator": lambda: (VECTORS,),
+    "weave": lambda: (TWO, TWO, NONE),
+}
+
+
+@pytest.mark.parametrize("name, param, wrong", OBJECT_CASES)
+def test_object_of_another_type_is_refused(name, param, wrong):
+    """A number, ``None`` or a string where a package object belongs is ``ShapeMismatch``."""
+    assert name in OBJECT_ARGS, f"{name} takes {param}: add its arguments to OBJECT_ARGS"
+    function = getattr(gweave, name)
+    args = inspect.signature(function).bind(*OBJECT_ARGS[name]())
+    function(*args.args, **args.kwargs)  # the arguments are good, so the refusal below is param's
+    args.arguments[param] = wrong
+    with pytest.raises(ShapeMismatch, match="must be a"):
+        function(*args.args, **args.kwargs)

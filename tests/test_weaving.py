@@ -58,6 +58,8 @@ from conftest import basis_pair, dense_pairs, perturbed_woven_pair, random_frame
 from oracles import (
     brute_weaving_basis,
     brute_weaving_spectra,
+    fewest_rows_mask,
+    full_weaving_scan,
     mixed_frame_operator,
     sequential_bounds_search,
 )
@@ -485,6 +487,86 @@ class TestIsWoven:
         if not verdict.woven:
             rep = weaving_bounds(pair.first, pair.second, verdict.certificate)
             assert rep.lower <= verdict.report.threshold
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "search"])
+def test_a_weaving_of_fewer_rows_than_d_is_never_woven_at_tol_0(strategy):
+    """Every weaving of two one-row blocks in d = 3 has two rows, so its operator is singular.
+
+    Rounding can put a computed least eigenvalue of such an operator above
+    0, so the bound must come from the row counts.
+    """
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        first, second = (new_gframe(3, rng.standard_normal((2, 1, 3))) for _ in range(2))
+        verdict = is_woven(first, second, tol=0.0, strategy=strategy, budget=2, seed=seed)
+        assert not verdict.woven
+        assert verdict.report.lower == 0.0 and verdict.certificate.mask == 0
+
+
+@st.composite
+def sparse_row_pairs(draw):
+    """Pairs of up to 10 blocks with 0-2 rows each, some of them null.
+
+    A null block is the same block in both families, with no rows or some,
+    or the same rows with a zero row appended in the second family, so
+    that the same operator comes from different row counts.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(1, 11))
+    d = int(rng.integers(1, 7))
+    complex_mode = draw(st.booleans())
+
+    def block():
+        b = rng.standard_normal((int(rng.integers(0, 3)), d))
+        return b + 1j * rng.standard_normal(b.shape) if complex_mode else b
+
+    first, second = [block() for _ in range(n)], [block() for _ in range(n)]
+    for i in range(n):
+        kind = rng.integers(4)
+        if kind == 1:
+            second[i] = first[i]
+        elif kind == 2:
+            second[i] = np.concatenate([first[i], np.zeros((1, d))])
+    return new_gframe(d, first), new_gframe(d, second)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=sparse_row_pairs())
+def test_a_weaving_of_fewer_rows_than_d_pins_the_lower_bound_at_0(pair):
+    """Its bound is exactly 0 at the smallest such mask; the rest is the full scan's.
+
+    A pair with no such weaving reports the full scan's whole tuple.
+    """
+    first, second = pair
+    rep = universal_bounds_exhaustive(first, second)
+    base, deltas = _pair_kernel_inputs(first, second)[:2]
+    full = full_weaving_scan(base, deltas)
+    got = (rep.lower, rep.argmin.mask, rep.upper, rep.argmax.mask)
+    singular = fewest_rows_mask(first, second)
+    if singular is None:
+        assert got == full
+    else:
+        assert got == (0.0, singular, *full[2:])
+        assert not rep.woven
+        assert abs(full[0]) <= _kernels._SplitOperator(base, deltas).margin
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=sparse_row_pairs(), data=st.data())
+def test_a_search_below_the_cube_reads_the_exhaustive_lower_bound(pair, data):
+    """Where some weaving has fewer than ``d`` rows, the search's lower end is the exhaustive one.
+
+    Its upper end, from the ascents alone, is at most the exhaustive one.
+    """
+    first, second = pair
+    assume(first.n_blocks > 1 and fewest_rows_mask(first, second) is not None)
+    budget = data.draw(st.integers(1, (1 << first.n_blocks) - 1))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    found = universal_bounds_search(first, second, budget, seed)
+    exact = universal_bounds_exhaustive(first, second)
+    assert (found.lower, found.argmin) == (exact.lower, exact.argmin)
+    assert found.upper <= exact.upper and not found.woven
 
 
 class TestChecks:
