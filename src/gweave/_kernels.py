@@ -15,24 +15,27 @@ Each entry takes ``base`` and ``deltas`` and returns arrays:
 for the sampled search, :func:`basis_search` for the per-weaving classifiers
 and :func:`one_bit_spectra` for the operators with one bit set.
 
-Every spectrum goes through one representation, :class:`_SplitOperator`:
-coordinates split into the connected components of the nonzero pattern of
-``base`` and every delta, so each operator is block diagonal after a
-permutation and its extreme eigenvalues are the extremes over components.
-A 1 x 1 component is its real diagonal entry and needs no eigensolve.  Each
-batch of masks becomes one stack per component through a real matmul of the
-mask bits with that component's flattened deltas (:func:`_stack`), and one
-stacked ``eigvalsh`` per component gives its extreme eigenvalues.  Each
-operator fixes its batch size once, ``step`` masks whose stacks hold at most
+Every spectrum goes through one representation, :class:`_SplitOperator`.
+It drops every null block, whose delta is exactly zero
+(:func:`null_blocks`): such a block gives the same operator with its bit set
+or clear.  The operator keeps the deltas of the other, live blocks and reads
+only their columns of each row of ``n`` mask bits.  Its coordinates split
+into the connected components of the nonzero pattern of ``base`` and every
+delta, so each operator is block diagonal after a permutation and its
+extreme eigenvalues are the extremes over components.  A 1 x 1 component is
+its real diagonal entry and needs no eigensolve.  Each batch of masks
+becomes one stack per component through a real matmul of the live bits with
+that component's flattened deltas (:func:`_stack`), and one stacked
+``eigvalsh`` per component gives its extreme eigenvalues.  Each operator
+fixes its batch size once, ``step`` masks whose stacks hold at most
 ``_BATCH_FLOATS`` entries, and every kernel entry reads it.  The matmul runs
 in tiles of a fixed number of rows, so a mask's operator, and with it its
-eigenvalues, is bitwise the same whatever batch it comes in, and the scan,
-the sampled search and the basis search read the same values for the same
-mask.
-
-Before enumerating, :func:`weaving_scan` also drops every block whose delta
-is exactly zero: it gives the same operator with its bit set or clear, so
-only the masks of the remaining blocks are enumerated.
+eigenvalues, is bitwise the same whatever batch it comes in.  Every entry
+builds its operator from all ``n`` deltas, so the scan, the sampled search,
+the basis search and :func:`one_bit_spectra` read the same values for the
+same mask.  :func:`weaving_scan` enumerates only the masks of the live
+blocks, bit ``j`` for live block ``j``, and places its two witnesses on all
+``n`` bits (:meth:`_SplitOperator.full_mask`).
 
 Then one search over subcubes of masks (:func:`_subcube_search`, a
 best-first branch-and-bound after Land and Doig) gives both extremes:
@@ -220,10 +223,24 @@ def _scaled_norms(pieces: list):
     return np.sqrt(squares), exponents[:, 0]
 
 
+def null_blocks(deltas: np.ndarray) -> np.ndarray:
+    """Whether each delta is exactly zero, so that its block gives the same operator either way."""
+    return ~deltas.any(axis=(1, 2))
+
+
 class _SplitOperator:
-    """``base + sum_i bits[:, i] deltas[i]`` evaluated component by component."""
+    """``base + sum_i bits[:, i] deltas[i]`` evaluated component by component.
+
+    It keeps the ``live`` blocks, those whose delta is not null
+    (:func:`null_blocks`): its pieces and norms hold their deltas alone, and
+    it reads only their columns of each row of ``n`` bits, so every entry
+    forms a mask's operator from the same columns.
+    """
 
     def __init__(self, base: np.ndarray, deltas: np.ndarray):
+        self.n = len(deltas)
+        self.live = np.flatnonzero(~null_blocks(deltas))
+        deltas = deltas[self.live]
         pattern = (base != 0) | (deltas != 0).any(axis=0)
         comps = _components(pattern | pattern.T)
         singles = [c[0] for c in comps if len(c) == 1]
@@ -245,8 +262,24 @@ class _SplitOperator:
             self.norms = np.ldexp(ratios[1:], exponents[1:])
         self.margin = _margin(ratios, exponents, len(base))
 
+    def widen(self, values: np.ndarray, fill=0) -> np.ndarray:
+        """``values`` over the live blocks, in the last axis, as values over all ``n``, ``fill`` at the null ones."""
+        out = np.full((*values.shape[:-1], self.n), fill, dtype=values.dtype)
+        out[..., self.live] = values
+        return out
+
+    def full_mask(self, mask: int, fill: int) -> int:
+        """The ``n``-bit mask with bit ``j`` of ``mask`` at block ``live[j]`` and ``fill`` at the null ones."""
+        bits = self.widen((mask >> np.arange(len(self.live))) & 1, fill)
+        return int(bits @ np.left_shift(1, np.arange(self.n)))
+
     def pieces(self, bits: np.ndarray):
-        """The diagonal entries and the component stacks of the operator of each row of bits."""
+        """The diagonal entries and the component stacks of the operator of each row of bits.
+
+        A row holds the bits of all ``n`` blocks, or of the live blocks alone.
+        """
+        if bits.shape[1] != len(self.live):
+            bits = bits.take(self.live, axis=1)  # C-ordered, as the tiles of _stack need
         if len(self.diag_base):
             diag = _stack(self.diag_base, self.diag_deltas, bits)
         else:
@@ -524,11 +557,6 @@ def _margin(ratios: np.ndarray, exponents: np.ndarray, order: int) -> float:
     return float(np.ldexp(4 * size * np.finfo(np.float64).eps * ratios, exponents).sum())
 
 
-def _spread(mask: int, live: np.ndarray) -> int:
-    """Place bit ``j`` of ``mask`` at block position ``live[j]``."""
-    return sum(1 << int(pos) for j, pos in enumerate(live) if (mask >> j) & 1)
-
-
 def _least(values: np.ndarray, masks: np.ndarray, sign: int, best: tuple) -> tuple:
     """The least of ``best`` and a batch's ``(value, mask)``, ties to the least ``sign * mask``."""
     value = values.min()
@@ -550,15 +578,16 @@ def _batches(total: int, step: int, first: int = 0):
 
 
 def _envelopes(operator: _SplitOperator, order: np.ndarray):
-    """The envelopes of subcubes whose blocks ``order[:depth]`` are fixed and the others free.
+    """The envelopes of subcubes whose live blocks ``order[:depth]`` are fixed and the others free.
 
-    Returns ``envelope(masks, depths, side)``, which yields ``(part, diag,
-    stacks)`` for each batch of nodes: the slice of the batch and the pieces
-    (as :meth:`_SplitOperator.pieces`) of ``P + sum_free neg(delta_i)``
-    (side 0, below every completion's operator) or ``P + sum_free
-    pos(delta_i)`` (side 1, above it) for each node, given by the mask of its
-    fixed bits (its free bits clear) and its depth, where ``P`` is the
-    operator of the mask.  The negative and positive parts of each delta
+    ``order`` ranks the operator's live blocks.  Returns ``envelope(masks,
+    depths, side)``, which yields ``(part, diag, stacks)`` for each batch of
+    nodes: the slice of the batch and the pieces (as
+    :meth:`_SplitOperator.pieces`) of ``P + sum_free neg(delta_i)`` (side 0,
+    below every completion's operator) or ``P + sum_free pos(delta_i)``
+    (side 1, above it) for each node, given by the mask of its fixed bits,
+    bit ``j`` for live block ``j`` (its free bits clear), and its depth,
+    where ``P`` is the operator of the mask.  The negative and positive parts of each delta
     come from one ``eigh`` per component, the diagonal part clipped.
     """
     k = len(order)
@@ -585,15 +614,16 @@ def _envelopes(operator: _SplitOperator, order: np.ndarray):
 
 
 def _subcube_search(operator: _SplitOperator, cube: bool, closed: bool = False):
-    """Both extremes over all masks of ``operator``, each with its mask.
+    """Both extremes over the masks of ``operator``'s live blocks, each with its mask.
 
     Returns ``(low, high)``, ``low = (lambda_min, argmin)`` and
     ``high = (-lambda_max, argmax)``, ties to the smallest and the largest
-    mask.  With ``cube`` the whole cube is one leaf; otherwise the search
-    runs over subcubes.  Each batch holds at most ``operator.step`` masks.
-    With ``closed`` the side of ``lambda_min`` is closed from the start: its
-    incumbent reads ``-inf``, so no mask takes a test on that side and no
-    node an envelope, and ``low`` comes back as ``(-inf, 0)``.
+    mask, each with bit ``j`` for live block ``j``.  With ``cube`` the whole
+    cube is one leaf; otherwise the search runs over subcubes.  Each batch
+    holds at most ``operator.step`` masks.  With ``closed`` the side of
+    ``lambda_min`` is closed from the start: its incumbent reads ``-inf``,
+    so no mask takes a test on that side and no node an envelope, and
+    ``low`` comes back as ``(-inf, 0)``.
     """
     k = len(operator.norms)
     step, margin = operator.step, operator.margin
@@ -718,22 +748,18 @@ def weaving_scan(base: np.ndarray, deltas: np.ndarray, low=None):
     witness, and each solved mask's values are those of a full solve: the
     result is that of solving every mask.
     """
-    n = deltas.shape[0]
-    check_blocks(n)
-    live = np.flatnonzero([delta.any() for delta in deltas])
-    operator = _SplitOperator(base, deltas[live])
-    k = len(live)
+    check_blocks(deltas.shape[0])
+    operator = _SplitOperator(base, deltas)
     c = max([0] + [len(block) for block, _ in operator.blocks])
     if low is None:
         fewest = _TREE_BLOCKS + max(0, c - 4) // 3
     else:
         fewest = _TREE_BLOCKS - 1 + 2 * (c > 8) + max(0, 4 - c)
-    cube = not operator.blocks or k < fewest
+    cube = not operator.blocks or len(operator.live) < fewest
     least, high = _subcube_search(operator, cube, low is not None)
     if low is None:
-        low = least[0], _spread(least[1], live)
-    null_bits = ((1 << n) - 1) ^ _spread((1 << k) - 1, live)
-    return *low, -high[0], _spread(high[1], live) | null_bits
+        low = least[0], operator.full_mask(least[1], 0)
+    return *low, -high[0], operator.full_mask(high[1], 1)
 
 
 def mask_spectra(operator: _SplitOperator, n_blocks: int, masks, floor=None, ceiling=None):
@@ -779,18 +805,18 @@ def neighbour_quotients(operator: _SplitOperator, masks, lowest, shift):
     bounds nothing and reads ``+inf`` where ``lowest`` holds, else ``-inf``.
     Masks run in batches of ``operator.step``.
     """
-    n = len(operator.diag_deltas)
+    n = operator.n
     out = np.empty((len(masks), n))
     for part in _batches(len(masks), operator.step):
         bits = _mask_bits(masks[part], n)
-        sign = 1 - 2 * bits
+        sign = 1 - 2 * bits[:, operator.live]
         low = lowest[part, np.newaxis]
         diag, stacks = operator.pieces(bits)
         best = None
         if diag.shape[1]:
-            # [r, i, j]: diagonal entry j of neighbour i of mask r
-            entries = diag[:, np.newaxis, :] + sign[:, :, np.newaxis] * operator.diag_deltas
-            best = np.where(low, entries.min(axis=2), entries.max(axis=2))
+            # [r, j, i]: diagonal entry j of neighbour i of mask r
+            entries = diag[:, :, np.newaxis] + operator.widen(sign[:, np.newaxis] * operator.diag_deltas.T)
+            best = np.where(low, entries.min(axis=1), entries.max(axis=1))
         for stack, (_, flat) in zip(stacks, operator.blocks):
             c = stack.shape[-1]
             shifted = stack.copy()
@@ -808,7 +834,8 @@ def neighbour_quotients(operator: _SplitOperator, masks, lowest, shift):
             # u* X u is the real dot product of u u* with X, entry by entry
             outer = _flat(u[:, :, np.newaxis] * u.conj()[:, np.newaxis, :])
             with np.errstate(over="ignore", invalid="ignore"):
-                q = (outer * _flat(stack)).sum(axis=1)[:, np.newaxis] + sign * (outer @ flat.T)
+                own = (outer * _flat(stack)).sum(axis=1)[:, np.newaxis]
+                q = own + operator.widen(sign * (outer @ flat.T))
             best = q if best is None else np.where(low, np.minimum(best, q), np.maximum(best, q))
         # a quotient past float64 bounds nothing: +inf where lowest holds, else -inf
         out[part] = np.where(np.isfinite(best), best, np.where(low, np.inf, -np.inf))
@@ -838,14 +865,15 @@ def descent_search(base: np.ndarray, deltas: np.ndarray, seeds, low=None):
     extremes over the masks solved, ties to the smallest mask for the
     minimum and the largest for the maximum, and ``examined``, the number of
     distinct masks examined, each solved or certified: the seeds and every
-    neighbour of every mask a descent visited.  Every block is kept, null
-    ones included.
+    neighbour of every mask a descent visited.
 
     From each distinct seed mask a descent runs on the smallest eigenvalue
     and an ascent on the largest; a repeated seed repeats its descents
     exactly, so each seed runs once.  A step moves to the first of the ``n``
     one-bit neighbours with the best value, and only when that value
-    strictly improves on the current one.
+    strictly improves on the current one.  The neighbour across a null
+    block has the current mask's live bits, so it reads the current values
+    bitwise and is never a step.
 
     All descents advance in lockstep, up to ``_ROUND_MASKS // n`` at a time,
     and each round looks up every neighbour no descent has examined yet in
@@ -891,8 +919,8 @@ def descent_search(base: np.ndarray, deltas: np.ndarray, seeds, low=None):
     # Weyl steps: the extreme eigenvalues of +delta_i, which sets bit i, in
     # row 0 and of -delta_i, which clears it, in row 1, piece by piece
     w_lo, w_hi = _solve(operator.diag_deltas, operator.block_deltas)
-    step_lo = np.stack([w_lo, -w_hi])
-    step_hi = np.stack([w_hi, -w_lo])
+    step_lo = operator.widen(np.stack([w_lo, -w_hi]))
+    step_hi = operator.widen(np.stack([w_hi, -w_lo]))
     # Examined masks, ascending.  lo and hi hold the extreme eigenvalues of a
     # solved mask; a certified one has lo > floor and hi < ceiling for the
     # floor and ceiling it was certified against, and lo and hi hold those.
@@ -1003,7 +1031,7 @@ def basis_search(base: np.ndarray, deltas: np.ndarray, certify, floor=None):
 
     Yields ``(masks, bits, values, margin)``: the masks, their bits as
     float64 rows, their operators' values and the operator's rounding
-    :func:`_margin`.  Every block is kept, null ones included.
+    :func:`_margin`.
 
     A node is a subcube whose bits are fixed from the highest block down and
     whose low ``free`` bits are free, given by the mask of its fixed bits.
@@ -1036,12 +1064,14 @@ def basis_search(base: np.ndarray, deltas: np.ndarray, certify, floor=None):
     n = deltas.shape[0]
     operator = _SplitOperator(base, deltas)
     step, margin = operator.step, operator.margin
+    live = operator.live
     if floor is not None:
-        envelope = _envelopes(operator, np.arange(n)[::-1])
+        envelope = _envelopes(operator, np.arange(len(live))[::-1])
         root = np.zeros(1, dtype=np.int64)
         ((_, diag, stacks),) = envelope(root, root, 1)
         level = floor(_solve(diag, stacks)[1][0], margin)
-    spread = np.concatenate([[0.0], np.cumsum(operator.norms)])  # sum of |delta_i|_F, i < free
+    # sum of |delta_i|_F, i < free
+    spread = np.concatenate([[0.0], np.cumsum(operator.widen(operator.norms))])
     leaf_depth = max(0, n - _LEAF_FREE)
     leaf = np.arange(1 << (n - leaf_depth))
     # The subcubes left, ascending, as the columns of ``nodes``: mask, depth
@@ -1068,7 +1098,11 @@ def basis_search(base: np.ndarray, deltas: np.ndarray, certify, floor=None):
             own = np.concatenate(residuals)
             values = own + spread[n - depths]
         else:
-            proved = [_proved(d, s, level, np.inf) for _, d, s in envelope(masks, depths, 0)]
+            # each node's mask over the live blocks, and how many of them it
+            # fixes: those at or above its lowest fixed bit
+            compact = ((masks[:, np.newaxis] >> live) & 1) @ np.left_shift(1, np.arange(len(live)))
+            fixed = len(live) - np.searchsorted(live, n - depths)
+            proved = [_proved(d, s, level, np.inf) for _, d, s in envelope(compact, fixed, 0)]
             lo = np.where(np.concatenate(proved), np.inf, -np.inf)
             values = lo, -lo
         opened = ~certify(bits, n - depths, values, margin)

@@ -69,9 +69,40 @@ def _frozen(a: np.ndarray, dtype=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GFrame:
+    """An immutable family that validates its shapes and keeps its own copy of each block.
+
+    Each block goes through ``linalg._matrix``, so 1-d block inputs are
+    accepted as single rows.  All blocks are promoted to a common dtype
+    (complex128 when any input is complex, float64 otherwise), copied once
+    and marked read-only, so changing an input array afterwards leaves the
+    family unchanged.  :func:`new_gframe` is the public entry.
+    """
+
     domain_dim: int
     blocks: tuple
     labels: Optional[tuple] = None
+
+    def __post_init__(self):
+        d = _check_dim(self.domain_dim)
+        mats = []
+        for i, raw in enumerate(_sequence(self.blocks, "blocks")):
+            a = linalg._matrix(raw, f"block {i + 1}")
+            # Zero-row blocks encode the zero operator onto a trivial summand
+            # and are allowed, whatever their number of columns.
+            if a.shape[1] != d and a.shape[0] != 0:
+                raise ShapeMismatch(
+                    f"block {i + 1} has {a.shape[1]} columns, domain dimension is {d}"
+                )
+            mats.append(a.reshape(a.shape[0], d))
+        if not mats:
+            raise Empty("a family needs at least one block")
+        dtype = np.complex128 if any(a.dtype == np.complex128 for a in mats) else np.float64
+        labels = None if self.labels is None else tuple(map(str, _sequence(self.labels, "labels")))
+        if labels is not None and len(labels) != len(mats):
+            raise LengthMismatch(f"{len(labels)} labels for {len(mats)} blocks")
+        object.__setattr__(self, "domain_dim", d)  # the dataclass is frozen
+        object.__setattr__(self, "blocks", tuple(_frozen(a, dtype) for a in mats))
+        object.__setattr__(self, "labels", labels)
 
     @property
     def n_blocks(self) -> int:
@@ -92,33 +123,8 @@ class GFrame:
 
 
 def new_gframe(domain_dim: int, blocks: Sequence, labels=None) -> GFrame:
-    """Validate shapes and freeze an immutable family that keeps its own copy of each block.
-
-    Each block goes through ``linalg._matrix``, so 1-d block inputs are
-    accepted as single rows.  All blocks are promoted to a common dtype
-    (complex128 when any input is complex, float64 otherwise), copied once
-    and marked read-only, so changing an input array afterwards leaves the
-    family unchanged.
-    """
-    d = _check_dim(domain_dim)
-    mats = []
-    for i, raw in enumerate(_sequence(blocks, "blocks")):
-        a = linalg._matrix(raw, f"block {i + 1}")
-        # Zero-row blocks encode the zero operator onto a trivial summand
-        # and are allowed, whatever their number of columns.
-        if a.shape[1] != d and a.shape[0] != 0:
-            raise ShapeMismatch(
-                f"block {i + 1} has {a.shape[1]} columns, domain dimension is {d}"
-            )
-        mats.append(a.reshape(a.shape[0], d))
-    if not mats:
-        raise Empty("a family needs at least one block")
-    dtype = np.complex128 if any(a.dtype == np.complex128 for a in mats) else np.float64
-    if labels is not None:
-        labels = tuple(str(s) for s in _sequence(labels, "labels"))
-        if len(labels) != len(mats):
-            raise LengthMismatch(f"{len(labels)} labels for {len(mats)} blocks")
-    return GFrame(domain_dim=d, blocks=tuple(_frozen(a, dtype) for a in mats), labels=labels)
+    """A :class:`GFrame` of ``blocks`` on the ``domain_dim``-dimensional domain, checked and copied."""
+    return GFrame(domain_dim, blocks, labels)
 
 
 def apply(frame: GFrame, h) -> list:

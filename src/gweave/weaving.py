@@ -249,7 +249,7 @@ def _singular(first: GFrame, second: GFrame, deltas: np.ndarray):
     least = [min(r1, r2) for r1, r2 in zip(rows1, rows2)]
     if sum(least) >= d:  # the fewest rows a weaving can have
         return None
-    null = ~deltas.reshape(len(deltas), -1).any(axis=1)
+    null = _kernels.null_blocks(deltas)
     below = np.cumsum([0] + least)  # below[i]: the fewest rows of the blocks below i
     mask = rows = 0
     for i in reversed(range(len(least))):
@@ -337,14 +337,14 @@ def universal_bounds_search(
     value, and only when that value strictly improves on the current one.
     ``subsets_examined`` counts the distinct masks examined, each solved or
     certified: the seeds and every neighbour of every mask a descent visited.
-    The reported lower value over-estimates the true universal lower bound
-    and the upper value under-estimates the true upper bound.  A pair with a
+    Each reported value is, bitwise, the exhaustive scan's value of its
+    witness, so the lower value is at least the exhaustive lower bound and
+    the upper value at most the exhaustive upper bound.  A pair with a
     weaving of fewer rows than the domain dimension reports the exhaustive
     lower bound, ``0.0`` at the smallest such mask, and runs its ascents
-    only.  When the
-    budget covers the whole selection space the full enumeration runs
-    instead and the result equals the exhaustive report.  A smaller budget
-    above ``MAX_SEARCH_BUDGET`` is refused.
+    only.  When the budget covers the whole selection space the full
+    enumeration runs instead and the result equals the exhaustive report.
+    A smaller budget above ``MAX_SEARCH_BUDGET`` is refused.
 
     The descents run in ``_kernels.descent_search``, which certifies most
     neighbours instead of solving them and gives the report of running the

@@ -315,15 +315,16 @@ def sequential_bounds_search(first, second, budget: int, seed: int = 0, tol: flo
 
 
 def full_weaving_scan(base: np.ndarray, deltas: np.ndarray):
-    """``_kernels.weaving_scan`` with an eigensolve for every mask, in chunks of 2048 masks."""
-    from gweave._kernels import _SplitOperator, _mask_bits, _spread, check_blocks
+    """``_kernels.weaving_scan`` with an eigensolve for every mask, in chunks of 2048 masks.
 
-    n = deltas.shape[0]
-    check_blocks(n)
-    live = np.flatnonzero([delta.any() for delta in deltas])
-    deltas = deltas[live]
+    The masks run over the split operator's live blocks; the argmin clears
+    the null bits and the argmax sets them.
+    """
+    from gweave._kernels import _SplitOperator, _mask_bits, check_blocks
+
+    check_blocks(deltas.shape[0])
     operator = _SplitOperator(base, deltas)
-    k = len(live)
+    k = len(operator.live)
     total = 1 << k
     lower = np.inf
     upper = -np.inf
@@ -340,8 +341,7 @@ def full_weaving_scan(base: np.ndarray, deltas: np.ndarray):
         if hi[j] >= upper:
             upper = float(hi[j])
             argmax_mask = int(masks[j])
-    null_bits = ((1 << n) - 1) ^ _spread(total - 1, live)
-    return lower, _spread(argmin_mask, live), upper, _spread(argmax_mask, live) | null_bits
+    return lower, operator.full_mask(argmin_mask, 0), upper, operator.full_mask(argmax_mask, 1)
 
 
 def accumulated_frame_operator(vectors, d: int) -> np.ndarray:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from gweave import linalg
 from gweave.errors import Empty, NonFinite, NotAFrame, ShapeMismatch, Singular
 from gweave.gframe import (
+    GFrame,
     apply,
     basis_tests,
     canonical_dual,
@@ -90,6 +91,16 @@ class TestConstruction:
             upper = optimal_bounds(frame).upper
             block *= 5.0
             assert optimal_bounds(frame).upper == upper
+
+    def test_a_family_built_directly_keeps_its_own_copy(self):
+        """``GFrame`` itself checks, converts and copies, as ``new_gframe`` does."""
+        block = np.eye(2)
+        frame = GFrame(2, (block,), ["a"])
+        block[0, 0] = 5.0
+        assert optimal_bounds(frame).upper == 1.0
+        assert not frame.blocks[0].flags.writeable and frame.labels == ("a",)
+        built = new_gframe(2, [[[1, 0], [0, 1]]])
+        assert GFrame(2, [[[1, 0], [0, 1]]]).blocks[0].tobytes() == built.blocks[0].tobytes()
 
     @pytest.mark.parametrize(
         "entry, value",

@@ -147,7 +147,8 @@ def test_reductions_match_brute_enumeration(pair):
 
 
 def _dense_margin(base, deltas):
-    """The margin from the dense norms, ``8 ((d + 2)^2 + k) u N``."""
+    """The margin from the dense norms, ``8 ((d + 2)^2 + k) u N``, over the ``k`` live deltas."""
+    deltas = deltas[deltas.any(axis=(1, 2))]
     norm = np.linalg.norm(base) + np.linalg.norm(deltas, axis=(1, 2)).sum()
     return 4 * ((len(base) + 2) ** 2 + len(deltas)) * np.finfo(np.float64).eps * norm
 
@@ -156,6 +157,7 @@ def _dense_margin(base, deltas):
 def test_margin_from_the_pieces_is_the_dense_margin(complex_mode):
     """Random pairs, dense and split into components: the dense formula to 1e-12, relative.
 
+    The norms are those of the live deltas; the split pairs have null blocks.
     Scaled by ``2**1000``, where the dense norms' squares overflow, the
     pieces give exactly ``2**1000`` times the margin and the norms.
     """
@@ -176,7 +178,8 @@ def test_margin_from_the_pieces_is_the_dense_margin(complex_mode):
         operator = _kernels._SplitOperator(base, deltas)
         dense = _dense_margin(base, deltas)
         assert abs(operator.margin - dense) <= 1e-12 * dense
-        np.testing.assert_allclose(operator.norms, np.linalg.norm(deltas, axis=(1, 2)), rtol=1e-14)
+        live = deltas[deltas.any(axis=(1, 2))]
+        np.testing.assert_allclose(operator.norms, np.linalg.norm(live, axis=(1, 2)), rtol=1e-14)
         huge = _kernels._SplitOperator(base * 2.0**1000, deltas * 2.0**1000)
         assert huge.margin == operator.margin * 2.0**1000
         assert np.array_equal(huge.norms, operator.norms * 2.0**1000)
@@ -192,11 +195,15 @@ def test_margin_from_the_pieces_is_the_dense_margin(complex_mode):
     ],
 )
 def test_tied_constructions_order_the_tree_by_the_dense_norms(build, size):
-    """The norms from the pieces are bitwise those of ``np.linalg.norm``, so the tree's order is too."""
+    """The norms from the pieces are bitwise those of ``np.linalg.norm``, so the tree's order is too.
+
+    The operator keeps the live deltas alone.
+    """
     ex = build(size)
     base, deltas = _pair_inputs(ex.first, ex.second)
     norms = _kernels._SplitOperator(base, deltas).norms
-    assert norms.tobytes() == np.linalg.norm(deltas, axis=(1, 2)).tobytes()
+    live = deltas[deltas.any(axis=(1, 2))]
+    assert norms.tobytes() == np.linalg.norm(live, axis=(1, 2)).tobytes()
 
 
 def test_all_null_pair():
@@ -848,6 +855,75 @@ def test_mask_spectra_at_the_scans_witnesses_reads_its_extremes(seed, n, d, comp
     lower, amin, upper, amax = _kernels.weaving_scan(base, deltas)
     lo, hi = _spectra(base, deltas, [amin, amax])
     assert (lo[0], hi[1]) == (lower, upper)
+
+
+@st.composite
+def null_block_pairs(draw):
+    """Real or complex pairs of up to ten blocks of 0-3 rows, at least one of them null.
+
+    A null block is the same in both families, or has zero rows in both.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 10))
+    d = draw(st.integers(1, 5))
+    complex_mode = draw(st.booleans())
+
+    def block():
+        b = rng.standard_normal((int(rng.integers(0, 4)), d))
+        return b + 1j * rng.standard_normal(b.shape) if complex_mode else b
+
+    first, second = [block() for _ in range(n)], [block() for _ in range(n)]
+    for i in draw(st.sets(st.integers(0, n - 1), min_size=1)):
+        first[i] = second[i] = first[i] if rng.integers(2) else np.zeros((0, d))
+    return new_gframe(d, first), new_gframe(d, second)
+
+
+def _scan_values(base, deltas, masks):
+    """Each mask's extremes as the scan reads them: the live deltas alone, with the mask's live bits."""
+    live = np.flatnonzero(deltas.any(axis=(1, 2)))
+    bits = (np.asarray(masks, dtype=np.int64)[:, np.newaxis] >> live) & 1
+    return _kernels._SplitOperator(base, deltas[live]).extremes(bits.astype(np.float64))
+
+
+def _same(got, expected):
+    return all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=null_block_pairs(), data=st.data())
+def test_every_entry_reads_the_scans_value_for_each_mask(pair, data):
+    """Each mask reads ``==`` the value the full scan gives it, through every kernel entry.
+
+    The entries are ``mask_spectra``, the witnesses of ``descent_search``,
+    every mask ``basis_search`` walks and ``one_bit_spectra``.  The full
+    scan's witnesses read its bounds.
+    """
+    base, deltas = _pair_inputs(*pair)
+    n = len(deltas)
+    lower, amin, upper, amax = full_weaving_scan(base, deltas)
+    lo, hi = _scan_values(base, deltas, [amin, amax])
+    assert (lo[0], hi[1]) == (lower, upper)
+
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=40))
+    assert _same(_spectra(base, deltas, masks), _scan_values(base, deltas, masks))
+
+    seeds = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4))
+    d_lower, d_amin, d_upper, d_amax, _ = _kernels.descent_search(base, deltas, seeds)
+    lo, hi = _scan_values(base, deltas, [d_amin, d_amax])
+    assert (lo[0], hi[1]) == (d_lower, d_upper)
+
+    # no node is certified and no mask is proved above the level, so every mask is walked and solved
+    walked = _kernels.basis_search(
+        base, deltas, lambda bits, free, values, margin: np.zeros(len(bits), dtype=bool),
+        lambda upper, margin: upper + 1.0,
+    )
+    batches = [(masks, values) for masks, _, values, _ in walked]
+    assert np.array_equal(np.concatenate([m for m, _ in batches]), np.arange(1 << n))
+    for masks, values in batches:
+        assert _same(values, _scan_values(base, deltas, masks))
+
+    one_bit = _scan_values(base, deltas, 1 << np.arange(n))
+    assert _same(_kernels.one_bit_spectra(base, deltas), one_bit)
 
 
 @pytest.mark.parametrize("build, size", [(build_window_pair, 24), (build_duplicate_vs_split_pair, 12)])

@@ -223,6 +223,7 @@ def test_one_tolerance_policy():
 # The attributes of the kernel's split operator; no other object in gweave has one of these names.
 OPERATOR_ATTRIBUTES = {
     "pieces", "extremes", "step", "margin", "norms", "diag_base", "diag_deltas", "block_deltas",
+    "live", "widen", "full_mask",
 }
 
 

@@ -18,7 +18,7 @@ from gweave.errors import (
     NonFinite,
     ShapeMismatch,
 )
-from gweave.gframe import apply, compose_right, is_dual_pair, new_gframe
+from gweave.gframe import GFrame, apply, compose_right, is_dual_pair, new_gframe
 from gweave.induced import induced_vectors, make_subspace_spec, make_vector_family, onb_families
 from gweave.suite import SuiteConfig, run_suite
 from gweave.weaving import (
@@ -75,6 +75,8 @@ CASES = {
         lambda: new_gframe(1, [[10**400]]), NonFinite, "block 1 holds a number beyond float64"
     ),
     "new_gframe-none": (lambda: new_gframe(1, None), ShapeMismatch, "blocks must be a sequence"),
+    "gframe-strings": (lambda: GFrame(2, ([[1.0, "a"]],)), ShapeMismatch, "block 1 holds"),
+    "gframe-columns": (lambda: GFrame(2, (np.ones((1, 3)),)), ShapeMismatch, "block 1 has 3 columns"),
     "new_gframe-labels-no-sequence": (
         lambda: new_gframe(1, [[1.0]], labels=5), ShapeMismatch, "labels must be a sequence"
     ),

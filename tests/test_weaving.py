@@ -433,6 +433,29 @@ def test_lockstep_search_equals_sequential_descents(pair, budget, seed, round_ma
     assert got == sequential_bounds_search(first, second, budget, seed)
 
 
+@pytest.mark.parametrize("seed", range(16))
+def test_the_sampled_interval_lies_inside_the_exact_one(seed):
+    """At budgets 8 and 16 each sampled end lies inside the exact interval, bitwise.
+
+    Random pairs of 24 blocks of 0-3 rows in ``d = 6``: a block with zero
+    rows in both families is null.  The search and the scan read each mask's
+    operator from the same live columns, so a sampled end is some mask's
+    exact value.  On ten of these pairs a mask read with its null bits as
+    columns of their own differs from that value in the last bits, enough
+    to put an end outside, by up to 5.7e-14.
+    """
+    rng = np.random.default_rng(seed)
+    first, second = (
+        new_gframe(6, [rng.standard_normal((int(rng.integers(0, 4)), 6)) for _ in range(24)])
+        for _ in range(2)
+    )
+    exact = universal_bounds_exhaustive(first, second, cap=62)
+    for budget in (8, 16):
+        got = universal_bounds_search(first, second, budget)
+        assert exact.lower <= got.lower and got.upper <= exact.upper
+        assert got == sequential_bounds_search(first, second, budget)
+
+
 @st.composite
 def diagonal_pairs(draw):
     """Pairs of diagonal blocks with entries 0, 1 or 2, so every operator sum is exact.
