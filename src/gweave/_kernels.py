@@ -9,20 +9,24 @@ block position ``i`` (0-based) is drawn from the first family.  Given
 the mixed frame operator for mask ``s`` is ``base + sum(deltas[i] for i in s)``
 and the kernel reports extreme eigenvalues across masks.
 
-This module is the only one that builds, batches or reads that operator.
-Each entry takes ``base`` and ``deltas`` and returns arrays:
-:func:`weaving_scan` for the extremes over all masks, :func:`descent_search`
-for the sampled search, :func:`basis_search` for the per-weaving classifiers
-and :func:`one_bit_spectra` for the operators with one bit set.
+This module is the only one that builds, batches or reads that operator,
+and the only one that reads the row counts of a pair for a shortcut.  Each
+entry takes ``base`` and ``deltas``: :func:`weaving_scan` returns the
+extremes over all masks, :func:`descent_search` those of the sampled search
+and :func:`one_bit_spectra` those of the operators with one bit set, as
+arrays; :func:`basis_search` yields the masks the per-weaving classifiers
+must test.  The scan and the sampled search also take the two families'
+per-block row counts, ``rows``, and the basis search takes them with the
+classifier's ``tol``.
 
 Every spectrum goes through one representation, :class:`_SplitOperator`.
-It drops every null block, whose delta is exactly zero
-(:func:`null_blocks`): such a block gives the same operator with its bit set
-or clear.  The operator keeps the deltas of the other, live blocks and reads
-only their columns of each row of ``n`` mask bits.  Its coordinates split
-into the connected components of the nonzero pattern of ``base`` and every
-delta, so each operator is block diagonal after a permutation and its
-extreme eigenvalues are the extremes over components.  A 1 x 1 component is
+It drops every null block, whose delta is exactly zero: such a block gives
+the same operator with its bit set or clear.  The operator keeps the deltas
+of the other, live blocks and reads only their columns of each row of ``n``
+mask bits.  Its coordinates split into the connected components of the
+nonzero pattern of ``base`` and every delta, so each operator is block
+diagonal after a permutation and its extreme eigenvalues are the extremes
+over components.  A 1 x 1 component is
 its real diagonal entry and needs no eigensolve.  Each batch of masks
 becomes one stack per component through a real matmul of the live bits with
 that component's flattened deltas (:func:`_stack`), and one stacked
@@ -52,11 +56,11 @@ best-first branch-and-bound after Land and Doig) gives both extremes:
 - a side of a node closes once its bound clears that side's incumbent by the
   margin ``m``, and stays closed in the node's children, whose envelopes for
   that side are never computed; a node is dropped when both sides are closed;
-- a caller that has certified the lower extreme, as :mod:`weaving` does for
-  a pair with a weaving of fewer rows than the domain dimension, whose
-  operator is singular, passes it as ``low``: the lower side is then closed
-  from the start, in every node, so no mask takes a ``lambda_min`` test and
-  no node a lower envelope, and the sampled search runs its ascents only;
+- when the row counts give a weaving of fewer rows than the domain
+  dimension, whose operator is singular, the lower extreme is 0
+  (:func:`_singular`): the lower side is then closed from the start, in
+  every node, so no mask takes a ``lambda_min`` test and no node a lower
+  envelope, and the sampled search runs its ascents only;
 - the search opens with every node of one level, in one batch: the level
   of ``4 * _ROUND`` nodes, 64, or the leaves' level if that is higher.  A
   search grown from the root spends its first rounds reaching that level
@@ -95,10 +99,12 @@ it.  Its quotients and Weyl steps are taken piece by piece too, so no step
 of the search forms or solves a matrix larger than a component.
 
 The basis search (:func:`basis_search`) answers "does every mask pass" for
-the per-weaving classifiers.  Its subcubes fix bits from the highest block
+the per-weaving classifiers.  It settles a subcube or a mask by its row
+counts and by thresholds on its values that :func:`_margin` proves, and
+yields every other mask.  Its subcubes fix bits from the highest block
 down, with the envelopes of the subcube search (:func:`_envelopes`), so a
-subcube the caller certifies is skipped and the masks of the others are
-met in ascending order, as a walk over every mask would meet them.
+settled subcube is skipped and the masks of the others are met in
+ascending order, as a walk over every mask would meet them.
 
 The margin ``m`` (:func:`_margin`) bounds the rounding of the shifts, of
 Cholesky, of ``eigvalsh``, of the envelopes and of the Weyl and Rayleigh
@@ -223,23 +229,19 @@ def _scaled_norms(pieces: list):
     return np.sqrt(squares), exponents[:, 0]
 
 
-def null_blocks(deltas: np.ndarray) -> np.ndarray:
-    """Whether each delta is exactly zero, so that its block gives the same operator either way."""
-    return ~deltas.any(axis=(1, 2))
-
-
 class _SplitOperator:
     """``base + sum_i bits[:, i] deltas[i]`` evaluated component by component.
 
-    It keeps the ``live`` blocks, those whose delta is not null
-    (:func:`null_blocks`): its pieces and norms hold their deltas alone, and
-    it reads only their columns of each row of ``n`` bits, so every entry
-    forms a mask's operator from the same columns.
+    It keeps the ``live`` blocks, those whose delta is not exactly zero (a
+    null block gives the same operator either way): its pieces and norms
+    hold their deltas alone, and it reads only their columns of each row of
+    ``n`` bits, so every entry forms a mask's operator from the same
+    columns.
     """
 
     def __init__(self, base: np.ndarray, deltas: np.ndarray):
         self.n = len(deltas)
-        self.live = np.flatnonzero(~null_blocks(deltas))
+        self.live = np.flatnonzero(deltas.any(axis=(1, 2)))
         deltas = deltas[self.live]
         pattern = (base != 0) | (deltas != 0).any(axis=0)
         comps = _components(pattern | pattern.T)
@@ -484,10 +486,11 @@ def _margin(ratios: np.ndarray, exponents: np.ndarray, order: int) -> float:
 
     These add up to at most ``(4 d^2 + 5 d + 2 k + 10) u N``.
 
-    Per-weaving classifier (:func:`basis_search`: ``weaving`` settles a mask
-    whose Riesz test ``lambda_min - tol lambda_max`` or ONB test
-    ``tol - |S - I|_F`` clears ``(1 + |tol|) m``, and hands every other one
-    to the per-family classifier on its weaving, which must then agree).
+    Per-weaving classifier (:func:`basis_search` settles a mask whose Riesz
+    test ``lambda_min - tol lambda_max`` or ONB test ``tol - |S - I|_F``
+    clears ``(1 + |tol|) m``, and yields every other one, which ``weaving``
+    hands to the per-family classifier on its weaving; a settled mask must
+    get the same verdict from that classifier).
     Only a weaving of ``d`` rows is settled, so each of its blocks has at
     most ``d`` rows, and its exact operator ``S = V* V`` has
     ``tr S <= sqrt(d) |S|_F <= sqrt(d) N``:
@@ -514,10 +517,10 @@ def _margin(ratios: np.ndarray, exponents: np.ndarray, order: int) -> float:
     ``(2 d^(3/2) + d^2 / 4 + (sqrt(d) + 1) k + 3 d + 4) u N``, and a test
     moves by ``1 + |tol|`` times the error of its values.
 
-    Subcube certificate of the basis search (``weaving`` settles a subcube
-    whose completions all have ``d`` rows, when Cholesky proves its lower
-    envelope ``L`` above ``tol lambda_max(U) + 2 (1 + |tol|) m``, for the
-    upper envelope ``U`` of the whole cube, or when
+    Subcube certificate of the basis search (:func:`basis_search` settles a
+    subcube whose completions all have ``d`` rows, when Cholesky proves its
+    lower envelope ``L`` above ``tol lambda_max(U) + 2 (1 + |tol|) m``, for
+    the upper envelope ``U`` of the whole cube, or when
     ``|P - I|_F + sum_free |delta_i|_F`` is at most ``tol - (1 + |tol|) m``;
     every completion's exact operator lies between the exact ``L`` and
     ``U``, and its exact residual is at most the exact sum):
@@ -724,13 +727,47 @@ def _subcube_search(operator: _SplitOperator, cube: bool, closed: bool = False):
     return best
 
 
-def weaving_scan(base: np.ndarray, deltas: np.ndarray, low=None):
+def _singular(operator: _SplitOperator, rows, d: int):
+    """``(0.0, mask)`` for the smallest mask whose weaving has fewer than ``d`` rows, else None.
+
+    ``rows`` holds the per-block row counts of the first family and of the
+    second, or is None, which gives None.  Such a weaving's operator ``V*V``
+    has rank below ``d``, so its least eigenvalue is exactly 0, and no
+    weaving's is less: the universal lower bound is 0.  A set bit takes
+    block ``i``'s rows from the first family, a clear one from the second.
+    A null block gives the same operator either way, of rank at most
+    ``min(r1, r2)``: it counts that many rows and keeps its bit clear, so the
+    mask is the smallest of those with its operator.  Bits are fixed from the
+    highest down, each left clear when the blocks below it can still bring
+    the count under ``d``.
+    """
+    if rows is None:
+        return None
+    rows1, rows2 = rows
+    least = [min(r1, r2) for r1, r2 in zip(rows1, rows2)]
+    if sum(least) >= d:  # the fewest rows a weaving can have
+        return None
+    null = operator.widen(np.zeros(len(operator.live), dtype=bool), True)
+    below = np.cumsum([0] + least)  # below[i]: the fewest rows of the blocks below i
+    mask = count = 0
+    for i in reversed(range(len(least))):
+        clear = least[i] if null[i] else rows2[i]
+        if count + clear + below[i] < d:
+            count += clear
+        else:
+            count += rows1[i]
+            mask |= 1 << i
+    return 0.0, mask
+
+
+def weaving_scan(base: np.ndarray, deltas: np.ndarray, rows=None):
     """Extreme eigenvalues over all ``2**n`` masks, with their witness masks.
 
-    Returns ``(lower, argmin_mask, upper, argmax_mask)``.  ``low``, a
-    ``(lower, argmin_mask)`` the caller has certified, closes the lower
-    side: the search runs on the upper side alone, and ``low`` is returned
-    as it is.
+    Returns ``(lower, argmin_mask, upper, argmax_mask)``.  With ``rows``,
+    the two families' per-block row counts, a pair with a weaving of fewer
+    than ``d`` rows has its lower side certified by :func:`_singular`: the
+    search runs on the upper side alone, and the lower side reads ``0.0`` at
+    the smallest such mask.
 
     One :func:`_subcube_search` over the masks of the non-null blocks gives
     both extremes.  The whole cube is one leaf when every coordinate
@@ -750,6 +787,7 @@ def weaving_scan(base: np.ndarray, deltas: np.ndarray, low=None):
     """
     check_blocks(deltas.shape[0])
     operator = _SplitOperator(base, deltas)
+    low = _singular(operator, rows, len(base))
     c = max([0] + [len(block) for block, _ in operator.blocks])
     if low is None:
         fewest = _TREE_BLOCKS + max(0, c - 4) // 3
@@ -858,7 +896,7 @@ def _merge(old: np.ndarray, new: np.ndarray, kept: np.ndarray, place: np.ndarray
     return out
 
 
-def descent_search(base: np.ndarray, deltas: np.ndarray, seeds, low=None):
+def descent_search(base: np.ndarray, deltas: np.ndarray, seeds, rows=None):
     """Steepest one-bit descents on ``lambda_min`` and ascents on ``lambda_max`` from ``seeds``.
 
     Returns ``(lower, argmin_mask, upper, argmax_mask, examined)``: the
@@ -906,9 +944,11 @@ def descent_search(base: np.ndarray, deltas: np.ndarray, seeds, low=None):
     those of running the descents one after another and solving every
     neighbour.
 
-    ``low``, a ``(lower, argmin_mask)`` the caller has certified, closes the
-    lower side: only the ascents run, no look needs a neighbour's ``lo``,
-    and ``low`` is returned as it is.
+    With ``rows``, the two families' per-block row counts, a pair with a
+    weaving of fewer than ``d`` rows has its lower side certified by
+    :func:`_singular`, as in :func:`weaving_scan`: only the ascents run, no
+    look needs a neighbour's ``lo``, and the lower side reads ``0.0`` at
+    the smallest such mask.
     """
     n = deltas.shape[0]
     check_blocks(n)
@@ -916,6 +956,7 @@ def descent_search(base: np.ndarray, deltas: np.ndarray, seeds, low=None):
     # every Rayleigh quotient below, and its rounding margin
     operator = _SplitOperator(base, deltas)
     margin = operator.margin
+    low = _singular(operator, rows, len(base))
     # Weyl steps: the extreme eigenvalues of +delta_i, which sets bit i, in
     # row 0 and of -delta_i, which clears it, in row 1, piece by piece
     w_lo, w_hi = _solve(operator.diag_deltas, operator.block_deltas)
@@ -1026,56 +1067,79 @@ def descent_search(base: np.ndarray, deltas: np.ndarray, seeds, low=None):
     return *low, -upper, amax, len(seen)
 
 
-def basis_search(base: np.ndarray, deltas: np.ndarray, certify, floor=None):
-    """The masks of ``len(deltas)`` bits that no certified subcube covers, in ascending batches.
+def basis_search(base: np.ndarray, deltas: np.ndarray, rows, tol: float, onb: bool = False):
+    """The masks of ``len(deltas)`` bits whose weavings the per-weaving classifier must test, ascending.
 
-    Yields ``(masks, bits, values, margin)``: the masks, their bits as
-    float64 rows, their operators' values and the operator's rounding
-    :func:`_margin`.
+    ``rows`` holds the per-block row counts of the first family and of the
+    second.  The search settles every other mask, by the row counts and by
+    its values against ``tol``, as :func:`_margin` proves sound, and yields
+    each remaining one as an int.  A weaving of ``d`` rows has a square
+    synthesis matrix ``V`` with ``V* V = S``, its operator.
+
+    - Riesz: a weaving of ``d`` rows with ``lambda_min(S) > tol
+      lambda_max(S)``.  The search reads ``level = tol lambda_max(U) +
+      2 (1 + |tol|) m`` once, for the upper envelope ``U`` of the whole cube,
+      which lies above every mask's operator (:func:`_envelopes`), and the
+      margin ``m``.  A node whose lower envelope, or a mask whose operator,
+      Cholesky proves to have every eigenvalue above ``level``
+      (:func:`_proved`) is settled; so is a mask whose ``lambda_min - tol
+      lambda_max`` clears ``(1 + |tol|) m``.
+    - ONB (``onb``): a weaving of ``d`` rows with no empty block and
+      ``R = |S - I|_F`` (:meth:`_SplitOperator.residuals`) at most
+      ``tol - (1 + |tol|) m``, for ``tol < 1/3``.  The per-weaving test
+      allows ``tol max(1, lambda_max) >= tol``, and its zero-row test
+      passes too: each row norm squared is within ``R`` of 1, so above
+      ``2/3``, while ``lambda_max <= 1 + R`` keeps the allowance below
+      ``4/9``.  A node bounds every completion's residual by that of its
+      mask plus the norms of its free deltas.
 
     A node is a subcube whose bits are fixed from the highest block down and
     whose low ``free`` bits are free, given by the mask of its fixed bits.
-    ``certify(bits, free, values, margin)`` says for each node of a batch
-    whether every mask in it passes; ``free`` holds each node's free bits.
-
-    - With ``floor`` the values are ``(lo, hi)``.  The search reads
-      ``level = floor(lambda_max(U), margin)`` once, for the upper envelope
-      ``U`` of the whole cube, which lies above every mask's operator
-      (:func:`_envelopes`).  A node whose lower envelope, or a mask whose
-      operator, Cholesky proves to have every eigenvalue above ``level``
-      (:func:`_proved`) reads ``(+inf, -inf)``; any other mask reads its
-      extreme eigenvalues, and any other node ``(-inf, +inf)``.
-    - Without, the values are residuals: for a mask ``|S - I|_F``
-      (:meth:`_SplitOperator.residuals`), for a node that of its mask plus
-      the norms of its free deltas, which bounds every completion's.
-
+    Every completion of a node has the row counts of its own mask when each
+    free block has as many rows in both families; only such a node settles.
     Each round takes the first ``_ROUND`` nodes not yet tested, in ascending
-    order, and splits the uncertified ones with more than ``_LEAF_FREE``
-    free bits, the child with the next bit clear first; an uncertified leaf
-    is walked once no untested node lies before it.  Without ``floor``, a
-    node whose own mask alone is uncertified (``certify`` of its residual
-    with no free bits) cannot be certified, nor can any node down to the
+    order, and splits the unsettled ones with more than ``_LEAF_FREE`` free
+    bits, the child with the next bit clear first; an unsettled leaf is
+    walked once no untested node lies before it.  For ONB, a node whose own
+    mask alone is unsettled cannot be settled, nor can any node down to the
     leaf that holds that mask: it splits at once into that leaf, to be
-    walked, and the child with the next bit set of every node on the way.
-    A walk's first batch is one leaf and each next one doubles, up to
+    walked, and the child with the next bit set of every node on the way.  A
+    walk's first batch is one leaf and each next one doubles, up to
     ``_BATCH_FLOATS`` stacked entries, so a caller that stops at the first
     failure computes few masks past it.
     """
-    n = deltas.shape[0]
+    n, d = len(deltas), len(base)
     operator = _SplitOperator(base, deltas)
     step, margin = operator.step, operator.margin
     live = operator.live
-    if floor is not None:
+    allowance = 1.0 + abs(tol)
+    rows1, rows2 = np.asarray(rows, dtype=np.float64)
+    same = np.cumprod([True] + list(rows1 == rows2)).astype(bool)  # same[free]: every free block
+    if onb:
+        cut = tol - allowance * margin if tol < 1.0 / 3.0 else -np.inf
+    else:
         envelope = _envelopes(operator, np.arange(len(live))[::-1])
         root = np.zeros(1, dtype=np.int64)
         ((_, diag, stacks),) = envelope(root, root, 1)
-        level = floor(_solve(diag, stacks)[1][0], margin)
+        with np.errstate(invalid="ignore"):  # 0 * inf is NaN, and proves nothing
+            level = tol * _solve(diag, stacks)[1][0] + 2.0 * allowance * margin
+
+    def settled(bits, free, values):
+        """Whether every weaving of each node, its low ``free`` bits free, passes, from its values."""
+        chosen = rows2 + bits * (rows1 - rows2)  # each block's rows in the node's own mask
+        square = (chosen.sum(axis=1) == d) & same[free]
+        if onb:
+            return square & (chosen != 0).all(axis=1) & (values <= cut)
+        lo, hi = values  # lo is +inf where Cholesky proved every eigenvalue above the level
+        with np.errstate(invalid="ignore"):  # 0 * inf is NaN, and settles nothing
+            return square & ((lo == np.inf) | (lo - tol * hi > allowance * margin))
+
     # sum of |delta_i|_F, i < free
     spread = np.concatenate([[0.0], np.cumsum(operator.widen(operator.norms))])
     leaf_depth = max(0, n - _LEAF_FREE)
     leaf = np.arange(1 << (n - leaf_depth))
     # The subcubes left, ascending, as the columns of ``nodes``: mask, depth
-    # and whether tested, which only an uncertified leaf is.
+    # and whether tested, which only an unsettled leaf is.
     nodes = np.zeros((3, 1), dtype=np.int64)
     while nodes.shape[1]:
         run = np.argmin(nodes[2]) if not nodes[2].all() else nodes.shape[1]
@@ -1083,40 +1147,36 @@ def basis_search(base: np.ndarray, deltas: np.ndarray, certify, floor=None):
             walk = (nodes[0, :run, np.newaxis] | leaf).ravel()
             for part in _batches(len(walk), step, min(step, len(leaf))):
                 bits = _mask_bits(walk[part], n)
-                if floor is None:
-                    values = operator.residuals(bits)
-                else:
-                    values = operator.extremes(bits, level, np.inf)
-                yield walk[part], bits, values, margin
+                values = operator.residuals(bits) if onb else operator.extremes(bits, level, np.inf)
+                yield from walk[part][~settled(bits, 0, values)].tolist()
             nodes = nodes[:, run:]
             continue
         pick = np.flatnonzero(nodes[2] == 0)[:_ROUND]
         masks, depths, _ = nodes[:, pick]
         bits = _mask_bits(masks, n)
-        if floor is None:
-            residuals = [operator.residuals(bits[part]) for part in _batches(len(bits), step)]
-            own = np.concatenate(residuals)
+        if onb:
+            own = np.concatenate([operator.residuals(bits[part]) for part in _batches(len(bits), step)])
             values = own + spread[n - depths]
         else:
             # each node's mask over the live blocks, and how many of them it
             # fixes: those at or above its lowest fixed bit
             compact = ((masks[:, np.newaxis] >> live) & 1) @ np.left_shift(1, np.arange(len(live)))
             fixed = len(live) - np.searchsorted(live, n - depths)
-            proved = [_proved(d, s, level, np.inf) for _, d, s in envelope(compact, fixed, 0)]
+            proved = [_proved(diag, stacks, level, np.inf) for _, diag, stacks in envelope(compact, fixed, 0)]
             lo = np.where(np.concatenate(proved), np.inf, -np.inf)
             values = lo, -lo
-        opened = ~certify(bits, n - depths, values, margin)
+        opened = ~settled(bits, n - depths, values)
         nodes = np.delete(nodes, pick, axis=1)
         if not opened.any():
             continue
         masks, depths, tested = masks[opened], depths[opened], depths[opened] == leaf_depth
         # An inner node gives way to its children, with the next bit clear and
         # set.  The child with the bit clear keeps the node's own mask, so
-        # where that mask's residual alone is uncertified, no node down to its
-        # leaf is certified: the node gives way at once to that leaf, to be
+        # where that mask's residual alone is unsettled, no node down to its
+        # leaf is settled: the node gives way at once to that leaf, to be
         # walked, and to the child with the bit set of each node on the way.
-        if floor is None:
-            tested |= ~certify(bits[opened], 0, own[opened], margin)
+        if onb:
+            tested |= ~settled(bits[opened], 0, own[opened])
         to = np.where(tested, leaf_depth, depths + 1)
         steps = to - depths
         start = np.repeat(np.cumsum(steps) - steps, steps)

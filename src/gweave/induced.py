@@ -18,7 +18,7 @@ difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -54,10 +54,28 @@ from .weaving import (
 
 @dataclass(frozen=True)
 class VectorFamily:
-    """Vectors in the domain, grouped by the block index they came from."""
+    """Vectors in the domain, grouped by the block index they came from.
+
+    The family checks each group, a matrix whose rows are its vectors, and
+    keeps a read-only copy of it, however it is built.
+    """
 
     domain_dim: int
     groups: tuple  # per group, a read-only (count, domain_dim) matrix of its vectors as rows
+
+    def __post_init__(self):
+        d = _check_dim(self.domain_dim)
+        frozen = []
+        for gi, group in enumerate(_sequence(self.groups, "groups")):
+            rows = linalg._matrix(group, f"group {gi + 1}")
+            if rows.size and rows.shape[1] != d:
+                raise ShapeMismatch(
+                    f"group {gi + 1} has a vector of length {rows.shape[1]},"
+                    f" domain dimension is {d}"
+                )
+            frozen.append(_frozen(rows.reshape(-1, d)))
+        object.__setattr__(self, "domain_dim", d)  # the dataclass is frozen
+        object.__setattr__(self, "groups", tuple(frozen))
 
     @property
     def n_groups(self) -> int:
@@ -71,17 +89,7 @@ class VectorFamily:
 
 def make_vector_family(domain_dim: int, groups) -> VectorFamily:
     """Freeze each group, a matrix whose rows are its vectors, as a read-only copy."""
-    d = _check_dim(domain_dim)
-    frozen = []
-    for gi, group in enumerate(_sequence(groups, "groups")):
-        rows = linalg._matrix(group, f"group {gi + 1}")
-        if rows.size and rows.shape[1] != d:
-            raise ShapeMismatch(
-                f"group {gi + 1} has a vector of length {rows.shape[1]},"
-                f" domain dimension is {d}"
-            )
-        frozen.append(_frozen(rows.reshape(-1, d)))
-    return VectorFamily(domain_dim=d, groups=tuple(frozen))
+    return VectorFamily(domain_dim, groups)
 
 
 @dataclass(frozen=True)
@@ -89,59 +97,63 @@ class SubspaceFrameSpec:
     """Per block, a frame of the block's coefficient space.
 
     Per-block bounds are computed from the vectors, never asserted, and the
-    declared envelope must contain all of them.  ``strict_envelope`` records
-    whether the envelope inequalities are strict; a tight spec (equal lower
-    and upper envelope) is accepted but flagged.
+    declared envelope, by default the hull of those bounds, must contain all
+    of them.  ``strict_envelope`` records whether the envelope inequalities
+    are strict; a tight spec (equal lower and upper envelope) is accepted
+    but flagged.  The spec checks and copies its groups, and derives both,
+    however it is built.
     """
 
     groups: tuple  # per block, a read-only matrix whose rows lie in C^{d_m}; () when empty
-    per_block_bounds: tuple  # (lower, upper) per nonempty group, None for empty
-    envelope: tuple  # (lower, upper)
-    strict_envelope: bool
+    per_block_bounds: tuple = field(init=False)  # (lower, upper) per nonempty group, None for empty
+    envelope: Optional[tuple] = None  # (lower, upper)
+    strict_envelope: bool = field(init=False)
+
+    def __post_init__(self):
+        frozen = []
+        bounds = []
+        for gi, group in enumerate(_sequence(self.groups, "groups")):
+            rows = linalg._matrix(group, f"group {gi + 1}")
+            if not rows.size:  # no vectors, or vectors of length 0
+                frozen.append(tuple())
+                bounds.append(None)
+                continue
+            rows = _frozen(rows)
+            what = f"group {gi + 1} Gram matrix"
+            w = np.linalg.eigvalsh(linalg._product(rows.T, rows.conj(), what))
+            linalg._finite(w, f"the spectrum of the {what}")
+            bounds.append((float(w[0]), float(w[-1])))
+            frozen.append(rows)
+        present = [b for b in bounds if b is not None]
+        envelope = self.envelope
+        if envelope is None:
+            if not present:
+                envelope = (1.0, 1.0)
+            else:
+                envelope = (min(b[0] for b in present), max(b[1] for b in present))
+        bound = _sequence(envelope, "the envelope")
+        if not (len(bound) == 2 and all(map(_finite_real, bound)) and bound[0] <= bound[1]):
+            raise EnvelopeViolation(f"envelope {bound} must be two finite numbers, lower at most upper")
+        lo, hi = map(float, bound)
+        if lo <= 0:
+            raise EnvelopeViolation(f"envelope lower bound must be positive, got {lo}")
+        for gi, b in enumerate(bounds):
+            if b is None:
+                continue
+            if not (linalg._at_most(lo, b[0], b[1]) and linalg._at_most(b[1], hi, b[1])):
+                raise EnvelopeViolation(
+                    f"group {gi + 1} bounds ({b[0]:.6g}, {b[1]:.6g}) escape the"
+                    f" envelope ({lo:.6g}, {hi:.6g})"
+                )
+        object.__setattr__(self, "groups", tuple(frozen))  # the dataclass is frozen
+        object.__setattr__(self, "per_block_bounds", tuple(bounds))
+        object.__setattr__(self, "envelope", (lo, hi))
+        object.__setattr__(self, "strict_envelope", lo < hi)
 
 
 def make_subspace_spec(groups, envelope: Optional[tuple] = None) -> SubspaceFrameSpec:
     """Compute per-block bounds and validate them against the envelope."""
-    frozen = []
-    bounds = []
-    for gi, group in enumerate(_sequence(groups, "groups")):
-        rows = linalg._matrix(group, f"group {gi + 1}")
-        if not rows.size:  # no vectors, or vectors of length 0
-            frozen.append(tuple())
-            bounds.append(None)
-            continue
-        rows = _frozen(rows)
-        what = f"group {gi + 1} Gram matrix"
-        w = np.linalg.eigvalsh(linalg._product(rows.T, rows.conj(), what))
-        linalg._finite(w, f"the spectrum of the {what}")
-        bounds.append((float(w[0]), float(w[-1])))
-        frozen.append(rows)
-    present = [b for b in bounds if b is not None]
-    if envelope is None:
-        if not present:
-            envelope = (1.0, 1.0)
-        else:
-            envelope = (min(b[0] for b in present), max(b[1] for b in present))
-    bound = _sequence(envelope, "the envelope")
-    if not (len(bound) == 2 and all(map(_finite_real, bound)) and bound[0] <= bound[1]):
-        raise EnvelopeViolation(f"envelope {bound} must be two finite numbers, lower at most upper")
-    lo, hi = map(float, bound)
-    if lo <= 0:
-        raise EnvelopeViolation(f"envelope lower bound must be positive, got {lo}")
-    for gi, b in enumerate(bounds):
-        if b is None:
-            continue
-        if not (linalg._at_most(lo, b[0], b[1]) and linalg._at_most(b[1], hi, b[1])):
-            raise EnvelopeViolation(
-                f"group {gi + 1} bounds ({b[0]:.6g}, {b[1]:.6g}) escape the"
-                f" envelope ({lo:.6g}, {hi:.6g})"
-            )
-    return SubspaceFrameSpec(
-        groups=tuple(frozen),
-        per_block_bounds=tuple(bounds),
-        envelope=(lo, hi),
-        strict_envelope=lo < hi,
-    )
+    return SubspaceFrameSpec(groups, envelope)
 
 
 def onb_families(dims: Sequence[int], scale: float = 1.0) -> SubspaceFrameSpec:

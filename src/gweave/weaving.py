@@ -8,6 +8,13 @@ local search beyond it.  The statement checks compare computed bounds with
 the paper's exact inequalities through ``linalg._at_most``, sized by the
 upper bounds of the operators compared, so rescaling a pair changes none of
 their verdicts.
+
+Every ``2**n`` question goes to ``_kernels`` with the pair's ``base``, its
+``deltas`` and the two families' per-block row counts.  The kernel owns
+every shortcut those counts allow: the zero lower bound of a pair with a
+weaving of fewer rows than the domain dimension, and the weavings the basis
+classifiers settle without building them.  This module builds a weaving
+only for the per-weaving classifier, for the selections the kernel yields.
 """
 
 from __future__ import annotations
@@ -231,35 +238,9 @@ def _woven_threshold(p_sum: np.ndarray, q_sum: np.ndarray, tol: float) -> float:
     return tol * max(b1, b2)
 
 
-def _singular(first: GFrame, second: GFrame, deltas: np.ndarray):
-    """``(0.0, mask)`` for the smallest mask whose weaving has fewer than ``d`` rows, else None.
-
-    Such a weaving's operator ``V*V`` has rank below ``d``, so its least
-    eigenvalue is exactly 0, and no weaving's is less: the universal lower
-    bound is 0.  A set bit takes block ``i``'s rows from the first family, a
-    clear one from the second.  A null block (``deltas[i]`` exactly zero)
-    gives the same operator either way, of rank at most ``min(r1, r2)``: it
-    counts that many rows and keeps its bit clear, so the mask is the
-    smallest of those with its operator.  Bits are fixed from the highest
-    down, each left clear when the blocks below it can still bring the count
-    under ``d``.
-    """
-    d = first.domain_dim
-    rows1, rows2 = first.block_rows, second.block_rows
-    least = [min(r1, r2) for r1, r2 in zip(rows1, rows2)]
-    if sum(least) >= d:  # the fewest rows a weaving can have
-        return None
-    null = _kernels.null_blocks(deltas)
-    below = np.cumsum([0] + least)  # below[i]: the fewest rows of the blocks below i
-    mask = rows = 0
-    for i in reversed(range(len(least))):
-        clear = least[i] if null[i] else rows2[i]
-        if rows + clear + below[i] < d:
-            rows += clear
-        else:
-            rows += rows1[i]
-            mask |= 1 << i
-    return 0.0, mask
+def _rows(first: GFrame, second: GFrame) -> tuple:
+    """The two families' per-block row counts, for the kernel's row-count rules."""
+    return first.block_rows, second.block_rows
 
 
 def _pair_report(n, extremes, sums, tol, method, examined) -> UniversalReport:
@@ -286,7 +267,7 @@ def _pair_report(n, extremes, sums, tol, method, examined) -> UniversalReport:
 def _scan_pair(first: GFrame, second: GFrame, tol: float) -> UniversalReport:
     n = first.n_blocks
     base, deltas, p_sum, q_sum = _pair_kernel_inputs(first, second)
-    extremes = _kernels.weaving_scan(base, deltas, _singular(first, second, deltas))
+    extremes = _kernels.weaving_scan(base, deltas, _rows(first, second))
     return _pair_report(n, extremes, (p_sum, q_sum), tol, "exhaustive", 1 << n)
 
 
@@ -367,8 +348,7 @@ def universal_bounds_search(
 
     base, deltas, p_sum, q_sum = _pair_kernel_inputs(first, second)
     seeds = np.random.default_rng(seed).integers(0, total, size=budget)
-    low = _singular(first, second, deltas)
-    *extremes, examined = _kernels.descent_search(base, deltas, seeds, low)
+    *extremes, examined = _kernels.descent_search(base, deltas, seeds, _rows(first, second))
     return _pair_report(n, extremes, (p_sum, q_sum), tol, "search", examined)
 
 
@@ -419,6 +399,7 @@ def _check_report(first: GFrame, second: GFrame, report, woven: bool) -> None:
     """Refuse a report that is no UniversalReport of the pair's blocks, or unwoven if ``woven``."""
     _check_pair(first, second)
     _check_type(report, UniversalReport, "the report")
+    _check_type(report.argmin, WeavingSelection, "the report's argmin")
     if report.argmin.n_blocks != first.n_blocks:
         raise LengthMismatch(f"report covers {report.argmin.n_blocks} blocks, not {first.n_blocks}")
     if woven and not report.woven:
@@ -569,30 +550,11 @@ class WeavingBasisReport:
 
 
 def _basis_inputs(first: GFrame, second: GFrame, tol: float, cap: Optional[int]):
-    """The kernel's ``base`` and ``deltas``, refused for a bad ``tol`` or above the cap."""
+    """The kernel's ``base``, ``deltas`` and row counts, refused for a bad ``tol`` or above the cap."""
     _check_tol(tol)
     _check_pair(first, second)
     _check_cap(first.n_blocks, cap)
-    return _pair_kernel_inputs(first, second)[:2]
-
-
-def _bit_sum(first_values, second_values, bits: np.ndarray) -> np.ndarray:
-    """Per selection, the sum of a per-block value over the chosen blocks; exact for counts."""
-    a = np.asarray(first_values, dtype=np.float64)
-    b = np.asarray(second_values, dtype=np.float64)
-    return b.sum() + bits @ (a - b)
-
-
-def _square(first: GFrame, second: GFrame):
-    """``square(bits, free)``: whether every completion of each node has ``d`` rows.
-
-    A node's bits fix its high blocks and leave its low ``free`` blocks
-    clear.  Its completions all have the row count of its own mask exactly
-    when each free block has as many rows in both families.
-    """
-    rows1, rows2 = first.block_rows, second.block_rows
-    same = np.cumprod([True] + [r1 == r2 for r1, r2 in zip(rows1, rows2)]).astype(bool)
-    return lambda bits, free: (_bit_sum(rows1, rows2, bits) == first.domain_dim) & same[free]
+    return (*_pair_kernel_inputs(first, second)[:2], _rows(first, second))
 
 
 def is_weaving_g_riesz(
@@ -606,41 +568,20 @@ def is_weaving_g_riesz(
     A weaving is a Riesz basis exactly when its row count is ``d`` and
     ``lambda_min(S) > tol lambda_max(S)`` for its frame operator ``S``, since
     ``V*V = S`` for its square synthesis matrix ``V``.  The kernel's basis
-    search (``_kernels.basis_search``) settles a whole subcube of selections
-    whose every completion has ``d`` rows when Cholesky proves its lower
-    envelope above ``tol lambda_max(U) + 2 (1 + |tol|) m``, for the upper
-    envelope ``U`` of the whole cube and the kernel's rounding margin ``m``,
-    which also bounds the rounding of the per-weaving classifier
-    (``_kernels._margin``).  It walks the selections of the other subcubes
-    in ascending order, and settles one with ``d`` rows by the same Cholesky
-    test of its operator, or when its own ``lambda_min - tol lambda_max``
-    clears ``(1 + |tol|) m``.  Every other selection goes to
+    search (``_kernels.basis_search``) settles every weaving it proves a
+    Riesz basis, from the row counts and a rounding margin that also bounds
+    the rounding of the per-weaving classifier (``_kernels._margin``), and
+    yields the others in ascending order.  Each goes to
     :func:`is_g_riesz_basis` on its weaving until one fails.  So verdict,
     witness and failing bounds are those of the per-weaving classifier; a
     passing report gives the universal bounds of ``_kernels.weaving_scan``.
     """
-    base, deltas = _basis_inputs(first, second, tol, cap)
-    n = first.n_blocks
-    allowance = 1.0 + abs(tol)
-    square = _square(first, second)
-
-    def certify(bits, free, values, margin):
-        lo, hi = values
-        # lo is +inf where Cholesky proved every eigenvalue above the floor
-        with np.errstate(invalid="ignore"):  # 0 * inf is NaN, and settles nothing
-            above = (lo == np.inf) | (lo - tol * hi > allowance * margin)
-        return square(bits, free) & above
-
-    def floor(upper, margin):
-        with np.errstate(invalid="ignore"):  # 0 * inf is NaN, and proves nothing
-            return tol * upper + 2.0 * allowance * margin
-
-    for masks, bits, values, margin in _kernels.basis_search(base, deltas, certify, floor):
-        for mask in masks[~certify(bits, 0, values, margin)]:
-            sel = WeavingSelection(n, int(mask))
-            rep = is_g_riesz_basis(weave(first, second, sel), tol)
-            if not rep.is_riesz:
-                return WeavingBasisReport(False, sel, rep.lower, rep.upper)
+    base, deltas, rows = _basis_inputs(first, second, tol, cap)
+    for mask in _kernels.basis_search(base, deltas, rows, tol):
+        sel = WeavingSelection(first.n_blocks, mask)
+        rep = is_g_riesz_basis(weave(first, second, sel), tol)
+        if not rep.is_riesz:
+            return WeavingBasisReport(False, sel, rep.lower, rep.upper)
     lower, _, upper, _ = _kernels.weaving_scan(base, deltas)
     return WeavingBasisReport(True, None, lower, upper)
 
@@ -655,38 +596,16 @@ def is_weaving_g_onb(
 
     With row count ``d`` the synthesis matrix ``V`` is square, so both
     residuals of :func:`is_g_orthonormal_basis` equal ``R = |S - I|_F``,
-    which the kernel gives piece by piece, with no eigensolve.  A weaving
-    with no zero-row block, row count ``d`` and ``R`` below ``tol`` by
-    ``1 + |tol|`` times the kernel's rounding margin is settled: the
-    per-weaving test allows ``tol max(1, lambda_max) >= tol``.  For
-    ``tol < 1/3`` that also settles its zero-row test, since each row norm
-    squared is within ``R`` of 1, so above ``2/3``, while
-    ``lambda_max <= 1 + R`` keeps the allowance below ``4/9``.  The kernel's
-    basis search settles a whole subcube the same way, with
-    ``|P - I|_F + sum_free |delta_i|_F`` in place of ``R``, which bounds it
-    for every completion.  Every other weaving, in ascending mask order,
-    goes to :func:`is_g_orthonormal_basis` until one fails.
+    which the kernel gives piece by piece, with no eigensolve.  The kernel's
+    basis search settles a weaving with no zero-row block, row count ``d``
+    and ``R`` below ``tol`` by ``1 + |tol|`` times its rounding margin, for
+    ``tol < 1/3``, and yields the others in ascending order.  Each goes to
+    :func:`is_g_orthonormal_basis` until one fails.
     """
-    base, deltas = _basis_inputs(first, second, tol, cap)
-    n = first.n_blocks
-    no_rows1 = [r == 0 for r in first.block_rows]
-    no_rows2 = [r == 0 for r in second.block_rows]
-    square = _square(first, second)
-
-    def certify(bits, free, residual, margin):
-        # A node's own mask takes its free blocks from the second family, and
-        # where every completion has d rows each free block has as many rows
-        # in the first: so no completion has a zero-row block when its own
-        # mask has none.
-        cut = tol - (1.0 + abs(tol)) * margin if tol < 1.0 / 3.0 else -np.inf
-        empty = _bit_sum(no_rows1, no_rows2, bits)
-        return square(bits, free) & (empty == 0) & (residual <= cut)
-
-    for masks, bits, residual, margin in _kernels.basis_search(base, deltas, certify):
-        for mask in masks[~certify(bits, 0, residual, margin)]:
-            sel = WeavingSelection(n, int(mask))
-            if not is_g_orthonormal_basis(weave(first, second, sel), tol).is_onb:
-                return WeavingBasisReport(False, sel, 0.0, 0.0)
+    for mask in _kernels.basis_search(*_basis_inputs(first, second, tol, cap), tol, onb=True):
+        sel = WeavingSelection(first.n_blocks, mask)
+        if not is_g_orthonormal_basis(weave(first, second, sel), tol).is_onb:
+            return WeavingBasisReport(False, sel, 0.0, 0.0)
     return WeavingBasisReport(True, None, 1.0, 1.0)
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from gweave import _kernels
 from gweave.gframe import new_gframe, optimal_bounds
 from gweave.weaving import universal_bounds_exhaustive
 
@@ -163,3 +164,68 @@ def linalg_calls(monkeypatch, *names):
         monkeypatch.setattr(np.linalg, name, counted)
         monkeypatch.setattr(impl, name, counted)
     return calls
+
+
+@st.composite
+def zero_row_basis_pairs(draw, max_blocks=8):
+    """Pairs near a basis, with zero-row blocks and row counts that may differ between the families.
+
+    The second family splits the rows of a random unitary by its row counts,
+    0 to 2 per block, and ``d`` is their sum.  The first family takes the
+    same row counts and turns each block inside its own span (``same``),
+    splits a second unitary by a permutation of them (``permuted``), or
+    draws row counts of its own, Gaussian past ``d`` rows (``drawn``).  Its
+    blocks get ``noise`` times Gaussian entries, and a block may be copied
+    from the second family, which makes it null.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(1, max_blocks + 1))
+    kind = draw(st.sampled_from(["same", "permuted", "drawn"]))
+    noise = draw(st.sampled_from([0.0, 1e-9, 0.02, 0.3]))
+    rows2 = rng.integers(0, 3, size=n)
+    d = max(1, int(rows2.sum()))
+    rows1 = {"same": rows2, "permuted": rng.permutation(rows2), "drawn": rng.integers(0, 3, size=n)}
+
+    def split(rows, q):
+        """The rows of ``q`` in blocks of ``rows``, Gaussian once they run out."""
+        ends = np.cumsum(rows)
+        return [q[e - r : e] if e <= d else rng.standard_normal((r, d)) for r, e in zip(rows, ends)]
+
+    second = split(rows2, _unitary(rng, d, False))
+    if kind == "same":
+        first = [_unitary(rng, len(b), False) @ b if len(b) else b for b in second]
+    else:
+        first = split(rows1[kind], _unitary(rng, d, False))
+    first = [b + noise * rng.standard_normal(b.shape) for b in first]
+    if draw(st.booleans()):
+        i = int(rng.integers(n))
+        first[i] = second[i].copy()
+    return new_gframe(d, first), new_gframe(d, second)
+
+
+def basis_walks(monkeypatch) -> list:
+    """The number of masks of each batch that ``_kernels.basis_search`` walks, as it computes it.
+
+    While the basis search runs, a walk is the only caller of
+    ``_kernels._batches`` that sets the size of a first batch.  The scan
+    that a passing Riesz classifier runs after the search does not count.
+    """
+    walked, active = [], []
+    search, batches = _kernels.basis_search, _kernels._batches
+
+    def searched(*args, **kwargs):
+        active.append(True)
+        try:
+            yield from search(*args, **kwargs)
+        finally:
+            active.pop()
+
+    def counted(total, step, first=0):
+        for part in batches(total, step, first):
+            if active and first:
+                walked.append(min(part.stop, total) - part.start)
+            yield part
+
+    monkeypatch.setattr(_kernels, "basis_search", searched)
+    monkeypatch.setattr(_kernels, "_batches", counted)
+    return walked

@@ -1,8 +1,13 @@
-"""The answer comparison of tools/answers.py: its field differences and one end-to-end run."""
+"""The answer comparison of tools/answers.py: its field differences, its CLI answers and one end-to-end run."""
 
+import hashlib
 import importlib.util
+import json
 import shutil
 from pathlib import Path
+
+from gweave.cli import gframe_to_document, main
+from gweave.gframe import new_gframe
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "answers.py"
 _SPEC = importlib.util.spec_from_file_location("answers", _PATH)
@@ -30,6 +35,25 @@ def test_each_differing_field_is_named_with_both_values_and_its_size():
         "  woven: True -> False",
     ]
     assert list(answers.differences([1, 2], [1, 2, 3])) == [("", [1, 2], [1, 2, 3])]
+
+
+def test_a_cli_answer_names_its_inputs_by_document_and_drops_its_timing(tmp_path):
+    """Stdout and exit code are kept; paths become document names, and the timing goes."""
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(gframe_to_document(new_gframe(2, [[1.0, 0.0], [0.0, 2.0]]))))
+    paths = {"family": str(path)}
+    got = answers.cli_answer(main, ["bounds", "@family", "--json"], paths)
+    assert got["exit"] == 0
+    assert "timing_seconds" not in got["stdout"] and got["stdout"]["command"] == "bounds"
+    sha = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got["stdout"]["inputs"] == [{"path": "family", "sha256": sha}]
+    text = answers.cli_answer(main, ["bounds", "@family"], paths)["stdout"]
+    assert text.startswith("lower bound A = 1\n")
+    assert answers.normalised(f"wrote {path}\n", paths) == "wrote family\n"
+    missing = answers.cli_answer(main, ["bounds", str(tmp_path / "none.json")], {})
+    assert missing == {"exit": 2, "stdout": ""}
+    assert answers.normalised('{"timing_seconds": 1.5, "x": [1]}', {}) == {"x": [1]}
+    assert answers.normalised("[1, 2]", {}) == [1, 2]
 
 
 def test_a_checkout_compared_with_a_copy_of_itself_differs_nowhere(monkeypatch, capsys):

@@ -54,6 +54,21 @@ def random_spec(rng, frame):
 
 
 class TestSpecs:
+    def test_families_and_specs_built_directly_keep_their_own_copies(self):
+        """``VectorFamily`` and ``SubspaceFrameSpec`` check, copy and derive, as their ``make_*`` entries do."""
+        group = np.eye(2)
+        family = induced.VectorFamily(2, (group,))
+        spec = induced.SubspaceFrameSpec((group,))
+        group[0, 0] = 5.0
+        assert frame_bounds_vectors(family).upper == 1.0
+        assert not family.groups[0].flags.writeable and not spec.groups[0].flags.writeable
+        assert spec.per_block_bounds == ((1.0, 1.0),) and spec.envelope == (1.0, 1.0)
+        assert not spec.strict_envelope
+        assert spec.groups[0].tobytes() == make_subspace_spec([np.eye(2)]).groups[0].tobytes()
+        assert family.groups[0].tobytes() == make_vector_family(2, [np.eye(2)]).groups[0].tobytes()
+        with pytest.raises(TypeError):  # the bounds are derived, never given
+            induced.SubspaceFrameSpec((np.eye(1),), (1.0, 1.0), ((1.0, 1.0),), False)
+
     def test_singleton_bases(self):
         spec = onb_families([1, 1, 1])
         assert spec.envelope == (1.0, 1.0)

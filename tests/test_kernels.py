@@ -24,7 +24,7 @@ from gweave.weaving import (
     universal_bounds_search,
 )
 
-from conftest import basis_pair, dense_pairs, random_gframe
+from conftest import basis_pair, basis_walks, dense_pairs, random_gframe
 from oracles import brute_weaving_spectra, full_weaving_scan, mixed_frame_operator
 
 
@@ -477,10 +477,12 @@ def test_branch_and_bound_equals_full_scan():
     round_=st.sampled_from([1, 16]),
 )
 def test_a_closed_lower_side_takes_no_lower_test(pair, tree_blocks, round_):
-    """With ``low`` the scan returns it, and reads the upper side as the full scan does.
+    """With ``rows`` that give a weaving no rows, the lower side reads 0 and the upper one the full scan's.
 
-    Over subcubes (a ``_TREE_BLOCKS`` of 1) or as one leaf (64), no
-    Cholesky test has a finite floor and no node a lower envelope.
+    The first family's row counts are 0 and the second's ``d``, so the
+    smallest weaving of fewer than ``d`` rows sets every live bit and clears
+    every null one.  Over subcubes (a ``_TREE_BLOCKS`` of 1) or as one leaf
+    (64), no Cholesky test has a finite floor and no node a lower envelope.
     """
     base, deltas = _pair_inputs(*pair)
     floors, sides = [], []
@@ -499,14 +501,16 @@ def test_a_closed_lower_side_takes_no_lower_test(pair, tree_blocks, round_):
 
         return formed
 
-    low = (0.0, (1 << len(deltas)) - 1)
+    n = len(deltas)
+    rows = (np.zeros(n, dtype=int), np.full(n, len(base)))
+    live = int(np.left_shift(1, np.flatnonzero(deltas.any(axis=(1, 2)))).sum())
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_TREE_BLOCKS", tree_blocks)
         mp.setattr(_kernels, "_ROUND", round_)
         mp.setattr(_kernels, "_inside", tested)
         mp.setattr(_kernels, "_envelopes", counted)
-        scanned = _kernels.weaving_scan(base, deltas, low)
-    assert scanned == (*low, *full_weaving_scan(base, deltas)[2:])
+        scanned = _kernels.weaving_scan(base, deltas, rows)
+    assert scanned == (0.0, live, *full_weaving_scan(base, deltas)[2:])
     assert all(np.all(np.asarray(floor) == -np.inf) for floor in floors)
     assert 0 not in sides
 
@@ -658,15 +662,7 @@ def test_every_tree_batch_fits_the_batch_size(monkeypatch, batch_floats):
         lambda base, flat, bits: floats.append(bits.shape[0] * flat.shape[1])
         or stack(base, flat, bits),
     )
-    walked = []
-    search = _kernels.basis_search
-
-    def counted(*args):
-        for batch in search(*args):
-            walked.append(len(batch[0]))
-            yield batch
-
-    monkeypatch.setattr(_kernels, "basis_search", counted)
+    walked = basis_walks(monkeypatch)
     spectra = []
     for size, walks, run in (
         (64, 1 << 6, lambda: is_weaving_g_riesz(*late).holds and pytest.fail("Riesz")),
@@ -912,14 +908,23 @@ def test_every_entry_reads_the_scans_value_for_each_mask(pair, data):
     lo, hi = _scan_values(base, deltas, [d_amin, d_amax])
     assert (lo[0], hi[1]) == (d_lower, d_upper)
 
-    # no node is certified and no mask is proved above the level, so every mask is walked and solved
-    walked = _kernels.basis_search(
-        base, deltas, lambda bits, free, values, margin: np.zeros(len(bits), dtype=bool),
-        lambda upper, margin: upper + 1.0,
-    )
-    batches = [(masks, values) for masks, _, values, _ in walked]
-    assert np.array_equal(np.concatenate([m for m, _ in batches]), np.arange(1 << n))
-    for masks, values in batches:
+    # At tol 1 no weaving passes lambda_min > lambda_max, and the level lies
+    # above every eigenvalue, so no node settles and no mask is proved: every
+    # mask is walked, solved and yielded.
+    walked = []
+    extremes = _kernels._SplitOperator.extremes
+
+    def solved(operator, bits, *bounds):
+        values = extremes(operator, bits, *bounds)
+        walked.append((bits.astype(np.int64) @ np.left_shift(1, np.arange(n)), values))
+        return values
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels._SplitOperator, "extremes", solved)
+        yielded = list(_kernels.basis_search(base, deltas, np.zeros((2, n), dtype=int), 1.0))
+    assert yielded == list(range(1 << n))
+    assert np.array_equal(np.concatenate([m for m, _ in walked]), np.arange(1 << n))
+    for masks, values in walked:
         assert _same(values, _scan_values(base, deltas, masks))
 
     one_bit = _scan_values(base, deltas, 1 << np.arange(n))

@@ -255,7 +255,8 @@ def test_one_kernel_owner():
     Outside ``_kernels.py`` no module uses a private kernel name, as
     ``_kernels._name`` or through ``from ._kernels import _name``, and none
     reads an attribute of the split operator: every kernel entry takes
-    ``base`` and ``deltas`` and returns arrays.
+    ``base``, ``deltas`` and, where it needs them, the two families' row
+    counts, and returns arrays or yields masks.
     """
     found = []
     for path in sorted(Path(gweave.__file__).parent.glob("*.py")):

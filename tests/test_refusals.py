@@ -19,10 +19,19 @@ from gweave.errors import (
     ShapeMismatch,
 )
 from gweave.gframe import GFrame, apply, compose_right, is_dual_pair, new_gframe
-from gweave.induced import induced_vectors, make_subspace_spec, make_vector_family, onb_families
+from gweave.induced import (
+    SubspaceFrameSpec,
+    VectorFamily,
+    induced_vectors,
+    make_subspace_spec,
+    make_vector_family,
+    onb_families,
+)
 from gweave.suite import SuiteConfig, run_suite
 from gweave.weaving import (
+    UniversalReport,
     WeavingSelection,
+    check_additive_upper_bound,
     check_unitary_weaving_invariance,
     is_woven,
     universal_bounds_exhaustive,
@@ -158,6 +167,29 @@ CASES = {
     ),
     "selection-str-mask": (
         lambda: WeavingSelection(2, "1"), ShapeMismatch, "mask must be an integer, got '1'"
+    ),
+    "vector-family-strings": (
+        lambda: VectorFamily(2, ([[1.0, "a"]],)), ShapeMismatch, "group 1 holds"
+    ),
+    "vector-family-length": (
+        lambda: VectorFamily(2, (np.ones((1, 3)),)), ShapeMismatch, "vector of length 3"
+    ),
+    "subspace-spec-envelope": (
+        lambda: SubspaceFrameSpec(([[1.0]],), (0.0, 1.0)),
+        EnvelopeViolation,
+        "lower bound must be positive",
+    ),
+    "subspace-spec-bounds-escape-the-envelope": (
+        lambda: SubspaceFrameSpec((3 * np.eye(2),), (1.0, 1.0)),
+        EnvelopeViolation,
+        "group 1 bounds (9, 9) escape the envelope (1, 1)",
+    ),
+    "report-without-argmin": (
+        lambda: check_additive_upper_bound(
+            TWO, TWO, UniversalReport(1.0, 2.0, None, None, True, "x", 0, 0.0)
+        ),
+        ShapeMismatch,
+        "the report's argmin must be a WeavingSelection, got NoneType",
     ),
 }
 

@@ -20,6 +20,8 @@ from gweave.gframe import (
     block_grams,
     compose_right,
     frame_operator,
+    is_g_orthonormal_basis,
+    is_g_riesz_basis,
     new_gframe,
     optimal_bounds,
 )
@@ -54,7 +56,15 @@ from gweave.weaving import (
     weaving_bounds,
 )
 
-from conftest import basis_pair, dense_pairs, perturbed_woven_pair, random_frame, random_gframe
+from conftest import (
+    basis_pair,
+    basis_walks,
+    dense_pairs,
+    perturbed_woven_pair,
+    random_frame,
+    random_gframe,
+    zero_row_basis_pairs,
+)
 from oracles import (
     brute_weaving_basis,
     brute_weaving_spectra,
@@ -946,25 +956,18 @@ def test_classifiers_build_a_weaving_only_for_the_failure(monkeypatch, kind):
     failing = basis_pair(rng, [1, 2, 1, 2, 2, 1, 1, 2, 1, 1], noise=noise, fail_late=fail)
     built = []
     solves = []
-    walked = []  # the masks of each batch the basis search walks
+    walked = basis_walks(monkeypatch)  # the masks of each walk of the basis search
     scans = []
     real_weave = weaving.weave
     real_eigvalsh = np.linalg.eigvalsh
     real_eigh = np.linalg.eigh
-    search = _kernels.basis_search
     scan = _kernels.weaving_scan
-
-    def counted(*args, **kwargs):
-        for batch in search(*args, **kwargs):
-            walked.append(len(batch[0]))
-            yield batch
 
     monkeypatch.setattr(weaving, "weave", lambda *a: built.append(a[2].mask) or real_weave(*a))
     monkeypatch.setattr(
         np.linalg, "eigvalsh", lambda *a, **k: solves.append(1) or real_eigvalsh(*a, **k)
     )
     monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: solves.append(1) or real_eigh(*a, **k))
-    monkeypatch.setattr(_kernels, "basis_search", counted)
     monkeypatch.setattr(_kernels, "weaving_scan", lambda *a: scans.append(1) or scan(*a))
     n = passing[0].n_blocks
     assert CLASSIFIERS[kind](*passing).holds
@@ -1009,6 +1012,34 @@ def test_an_onb_node_whose_own_mask_fails_goes_straight_to_its_leaf(monkeypatch)
     assert batches == [1, 2, 1 << _kernels._LEAF_FREE]
     assert got.witness == WeavingSelection(10, 1 << 9)
     _assert_same_report(got, brute_weaving_basis(first, second, "onb", DEFAULT_TOL), "onb")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pair=zero_row_basis_pairs(),
+    tol=st.sampled_from([0.0, 1e-8, 0.2, 0.5]),
+    kind=st.sampled_from(["riesz", "onb"]),
+)
+def test_every_mask_the_basis_search_settles_passes_the_per_weaving_classifier(pair, tol, kind):
+    """Settling is sound over the whole cube, past the first failure too.
+
+    The basis search yields strictly ascending masks, and the weaving of
+    every mask it does not yield passes the per-weaving classifier.
+    """
+    first, second = pair
+    n = first.n_blocks
+    base, deltas, _, _ = _pair_kernel_inputs(first, second)
+    rows = first.block_rows, second.block_rows
+    yielded = list(_kernels.basis_search(base, deltas, rows, tol, onb=kind == "onb"))
+    assert all(type(mask) is int for mask in yielded)
+    assert all(a < b for a, b in zip(yielded, yielded[1:]))
+    assert set(yielded) <= set(range(1 << n))
+    for mask in sorted(set(range(1 << n)) - set(yielded)):
+        woven = weave(first, second, WeavingSelection(n, mask))
+        if kind == "onb":
+            assert is_g_orthonormal_basis(woven, tol).is_onb
+        else:
+            assert is_g_riesz_basis(woven, tol).is_riesz
 
 
 @pytest.mark.parametrize("tol", [0.2, 0.9])

@@ -9,7 +9,10 @@ workload (default ``scan``, ``search`` and ``battery``) and seed (default
 11, 12 and 13), builds the requests with ``perfbench/workloads.py``, loads
 the documents through ``gweave.cli.load_gframe`` and answers every
 in-process request with ``perfbench/server.py``'s ``call`` and ``plain``.
-CLI requests are left out.  Nothing under ``perfbench/`` is changed.
+Each CLI request runs in process too, through ``gweave.cli.main`` with its
+stdout captured: its answer is the exit code and the stdout, without
+``timing_seconds`` and with each input path replaced by its document's
+name (:func:`cli_answer`).  Nothing under ``perfbench/`` is changed.
 
 Prints each request whose JSON answer differs between the two sides, with
 one line per differing field: its path, both values and, for numbers, the
@@ -21,6 +24,8 @@ it before committing the change, so that ``HEAD`` is the parent, or pass
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -34,8 +39,33 @@ from bench_pair import WORKLOADS, export  # noqa: E402
 SEEDS = (11, 12, 13)
 
 
+def normalised(stdout: str, paths: dict):
+    """CLI ``stdout`` with each document's path in ``paths`` replaced by its name.
+
+    Stdout that parses as a JSON object loses its ``timing_seconds``; other
+    stdout stays text.
+    """
+    for name, path in paths.items():
+        stdout = stdout.replace(path, name)
+    try:
+        doc = json.loads(stdout)
+    except ValueError:
+        return stdout
+    if isinstance(doc, dict):
+        doc.pop("timing_seconds", None)
+    return doc
+
+
+def cli_answer(main, argv, paths: dict) -> dict:
+    """The exit code and :func:`normalised` stdout of ``main`` on ``argv``, where ``@name`` is ``paths[name]``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([paths[arg[1:]] if arg.startswith("@") else arg for arg in argv])
+    return {"exit": code, "stdout": normalised(out.getvalue(), paths)}
+
+
 def answers(root: Path, seeds, workloads) -> dict:
-    """Every in-process answer of the checkout ``root``, as JSON values keyed by request.
+    """Every answer of the checkout ``root``, in process, as JSON values keyed by request.
 
     The key names the workload, the seed, the request's place in the
     workload, its function and its arguments.  A request that raises
@@ -51,18 +81,20 @@ def answers(root: Path, seeds, workloads) -> dict:
         for name in workloads:
             for seed in seeds:
                 work = built.build(name, seed, "full")
-                frames = {}
+                frames, paths = {}, {}
                 for doc, family in work.documents.items():
                     path = Path(tmp) / f"{doc}.json"
                     path.write_text(json.dumps(family.document()), encoding="utf-8")
                     frames[doc] = gweave.cli.load_gframe(str(path))
+                    paths[doc] = str(path)
                 for i, request in enumerate(work.requests):
-                    if request.is_cli:
-                        continue
                     args = json.dumps(request.args, sort_keys=True)
                     key = f"{name} seed {seed} #{i:03d} {request.op} {args}"
                     try:
-                        out[key] = server.plain(server.call(gweave, frames, request.op, request.args))
+                        if request.is_cli:
+                            out[key] = cli_answer(gweave.cli.main, request.args["argv"], paths)
+                        else:
+                            out[key] = server.plain(server.call(gweave, frames, request.op, request.args))
                     except Exception as exc:  # reported as the server reports it
                         out[key] = {"error": f"{type(exc).__name__}: {exc}"}
     return out
